@@ -1,7 +1,7 @@
 """Current-voltage sweep through the command-line front end.
 
 Drives `simulate sweep` exactly as a shell user would: five bias points
-on the diode deck, run concurrently, one CSV row per point.  The bias
+on the diode deck, run one after another, one CSV row per point.  The bias
 path addresses the plateau knot of the contact ramp, so each instance
 still starts from a well-posed equilibrium at t = 0.
 """

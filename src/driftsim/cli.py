@@ -7,16 +7,14 @@ errors.  A blow-up always leaves a JSON report file behind, either at
 the deck's declared report sink or next to the other outputs under a
 name derived from the deck file.
 
-Sweep points execute on a bounded thread pool; set SIMULATE_WORKERS to
-cap the width.  Rows are emitted in input order regardless of
-completion order, and a failing point becomes a row with an error
+Sweep points run one after another, in input order, and the rows are
+emitted in that order; a failing point becomes a row with an error
 status rather than aborting the sweep.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import os
 import re
@@ -125,8 +123,8 @@ def _parse_values(raw: list[str]) -> list[float]:
     return out
 
 
-def _sweep_point(text: str, param: str, value: float):
-    """One independent simulation; returns a finished row dict."""
+def _sweep_row(text: str, param: str, value: float, sides: list) -> list:
+    """One independent simulation, as a finished CSV row."""
     started = time.perf_counter()
     try:
         tree = yaml.safe_load(text)
@@ -137,15 +135,14 @@ def _sweep_point(text: str, param: str, value: float):
         config = replace(config, output=())
         mesh, models, result = _execute(config)
     except (DriftError, ValueError) as exc:
-        return {"value": value, "currents": None, "iterations": 0,
-                "wall": time.perf_counter() - started,
-                "status": f"error: {exc}"}
+        return [format_float(value)] + ["nan"] * len(sides) + [
+            format_float(time.perf_counter() - started), "0",
+            f"error: {exc}"]
     currents = terminal_currents(config.device, mesh, models, result.final)
     status = "ok" if result.blowup is None else "blow-up"
-    return {"value": value, "currents": currents,
-            "iterations": int(sum(r.gummel_iterations
-                                  for r in result.reports)),
-            "wall": time.perf_counter() - started, "status": status}
+    iterations = sum(r.gummel_iterations for r in result.reports)
+    return [format_float(value)] + [format_float(currents[s]) for s in sides] \
+        + [format_float(time.perf_counter() - started), str(iterations), status]
 
 
 def cmd_sweep(args) -> int:
@@ -165,25 +162,7 @@ def cmd_sweep(args) -> int:
     sides = [c.side for c in base.device.contacts]
     header = ["value"] + [f"current_{s}" for s in sides] \
         + ["wall_time", "iterations", "status"]
-    workers = max(1, int(os.environ.get("SIMULATE_WORKERS",
-                                        os.cpu_count() or 1)))
-    rows = []
-    if values:
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(workers, len(values)))
-        with pool:
-            futures = [pool.submit(_sweep_point, text, args.param, v)
-                       for v in values]
-            points = [f.result() for f in futures]
-        for point in points:
-            currents = point["currents"]
-            row = [format_float(point["value"])]
-            for side in sides:
-                row.append(format_float(currents[side])
-                           if currents is not None else "nan")
-            row += [format_float(point["wall"]), str(point["iterations"]),
-                    point["status"]]
-            rows.append(row)
+    rows = [_sweep_row(text, args.param, v, sides) for v in values]
     sink = open(args.out, "w", encoding="utf-8", newline="") \
         if args.out else sys.stdout
     try:

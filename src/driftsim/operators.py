@@ -8,12 +8,15 @@ Neumann faces contribute nothing.  The electron/hole continuity operators
 use Scharfetter-Gummel exponential fitting, optionally corrected for
 degenerate statistics by a facewise degeneracy average (see ``sg_flux``).
 
-Sign conventions: the Poisson/elliptic operators act so that
-``(P phi)_i`` approximates the cellwise integral of ``-div(eps grad phi)``
-plus boundary closure terms; the continuity matrix ``M`` maps densities
-to net cell *outflow* of the mass flux, i.e. the discretization of
-``-div j`` integrated over cells (production terms belong on the
-right-hand side).
+One kernel, ``face_coefficients``, computes a carrier's coefficients on
+every stencil face; both the continuity matrix with its Dirichlet load and
+the face flux ``a u_lo - b u_hi`` are read off that one result.
+
+Sign conventions: the Poisson operator acts so that ``(P phi)_i``
+approximates the cellwise integral of ``-div(eps grad phi)`` plus boundary
+closure terms; the continuity matrix ``M`` maps densities to net cell
+*outflow* of the mass flux, i.e. the discretization of ``-div j``
+integrated over cells (production terms belong on the right-hand side).
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from .errors import DomainError, SolverError
 from .statistics import StatisticsModel
 
 __all__ = [
-    "SparseOperator", "FluxScheme", "bernoulli", "sg_flux", "eta_face",
-    "assemble_poisson", "assemble_elliptic", "poisson_data_load",
-    "harmonic_lift", "assemble_continuity", "continuity_face_flux",
+    "SparseOperator", "FluxScheme", "FaceCoefficients", "bernoulli",
+    "sg_flux", "eta_face", "assemble_poisson", "poisson_data_load",
+    "face_coefficients", "assemble_continuity", "continuity_face_flux",
     "apply_surface_load", "face_gradient", "cell_average_faces",
-    "solve_linear", "dump_matrix",
+    "solve_linear",
 ]
 
 
@@ -137,12 +140,10 @@ def sg_flux(scheme: FluxScheme, u_lo, u_hi, s_lo, s_hi, dphi,
 
 @dataclass
 class BoundaryClosure:
-    """Record of the eliminations applied while assembling an operator."""
-    dirichlet_face: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    dirichlet_cell: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    dirichlet_coeff: np.ndarray = field(default_factory=lambda: np.empty(0))
-    dirichlet_contact: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    robin_face: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    """Record of the eliminations applied while assembling the Poisson operator."""
+    dirichlet_cell: np.ndarray
+    dirichlet_coeff: np.ndarray
+    dirichlet_contact: np.ndarray
     robin_cell: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     robin_coeff: np.ndarray = field(default_factory=lambda: np.empty(0))
     robin_segment: np.ndarray = field(default_factory=lambda: np.empty(0, int))
@@ -164,9 +165,6 @@ class SparseOperator:
         if self._lu is None:
             self._lu = spla.splu(self.matrix.tocsc())
         return self._lu
-
-    def solve(self, b: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-        return solve_linear(self, b, rtol=rtol)
 
     def asymmetry(self) -> float:
         d = self.matrix - self.matrix.T
@@ -196,37 +194,18 @@ def _boundary_transmissibility(mesh: Mesh, coeff: np.ndarray, faces: np.ndarray)
     return cell, mesh.face_area[faces] * k / dist
 
 
-def _diffusion_matrix(mesh: Mesh, coeff: np.ndarray,
-                      dirichlet_faces: np.ndarray) -> tuple[list, BoundaryClosure]:
-    """COO triplets of the symmetric diffusion part plus Dirichlet closure."""
-    rows, cols, data = [], [], []
-    interior = np.flatnonzero(mesh.interior_mask())
-    lo, hi, t = _face_transmissibility(mesh, coeff, interior)
-    rows += [lo, hi, lo, hi]
-    cols += [lo, hi, hi, lo]
-    data += [t, t, -t, -t]
-
-    cell, tb = _boundary_transmissibility(mesh, coeff, dirichlet_faces)
-    rows.append(cell)
-    cols.append(cell)
-    data.append(tb)
-    closure = BoundaryClosure(
-        dirichlet_face=dirichlet_faces.copy(),
-        dirichlet_cell=cell,
-        dirichlet_coeff=tb,
-        dirichlet_contact=mesh.face_contact[dirichlet_faces].copy(),
-    )
-    triplets = [np.concatenate(rows) if rows else np.empty(0, int),
-                np.concatenate(cols) if cols else np.empty(0, int),
-                np.concatenate(data) if data else np.empty(0)]
-    return triplets, closure
-
-
 def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
     """Robin-Poisson operator: diffusion in eps + Robin masses + Dirichlet closure."""
     eps = cell_tensor(device, mesh, "eps")
+    lo, hi, t = _face_transmissibility(mesh, eps,
+                                       np.flatnonzero(mesh.interior_mask()))
     dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
-    (rows, cols, data), closure = _diffusion_matrix(mesh, eps, dirichlet)
+    cell, tb = _boundary_transmissibility(mesh, eps, dirichlet)
+    rows = [lo, hi, lo, hi, cell]
+    cols = [lo, hi, hi, lo, cell]
+    data = [t, t, -t, -t, tb]
+    closure = BoundaryClosure(dirichlet_cell=cell, dirichlet_coeff=tb,
+                              dirichlet_contact=mesh.face_contact[dirichlet])
 
     robin_faces = np.flatnonzero(mesh.face_tag == TAG_ROBIN)
     if robin_faces.size:
@@ -238,37 +217,17 @@ def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
                         mesh.face_cells[robin_faces, 1])
         segs = seg_of[robin_faces]
         caps = np.array([device.robin[s].eps_gamma for s in segs])
-        rows = np.concatenate([rows, cell])
-        cols = np.concatenate([cols, cell])
-        data = np.concatenate([data, caps * mesh.face_area[robin_faces]])
-        closure.robin_face = robin_faces
+        rows.append(cell)
+        cols.append(cell)
+        data.append(caps * mesh.face_area[robin_faces])
         closure.robin_cell = cell
         closure.robin_coeff = caps * mesh.face_area[robin_faces]
         closure.robin_segment = segs
 
     n = mesh.n_cells
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    return SparseOperator(matrix=matrix, closure=closure)
-
-
-def assemble_elliptic(device: DeviceSpec, mesh: Mesh,
-                      coeff: np.ndarray) -> SparseOperator:
-    """Elliptic operator A_rho for a cellwise diagonal tensor ``coeff``.
-
-    Same stencil as the Poisson assembly but without Robin masses, and
-    with homogeneous Dirichlet closure on the contact set (the closure
-    record still carries the elimination coefficients so callers can
-    build lifts of inhomogeneous contact data).
-    """
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (mesh.n_cells, mesh.dimension):
-        raise DomainError("coefficient field must have shape (n_cells, dim)")
-    if np.any(~np.isfinite(coeff)) or np.any(coeff <= 0.0):
-        raise DomainError("elliptic coefficient must be positive and finite")
-    dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
-    (rows, cols, data), closure = _diffusion_matrix(mesh, coeff, dirichlet)
-    n = mesh.n_cells
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    matrix = sp.coo_matrix((np.concatenate(data),
+                            (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(n, n)).tocsr()
     return SparseOperator(matrix=matrix, closure=closure)
 
 
@@ -290,77 +249,120 @@ def poisson_data_load(device: DeviceSpec, mesh: Mesh, op: SparseOperator,
     return load
 
 
-def harmonic_lift(op: SparseOperator, contact_values: np.ndarray) -> np.ndarray:
-    """Discrete harmonic extension of per-contact Dirichlet data through ``op``."""
-    cl = op.closure
-    if not cl.dirichlet_cell.size:
-        return np.zeros(op.dimension)
-    values = np.asarray(contact_values, dtype=float)[cl.dirichlet_contact]
-    rhs = np.zeros(op.dimension)
-    np.add.at(rhs, cl.dirichlet_cell, cl.dirichlet_coeff * values)
-    return op.solve(rhs)
+@dataclass(frozen=True)
+class FaceCoefficients:
+    """Scharfetter-Gummel coefficients of one carrier on every stencil face.
+
+    The mass flow through a face, positive from its low to its high side,
+    is ``a * u_lo - b * u_hi``.  Interior faces ``interior`` couple the
+    cells ``lo`` and ``hi`` with coefficients ``a``/``b``.  A Dirichlet face
+    ``dirichlet`` couples its one ``cell`` with the ghost density ``u_d``
+    at the face center through ``a_d``/``b_d``; the ghost sits on the high
+    side where ``on_lo_side`` holds and on the low side elsewhere.
+    """
+    n_cells: int
+    n_faces: int
+    interior: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    dirichlet: np.ndarray
+    cell: np.ndarray
+    on_lo_side: np.ndarray
+    a_d: np.ndarray
+    b_d: np.ndarray
+    u_d: np.ndarray
+
+    def flux(self, u: np.ndarray) -> np.ndarray:
+        """Facewise mass flow for cell densities ``u``; zero off the stencil."""
+        out = np.zeros(self.n_faces)
+        out[self.interior] = self.a * u[self.lo] - self.b * u[self.hi]
+        u_lo = np.where(self.on_lo_side, u[self.cell], self.u_d)
+        u_hi = np.where(self.on_lo_side, self.u_d, u[self.cell])
+        out[self.dirichlet] = self.a_d * u_lo - self.b_d * u_hi
+        return out
+
+    def system(self, diagonal: np.ndarray | None = None,
+               ) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Net-outflow matrix M (plus ``diagonal``, if given) and Dirichlet load.
+
+        ``M u - load`` is the cellwise divergence of ``flux(u)``.  The
+        optional ``diagonal`` (a time-derivative mass, say) is summed into
+        each diagonal entry after the face contributions.
+        """
+        inner = np.where(self.on_lo_side, self.a_d, self.b_d)
+        outer = np.where(self.on_lo_side, self.b_d, self.a_d)
+        rows = [self.lo, self.lo, self.hi, self.hi, self.cell]
+        cols = [self.lo, self.hi, self.hi, self.lo, self.cell]
+        data = [self.a, -self.b, self.b, -self.a, inner]
+        if diagonal is not None:
+            every = np.arange(self.n_cells)
+            rows.append(every)
+            cols.append(every)
+            data.append(diagonal)
+        load = np.zeros(self.n_cells)
+        np.add.at(load, self.cell, outer * self.u_d)
+        n = self.n_cells
+        matrix = sp.coo_matrix((np.concatenate(data),
+                                (np.concatenate(rows), np.concatenate(cols))),
+                               shape=(n, n)).tocsr()
+        return matrix, load
 
 
-def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
-                        scheme: FluxScheme, k: int, phi: np.ndarray,
-                        chi: np.ndarray, contact_values: list[tuple[float, float]],
-                        ) -> tuple[SparseOperator, np.ndarray]:
-    """Steady continuity operator M (net outflow of carrier k) and its load.
+def face_coefficients(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
+                      scheme: FluxScheme, k: int, phi: np.ndarray,
+                      chi: np.ndarray, contact_values: list[tuple[float, float]],
+                      ) -> FaceCoefficients:
+    """The continuity kernel: carrier k's coefficients on all stencil faces.
 
     ``contact_values`` holds one (phi_D, Phi_D) pair per contact, already
     sampled at the step time; the Dirichlet ghost densities are
-    F(Phi_D + (-1)^k phi_D).  The returned load carries only the
-    Dirichlet contributions; production terms are the caller's business.
+    F(Phi_D + (-1)^k phi_D).
     """
     if k not in (1, 2):
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
     sign = -1.0 if k == 1 else 1.0
     mob = cell_tensor(device, mesh, "mu1" if k == 1 else "mu2")
 
-    n = mesh.n_cells
-    rows, cols, data = [], [], []
-    load = np.zeros(n)
-
     interior = np.flatnonzero(mesh.interior_mask())
     lo, hi, t = _face_transmissibility(mesh, mob, interior)
     dphi = sign * (phi[hi] - phi[lo])
     a, b = _sg_coefficients(scheme, stats, chi[lo], chi[hi], dphi, t)
-    rows += [lo, lo, hi, hi]
-    cols += [lo, hi, hi, lo]
-    data += [a, -b, b, -a]
 
     dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
-    if dirichlet.size:
-        cell, tb = _boundary_transmissibility(mesh, mob, dirichlet)
-        contact = mesh.face_contact[dirichlet]
-        phi_d = np.array([contact_values[c][0] for c in contact])
-        Phi_d = np.array([contact_values[c][1] for c in contact])
-        chi_d = Phi_d + sign * phi_d
-        u_d = stats.eval(chi_d)
-        on_lo_side = mesh.face_cells[dirichlet, 0] >= 0
-        # ghost sits on the high side of the face when the cell is the low
-        # side, and vice versa; dphi is always high minus low
-        dphi_b = np.where(on_lo_side, sign * (phi_d - phi[cell]),
-                          sign * (phi[cell] - phi_d))
-        s_lo = np.where(on_lo_side, chi[cell], chi_d)
-        s_hi = np.where(on_lo_side, chi_d, chi[cell])
-        a, b = _sg_coefficients(scheme, stats, s_lo, s_hi, dphi_b, tb)
-        diag = np.where(on_lo_side, a, b)
-        off = np.where(on_lo_side, b, a)
-        rows.append(cell)
-        cols.append(cell)
-        data.append(diag)
-        np.add.at(load, cell, off * u_d)
+    cell, tb = _boundary_transmissibility(mesh, mob, dirichlet)
+    contact = mesh.face_contact[dirichlet]
+    phi_d = np.array([contact_values[c][0] for c in contact])
+    Phi_d = np.array([contact_values[c][1] for c in contact])
+    chi_d = Phi_d + sign * phi_d
+    u_d = stats.eval(chi_d)
+    on_lo_side = mesh.face_cells[dirichlet, 0] >= 0
+    # ghost sits on the high side of the face when the cell is the low
+    # side, and vice versa; dphi is always high minus low
+    dphi_b = np.where(on_lo_side, sign * (phi_d - phi[cell]),
+                      sign * (phi[cell] - phi_d))
+    s_lo = np.where(on_lo_side, chi[cell], chi_d)
+    s_hi = np.where(on_lo_side, chi_d, chi[cell])
+    a_d, b_d = _sg_coefficients(scheme, stats, s_lo, s_hi, dphi_b, tb)
+    return FaceCoefficients(
+        n_cells=mesh.n_cells, n_faces=mesh.n_faces, interior=interior,
+        lo=lo, hi=hi, a=a, b=b, dirichlet=dirichlet, cell=cell,
+        on_lo_side=on_lo_side, a_d=a_d, b_d=b_d, u_d=u_d)
 
-    matrix = sp.coo_matrix((np.concatenate(data),
-                            (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(n, n)).tocsr()
-    closure = BoundaryClosure()
-    if dirichlet.size:
-        closure = BoundaryClosure(
-            dirichlet_face=dirichlet, dirichlet_cell=cell,
-            dirichlet_coeff=tb, dirichlet_contact=mesh.face_contact[dirichlet])
-    return SparseOperator(matrix=matrix, closure=closure), load
+
+def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
+                        scheme: FluxScheme, k: int, phi: np.ndarray,
+                        chi: np.ndarray, contact_values: list[tuple[float, float]],
+                        ) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Steady continuity matrix M (net outflow of carrier k) and its load.
+
+    Arguments as for ``face_coefficients``.  The returned load carries
+    only the Dirichlet contributions; production terms are the caller's
+    business.
+    """
+    return face_coefficients(device, mesh, stats, scheme, k, phi, chi,
+                             contact_values).system()
 
 
 def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
@@ -370,40 +372,14 @@ def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
                          ) -> np.ndarray:
     """Facewise mass flow of carrier k, positive from the low to high side.
 
-    Matches the coefficients of ``assemble_continuity`` exactly, so the
-    divergence of this field reproduces M u minus the Dirichlet load.
-    Faces without a flux stencil (insulated, Robin, surface) report zero;
-    their physical flux lives in the boundary loads.
+    Built from the same ``face_coefficients`` as ``assemble_continuity``,
+    so the divergence of this field reproduces M u minus the Dirichlet
+    load by construction.  Faces without a flux stencil (insulated,
+    Robin, surface) report zero; their physical flux lives in the
+    boundary loads.
     """
-    sign = -1.0 if k == 1 else 1.0
-    mob = cell_tensor(device, mesh, "mu1" if k == 1 else "mu2")
-    u = stats.eval(chi)
-    out = np.zeros(mesh.n_faces)
-
-    interior = np.flatnonzero(mesh.interior_mask())
-    lo, hi, t = _face_transmissibility(mesh, mob, interior)
-    dphi = sign * (phi[hi] - phi[lo])
-    a, b = _sg_coefficients(scheme, stats, chi[lo], chi[hi], dphi, t)
-    out[interior] = a * u[lo] - b * u[hi]
-
-    dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
-    if dirichlet.size:
-        cell, tb = _boundary_transmissibility(mesh, mob, dirichlet)
-        contact = mesh.face_contact[dirichlet]
-        phi_d = np.array([contact_values[c][0] for c in contact])
-        Phi_d = np.array([contact_values[c][1] for c in contact])
-        chi_d = Phi_d + sign * phi_d
-        u_d = stats.eval(chi_d)
-        on_lo_side = mesh.face_cells[dirichlet, 0] >= 0
-        dphi_b = np.where(on_lo_side, sign * (phi_d - phi[cell]),
-                          sign * (phi[cell] - phi_d))
-        s_lo = np.where(on_lo_side, chi[cell], chi_d)
-        s_hi = np.where(on_lo_side, chi_d, chi[cell])
-        u_lo = np.where(on_lo_side, u[cell], u_d)
-        u_hi = np.where(on_lo_side, u_d, u[cell])
-        a, b = _sg_coefficients(scheme, stats, s_lo, s_hi, dphi_b, tb)
-        out[dirichlet] = a * u_lo - b * u_hi
-    return out
+    return face_coefficients(device, mesh, stats, scheme, k, phi, chi,
+                             contact_values).flux(stats.eval(chi))
 
 
 def apply_surface_load(mesh: Mesh, faces: np.ndarray, rate) -> np.ndarray:
@@ -492,12 +468,3 @@ def solve_linear(op, b: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
                 f"linear solve residual {res:.3e} exceeds {rtol:.1e} * ||b||",
                 residual=float(res))
     return x
-
-
-def dump_matrix(op: SparseOperator, path) -> None:
-    """Write the operator in coordinate text format (row col value per line)."""
-    coo = op.matrix.tocoo()
-    with open(path, "w") as f:
-        f.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i} {j} {v:.17e}\n")

@@ -43,15 +43,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .device import DeviceSpec, Mesh, build_mesh
 from .errors import DomainError, SolverError, StepRejected
 from .nonlinear_poisson import (NonlinearPoissonProblem, equilibrium_state,
                                 solve_operator_S)
 from .operators import (FluxScheme, SparseOperator, apply_surface_load,
-                        assemble_continuity, assemble_poisson,
-                        cell_average_faces, continuity_face_flux,
+                        assemble_poisson, cell_average_faces,
+                        continuity_face_flux, face_coefficients,
                         face_gradient, poisson_data_load, solve_linear)
 from .recombination import SurfaceSRH, bulk_production
 from .statistics import StatisticsModel
@@ -186,19 +185,22 @@ def compute_currents(device: DeviceSpec, mesh: Mesh, models: SimulationModels,
     the low to the high cell as positive, while the current field of
     carrier k points along u_k mu_k grad Phi_k).
     """
+    face_flux = np.vstack([
+        continuity_face_flux(device, mesh, models.stats[k - 1], models.scheme,
+                             k, phi, chi[k - 1], [(c[0], c[k]) for c in contacts])
+        for k in (1, 2)])
+    return _current_field(mesh, phi, contacts, face_flux)
+
+
+def _current_field(mesh: Mesh, phi: np.ndarray,
+                   contacts: list[tuple[float, float, float]],
+                   face_flux: np.ndarray) -> CurrentField:
+    """CurrentField of given (2, n_faces) carrier face fluxes."""
     phi_d = np.array([c[0] for c in contacts])
     face_e = face_gradient(mesh, phi, phi_d)
     cell_e = cell_average_faces(mesh, face_e)
-    n_f = mesh.n_faces
-    face_flux = np.zeros((2, n_f))
-    cell_current = np.zeros((2, mesh.n_cells, mesh.dimension))
-    for k in (1, 2):
-        values = [(c[0], c[k]) for c in contacts]
-        flux = continuity_face_flux(device, mesh, models.stats[k - 1],
-                                    models.scheme, k, phi, chi[k - 1], values)
-        face_flux[k - 1] = flux
-        cell_current[k - 1] = cell_average_faces(
-            mesh, -flux / mesh.face_area)
+    cell_current = np.stack([cell_average_faces(mesh, -flux / mesh.face_area)
+                             for flux in face_flux])
     return CurrentField(face_flux=face_flux, cell_current=cell_current,
                         face_field=face_e, cell_field=cell_e)
 
@@ -292,29 +294,28 @@ def gummel_step(device: DeviceSpec, mesh: Mesh, poisson: SparseOperator,
             phi = phi_d + phi_tilde
 
         chi = np.vstack([Phi[0] - phi, Phi[1] + phi])
-        currents = compute_currents(device, mesh, models, phi, chi, contacts)
-        u1_eval = s1.eval(chi[0])
-        u2_eval = s2.eval(chi[1])
-        r_bulk = bulk_production(models.bulk, u1_eval, u2_eval, Phi[0], Phi[1],
-                                 currents.cell_field, currents.cell_current[0],
+        u_eval = (s1.eval(chi[0]), s2.eval(chi[1]))
+        faces = [face_coefficients(device, mesh, models.stats[k - 1],
+                                   models.scheme, k, phi, chi[k - 1],
+                                   [(c[0], c[k]) for c in contacts])
+                 for k in (1, 2)]
+        currents = _current_field(mesh, phi, contacts, np.vstack(
+            [f.flux(u) for f, u in zip(faces, u_eval)]))
+        r_bulk = bulk_production(models.bulk, u_eval[0], u_eval[1], Phi[0],
+                                 Phi[1], currents.cell_field,
+                                 currents.cell_current[0],
                                  currents.cell_current[1])
-        shared = V * r_bulk + _surface_loads(device, mesh, u1_eval, u2_eval)
+        shared = V * r_bulk + _surface_loads(device, mesh, *u_eval)
 
         u_new = np.empty_like(state.u)
         Phi_new = np.empty_like(Phi)
         balance = 0.0
         for k in (1, 2):
             stats_k = models.stats[k - 1]
-            values = [(c[0], c[k]) for c in contacts]
-            M, dirichlet_load = assemble_continuity(
-                device, mesh, stats_k, models.scheme, k, phi, chi[k - 1],
-                values)
+            system, dirichlet_load = faces[k - 1].system(V / dt)
             rhs = V * state.u[k - 1] / dt + shared + dirichlet_load
             if source is not None:
                 rhs = rhs + V * source[k - 1]
-            system = SparseOperator(
-                matrix=(M.matrix + sp.diags(V / dt, format="csr")).tocsr(),
-                closure=M.closure)
             try:
                 u_k = solve_linear(system, rhs)
             except SolverError as exc:
@@ -322,7 +323,7 @@ def gummel_step(device: DeviceSpec, mesh: Mesh, poisson: SparseOperator,
             if np.any(u_k <= 0.0) or not np.all(np.isfinite(u_k)):
                 raise StepRejected(
                     f"nonpositive density for carrier {k} at t={t_next:.6g}")
-            defect = system.matrix @ u_k - rhs
+            defect = system @ u_k - rhs
             scale = max(float(np.max(np.abs(rhs))), np.finfo(float).tiny)
             balance = max(balance, float(np.max(np.abs(defect))) / scale)
             u_new[k - 1] = u_k

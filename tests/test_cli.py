@@ -99,8 +99,7 @@ def test_sweep_empty_values_header_only(tmp_path, capsys):
     assert lines == ["value,current_left,current_right,wall_time,iterations,status"]
 
 
-def test_sweep_forward_bias_currents_monotone(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIMULATE_WORKERS", "4")
+def test_sweep_forward_bias_currents_monotone(tmp_path):
     out = tmp_path / "iv.csv"
     code = run_cli("sweep", str(DECKS / "diode.yaml"),
                    "--param", "device.contacts[1].bias[1][1]",
@@ -119,8 +118,7 @@ def test_sweep_forward_bias_currents_monotone(tmp_path, monkeypatch):
     assert all(b > a for a, b in zip(current_right, current_right[1:]))
 
 
-def test_sweep_records_per_point_failure_and_continues(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIMULATE_WORKERS", "2")
+def test_sweep_records_per_point_failure_and_continues(tmp_path):
     out = tmp_path / "sweep.csv"
     # replacing the whole bias series with a nonzero constant makes the
     # t = 0 equilibrium impossible for that point only

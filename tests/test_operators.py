@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from driftsim.device import (
+    TAG_DIRICHLET,
     Contact,
     DeviceSpec,
     MaterialRegion,
@@ -12,12 +13,13 @@ from driftsim.errors import DomainError
 from driftsim.operators import (
     FluxScheme,
     apply_surface_load,
+    assemble_continuity,
     assemble_poisson,
     bernoulli,
     cell_average_faces,
+    continuity_face_flux,
     eta_face,
     face_gradient,
-    harmonic_lift,
     poisson_data_load,
     sg_flux,
     solve_linear,
@@ -178,8 +180,8 @@ def test_constant_lift_2d():
         contacts=(Contact(side="left", phi=4.0), Contact(side="right", phi=4.0)))
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
-    lift = harmonic_lift(op, np.array([4.0, 4.0]))
-    assert np.max(np.abs(lift - 4.0)) <= 1e-12
+    phi = solve_linear(op, poisson_data_load(dev, mesh, op, t=0.0))
+    assert np.max(np.abs(phi - 4.0)) <= 1e-12
 
 
 def test_robin_wall_follows_gate_value():
@@ -194,6 +196,55 @@ def test_robin_wall_follows_gate_value():
     load = poisson_data_load(dev, mesh, op, t=0.0)
     phi = solve_linear(op, load)
     assert np.max(np.abs(phi - 1.5)) <= 1e-12
+
+
+# -- continuity assembly --------------------------------------------------
+
+def _two_contact_device_2d():
+    # left contact over the whole side, right contact on a middle span,
+    # a Robin segment on part of the bottom; every other boundary face is
+    # an insulated wall.  Two materials make the transmissibilities differ.
+    return DeviceSpec(
+        dimension=2, extent=(1.2, 1.0), resolution=(6, 5),
+        regions=(MaterialRegion("a", ((0.0, 0.6), (0.0, 1.0)),
+                                mu1=1.0, mu2=0.4),
+                 MaterialRegion("b", ((0.6, 1.2), (0.0, 1.0)),
+                                mu1=(2.5, 0.5), mu2=1.5)),
+        contacts=(Contact(side="left"),
+                  Contact(side="right", span=(0.2, 0.8))),
+        robin=(RobinSegment("bottom", eps_gamma=0.5, span=(0.0, 0.6)),))
+
+
+@pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("k", [1, 2], ids=["k1", "k2"])
+@pytest.mark.parametrize("scheme,stats", [
+    (CENTRAL, boltzmann()),
+    (SG, boltzmann()),
+    (ENHANCED, fermi_dirac_half()),
+], ids=["central", "sg", "enhanced_fd"])
+def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
+                                                   stats):
+    # the face flux and the matrix come from one set of face coefficients,
+    # so the net cell outflow of the flux is M u minus the Dirichlet load
+    dev = dirichlet_slab(cells=9) if dimension == 1 \
+        else _two_contact_device_2d()
+    mesh = build_mesh(dev)
+    rng = np.random.default_rng(11 + k)
+    phi = rng.uniform(0.0, 2.0, mesh.n_cells)
+    chi = rng.uniform(0.0, 3.0, mesh.n_cells)
+    values = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))
+              for _ in dev.contacts]
+    flux = continuity_face_flux(dev, mesh, stats, scheme, k, phi, chi, values)
+    M, load = assemble_continuity(dev, mesh, stats, scheme, k, phi, chi,
+                                  values)
+    u = stats.eval(chi)
+    lo, hi = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
+    outflow = np.zeros(mesh.n_cells)
+    np.add.at(outflow, lo[lo >= 0], flux[lo >= 0])
+    np.add.at(outflow, hi[hi >= 0], -flux[hi >= 0])
+    assert np.all(flux[mesh.face_tag == TAG_DIRICHLET] != 0.0)
+    scale = np.max(abs(M) @ u + np.abs(load))
+    assert np.max(np.abs(outflow - (M @ u - load))) <= 1e-13 * scale
 
 
 def test_surface_load_conserves_mass():
