@@ -12,7 +12,6 @@ from .errors import (
     DriftError,
     GeometryError,
     NonConvergenceError,
-    QuadratureError,
     SolverError,
 )
 from .device import (
@@ -78,7 +77,6 @@ __all__ = [
     "Mesh",
     "NonConvergenceError",
     "OutputSink",
-    "QuadratureError",
     "RobinSegment",
     "SheetDoping",
     "ShockleyReadHall",

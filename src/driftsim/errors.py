@@ -26,18 +26,6 @@ class ConfigError(DriftError, ValueError):
         super().__init__("\n".join(self.problems))
 
 
-class QuadratureError(DriftError, ArithmeticError):
-    """Adaptive quadrature hit its depth limit before reaching tolerance."""
-
-    def __init__(self, achieved: float, requested: float):
-        self.achieved = achieved
-        self.requested = requested
-        super().__init__(
-            f"quadrature stalled at relative error {achieved:.3e} "
-            f"(requested {requested:.3e})"
-        )
-
-
 class SolverError(DriftError, RuntimeError):
     """A linear solve did not meet its residual contract."""
 

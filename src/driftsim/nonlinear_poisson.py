@@ -281,30 +281,21 @@ def contraction_iterate(problem: NonlinearPoissonProblem,
 
 def solve_operator_S(problem: NonlinearPoissonProblem,
                      omega: np.ndarray | None = None, tol: float = 1e-12,
-                     cutoff_bound: float | None = None,
                      x0: np.ndarray | None = None) -> np.ndarray:
-    """The potential map omega -> phi, Newton first, contraction fallback.
+    """The potential map omega -> phi, by damped Newton.
 
-    Results are method-independent to well below 1e-8 and, because the
-    primary path never evaluates the cut-off, exactly independent of any
-    cutoff_bound at or above the a-priori value.  ``x0`` warm-starts both
-    solvers; callers stepping through a family of nearby omega (the
-    decoupling loop) pass the previous potential.
+    ``x0`` warm-starts the iteration; callers stepping through a family
+    of nearby omega (the decoupling loop) pass the previous potential.
+    A Newton failure surfaces as ``SolverError``; the caller decides
+    whether to retry with a smaller step.
     """
     if omega is not None:
         problem = replace(problem, omega=np.asarray(omega, dtype=float))
     try:
         phi, _ = newton_solve(problem, tol=tol, x0=x0)
-        return phi
-    except (NonConvergenceError, SolverError) as newton_exc:
-        try:
-            phi, _ = contraction_iterate(problem, tol=tol,
-                                         cutoff_bound=cutoff_bound, x0=x0)
-            return phi
-        except (NonConvergenceError, SolverError) as exc:
-            raise SolverError(
-                "both potential solvers failed "
-                f"(newton: {newton_exc}; contraction: {exc})") from exc
+    except NonConvergenceError as exc:
+        raise SolverError(str(exc), residual=exc.residual) from exc
+    return phi
 
 
 def neutral_potential(stats, doping, rtol: float = 1e-12):

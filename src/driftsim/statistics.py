@@ -5,13 +5,16 @@ Two statistics are available:
 * ``boltzmann``        F(s) = exp(s)
 * ``fermi_dirac_half`` F(s) = (2/sqrt(pi)) * integral_0^inf sqrt(t)/(1+exp(t-s)) dt
 
-The Fermi-Dirac integral of order 1/2 is evaluated by adaptive
-Gauss-Kronrod quadrature after the substitution t = x**2 (which removes
-the root singularity and leaves an analytic integrand), with a crossover
-to the Boltzmann asymptote exp(s) for s <= -15 and to the degenerate
-Sommerfeld series for s >= 30.  The derivative F' is the corresponding
-integral of order -1/2; the degeneracy factor eta = F/F' equals 1 for
-Boltzmann statistics and is >= 1 otherwise.
+The Fermi-Dirac integral F = F_{1/2} and its derivative F' = F_{-1/2}
+are evaluated in closed form, piece by piece: for s <= 0 as exp(s) times
+a Chebyshev series in exp(s), on (0, 4], (4, 12] and (12, 40] as
+Chebyshev series in s, and beyond 40 by the Sommerfeld expansion.  The
+coefficients live in ``_fermi_dirac_table``, generated from mpmath by
+``tools/fermi_dirac_table.py``; both functions are within a few units in
+the last place of the exact values over the whole range, so they join
+smoothly at the piece edges and need no accuracy controls.  The
+degeneracy factor eta = F/F' equals 1 for Boltzmann statistics and is
+>= 1 otherwise.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import expit
+from numpy.polynomial.polynomial import polyval
 
-from .errors import DomainError, NonConvergenceError, QuadratureError
+from . import _fermi_dirac_table as _table
+from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "StatisticsModel",
@@ -30,180 +34,86 @@ __all__ = [
     "fermi_dirac_half",
 ]
 
-_BOLTZMANN_CROSSOVER = -15.0
-_SOMMERFELD_CROSSOVER = 30.0
-_TAIL_DECADES = 48.0  # upper cutoff x**2 - s for the substituted integrand
-
-# Gauss-Kronrod 7-15 rule on [-1, 1].  Kronrod abscissae, Kronrod weights,
-# and the weights of the embedded 7-point Gauss rule (odd-index nodes).
-_KRONROD_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GAUSS_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-_GAUSS_SLICE = slice(1, None, 2)
+# F and F' underflow together below s = -708, where 0/0 would replace
+# eta = 1 + 0.35 exp(s); that already rounds to 1 from s = -40 down
+_ETA_FLOOR = -700.0
 
 
-def _density_integrand(x, s):
-    # (4/sqrt(pi)) x^2 / (1 + exp(x^2 - s)), written through the logistic
-    # function so large exponents neither overflow nor warn
-    return (4.0 / np.sqrt(np.pi)) * x * x * expit(s - x * x)
+class _FermiDiracIntegral:
+    """F_j(s) for one order j, evaluated from its generated table."""
+
+    def __init__(self, table):
+        self.power = table["order"] + 1.0
+        self.series = np.array(table["series"])
+        # Chebyshev piece i lives on bounds[i]: the first in t = exp(s)
+        # over [0, 1], the others in s itself
+        edges = _table.EDGES
+        bounds = np.array([(0.0, 1.0), *zip(edges[:-1], edges[1:])])
+        self.center = bounds.mean(axis=1)
+        self.scale = 2.0 / (bounds[:, 1] - bounds[:, 0])
+        self.coef = np.array([table["low"], *table["mid"]]).T  # (term, piece)
+
+    def __call__(self, s):
+        out = np.empty_like(s)
+        piece = np.searchsorted(_table.EDGES, s)  # 0 for s <= 0
+        tail = piece == len(_table.EDGES)
+        if np.any(tail):
+            s_tail = s[tail]
+            out[tail] = s_tail ** self.power * polyval(s_tail ** -2.0,
+                                                       self.series)
+        near = ~tail
+        p, s_near = piece[near], s[near]
+        low = p == 0
+        t = np.exp(np.minimum(s_near, 0.0))
+        x = (np.where(low, t, s_near) - self.center[p]) * self.scale[p]
+        value = _clenshaw(x, self.coef[:, p])
+        out[near] = np.where(low, t * value, value)
+        return out
 
 
-def _derivative_integrand(x, s):
-    return (2.0 / np.sqrt(np.pi)) * expit(s - x * x)
+def _clenshaw(x, coef):
+    """sum_k coef[k] T_k(x), with one coefficient column per entry of x."""
+    b1 = b2 = 0.0
+    x2 = 2.0 * x
+    for c in coef[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coef[0] + x * b1 - b2
 
 
-def _gauss_kronrod(integrand, s, rtol, max_depth):
-    """Integrate ``integrand(x, s)`` over x in [0, sqrt(max(s,0)+48)].
-
-    Vectorized over the sample array ``s``: the panel subdivision (in the
-    normalized coordinate xi in [0, 1]) is shared by all samples and is
-    refined where the worst sample still violates the tolerance.  Each
-    panel's value is the sum of K15 over its two halves; the error
-    estimate combines the parent-vs-children difference with the embedded
-    Gauss-7 defect of each half, which stays reliable even when the Fermi
-    edge hides between the nodes of a single rule.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    upper = np.sqrt(np.maximum(s, 0.0) + _TAIL_DECADES)
-    tiny = np.finfo(float).tiny
-
-    def rule(a, b):
-        half = 0.5 * (b - a)
-        xi = a + half * (1.0 + _KRONROD_NODES)            # (15,)
-        x = upper[:, None] * xi[None, :]                  # (n_s, 15)
-        g = integrand(x, s[:, None])
-        scale = half * upper                              # (n_s,)
-        fine = g @ _KRONROD_WEIGHTS * scale
-        coarse = g[:, _GAUSS_SLICE] @ _GAUSS_WEIGHTS * scale
-        return fine, np.abs(fine - coarse)
-
-    def assess(a, b):
-        mid = 0.5 * (a + b)
-        parent, _ = rule(a, b)
-        left, dl = rule(a, mid)
-        right, dr = rule(mid, b)
-        value = left + right
-        err = np.abs(parent - value) + dl + dr
-        return value, err
-
-    panels = []
-    for i in range(8):
-        a, b = i / 8.0, (i + 1) / 8.0
-        value, err = assess(a, b)
-        panels.append([a, b, 0, value, err])
-
-    while True:
-        total = np.sum([p[3] for p in panels], axis=0)
-        errsum = np.sum([p[4] for p in panels], axis=0)
-        budget = rtol * np.maximum(np.abs(total), tiny)
-        rel = np.max(errsum / np.maximum(np.abs(total), tiny))
-        if rel <= rtol:
-            return total
-        share = 1.0 / (2.0 * len(panels))
-        flagged = [p for p in panels
-                   if np.max(p[4] / budget) > share]
-        if not flagged:
-            flagged = [max(panels, key=lambda p: np.max(p[4] / budget))]
-        if any(p[2] >= max_depth for p in flagged):
-            raise QuadratureError(achieved=float(rel), requested=rtol)
-        for p in flagged:
-            panels.remove(p)
-            a, b, depth = p[0], p[1], p[2]
-            mid = 0.5 * (a + b)
-            for lo, hi in ((a, mid), (mid, b)):
-                value, err = assess(lo, hi)
-                panels.append([lo, hi, depth + 1, value, err])
-
-
-def _sommerfeld_density(s):
-    u = np.pi / s
-    return (4.0 / (3.0 * np.sqrt(np.pi))) * s ** 1.5 * (
-        1.0 + 0.125 * u * u + (7.0 / 640.0) * u ** 4)
-
-
-def _sommerfeld_derivative(s):
-    u = np.pi / s
-    return (2.0 / np.sqrt(np.pi)) * np.sqrt(s) * (
-        1.0 - (1.0 / 24.0) * u * u - (7.0 / 384.0) * u ** 4)
-
-
-def _piecewise_fd(s, integrand, series, rtol, max_depth):
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    low = s <= _BOLTZMANN_CROSSOVER
-    high = s >= _SOMMERFELD_CROSSOVER
-    mid = ~(low | high)
-    out[low] = np.exp(s[low])
-    if np.any(high):
-        out[high] = series(s[high])
-    if np.any(mid):
-        out[mid] = _gauss_kronrod(integrand, s[mid], rtol, max_depth)
-    return out
+_FD_HALF = _FermiDiracIntegral(_table.HALF)
+_FD_MINUS_HALF = _FermiDiracIntegral(_table.MINUS_HALF)
 
 
 @dataclass(frozen=True)
 class StatisticsModel:
-    """One carrier's distribution function and evaluation controls.
-
-    ``quad_rtol`` and ``quad_max_depth`` drive the adaptive quadrature for
-    the Fermi-Dirac variant; they are ignored for Boltzmann statistics.
-    """
+    """One carrier's distribution function."""
 
     kind: Literal["boltzmann", "fermi_dirac_half"]
-    quad_rtol: float = 1e-10
-    quad_max_depth: int = 14
 
     def __post_init__(self):
         if self.kind not in ("boltzmann", "fermi_dirac_half"):
             raise DomainError(f"unknown statistics kind {self.kind!r}")
-        if not 0.0 < self.quad_rtol < 1.0:
-            raise DomainError("quad_rtol must lie in (0, 1)")
-        if self.quad_max_depth < 1:
-            raise DomainError("quad_max_depth must be >= 1")
 
     # -- evaluation ------------------------------------------------------
 
     def eval(self, s):
         """Density F(s).  Accepts scalars or arrays; s must be finite."""
-        s = np.asarray(s, dtype=float)
-        _require_finite(s, "s")
-        if self.kind == "boltzmann":
-            # overflow to inf is the honest answer for huge arguments and
-            # lets line searches reject the trial point without a warning
-            with np.errstate(over="ignore"):
-                out = np.exp(s)
-        else:
-            out = _piecewise_fd(s, _density_integrand, _sommerfeld_density,
-                                self.quad_rtol, self.quad_max_depth)
-        return _match_shape(out, s)
+        return self._evaluate(s, _FD_HALF)
 
     def eval_derivative(self, s):
         """dF/ds, strictly positive.  Equals the order -1/2 integral for FD."""
+        return self._evaluate(s, _FD_MINUS_HALF)
+
+    def _evaluate(self, s, fermi_dirac):
         s = np.asarray(s, dtype=float)
         _require_finite(s, "s")
-        if self.kind == "boltzmann":
-            with np.errstate(over="ignore"):
+        # overflow to inf is the honest answer for huge arguments and
+        # lets line searches reject the trial point without a warning
+        with np.errstate(over="ignore"):
+            if self.kind == "boltzmann":
                 out = np.exp(s)
-        else:
-            out = _piecewise_fd(s, _derivative_integrand,
-                                _sommerfeld_derivative,
-                                self.quad_rtol, self.quad_max_depth)
+            else:
+                out = fermi_dirac(np.atleast_1d(s).ravel())
         return _match_shape(out, s)
 
     def eval_eta(self, s):
@@ -212,12 +122,8 @@ class StatisticsModel:
         _require_finite(s, "s")
         if self.kind == "boltzmann":
             return _match_shape(np.ones(s.shape), s)
-        flat = np.atleast_1d(s).ravel()
-        out = np.ones_like(flat)  # both asymptotes are exp(s) below the crossover
-        rest = flat > _BOLTZMANN_CROSSOVER
-        if np.any(rest):
-            out[rest] = self.eval(flat[rest]) / self.eval_derivative(flat[rest])
-        return _match_shape(out, s)
+        s = np.maximum(s, _ETA_FLOOR)
+        return _match_shape(self.eval(s) / self.eval_derivative(s), s)
 
     def invert(self, u, rtol: float = 1e-12):
         """Solve F(s) = u for s.  Requires u > 0 elementwise.
@@ -247,16 +153,18 @@ class StatisticsModel:
                       (0.75 * np.sqrt(np.pi) * u) ** (2.0 / 3.0) + 1.0,
                       0.0)
         s = lo.copy()
-        f = np.empty_like(u)
         for _ in range(80):
-            f[:] = self.eval(s) - u
-            if np.all(np.abs(f) <= rtol * u):
+            f = self.eval(s) - u
+            done = np.abs(f) <= rtol * u
+            if np.all(done):
                 return s
             lo = np.where(f < 0.0, s, lo)
             hi = np.where(f > 0.0, s, hi)
             trial = s - f / self.eval_derivative(s)
             inside = (trial > lo) & (trial < hi)
-            s = np.where(inside, trial, 0.5 * (lo + hi))
+            # converged entries stay put: a zero Newton step lands on the
+            # bracket itself and would otherwise be bisected away
+            s = np.where(done, s, np.where(inside, trial, 0.5 * (lo + hi)))
         raise NonConvergenceError("Fermi-Dirac inversion stalled",
                                   iterations=80,
                                   residual=float(np.max(np.abs(f / u))))
@@ -266,9 +174,8 @@ def boltzmann() -> StatisticsModel:
     return StatisticsModel(kind="boltzmann")
 
 
-def fermi_dirac_half(rtol: float = 1e-10, max_depth: int = 14) -> StatisticsModel:
-    return StatisticsModel(kind="fermi_dirac_half", quad_rtol=rtol,
-                           quad_max_depth=max_depth)
+def fermi_dirac_half() -> StatisticsModel:
+    return StatisticsModel(kind="fermi_dirac_half")
 
 
 def _require_finite(a, name):

@@ -154,6 +154,12 @@ def test_eta_face_degenerate_exceeds_one():
     assert eta > 1.0
 
 
+def test_eta_face_smooth_in_the_nondegenerate_range():
+    # a short face deep in the Boltzmann range: eta is 1 + 0.35 exp(s)
+    eta = eta_face(fermi_dirac_half(), -15.0000015, -14.9999995)
+    assert eta == pytest.approx(1.0000001082, abs=1e-8)
+
+
 # -- elliptic assembly ----------------------------------------------------
 
 def test_poisson_operator_is_symmetric():

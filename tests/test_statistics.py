@@ -1,17 +1,23 @@
-"""Distribution function checks against pre-computed reference values.
+"""Distribution function checks against reference values.
 
-Reference values come from two independent sources, both frozen here so
-the tests run without extra dependencies:
+Most reference values come from two independent sources, both frozen
+here so those tests run without extra dependencies:
 
   - closed forms through the Dirichlet eta function,
     F(0) = (1 - 2**-0.5) * zeta(3/2) and F'(0) = (1 - 2**0.5) * zeta(1/2);
   - a 1e6-node trapezoid quadrature of the defining integral after the
     t = v**2 substitution (removes the root singularity).
 
+The dense-grid test compares against mpmath's polylogarithm,
+F_j(s) = -Re Li_{j+1}(-e^s), the oracle tools/fermi_dirac_table.py
+generates the coefficient table from.
+
 Tolerance guide:
   - closed-form eta values:        abs 1e-13 (same arithmetic, tight)
   - trapezoid cross-check:         abs 1e-5 (oracle discretization)
-  - Boltzmann tail (s <= -15):     rel 1e-4 (crossover contract)
+  - mpmath dense grid:             rel 1e-13 (the table is good to a few ulp)
+  - jump across a piece edge:      rel 1e-13 (same headroom)
+  - Boltzmann tail (s <= -12):     rel 1e-4 (F/exp(s) - 1 is about -0.35 exp(s))
   - inversion round trip:          rel 1e-10
 """
 
@@ -19,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from driftsim._fermi_dirac_table import EDGES
 from driftsim.errors import DomainError
 from driftsim.statistics import StatisticsModel, boltzmann, fermi_dirac_half
 
@@ -57,18 +64,40 @@ class TestFermiDiracValues:
         assert np.max(rel) <= 1e-4
 
     def test_crossover_continuity(self):
-        # the quadrature and the asymptote must agree where they hand over
+        # continuity away from the piece edges, at s = -15 and s = 30
         eps = 1e-9
         low = abs(FD.eval(-15.0 - eps) / FD.eval(-15.0 + eps) - 1.0)
         high = abs(FD.eval(30.0 - eps) / FD.eval(30.0 + eps) - 1.0)
         assert low <= 1e-5
         assert high <= 1e-5
 
+    def test_piece_edges_continuous(self):
+        # both sides of every edge of the piecewise evaluation agree
+        for edge in EDGES:
+            above = np.nextafter(edge, np.inf)
+            for f in (FD.eval, FD.eval_derivative):
+                assert abs(f(above) / f(edge) - 1.0) <= 1e-13
+
     def test_degenerate_limit(self):
         # leading Sommerfeld term (4/(3 sqrt(pi))) s^{3/2}
         s = 200.0
         lead = 4.0 / (3.0 * np.sqrt(np.pi)) * s ** 1.5
         assert FD.eval(s) == pytest.approx(lead, rel=1e-3)
+
+
+@pytest.mark.parametrize("order", [0.5, -0.5], ids=["F", "F_prime"])
+def test_dense_grid_against_mpmath(order):
+    mpmath = pytest.importorskip("mpmath")
+    edges = np.array(EDGES)
+    s = np.concatenate([np.linspace(-60.0, 200.0, 400), edges,
+                        np.nextafter(edges, np.inf), edges - 1e-6,
+                        edges + 1e-6])
+    f = FD.eval if order == 0.5 else FD.eval_derivative
+    with mpmath.workdps(20):
+        exact = np.array([float(-mpmath.polylog(order + 1, -mpmath.exp(x)).real)
+                          for x in s])
+    rel = np.abs(f(s) / exact - 1.0)
+    assert np.max(rel) <= 1e-13, s[np.argmax(rel)]
 
 
 class TestMonotonicityAndEta:
@@ -82,7 +111,8 @@ class TestMonotonicityAndEta:
         assert np.all(FD.eval_derivative(s) > 0.0)
 
     def test_eta_at_least_one(self):
-        s = np.linspace(-18.0, 40.0, 150)
+        # F and F' underflow together far below zero, where eta is 1
+        s = np.concatenate([[-800.0, -720.0], np.linspace(-18.0, 40.0, 150)])
         assert np.all(FD.eval_eta(s) >= 1.0 - 1e-12)
 
     def test_eta_boltzmann_is_one(self):
@@ -101,6 +131,26 @@ def test_invert_round_trip(s):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_invert_is_inverse_from_density_side(u):
     assert FD.eval(FD.invert(u)) == pytest.approx(u, rel=1e-10)
+
+
+@pytest.mark.parametrize("s_min", [-30.0, -60.0])
+def test_invert_converged_entries_stay_put(monkeypatch, s_min):
+    # each entry alone converges within 5 eval calls; an entry that has
+    # converged (below about -37, log(u) is exact) must not be thrown
+    # back into the bracket while the others still iterate
+    u = FD.eval(np.linspace(s_min, -5.0, 1000))
+    calls = []
+    original = StatisticsModel.eval
+
+    def counted(self, s):
+        calls.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(StatisticsModel, "eval", counted)
+    s = FD.invert(u)
+    monkeypatch.undo()
+    assert len(calls) <= 8
+    assert np.max(np.abs(FD.eval(s) / u - 1.0)) <= 1e-12
 
 
 def test_boltzmann_is_exp_and_log():
@@ -138,9 +188,3 @@ class TestErrors:
             FD.invert(0.0)
         with pytest.raises(DomainError):
             BOLTZ.invert(np.array([1.0, -2.0]))
-
-    def test_bad_quadrature_controls(self):
-        with pytest.raises(DomainError):
-            fermi_dirac_half(rtol=0.0)
-        with pytest.raises(DomainError):
-            fermi_dirac_half(max_depth=0)
