@@ -26,12 +26,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .device import DeviceSpec, Mesh, build_mesh, bulk_doping
 from .errors import DomainError, NonConvergenceError, SolverError
-from .operators import SparseOperator, assemble_poisson, poisson_data_load
+from .operators import (SparseOperator, assemble_poisson, lu_factor,
+                        poisson_data_load)
 from .statistics import StatisticsModel
 
 __all__ = [
@@ -153,10 +152,9 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     for it in range(max_iter):
         if res <= tol:
             return phi, SolveReport("newton", it, res, None, history)
-        J = problem.poisson.matrix \
-            + sp.diags(problem.jacobian_diagonal(phi), format="csr")
+        J = problem.poisson.shifted(problem.jacobian_diagonal(phi))
         try:
-            delta = spla.splu(J.tocsc()).solve(r)
+            delta = lu_factor(J).solve(r)
         except RuntimeError as exc:
             raise SolverError(f"Newton matrix factorization failed: {exc}",
                               residual=res) from exc
@@ -342,13 +340,15 @@ def split_load(problem: NonlinearPoissonProblem,
 
 
 def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
-                      mesh: Mesh | None = None, tol: float = 1e-12):
+                      mesh: Mesh | None = None, tol: float = 1e-12,
+                      poisson: SparseOperator | None = None):
     """Thermal equilibrium: zero quasi-Fermi levels, self-consistent phi.
 
     Contacts must agree with equilibrium at the evaluation time (both
     carrier boundary levels zero).  Returns (mesh, phi, (u1, u2)); the
     densities are evaluated from the same arguments the solve used, so
-    the consistency residual is zero by construction.
+    the consistency residual is zero by construction.  A given
+    ``poisson`` operator is reused, with its mesh, not assembled again.
     """
     s1, s2 = stats
     for c in device.contacts:
@@ -356,12 +356,11 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
         if abs(P1) > 1e-14 or abs(P2) > 1e-14:
             raise DomainError(
                 "equilibrium requires zero carrier levels on every contact")
-    if mesh is None:
-        mesh = build_mesh(device)
-    op = assemble_poisson(device, mesh)
-    load = poisson_data_load(device, mesh, op, t)
+    poisson = poisson or assemble_poisson(device, mesh or build_mesh(device))
+    mesh = poisson.disc.mesh
+    load = poisson_data_load(device, mesh, poisson, t)
     problem = NonlinearPoissonProblem(
-        poisson=op, volumes=mesh.cell_volumes, load=load,
+        poisson=poisson, volumes=mesh.cell_volumes, load=load,
         stats=(s1, s2), omega=np.zeros((2, mesh.n_cells)))
     phi_d, reduced = split_load(problem)
     start = neutral_potential(stats, bulk_doping(device, mesh)) - phi_d

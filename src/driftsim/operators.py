@@ -8,6 +8,11 @@ Neumann faces contribute nothing.  The electron/hole continuity operators
 use Scharfetter-Gummel exponential fitting, optionally corrected for
 degenerate statistics by a facewise degeneracy average (see ``sg_flux``).
 
+A ``Discretization``, built once per mesh, holds what a run never
+changes: the face sets, the transmissibilities and the one CSC sparsity
+pattern all matrices share.  Matrices are filled straight into that
+pattern, so no sweep builds a coordinate list or converts a format.
+
 One kernel, ``face_coefficients``, computes a carrier's coefficients on
 every stencil face; both the continuity matrix with its Dirichlet load and
 the face flux ``a u_lo - b u_hi`` are read off that one result.
@@ -21,6 +26,7 @@ integrated over cells (production terms belong on the right-hand side).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -28,17 +34,18 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .device import (DeviceSpec, Mesh, TAG_DIRICHLET, TAG_ROBIN,
-                     bulk_doping, cell_tensor, sample_series)
+from .device import (DeviceSpec, Mesh, TAG_DIRICHLET, TAG_INTERIOR,
+                     TAG_ROBIN, bulk_doping, cell_tensor, sample_series)
 from .errors import DomainError, SolverError
 from .statistics import StatisticsModel
 
 __all__ = [
-    "SparseOperator", "FluxScheme", "FaceCoefficients", "bernoulli",
+    "Discretization", "SparseOperator", "FluxScheme", "FaceCoefficients",
+    "bernoulli",
     "sg_flux", "eta_face", "assemble_poisson", "poisson_data_load",
     "face_coefficients", "assemble_continuity", "continuity_face_flux",
     "apply_surface_load", "face_gradient", "cell_average_faces",
-    "solve_linear",
+    "lu_factor", "solve_linear",
 ]
 
 
@@ -138,22 +145,84 @@ def sg_flux(scheme: FluxScheme, u_lo, u_hi, s_lo, s_hi, dphi,
     return out
 
 
-@dataclass
-class BoundaryClosure:
-    """Record of the eliminations applied while assembling the Poisson operator."""
-    dirichlet_cell: np.ndarray
-    dirichlet_coeff: np.ndarray
-    dirichlet_contact: np.ndarray
-    robin_cell: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    robin_coeff: np.ndarray = field(default_factory=lambda: np.empty(0))
-    robin_segment: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+class Discretization:
+    """Face sets, transmissibilities and sparsity pattern of one mesh.
+
+    Interior faces ``interior`` join cells ``lo`` and ``hi`` at distance
+    ``span``.  Dirichlet face ``dirichlet`` of contact ``contact`` touches
+    ``cell`` at distance ``ghost_distance``; its ghost value sits on the
+    high side where ``on_lo_side`` holds.  Robin faces add ``robin_coeff``
+    to the diagonal of ``robin_cell``, loaded by segment ``robin_segment``.
+    ``transmissibility[name]`` (eps, mu1, mu2) holds the interior and the
+    Dirichlet face transmissibilities.  The CSC pattern, structurally
+    symmetric, holds the full diagonal (at ``diagonal_slots`` of the data)
+    and the (lo, hi) and (hi, lo) entries of every interior face.
+    """
+
+    def __init__(self, device: DeviceSpec, mesh: Mesh):
+        self.mesh = mesh
+        n = self.n_cells = mesh.n_cells
+        # a boundary face has -1 on its outer side, so max() is its cell
+        inner = self.interior = np.flatnonzero(mesh.face_tag == TAG_INTERIOR)
+        self.lo, self.hi = mesh.face_cells[inner].T.copy()
+        bound = self.dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
+        self.on_lo_side = mesh.face_cells[bound, 0] >= 0
+        self.cell = mesh.face_cells[bound].max(axis=1)
+        self.contact = mesh.face_contact[bound]
+        segment_of = np.full(mesh.n_faces, -1)
+        for s, faces in enumerate(mesh.robin_faces):
+            segment_of[faces] = s
+        robin = np.flatnonzero(mesh.face_tag == TAG_ROBIN)
+        self.robin_segment = segment_of[robin]
+        self.robin_cell = mesh.face_cells[robin].max(axis=1)
+        self.robin_coeff = mesh.face_area[robin] * np.array(
+            [device.robin[s].eps_gamma for s in self.robin_segment])
+        dl, dr, axis = (a[inner] for a in (mesh.face_dl, mesh.face_dr,
+                                           mesh.face_axis))
+        self.span = dl + dr
+        dist = self.ghost_distance = np.where(
+            self.on_lo_side, mesh.face_dl[bound], mesh.face_dr[bound])
+        self.transmissibility = {}
+        for name in ("eps", "mu1", "mu2"):
+            k = cell_tensor(device, mesh, name)
+            with np.errstate(divide="ignore"):
+                t = mesh.face_area[inner] / (dl / k[self.lo, axis]
+                                             + dr / k[self.hi, axis])
+            self.transmissibility[name] = (t, mesh.face_area[bound] * k[
+                self.cell, mesh.face_axis[bound]] / dist)
+
+        # entries in fill order: the diagonal, then (lo, hi) and (hi, lo)
+        # of each interior face; sorted by column, then row, they are CSC
+        rows = np.concatenate([np.arange(n), self.lo, self.hi])
+        cols = np.concatenate([np.arange(n), self.hi, self.lo])
+        self._order = np.lexsort((rows, cols))
+        self._template = sp.csc_matrix((np.zeros(rows.size), (rows, cols)),
+                                       shape=(n, n))
+        for index in (self._template.indices, self._template.indptr):
+            index.flags.writeable = False  # every matrix here shares them
+        self.diagonal_slots = np.argsort(self._order)[:n]
+        # the cell of each face term on a continuity diagonal, in order
+        self.continuity_rows = np.concatenate([self.lo, self.hi, self.cell])
+
+    def matrix(self, diagonal, upper, lower) -> sp.csc_matrix:
+        """``diagonal`` on the diagonal; per interior face, ``upper`` at
+        (lo, hi) and ``lower`` at (hi, lo)."""
+        return self.csc(np.concatenate([diagonal, upper, lower])[self._order])
+
+    def csc(self, data: np.ndarray) -> sp.csc_matrix:
+        """The matrix whose data array, in pattern order, is ``data``."""
+        # a shallow copy shares the pattern, and its canonical flag, which
+        # scipy set once, instead of having its constructor check it again
+        out = copy.copy(self._template)
+        out.data = data
+        return out
 
 
 @dataclass
 class SparseOperator:
-    """A CSR matrix over cell unknowns plus its boundary closure record."""
-    matrix: sp.csr_matrix
-    closure: BoundaryClosure
+    """The Poisson matrix on its ``Discretization``'s pattern."""
+    matrix: sp.csc_matrix
+    disc: Discretization
 
     _lu: object = field(default=None, repr=False, compare=False)
 
@@ -163,72 +232,33 @@ class SparseOperator:
 
     def factor(self):
         if self._lu is None:
-            self._lu = spla.splu(self.matrix.tocsc())
+            self._lu = lu_factor(self.matrix)
         return self._lu
+
+    def shifted(self, diagonal: np.ndarray) -> sp.csc_matrix:
+        """The matrix plus ``diag(diagonal)``, on the same pattern."""
+        data = self.matrix.data.copy()
+        data[self.disc.diagonal_slots] += diagonal
+        return self.disc.csc(data)
 
     def asymmetry(self) -> float:
         d = self.matrix - self.matrix.T
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
 
-def _face_transmissibility(mesh: Mesh, coeff: np.ndarray, faces: np.ndarray):
-    """Distance-weighted harmonic transmissibility for interior faces."""
-    lo = mesh.face_cells[faces, 0]
-    hi = mesh.face_cells[faces, 1]
-    ax = mesh.face_axis[faces]
-    k_lo = coeff[lo, ax]
-    k_hi = coeff[hi, ax]
-    dl = mesh.face_dl[faces]
-    dr = mesh.face_dr[faces]
-    with np.errstate(divide="ignore"):
-        t = mesh.face_area[faces] / (dl / k_lo + dr / k_hi)
-    return lo, hi, t
-
-
-def _boundary_transmissibility(mesh: Mesh, coeff: np.ndarray, faces: np.ndarray):
-    lo = mesh.face_cells[faces, 0]
-    hi = mesh.face_cells[faces, 1]
-    cell = np.where(lo >= 0, lo, hi)
-    dist = np.where(lo >= 0, mesh.face_dl[faces], mesh.face_dr[faces])
-    k = coeff[cell, mesh.face_axis[faces]]
-    return cell, mesh.face_area[faces] * k / dist
+def lu_factor(matrix: sp.csc_matrix):
+    """Sparse LU factors of a CSC matrix."""
+    return spla.splu(matrix)
 
 
 def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
     """Robin-Poisson operator: diffusion in eps + Robin masses + Dirichlet closure."""
-    eps = cell_tensor(device, mesh, "eps")
-    lo, hi, t = _face_transmissibility(mesh, eps,
-                                       np.flatnonzero(mesh.interior_mask()))
-    dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
-    cell, tb = _boundary_transmissibility(mesh, eps, dirichlet)
-    rows = [lo, hi, lo, hi, cell]
-    cols = [lo, hi, hi, lo, cell]
-    data = [t, t, -t, -t, tb]
-    closure = BoundaryClosure(dirichlet_cell=cell, dirichlet_coeff=tb,
-                              dirichlet_contact=mesh.face_contact[dirichlet])
-
-    robin_faces = np.flatnonzero(mesh.face_tag == TAG_ROBIN)
-    if robin_faces.size:
-        seg_of = np.full(mesh.n_faces, -1, dtype=int)
-        for s, faces in enumerate(mesh.robin_faces):
-            seg_of[faces] = s
-        cell = np.where(mesh.face_cells[robin_faces, 0] >= 0,
-                        mesh.face_cells[robin_faces, 0],
-                        mesh.face_cells[robin_faces, 1])
-        segs = seg_of[robin_faces]
-        caps = np.array([device.robin[s].eps_gamma for s in segs])
-        rows.append(cell)
-        cols.append(cell)
-        data.append(caps * mesh.face_area[robin_faces])
-        closure.robin_cell = cell
-        closure.robin_coeff = caps * mesh.face_area[robin_faces]
-        closure.robin_segment = segs
-
-    n = mesh.n_cells
-    matrix = sp.coo_matrix((np.concatenate(data),
-                            (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(n, n)).tocsr()
-    return SparseOperator(matrix=matrix, closure=closure)
+    disc = Discretization(device, mesh)
+    t, tb = disc.transmissibility["eps"]
+    diagonal = np.bincount(
+        np.concatenate([disc.lo, disc.hi, disc.cell, disc.robin_cell]),
+        np.concatenate([t, t, tb, disc.robin_coeff]), minlength=disc.n_cells)
+    return SparseOperator(matrix=disc.matrix(diagonal, -t, -t), disc=disc)
 
 
 def poisson_data_load(device: DeviceSpec, mesh: Mesh, op: SparseOperator,
@@ -237,15 +267,13 @@ def poisson_data_load(device: DeviceSpec, mesh: Mesh, op: SparseOperator,
     load = mesh.cell_volumes * bulk_doping(device, mesh)
     for sheet, faces in zip(device.doping.sheets, mesh.sheet_faces):
         load += apply_surface_load(mesh, faces, sheet.density)
-    cl = op.closure
-    if cl.dirichlet_cell.size:
-        phi_d = np.array([device.contacts[c].values(t)[0]
-                          for c in cl.dirichlet_contact])
-        np.add.at(load, cl.dirichlet_cell, cl.dirichlet_coeff * phi_d)
-    if cl.robin_cell.size:
-        phi_g = np.array([sample_series(device.robin[s].phi_gamma, t)
-                          for s in cl.robin_segment])
-        np.add.at(load, cl.robin_cell, cl.robin_coeff * phi_g)
+    disc = op.disc
+    phi_d = np.array([c.values(t)[0] for c in device.contacts])
+    np.add.at(load, disc.cell,
+              disc.transmissibility["eps"][1] * phi_d[disc.contact])
+    phi_g = np.array([sample_series(r.phi_gamma, t) for r in device.robin])
+    np.add.at(load, disc.robin_cell,
+              disc.robin_coeff * phi_g[disc.robin_segment])
     return load
 
 
@@ -254,63 +282,48 @@ class FaceCoefficients:
     """Scharfetter-Gummel coefficients of one carrier on every stencil face.
 
     The mass flow through a face, positive from its low to its high side,
-    is ``a * u_lo - b * u_hi``.  Interior faces ``interior`` couple the
-    cells ``lo`` and ``hi`` with coefficients ``a``/``b``.  A Dirichlet face
-    ``dirichlet`` couples its one ``cell`` with the ghost density ``u_d``
-    at the face center through ``a_d``/``b_d``; the ghost sits on the high
-    side where ``on_lo_side`` holds and on the low side elsewhere.
+    is ``a * u_lo - b * u_hi``.  Interior faces couple the cells ``lo`` and
+    ``hi`` of ``disc`` with coefficients ``a``/``b``.  A Dirichlet face
+    couples its one cell with the ghost density ``u_d`` at the face center
+    through ``a_d``/``b_d``.
     """
-    n_cells: int
-    n_faces: int
-    interior: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    disc: Discretization
     a: np.ndarray
     b: np.ndarray
-    dirichlet: np.ndarray
-    cell: np.ndarray
-    on_lo_side: np.ndarray
     a_d: np.ndarray
     b_d: np.ndarray
     u_d: np.ndarray
 
     def flux(self, u: np.ndarray) -> np.ndarray:
         """Facewise mass flow for cell densities ``u``; zero off the stencil."""
-        out = np.zeros(self.n_faces)
-        out[self.interior] = self.a * u[self.lo] - self.b * u[self.hi]
-        u_lo = np.where(self.on_lo_side, u[self.cell], self.u_d)
-        u_hi = np.where(self.on_lo_side, self.u_d, u[self.cell])
-        out[self.dirichlet] = self.a_d * u_lo - self.b_d * u_hi
+        d = self.disc
+        out = np.zeros(d.mesh.n_faces)
+        out[d.interior] = self.a * u[d.lo] - self.b * u[d.hi]
+        u_lo = np.where(d.on_lo_side, u[d.cell], self.u_d)
+        u_hi = np.where(d.on_lo_side, self.u_d, u[d.cell])
+        out[d.dirichlet] = self.a_d * u_lo - self.b_d * u_hi
         return out
 
     def system(self, diagonal: np.ndarray | None = None,
-               ) -> tuple[sp.csr_matrix, np.ndarray]:
+               ) -> tuple[sp.csc_matrix, np.ndarray]:
         """Net-outflow matrix M (plus ``diagonal``, if given) and Dirichlet load.
 
         ``M u - load`` is the cellwise divergence of ``flux(u)``.  The
         optional ``diagonal`` (a time-derivative mass, say) is summed into
         each diagonal entry after the face contributions.
         """
-        inner = np.where(self.on_lo_side, self.a_d, self.b_d)
-        outer = np.where(self.on_lo_side, self.b_d, self.a_d)
-        rows = [self.lo, self.lo, self.hi, self.hi, self.cell]
-        cols = [self.lo, self.hi, self.hi, self.lo, self.cell]
-        data = [self.a, -self.b, self.b, -self.a, inner]
+        d = self.disc
+        inner = np.where(d.on_lo_side, self.a_d, self.b_d)
+        outer = np.where(d.on_lo_side, self.b_d, self.a_d)
+        main = np.bincount(d.continuity_rows, np.concatenate(
+            [self.a, self.b, inner]), minlength=d.n_cells)
         if diagonal is not None:
-            every = np.arange(self.n_cells)
-            rows.append(every)
-            cols.append(every)
-            data.append(diagonal)
-        load = np.zeros(self.n_cells)
-        np.add.at(load, self.cell, outer * self.u_d)
-        n = self.n_cells
-        matrix = sp.coo_matrix((np.concatenate(data),
-                                (np.concatenate(rows), np.concatenate(cols))),
-                               shape=(n, n)).tocsr()
-        return matrix, load
+            main += diagonal
+        load = np.bincount(d.cell, outer * self.u_d, minlength=d.n_cells)
+        return d.matrix(main, -self.b, -self.a), load
 
 
-def face_coefficients(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
+def face_coefficients(disc: Discretization, stats: StatisticsModel,
                       scheme: FluxScheme, k: int, phi: np.ndarray,
                       chi: np.ndarray, contact_values: list[tuple[float, float]],
                       ) -> FaceCoefficients:
@@ -323,21 +336,15 @@ def face_coefficients(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
     if k not in (1, 2):
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
     sign = -1.0 if k == 1 else 1.0
-    mob = cell_tensor(device, mesh, "mu1" if k == 1 else "mu2")
-
-    interior = np.flatnonzero(mesh.interior_mask())
-    lo, hi, t = _face_transmissibility(mesh, mob, interior)
+    t, tb = disc.transmissibility["mu1" if k == 1 else "mu2"]
+    lo, hi, cell, on_lo_side = disc.lo, disc.hi, disc.cell, disc.on_lo_side
     dphi = sign * (phi[hi] - phi[lo])
     a, b = _sg_coefficients(scheme, stats, chi[lo], chi[hi], dphi, t)
 
-    dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
-    cell, tb = _boundary_transmissibility(mesh, mob, dirichlet)
-    contact = mesh.face_contact[dirichlet]
-    phi_d = np.array([contact_values[c][0] for c in contact])
-    Phi_d = np.array([contact_values[c][1] for c in contact])
+    phi_d, Phi_d = np.asarray(contact_values, dtype=float).reshape(-1, 2)[
+        disc.contact].T
     chi_d = Phi_d + sign * phi_d
     u_d = stats.eval(chi_d)
-    on_lo_side = mesh.face_cells[dirichlet, 0] >= 0
     # ghost sits on the high side of the face when the cell is the low
     # side, and vice versa; dphi is always high minus low
     dphi_b = np.where(on_lo_side, sign * (phi_d - phi[cell]),
@@ -345,24 +352,21 @@ def face_coefficients(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
     s_lo = np.where(on_lo_side, chi[cell], chi_d)
     s_hi = np.where(on_lo_side, chi_d, chi[cell])
     a_d, b_d = _sg_coefficients(scheme, stats, s_lo, s_hi, dphi_b, tb)
-    return FaceCoefficients(
-        n_cells=mesh.n_cells, n_faces=mesh.n_faces, interior=interior,
-        lo=lo, hi=hi, a=a, b=b, dirichlet=dirichlet, cell=cell,
-        on_lo_side=on_lo_side, a_d=a_d, b_d=b_d, u_d=u_d)
+    return FaceCoefficients(disc=disc, a=a, b=b, a_d=a_d, b_d=b_d, u_d=u_d)
 
 
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
                         scheme: FluxScheme, k: int, phi: np.ndarray,
                         chi: np.ndarray, contact_values: list[tuple[float, float]],
-                        ) -> tuple[sp.csr_matrix, np.ndarray]:
+                        ) -> tuple[sp.csc_matrix, np.ndarray]:
     """Steady continuity matrix M (net outflow of carrier k) and its load.
 
-    Arguments as for ``face_coefficients``.  The returned load carries
-    only the Dirichlet contributions; production terms are the caller's
-    business.
+    Arguments as for ``face_coefficients``, on a ``Discretization`` of
+    ``mesh``.  The returned load carries only the Dirichlet contributions;
+    production terms are the caller's business.
     """
-    return face_coefficients(device, mesh, stats, scheme, k, phi, chi,
-                             contact_values).system()
+    return face_coefficients(Discretization(device, mesh), stats, scheme, k,
+                             phi, chi, contact_values).system()
 
 
 def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
@@ -378,8 +382,8 @@ def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
     Robin, surface) report zero; their physical flux lives in the
     boundary loads.
     """
-    return face_coefficients(device, mesh, stats, scheme, k, phi, chi,
-                             contact_values).flux(stats.eval(chi))
+    return face_coefficients(Discretization(device, mesh), stats, scheme, k,
+                             phi, chi, contact_values).flux(stats.eval(chi))
 
 
 def apply_surface_load(mesh: Mesh, faces: np.ndarray, rate) -> np.ndarray:
@@ -403,7 +407,7 @@ def apply_surface_load(mesh: Mesh, faces: np.ndarray, rate) -> np.ndarray:
     return out
 
 
-def face_gradient(mesh: Mesh, values: np.ndarray,
+def face_gradient(disc: Discretization, values: np.ndarray,
                   contact_values: np.ndarray | None = None) -> np.ndarray:
     """Axis-directed first difference of a cell field at every face.
 
@@ -413,27 +417,17 @@ def face_gradient(mesh: Mesh, values: np.ndarray,
     Other boundary faces report zero, which is the consistent value for
     insulated segments and a deliberate approximation for Robin ones.
     """
-    g = np.zeros(mesh.n_faces)
-    interior = np.flatnonzero(mesh.interior_mask())
-    lo = mesh.face_cells[interior, 0]
-    hi = mesh.face_cells[interior, 1]
-    g[interior] = (values[hi] - values[lo]) / (mesh.face_dl[interior]
-                                               + mesh.face_dr[interior])
-    dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
-    if dirichlet.size:
+    g = np.zeros(disc.mesh.n_faces)
+    g[disc.interior] = (values[disc.hi] - values[disc.lo]) / disc.span
+    if disc.dirichlet.size:
         if contact_values is None:
             raise DomainError("face_gradient needs contact values on "
                               "meshes with Dirichlet faces")
-        ghost = np.asarray(contact_values, dtype=float)[
-            mesh.face_contact[dirichlet]]
-        c_lo = mesh.face_cells[dirichlet, 0]
-        c_hi = mesh.face_cells[dirichlet, 1]
-        on_lo_side = c_lo >= 0
-        cell = np.where(on_lo_side, c_lo, c_hi)
-        dist = np.where(on_lo_side, mesh.face_dl[dirichlet],
-                        mesh.face_dr[dirichlet])
-        g[dirichlet] = np.where(on_lo_side, ghost - values[cell],
-                                values[cell] - ghost) / dist
+        ghost = np.asarray(contact_values, dtype=float)[disc.contact]
+        g[disc.dirichlet] = np.where(disc.on_lo_side,
+                                     ghost - values[disc.cell],
+                                     values[disc.cell] - ghost) \
+            / disc.ghost_distance
     return g
 
 
@@ -447,15 +441,15 @@ def cell_average_faces(mesh: Mesh, face_values: np.ndarray) -> np.ndarray:
 def solve_linear(op, b: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     """Direct sparse solve with an explicit residual contract.
 
-    Factorizes once (cached on the operator), applies one step of
+    ``op`` is a ``SparseOperator`` or a CSC matrix.  Factorizes once
+    (cached on the operator), applies one step of
     iterative refinement if the residual check fails, and raises
     SolverError when ||Ax-b|| > rtol * ||b|| persists.
     """
     if isinstance(op, SparseOperator):
         matrix, lu = op.matrix, op.factor()
     else:
-        matrix = op.tocsr()
-        lu = spla.splu(matrix.tocsc())
+        matrix, lu = op, lu_factor(op)
     b = np.asarray(b, dtype=float)
     x = lu.solve(b)
     scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)

@@ -113,8 +113,8 @@ class StatisticsModel:
             if self.kind == "boltzmann":
                 out = np.exp(s)
             else:
-                out = fermi_dirac(np.atleast_1d(s).ravel())
-        return _match_shape(out, s)
+                out = fermi_dirac(s.reshape(-1)).reshape(s.shape)
+        return float(out) if s.ndim == 0 else out
 
     def eval_eta(self, s):
         """Degeneracy factor eta(s) = F(s)/F'(s); identically 1 for Boltzmann."""
@@ -179,7 +179,7 @@ def fermi_dirac_half() -> StatisticsModel:
 
 
 def _require_finite(a, name):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError(f"{name} must be finite")
 
 

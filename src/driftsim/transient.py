@@ -48,10 +48,10 @@ from .device import DeviceSpec, Mesh, build_mesh
 from .errors import DomainError, SolverError, StepRejected
 from .nonlinear_poisson import (NonlinearPoissonProblem, equilibrium_state,
                                 solve_operator_S)
-from .operators import (FluxScheme, SparseOperator, apply_surface_load,
-                        assemble_poisson, cell_average_faces,
-                        continuity_face_flux, face_coefficients,
-                        face_gradient, poisson_data_load, solve_linear)
+from .operators import (Discretization, FluxScheme, SparseOperator,
+                        apply_surface_load, assemble_poisson,
+                        cell_average_faces, face_coefficients, face_gradient,
+                        poisson_data_load, solve_linear)
 from .recombination import SurfaceSRH, bulk_production
 from .statistics import StatisticsModel
 
@@ -166,10 +166,12 @@ def contact_data(device: DeviceSpec, t: float) -> list[tuple[float, float, float
 
 
 def initial_state(device: DeviceSpec, models: SimulationModels,
-                  mesh: Mesh | None = None, t: float = 0.0) -> CarrierState:
-    """Thermal equilibrium start; contacts must be unbiased at ``t``."""
+                  mesh: Mesh | None = None, t: float = 0.0,
+                  poisson: SparseOperator | None = None) -> CarrierState:
+    """Thermal equilibrium start; contacts must be unbiased at ``t``.  A
+    given ``poisson`` operator is reused, not assembled again."""
     mesh_out, phi, (u1, u2) = equilibrium_state(device, models.stats, t=t,
-                                                mesh=mesh)
+                                                mesh=mesh, poisson=poisson)
     return CarrierState(t=t, phi=phi, Phi=np.zeros((2, mesh_out.n_cells)),
                         u=np.vstack([u1, u2]))
 
@@ -185,19 +187,21 @@ def compute_currents(device: DeviceSpec, mesh: Mesh, models: SimulationModels,
     the low to the high cell as positive, while the current field of
     carrier k points along u_k mu_k grad Phi_k).
     """
+    disc = Discretization(device, mesh)
     face_flux = np.vstack([
-        continuity_face_flux(device, mesh, models.stats[k - 1], models.scheme,
-                             k, phi, chi[k - 1], [(c[0], c[k]) for c in contacts])
-        for k in (1, 2)])
-    return _current_field(mesh, phi, contacts, face_flux)
+        face_coefficients(disc, models.stats[k - 1], models.scheme, k, phi,
+                          chi[k - 1], [(c[0], c[k]) for c in contacts])
+        .flux(models.stats[k - 1].eval(chi[k - 1])) for k in (1, 2)])
+    return _current_field(disc, phi, contacts, face_flux)
 
 
-def _current_field(mesh: Mesh, phi: np.ndarray,
+def _current_field(disc: Discretization, phi: np.ndarray,
                    contacts: list[tuple[float, float, float]],
                    face_flux: np.ndarray) -> CurrentField:
     """CurrentField of given (2, n_faces) carrier face fluxes."""
+    mesh = disc.mesh
     phi_d = np.array([c[0] for c in contacts])
-    face_e = face_gradient(mesh, phi, phi_d)
+    face_e = face_gradient(disc, phi, phi_d)
     cell_e = cell_average_faces(mesh, face_e)
     cell_current = np.stack([cell_average_faces(mesh, -flux / mesh.face_area)
                              for flux in face_flux])
@@ -234,13 +238,13 @@ def _surface_loads(device: DeviceSpec, mesh: Mesh, u1: np.ndarray,
     return out
 
 
-def _quasi_fermi_norm(mesh: Mesh, Phi: np.ndarray,
+def _quasi_fermi_norm(disc: Discretization, Phi: np.ndarray,
                       contacts: list[tuple[float, float, float]]) -> float:
     """Blow-up proxy: max over carriers of sup|grad Phi_k| + sup|Phi_k|."""
     worst = 0.0
     for k in (1, 2):
         levels = np.array([c[k] for c in contacts])
-        g = face_gradient(mesh, Phi[k - 1], levels)
+        g = face_gradient(disc, Phi[k - 1], levels)
         worst = max(worst, float(np.max(np.abs(g))
                                  + np.max(np.abs(Phi[k - 1]))))
     return worst
@@ -295,11 +299,11 @@ def gummel_step(device: DeviceSpec, mesh: Mesh, poisson: SparseOperator,
 
         chi = np.vstack([Phi[0] - phi, Phi[1] + phi])
         u_eval = (s1.eval(chi[0]), s2.eval(chi[1]))
-        faces = [face_coefficients(device, mesh, models.stats[k - 1],
+        faces = [face_coefficients(poisson.disc, models.stats[k - 1],
                                    models.scheme, k, phi, chi[k - 1],
                                    [(c[0], c[k]) for c in contacts])
                  for k in (1, 2)]
-        currents = _current_field(mesh, phi, contacts, np.vstack(
+        currents = _current_field(poisson.disc, phi, contacts, np.vstack(
             [f.flux(u) for f, u in zip(faces, u_eval)]))
         r_bulk = bulk_production(models.bulk, u_eval[0], u_eval[1], Phi[0],
                                  Phi[1], currents.cell_field,
@@ -359,7 +363,7 @@ def gummel_step(device: DeviceSpec, mesh: Mesh, poisson: SparseOperator,
             Phi_fin, u_fin, balance, _ = advance(Phi_new,
                                                  refresh_potential=False)
             new_state = CarrierState(t=t_next, phi=phi, Phi=Phi_fin, u=u_fin)
-            proxy = _quasi_fermi_norm(mesh, Phi_fin, contacts)
+            proxy = _quasi_fermi_norm(poisson.disc, Phi_fin, contacts)
             return new_state, StepReport(t=t_next, dt=dt,
                                          gummel_iterations=sweep + 1,
                                          balance_residual=balance,
@@ -431,8 +435,8 @@ def run(device: DeviceSpec, models: SimulationModels,
     """Integrate from equilibrium (or ``initial``) to t_end with adaptive steps."""
     mesh = build_mesh(device)
     poisson = assemble_poisson(device, mesh)
-    state = initial_state(device, models, mesh) if initial is None \
-        else initial.copy()
+    state = initial_state(device, models, mesh, poisson=poisson) \
+        if initial is None else initial.copy()
     states = [state]
     reports: list[StepReport] = []
     proxies: list[float] = []

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from driftsim.device import (
     TAG_DIRICHLET,
+    TAG_INTERIOR,
+    TAG_ROBIN,
     Contact,
     DeviceSpec,
     MaterialRegion,
@@ -11,6 +14,7 @@ from driftsim.device import (
 )
 from driftsim.errors import DomainError
 from driftsim.operators import (
+    Discretization,
     FluxScheme,
     apply_surface_load,
     assemble_continuity,
@@ -19,6 +23,7 @@ from driftsim.operators import (
     cell_average_faces,
     continuity_face_flux,
     eta_face,
+    face_coefficients,
     face_gradient,
     poisson_data_load,
     sg_flux,
@@ -253,6 +258,99 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
     assert np.max(np.abs(outflow - (M @ u - load))) <= 1e-13 * scale
 
 
+# -- fill into the fixed pattern ------------------------------------------
+#
+# Matrices are filled straight into the Discretization's CSC pattern.  The
+# references below are coordinate-list builds, with their face sets read
+# off the mesh, and every entry must come out bit for bit the same.
+
+def _fill_device(dimension):
+    return dirichlet_slab(cells=9) if dimension == 1 \
+        else _two_contact_device_2d()
+
+
+def _reference_faces(mesh):
+    interior = mesh.face_tag == TAG_INTERIOR
+    lo, hi = mesh.face_cells[interior].T
+    c_lo, c_hi = mesh.face_cells[mesh.face_tag == TAG_DIRICHLET].T
+    return lo, hi, np.where(c_lo >= 0, c_lo, c_hi), c_lo >= 0
+
+
+def _coo(n, rows, cols, data):
+    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("k", [1, 2], ids=["k1", "k2"])
+@pytest.mark.parametrize("scheme,stats", [
+    (SG, boltzmann()),
+    (ENHANCED, fermi_dirac_half()),
+], ids=["sg", "enhanced_fd"])
+def test_system_fill_matches_coordinate_build(dimension, k, scheme, stats):
+    dev = _fill_device(dimension)
+    mesh = build_mesh(dev)
+    n = mesh.n_cells
+    rng = np.random.default_rng(5 + k)
+    phi = rng.uniform(0.0, 2.0, n)
+    chi = rng.uniform(-1.0, 3.0, n)
+    values = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))
+              for _ in dev.contacts]
+    mass = mesh.cell_volumes / 0.0137
+    f = face_coefficients(Discretization(dev, mesh), stats, scheme, k, phi,
+                          chi, values)
+    M, load = f.system(mass)
+
+    lo, hi, cell, on_lo_side = _reference_faces(mesh)
+    inner = np.where(on_lo_side, f.a_d, f.b_d)
+    every = np.arange(n)
+    ref = _coo(n, [lo, lo, hi, hi, cell, every],
+               [lo, hi, hi, lo, cell, every],
+               [f.a, -f.b, f.b, -f.a, inner, mass])
+    ref_load = np.zeros(n)
+    np.add.at(ref_load, cell, np.where(on_lo_side, f.b_d, f.a_d) * f.u_d)
+    assert np.array_equal(M.toarray(), ref.toarray())
+    assert np.array_equal(load, ref_load)
+
+
+@pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+def test_newton_jacobian_fill_matches_sparse_sum(dimension):
+    dev = _fill_device(dimension)
+    mesh = build_mesh(dev)
+    n = mesh.n_cells
+    op = assemble_poisson(dev, mesh)
+
+    lo, hi, cell, _ = _reference_faces(mesh)
+    t, tb = op.disc.transmissibility["eps"]
+    eps_gamma = np.zeros(mesh.n_faces)
+    for segment, faces in zip(dev.robin, mesh.robin_faces):
+        eps_gamma[faces] = segment.eps_gamma
+    robin = np.flatnonzero(mesh.face_tag == TAG_ROBIN)
+    assert (robin.size > 0) == (dimension == 2)
+    r_lo, r_hi = mesh.face_cells[robin].T
+    r_cell = np.where(r_lo >= 0, r_lo, r_hi)
+    P = _coo(n, [lo, hi, lo, hi, cell, r_cell], [lo, hi, hi, lo, cell, r_cell],
+             [t, t, -t, -t, tb, eps_gamma[robin] * mesh.face_area[robin]])
+    assert np.array_equal(op.matrix.toarray(), P.toarray())
+
+    d = np.random.default_rng(2).uniform(0.1, 5.0, n)
+    J = op.shifted(d)
+    assert np.array_equal(J.toarray(), (op.matrix + sp.diags(d)).toarray())
+    assert np.array_equal(J.toarray(), (P + sp.diags(d)).toarray())
+
+
+def test_matrices_cannot_change_the_shared_pattern():
+    # every matrix on a mesh shares the Discretization's index arrays, so
+    # an in-place structural change must fail instead of corrupting them
+    dev = _fill_device(2)
+    op = assemble_poisson(dev, build_mesh(dev))
+    with pytest.raises(ValueError):
+        op.matrix.eliminate_zeros()
+    with pytest.raises(ValueError):
+        op.shifted(np.ones(op.dimension)).indices[0] = 1
+
+
 def test_surface_load_conserves_mass():
     dev = dirichlet_slab(cells=9)
     mesh = build_mesh(dev)
@@ -269,7 +367,8 @@ def test_face_gradient_of_affine_field():
     mesh = build_mesh(dev)
     values = 0.5 + 2.0 * mesh.cell_centers[:, 0]
     contacts = [(0.5,), (4.5,)]
-    grad = face_gradient(mesh, values, [c[0] for c in contacts])
+    grad = face_gradient(Discretization(dev, mesh), values,
+                         [c[0] for c in contacts])
     assert np.max(np.abs(grad - 2.0)) <= 1e-12
 
 

@@ -11,7 +11,7 @@ from driftsim.device import (
     build_mesh,
 )
 from driftsim.errors import DomainError
-from driftsim.operators import assemble_poisson
+from driftsim.operators import Discretization, assemble_poisson
 from driftsim.statistics import boltzmann
 from driftsim.transient import (
     SimulationModels,
@@ -199,3 +199,28 @@ def test_gummel_step_advances_time():
     assert state.t == 0.0  # input state untouched
     assert report.gummel_iterations >= 1
     assert report.balance_residual <= 1e-12
+
+
+def test_run_builds_one_discretization(monkeypatch):
+    # the per-mesh data are built once per run and reused by every step
+    built = []
+    original = Discretization.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "__init__", counting)
+    dev = biased_diode(cells=16)
+    models = SimulationModels(stats=BB)
+    cfg = TimeStepperConfig(dt_init=0.05, t_end=0.25, growth=1.0)
+    result = run(dev, models, cfg)
+    assert result.steps_accepted == 5
+    assert len(built) == 1
+
+    mesh = build_mesh(dev)
+    poisson = assemble_poisson(dev, mesh)
+    state = initial_state(dev, models, mesh, poisson=poisson)
+    built.clear()
+    gummel_step(dev, mesh, poisson, models, state, 0.05, cfg)
+    assert built == []
