@@ -11,7 +11,9 @@ degenerate statistics by a facewise degeneracy average (see ``sg_flux``).
 A ``Discretization``, built once per mesh, holds what a run never
 changes: the face sets, the transmissibilities and the one CSC sparsity
 pattern all matrices share.  Matrices are filled straight into that
-pattern, so no sweep builds a coordinate list or converts a format.
+pattern, so no sweep builds a coordinate list or converts a format.  The
+pattern is structurally symmetric, so ``lu_factor`` orders the columns
+by multiple minimum degree on A^T + A.
 
 One kernel, ``face_coefficients``, computes a carrier's coefficients on
 every stencil face; both the continuity matrix with its Dirichlet load and
@@ -41,11 +43,10 @@ from .statistics import StatisticsModel
 
 __all__ = [
     "Discretization", "SparseOperator", "FluxScheme", "FaceCoefficients",
-    "bernoulli",
-    "sg_flux", "eta_face", "assemble_poisson", "poisson_data_load",
-    "face_coefficients", "assemble_continuity", "continuity_face_flux",
-    "apply_surface_load", "face_gradient", "cell_average_faces",
-    "lu_factor", "solve_linear",
+    "bernoulli", "sg_flux", "eta_face", "assemble_poisson",
+    "poisson_data_load", "face_coefficients", "assemble_continuity",
+    "continuity_face_flux", "apply_surface_load", "face_gradient",
+    "cell_average_faces", "lu_factor", "solve_linear",
 ]
 
 
@@ -162,11 +163,11 @@ class Discretization:
     def __init__(self, device: DeviceSpec, mesh: Mesh):
         self.mesh = mesh
         n = self.n_cells = mesh.n_cells
-        # a boundary face has -1 on its outer side, so max() is its cell
         inner = self.interior = np.flatnonzero(mesh.face_tag == TAG_INTERIOR)
         self.lo, self.hi = mesh.face_cells[inner].T.copy()
         bound = self.dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
         self.on_lo_side = mesh.face_cells[bound, 0] >= 0
+        # a boundary face has -1 on its outer side, so max() is its cell
         self.cell = mesh.face_cells[bound].max(axis=1)
         self.contact = mesh.face_contact[bound]
         segment_of = np.full(mesh.n_faces, -1)
@@ -205,8 +206,8 @@ class Discretization:
         self.continuity_rows = np.concatenate([self.lo, self.hi, self.cell])
 
     def matrix(self, diagonal, upper, lower) -> sp.csc_matrix:
-        """``diagonal`` on the diagonal; per interior face, ``upper`` at
-        (lo, hi) and ``lower`` at (hi, lo)."""
+        """The matrix with ``diagonal``, ``upper`` at each interior face's
+        (lo, hi) entry and ``lower`` at its (hi, lo) entry."""
         return self.csc(np.concatenate([diagonal, upper, lower])[self._order])
 
     def csc(self, data: np.ndarray) -> sp.csc_matrix:
@@ -247,8 +248,8 @@ class SparseOperator:
 
 
 def lu_factor(matrix: sp.csc_matrix):
-    """Sparse LU factors of a CSC matrix."""
-    return spla.splu(matrix)
+    """Sparse LU factors of a CSC matrix on the symmetric stencil pattern."""
+    return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
 
 
 def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
