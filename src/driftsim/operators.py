@@ -53,17 +53,18 @@ __all__ = [
 def bernoulli(x):
     """Bernoulli function B(x) = x / (e^x - 1), with B(0) = 1.
 
-    Series for |x| < 1e-4 (the expm1 quotient loses digits there), the
-    direct expm1 form elsewhere; for x beyond the exp overflow point the
-    quotient correctly underflows to 0.
+    The expm1 quotient everywhere, then the series on the entries with
+    |x| < 1e-4, where the quotient loses digits (it is 0/0 at x = 0); for
+    x beyond the exp overflow point the quotient correctly underflows to 0.
     """
     x = np.asarray(x, dtype=float)
+    # out= keeps a 0-d input a 0-d array, which the series can be put into
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.divide(x, np.expm1(x), out=np.empty_like(x))
     small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    with np.errstate(over="ignore"):
-        out = np.where(small,
-                       1.0 - x / 2.0 + x * x / 12.0 - x ** 4 / 720.0,
-                       xs / np.expm1(xs))
+    if small.any():
+        xs = x[small]
+        out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0 - xs ** 4 / 720.0
     if out.ndim == 0:
         return float(out)
     return out

@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import SimulationConfig
 from .device import DeviceSpec, Mesh
-from .transient import (SimulationModels, SimulationResult, terminal_currents)
+from .operators import Discretization
+from .transient import SimulationModels, SimulationResult, _terminal_currents
 
 __all__ = ["format_float", "write_csv", "write_outputs"]
 
@@ -52,14 +53,14 @@ def _write_snapshot(path: str, mesh: Mesh, state) -> None:
     write_csv(path, _field_header(dim), rows)
 
 
-def _write_series(path: str, device: DeviceSpec, mesh: Mesh,
+def _write_series(path: str, device: DeviceSpec, disc: Discretization,
                   models: SimulationModels, result: SimulationResult) -> None:
     sides = [c.side for c in device.contacts]
     header = ["t", "dt", "iterations", "balance", "proxy"] \
         + [f"current_{s}" for s in sides]
     rows = []
     for state, report in zip(result.states[1:], result.reports):
-        flow = terminal_currents(device, mesh, models, state)
+        flow = _terminal_currents(device, disc, models, state)
         rows.append([report.t, report.dt, float(report.gummel_iterations),
                      report.balance_residual, report.proxy]
                     + [flow[s] for s in sides])
@@ -77,8 +78,8 @@ def _write_probe(path: str, mesh: Mesh, result: SimulationResult,
     write_csv(path, header, rows)
 
 
-def _report_tree(device: DeviceSpec, mesh: Mesh, models: SimulationModels,
-                 result: SimulationResult) -> dict:
+def _report_tree(device: DeviceSpec, disc: Discretization,
+                 models: SimulationModels, result: SimulationResult) -> dict:
     tree = {
         "completed": result.completed,
         "steps_accepted": result.steps_accepted,
@@ -88,8 +89,8 @@ def _report_tree(device: DeviceSpec, mesh: Mesh, models: SimulationModels,
                                     for r in result.reports)),
         "max_balance_residual": max(
             (r.balance_residual for r in result.reports), default=0.0),
-        "terminal_currents": terminal_currents(device, mesh, models,
-                                               result.final),
+        "terminal_currents": _terminal_currents(device, disc, models,
+                                                result.final),
         "blowup": None,
     }
     if result.blowup is not None:
@@ -104,7 +105,12 @@ def _report_tree(device: DeviceSpec, mesh: Mesh, models: SimulationModels,
 
 def write_report(path: str, device: DeviceSpec, mesh: Mesh,
                  models: SimulationModels, result: SimulationResult) -> None:
-    tree = _report_tree(device, mesh, models, result)
+    _write_report(path, device, Discretization(device, mesh), models, result)
+
+
+def _write_report(path: str, device: DeviceSpec, disc: Discretization,
+                  models: SimulationModels, result: SimulationResult) -> None:
+    tree = _report_tree(device, disc, models, result)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(tree, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -117,8 +123,10 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
 
     Relative sink paths land in ``directory`` (default: the current
     working directory).  Writes happen sequentially in declaration
-    order, so two sinks may safely share a path prefix.
+    order, so two sinks may safely share a path prefix.  The series and
+    report sinks share one ``Discretization`` of ``mesh``.
     """
+    disc = Discretization(device, mesh)
     written = []
     for sink in config.output:
         path = sink.path if directory is None \
@@ -126,10 +134,10 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
         if sink.kind == "snapshot":
             _write_snapshot(path, mesh, result.final)
         elif sink.kind == "series":
-            _write_series(path, device, mesh, models, result)
+            _write_series(path, device, disc, models, result)
         elif sink.kind == "probe":
             _write_probe(path, mesh, result, sink.position)
         else:
-            write_report(path, device, mesh, models, result)
+            _write_report(path, device, disc, models, result)
         written.append(path)
     return written

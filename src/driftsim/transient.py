@@ -187,7 +187,14 @@ def compute_currents(device: DeviceSpec, mesh: Mesh, models: SimulationModels,
     the low to the high cell as positive, while the current field of
     carrier k points along u_k mu_k grad Phi_k).
     """
-    disc = Discretization(device, mesh)
+    return _currents(Discretization(device, mesh), models, phi, chi,
+                     contacts)
+
+
+def _currents(disc: Discretization, models: SimulationModels,
+              phi: np.ndarray, chi: np.ndarray,
+              contacts: list[tuple[float, float, float]]) -> CurrentField:
+    """``compute_currents`` on a given ``Discretization``."""
     face_flux = np.vstack([
         face_coefficients(disc, models.stats[k - 1], models.scheme, k, phi,
                           chi[k - 1], [(c[0], c[k]) for c in contacts])
@@ -406,10 +413,18 @@ def terminal_currents(device: DeviceSpec, mesh: Mesh,
     contact's faces.  In steady state this total is the same at every
     contact up to sign, recombination notwithstanding.
     """
+    return _terminal_currents(device, Discretization(device, mesh), models,
+                              state)
+
+
+def _terminal_currents(device: DeviceSpec, disc: Discretization,
+                       models: SimulationModels,
+                       state: CarrierState) -> dict[str, float]:
+    """``terminal_currents`` on a given ``Discretization``."""
+    mesh = disc.mesh
     contacts = contact_data(device, state.t)
     chi = np.vstack([state.Phi[0] - state.phi, state.Phi[1] + state.phi])
-    currents = compute_currents(device, mesh, models, state.phi, chi,
-                                contacts)
+    currents = _currents(disc, models, state.phi, chi, contacts)
     out = {}
     for idx, contact in enumerate(device.contacts):
         faces = mesh.dirichlet_faces[idx]

@@ -76,6 +76,36 @@ def test_bernoulli_vectorized():
     assert np.all(out > 0.0)
 
 
+def _bernoulli_two_where(x):
+    # the earlier form: series and quotient on every entry, one np.where
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    xs = np.where(small, 1.0, x)
+    with np.errstate(over="ignore"):
+        out = np.where(small,
+                       1.0 - x / 2.0 + x * x / 12.0 - x ** 4 / 720.0,
+                       xs / np.expm1(xs))
+    return float(out) if out.ndim == 0 else out
+
+
+def test_bernoulli_bit_identical_to_the_two_where_form():
+    rng = np.random.default_rng(7)
+    edges = np.array([0.0, -0.0, 1e-4, -1e-4, np.nextafter(1e-4, 0.0),
+                      -np.nextafter(1e-4, 0.0), 709.0, 710.0, -745.0,
+                      5e-324, 800.0, -800.0])
+    x = np.concatenate([np.linspace(-800.0, 800.0, 100_001),
+                        rng.normal(0.0, 1e-4, 10_000),
+                        rng.normal(0.0, 3.0, 10_000), edges])
+    assert np.array_equal(bernoulli(x).view(np.int64),
+                          _bernoulli_two_where(x).view(np.int64))
+    for value in edges:
+        got = bernoulli(value)
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) \
+            == np.float64(_bernoulli_two_where(value)).view(np.int64)
+    assert type(bernoulli(np.float64(0.5))) is float
+
+
 # -- face flux ------------------------------------------------------------
 
 def test_flux_scheme_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftsim.config import OutputSink, SimulationConfig
 from driftsim.device import (
     BoxDoping,
     Contact,
@@ -12,6 +13,7 @@ from driftsim.device import (
 )
 from driftsim.errors import DomainError
 from driftsim.operators import Discretization, assemble_poisson
+from driftsim.output import write_outputs
 from driftsim.statistics import boltzmann
 from driftsim.transient import (
     SimulationModels,
@@ -224,3 +226,29 @@ def test_run_builds_one_discretization(monkeypatch):
     built.clear()
     gummel_step(dev, mesh, poisson, models, state, 0.05, cfg)
     assert built == []
+
+
+def test_write_outputs_builds_one_discretization(monkeypatch, tmp_path):
+    # the series sink needs currents at every accepted state, the report
+    # at the last one; all of them share one Discretization
+    dev = biased_diode(cells=16)
+    models = SimulationModels(stats=BB)
+    cfg = TimeStepperConfig(dt_init=0.05, t_end=0.25, growth=1.0)
+    result = run(dev, models, cfg)
+    assert result.steps_accepted == 5
+    config = SimulationConfig(device=dev, stepper=cfg, output=(
+        OutputSink("series", "series.csv"), OutputSink("report", "report.json")))
+    built = []
+    original = Discretization.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "__init__", counting)
+    paths = write_outputs(config, dev, build_mesh(dev), models, result,
+                          directory=str(tmp_path))
+    assert len(paths) == 2
+    assert len(built) <= 1
+    rows = (tmp_path / "series.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5
