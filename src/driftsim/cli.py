@@ -28,6 +28,7 @@ from . import verify
 from .config import build_models, parse_config
 from .device import build_mesh
 from .errors import ConfigError, DriftError
+from .operators import Discretization
 from .output import format_float, write_outputs, write_report
 from .transient import run, terminal_currents
 
@@ -71,7 +72,8 @@ def cmd_run(args) -> int:
     if not any(s.kind == "report" for s in config.output):
         stem = os.path.splitext(os.path.basename(args.deck))[0]
         fallback = os.path.join(args.outdir, f"{stem}_report.json")
-        write_report(fallback, config.device, mesh, models, result)
+        write_report(fallback, config.device,
+                     Discretization(config.device, mesh), models, result)
     print(f"blow-up at t={result.final.t:.6g}: {result.blowup.reason}",
           file=sys.stderr)
     return 3

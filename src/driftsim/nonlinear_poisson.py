@@ -29,8 +29,7 @@ import numpy as np
 
 from .device import DeviceSpec, Mesh, build_mesh, bulk_doping
 from .errors import DomainError, NonConvergenceError, SolverError
-from .operators import (SparseOperator, assemble_poisson, lu_factor,
-                        poisson_data_load)
+from .operators import SparseOperator, assemble_poisson, poisson_data_load
 from .statistics import StatisticsModel
 
 __all__ = [
@@ -152,9 +151,10 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     for it in range(max_iter):
         if res <= tol:
             return phi, SolveReport("newton", it, res, None, history)
-        J = problem.poisson.shifted(problem.jacobian_diagonal(phi))
+        J = SparseOperator(problem.poisson.shifted(
+            problem.jacobian_diagonal(phi)), problem.poisson.disc)
         try:
-            delta = lu_factor(J).solve(r)
+            delta = J.factor().solve(r)
         except RuntimeError as exc:
             raise SolverError(f"Newton matrix factorization failed: {exc}",
                               residual=res) from exc

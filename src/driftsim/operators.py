@@ -11,9 +11,13 @@ degenerate statistics by a facewise degeneracy average (see ``sg_flux``).
 A ``Discretization``, built once per mesh, holds what a run never
 changes: the face sets, the transmissibilities and the one CSC sparsity
 pattern all matrices share.  Matrices are filled straight into that
-pattern, so no sweep builds a coordinate list or converts a format.  The
-pattern is structurally symmetric, so ``lu_factor`` orders the columns
-by multiple minimum degree on A^T + A.
+pattern, so no sweep builds a coordinate list or converts a format.
+
+``SparseOperator.factor`` is the one place that factors.  A pattern that
+is tridiagonal in cell order (every 1D mesh of n >= 3 cells) goes to LAPACK
+gttrf/gttrs, a few microseconds where SuperLU spends 100 us on set-up.  Any
+other (2D, and n <= 2, which scipy's gttrf rejects) goes to SuperLU, with
+columns in minimum-degree order of A^T + A, as the pattern is symmetric.
 
 One kernel, ``face_coefficients``, computes a carrier's coefficients on
 every stencil face; both the continuity matrix with its Dirichlet load and
@@ -35,6 +39,7 @@ from typing import Literal
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .device import (DeviceSpec, Mesh, TAG_DIRICHLET, TAG_INTERIOR,
                      TAG_ROBIN, bulk_doping, cell_tensor, sample_series)
@@ -46,7 +51,7 @@ __all__ = [
     "bernoulli", "sg_flux", "eta_face", "assemble_poisson",
     "poisson_data_load", "face_coefficients", "assemble_continuity",
     "continuity_face_flux", "apply_surface_load", "face_gradient",
-    "cell_average_faces", "lu_factor", "solve_linear",
+    "cell_average_faces", "solve_linear",
 ]
 
 
@@ -158,7 +163,9 @@ class Discretization:
     ``transmissibility[name]`` (eps, mu1, mu2) holds the interior and the
     Dirichlet face transmissibilities.  The CSC pattern, structurally
     symmetric, holds the full diagonal (at ``diagonal_slots`` of the data)
-    and the (lo, hi) and (hi, lo) entries of every interior face.
+    and the (lo, hi) and (hi, lo) entries of every interior face.  If it is
+    tridiagonal (n >= 3, interior face j joins cells j and j + 1), ``bands``
+    holds the data slots of the sub-, main and super-diagonal, else None.
     """
 
     def __init__(self, device: DeviceSpec, mesh: Mesh):
@@ -202,7 +209,11 @@ class Discretization:
                                        shape=(n, n))
         for index in (self._template.indices, self._template.indptr):
             index.flags.writeable = False  # every matrix here shares them
-        self.diagonal_slots = np.argsort(self._order)[:n]
+        slots = np.argsort(self._order)
+        self.diagonal_slots = slots[:n]
+        self.bands = (slots[2 * n - 1:], slots[:n], slots[n:2 * n - 1]) \
+            if n >= 3 and np.array_equal(self.lo, np.arange(n - 1)) \
+            and np.array_equal(self.hi, self.lo + 1) else None
         # the cell of each face term on a continuity diagonal, in order
         self.continuity_rows = np.concatenate([self.lo, self.hi, self.cell])
 
@@ -220,9 +231,21 @@ class Discretization:
         return out
 
 
+class _TridiagonalLU:
+    """LAPACK gttrf factors of CSC ``data`` on ``bands``, solved by gttrs."""
+
+    def __init__(self, data: np.ndarray, bands):
+        *self._factors, info = lapack.dgttrf(*(data[s] for s in bands))
+        if info > 0:
+            raise RuntimeError(f"Factor is exactly singular (row {info - 1})")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dgttrs(*self._factors, b)[0]
+
+
 @dataclass
 class SparseOperator:
-    """The Poisson matrix on its ``Discretization``'s pattern."""
+    """A matrix on its ``Discretization``'s pattern and its cached factors."""
     matrix: sp.csc_matrix
     disc: Discretization
 
@@ -233,8 +256,13 @@ class SparseOperator:
         return self.matrix.shape[0]
 
     def factor(self):
+        """LU factors with a ``solve(b)``; RuntimeError if exactly singular."""
         if self._lu is None:
-            self._lu = lu_factor(self.matrix)
+            bands = self.disc.bands
+            if bands is None:
+                self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A")
+            else:
+                self._lu = _TridiagonalLU(self.matrix.data, bands)
         return self._lu
 
     def shifted(self, diagonal: np.ndarray) -> sp.csc_matrix:
@@ -246,11 +274,6 @@ class SparseOperator:
     def asymmetry(self) -> float:
         d = self.matrix - self.matrix.T
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
-
-def lu_factor(matrix: sp.csc_matrix):
-    """Sparse LU factors of a CSC matrix on the symmetric stencil pattern."""
-    return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
 
 
 def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
@@ -440,18 +463,15 @@ def cell_average_faces(mesh: Mesh, face_values: np.ndarray) -> np.ndarray:
                   + face_values[mesh.cell_face_hi])
 
 
-def solve_linear(op, b: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Direct sparse solve with an explicit residual contract.
+def solve_linear(op: SparseOperator, b: np.ndarray,
+                 rtol: float = 1e-12) -> np.ndarray:
+    """Direct solve with an explicit residual contract.
 
-    ``op`` is a ``SparseOperator`` or a CSC matrix.  Factorizes once
-    (cached on the operator), applies one step of
+    Factorizes once (cached on the operator), applies one step of
     iterative refinement if the residual check fails, and raises
     SolverError when ||Ax-b|| > rtol * ||b|| persists.
     """
-    if isinstance(op, SparseOperator):
-        matrix, lu = op.matrix, op.factor()
-    else:
-        matrix, lu = op, lu_factor(op)
+    matrix, lu = op.matrix, op.factor()
     b = np.asarray(b, dtype=float)
     x = lu.solve(b)
     scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)

@@ -103,13 +103,8 @@ def _report_tree(device: DeviceSpec, disc: Discretization,
     return tree
 
 
-def write_report(path: str, device: DeviceSpec, mesh: Mesh,
+def write_report(path: str, device: DeviceSpec, disc: Discretization,
                  models: SimulationModels, result: SimulationResult) -> None:
-    _write_report(path, device, Discretization(device, mesh), models, result)
-
-
-def _write_report(path: str, device: DeviceSpec, disc: Discretization,
-                  models: SimulationModels, result: SimulationResult) -> None:
     tree = _report_tree(device, disc, models, result)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(tree, handle, indent=2, sort_keys=True)
@@ -123,8 +118,7 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
 
     Relative sink paths land in ``directory`` (default: the current
     working directory).  Writes happen sequentially in declaration
-    order, so two sinks may safely share a path prefix.  The series and
-    report sinks share one ``Discretization`` of ``mesh``.
+    order, so two sinks may safely share a path prefix.
     """
     disc = Discretization(device, mesh)
     written = []
@@ -138,6 +132,6 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
         elif sink.kind == "probe":
             _write_probe(path, mesh, result, sink.position)
         else:
-            _write_report(path, device, disc, models, result)
+            write_report(path, device, disc, models, result)
         written.append(path)
     return written

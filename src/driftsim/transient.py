@@ -187,19 +187,19 @@ def compute_currents(device: DeviceSpec, mesh: Mesh, models: SimulationModels,
     the low to the high cell as positive, while the current field of
     carrier k points along u_k mu_k grad Phi_k).
     """
-    return _currents(Discretization(device, mesh), models, phi, chi,
-                     contacts)
+    disc = Discretization(device, mesh)
+    return _current_field(disc, phi, contacts,
+                          _face_fluxes(disc, models, phi, chi, contacts))
 
 
-def _currents(disc: Discretization, models: SimulationModels,
-              phi: np.ndarray, chi: np.ndarray,
-              contacts: list[tuple[float, float, float]]) -> CurrentField:
-    """``compute_currents`` on a given ``Discretization``."""
-    face_flux = np.vstack([
+def _face_fluxes(disc: Discretization, models: SimulationModels,
+                 phi: np.ndarray, chi: np.ndarray,
+                 contacts: list[tuple[float, float, float]]) -> np.ndarray:
+    """(2, n_faces) mass flows of both carriers."""
+    return np.vstack([
         face_coefficients(disc, models.stats[k - 1], models.scheme, k, phi,
                           chi[k - 1], [(c[0], c[k]) for c in contacts])
         .flux(models.stats[k - 1].eval(chi[k - 1])) for k in (1, 2)])
-    return _current_field(disc, phi, contacts, face_flux)
 
 
 def _current_field(disc: Discretization, phi: np.ndarray,
@@ -328,7 +328,7 @@ def gummel_step(device: DeviceSpec, mesh: Mesh, poisson: SparseOperator,
             if source is not None:
                 rhs = rhs + V * source[k - 1]
             try:
-                u_k = solve_linear(system, rhs)
+                u_k = solve_linear(SparseOperator(system, poisson.disc), rhs)
             except SolverError as exc:
                 raise StepRejected(f"continuity solve failed: {exc}") from exc
             if np.any(u_k <= 0.0) or not np.all(np.isfinite(u_k)):
@@ -422,15 +422,15 @@ def _terminal_currents(device: DeviceSpec, disc: Discretization,
                        state: CarrierState) -> dict[str, float]:
     """``terminal_currents`` on a given ``Discretization``."""
     mesh = disc.mesh
-    contacts = contact_data(device, state.t)
     chi = np.vstack([state.Phi[0] - state.phi, state.Phi[1] + state.phi])
-    currents = _currents(disc, models, state.phi, chi, contacts)
+    face_flux = _face_fluxes(disc, models, state.phi, chi,
+                             contact_data(device, state.t))
     out = {}
     for idx, contact in enumerate(device.contacts):
         faces = mesh.dirichlet_faces[idx]
         outward = np.where(mesh.face_cells[faces, 1] < 0, 1.0, -1.0)
-        flow1 = float(np.sum(outward * currents.face_flux[0, faces]))
-        flow2 = float(np.sum(outward * currents.face_flux[1, faces]))
+        flow1 = float(np.sum(outward * face_flux[0, faces]))
+        flow2 = float(np.sum(outward * face_flux[1, faces]))
         out[contact.side] = flow1 - flow2
     return out
 

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from driftsim.device import (
     TAG_DIRICHLET,
     TAG_INTERIOR,
     TAG_ROBIN,
+    BoxDoping,
     Contact,
     DeviceSpec,
+    DopingProfile,
     MaterialRegion,
     RobinSegment,
     build_mesh,
 )
-from driftsim.errors import DomainError
+from driftsim.errors import DomainError, SolverError
+from driftsim.nonlinear_poisson import NonlinearPoissonProblem, newton_solve
 from driftsim.operators import (
     Discretization,
     FluxScheme,
+    SparseOperator,
     apply_surface_load,
     assemble_continuity,
     assemble_poisson,
@@ -30,6 +36,7 @@ from driftsim.operators import (
     solve_linear,
 )
 from driftsim.statistics import boltzmann, fermi_dirac_half
+from driftsim.transient import SimulationModels, TimeStepperConfig, run
 
 SG = FluxScheme()
 CENTRAL = FluxScheme(variant="central")
@@ -393,6 +400,133 @@ def test_poisson_factor_fill_on_the_2d_junction():
     op = assemble_poisson(dev, build_mesh(dev))
     lu = op.factor()
     assert (lu.L.nnz + lu.U.nnz) / op.matrix.nnz <= 7.0
+
+
+# -- tridiagonal factor ---------------------------------------------------
+#
+# A pattern that is tridiagonal in cell order (every 1D mesh with at least
+# three cells) is factored by LAPACK gttrf; every other one by splu.
+
+def _count_splu(monkeypatch):
+    calls = []
+    original = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cells,splu_calls", [(1, 1), (2, 1), (3, 0),
+                                              (16, 0)])
+def test_factor_path_follows_the_pattern_in_1d(monkeypatch, cells,
+                                               splu_calls):
+    calls = _count_splu(monkeypatch)
+    dev = dirichlet_slab(cells=cells, phi_left=1.0, phi_right=3.0)
+    mesh = build_mesh(dev)
+    op = assemble_poisson(dev, mesh)
+    assert (op.disc.bands is None) == (cells < 3)
+    phi = solve_linear(op, poisson_data_load(dev, mesh, op, t=0.0))
+    assert len(calls) == splu_calls
+    exact = 1.0 + 2.0 * mesh.cell_centers[:, 0]
+    assert np.max(np.abs(phi - exact)) <= 1e-13
+
+
+def test_factor_path_is_splu_in_2d(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    dev = _two_contact_device_2d()
+    op = assemble_poisson(dev, build_mesh(dev))
+    assert op.disc.bands is None
+    op.factor()
+    assert calls == [op.matrix.shape]
+
+
+def test_1d_run_never_calls_splu(monkeypatch):
+    # the Poisson factor, every Newton Jacobian and every continuity
+    # system of a 1D run go through gttrf
+    calls = _count_splu(monkeypatch)
+    dev = DeviceSpec(
+        dimension=1, extent=(2.0,), resolution=(16,),
+        regions=(MaterialRegion("bulk", ((0.0, 2.0),)),),
+        contacts=(Contact(side="left", phi=-0.5),
+                  Contact(side="right", phi=0.5,
+                          bias=((0.0, 0.0), (0.5, 0.1)))),
+        doping=DopingProfile(bulk=(BoxDoping(((0.0, 1.0),), -1.0),
+                                   BoxDoping(((1.0, 2.0),), 1.0))))
+    result = run(dev, SimulationModels(stats=(boltzmann(), boltzmann())),
+                 TimeStepperConfig(dt_init=0.05, t_end=0.1, dt_min=0.01))
+    assert result.completed
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tridiagonal_solves_agree_with_splu(seed):
+    # even seeds are diagonally dominant, odd ones have diagonals smaller
+    # than their off-diagonals, so gttrf swaps rows
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 60))
+    dev = dirichlet_slab(cells=n)
+    disc = Discretization(dev, build_mesh(dev))
+    lower, upper = rng.normal(size=(2, n - 1))
+    diagonal = rng.normal(size=n)
+    if seed % 2 == 0:
+        diagonal = np.sign(diagonal) * (3.0 + np.abs(diagonal))
+    else:
+        diagonal *= 0.1
+    pivots = lapack.dgttrf(lower, diagonal, upper)[4]
+    assert np.array_equal(pivots, np.arange(1, n + 1)) == (seed % 2 == 0)
+    op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
+    reference = spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
+    dense = np.diag(diagonal) + np.diag(upper, 1) + np.diag(lower, -1)
+    assert np.array_equal(op.matrix.toarray(), dense)
+    for b in rng.normal(size=(3, n)):
+        x = op.factor().solve(b)
+        ref = reference.solve(b)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _singular_first_column(n, volumes):
+    # column 0 of P + 2 diag(volumes) is zero: P[0, 0] = -2 V[0] and the
+    # (1, 0) entry is 0; P itself is regular (its lower block is SPD)
+    diagonal = np.full(n, 4.0)
+    diagonal[0] = -2.0 * volumes[0]
+    lower = np.full(n - 1, -1.0)
+    lower[0] = 0.0
+    return diagonal, np.full(n - 1, -1.0), lower
+
+
+def test_singular_tridiagonal_factor_raises():
+    dev = dirichlet_slab(cells=6)
+    mesh = build_mesh(dev)
+    disc = Discretization(dev, mesh)
+    diagonal, upper, lower = _singular_first_column(6, mesh.cell_volumes)
+    diagonal[0] = 0.0
+    op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
+    with pytest.raises(RuntimeError, match="singular"):
+        op.factor()
+    with pytest.raises(RuntimeError, match="singular"):
+        spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
+
+
+def test_singular_newton_jacobian_is_a_solver_error():
+    # at phi = omega = 0 the Boltzmann density terms add exactly 2 V to
+    # the diagonal, which makes the Jacobian's first column zero
+    n = 6
+    dev = dirichlet_slab(cells=n)
+    mesh = build_mesh(dev)
+    disc = Discretization(dev, mesh)
+    volumes = mesh.cell_volumes
+    poisson = SparseOperator(disc.matrix(*_singular_first_column(n, volumes)),
+                             disc)
+    problem = NonlinearPoissonProblem(
+        poisson=poisson, volumes=volumes,
+        load=np.concatenate([[0.0], -np.ones(n - 1)]),
+        stats=(boltzmann(), boltzmann()), omega=np.zeros((2, n)))
+    assert problem.dual_norm(problem.residual(np.zeros(n))) > 0.0
+    with pytest.raises(SolverError, match="factorization failed"):
+        newton_solve(problem)
 
 
 def test_surface_load_conserves_mass():
