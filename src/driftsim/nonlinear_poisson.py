@@ -6,11 +6,20 @@ The discrete problem is K(phi) = 0 with
 
 where P is the Robin-Poisson operator, V the cell volumes weighting the
 density terms, and omega the pair of carrier arguments held fixed during
-the solve.  Two solvers are provided: damped Newton (the production
-path, quadratic convergence) and a relaxed Riesz-preconditioned fixed
-point iteration with a cut-off (linear convergence, but with a provable
-contraction factor derived from the monotonicity/Lipschitz moduli of the
-operator; kept as the cross-check the property suite compares against).
+the solve.  Damped Newton is the only solver on a production path (the
+potential map, the decoupling loop and the equilibrium state); it
+converges quadratically and fails with a typed error, never silently.
+
+The cut-off gradient iteration is the reference the ``poisson-newton``
+property suite checks Newton against.  Clamping the potential to
+[-K, K] inside the density terms gives K_cut, whose Jacobian
+P + V diag((F1' + F2') 1[|phi| < K]) is symmetric: K_cut is the gradient
+of a convex function that is 1-strongly convex (m = 1) and L-smooth in
+the metric of P, with L = 1 + sup F' lammax(P^{-1} V) over the clamped
+argument range.  Gradient descent in that metric with step 2/(m + L)
+therefore has the provable contraction factor (L - 1)/(L + 1) per
+iteration (Nesterov, Introductory Lectures on Convex Optimization,
+Thm 2.1.15).
 
 The potential map is nonexpansive in the sup norm with respect to omega,
 a consequence of the M-matrix structure of P and the monotonicity of the
@@ -23,6 +32,7 @@ the homogenized remainder.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +47,10 @@ __all__ = [
     "newton_solve", "contraction_iterate", "solve_operator_S",
     "neutral_potential", "split_load", "equilibrium_state",
 ]
+
+_NEWTON_MAX_ITER = 100
+_CONTRACTION_MAX_ITER = 200000
+_EQUILIBRIUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,11 +78,6 @@ class NonlinearPoissonProblem:
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "load", load)
         object.__setattr__(self, "omega", omega)
-
-    @property
-    def omega_bound(self) -> float:
-        """M = sup-norm of the frozen pair field."""
-        return float(np.max(np.abs(self.omega))) if self.omega.size else 0.0
 
     def densities(self, phi: np.ndarray):
         u1 = self.stats[0].eval(self.omega[0] - phi)
@@ -98,11 +107,6 @@ class SolveReport:
     iterations: int
     residual: float
     cutoff_bound: float | None = None
-    update_history: list = None
-
-    def __post_init__(self):
-        if self.update_history is None:
-            self.update_history = []
 
 
 def apriori_bound(omega, stats) -> float:
@@ -132,7 +136,6 @@ def cutoff(s, K: float):
 
 
 def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
-                 max_iter: int = 100,
                  x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton on K(phi) = 0, measured in the discrete dual norm.
 
@@ -145,12 +148,11 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
         raise DomainError("tol must be positive")
     n = problem.poisson.dimension
     phi = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    history = []
     r = problem.residual(phi)
     res = problem.dual_norm(r)
-    for it in range(max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         if res <= tol:
-            return phi, SolveReport("newton", it, res, None, history)
+            return phi, SolveReport("newton", it, res)
         J = SparseOperator(problem.poisson.shifted(
             problem.jacobian_diagonal(phi)), problem.poisson.disc)
         try:
@@ -177,22 +179,21 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
                 raise NonConvergenceError(
                     "Newton line search stalled", iterations=it, residual=res)
         phi, r, res = trial, r_trial, res_trial
-        history.append(res)
     if res <= tol:
-        return phi, SolveReport("newton", max_iter, res, None, history)
+        return phi, SolveReport("newton", _NEWTON_MAX_ITER, res)
     raise NonConvergenceError("Newton did not reach tolerance",
-                              iterations=max_iter, residual=res)
+                              iterations=_NEWTON_MAX_ITER, residual=res)
 
 
-def _relaxation_default(problem: NonlinearPoissonProblem, K: float) -> float:
-    """lambda = m / L^2 with m = 1 and L = 1 + sup F' * lammax(P^{-1} V).
+def _optimal_step(problem: NonlinearPoissonProblem, K: float) -> float:
+    """lambda = 2 / (m + L) with m = 1 and L = 1 + sup F' * lammax(P^{-1} V).
 
     The extremal eigenvalue of P^{-1}V is estimated by power iteration in
     the energy inner product; sup F' is taken over the cut-off range
-    [-K - M, K + M] of the statistics arguments (both carriers see
-    arguments bounded by that interval).
+    [-K - M, K + M] of the statistics arguments, M the sup norm of omega
+    (both carriers see arguments bounded by that interval).
     """
-    M = problem.omega_bound
+    M = float(np.max(np.abs(problem.omega))) if problem.omega.size else 0.0
     smax = K + M
     sup_fp = max(float(problem.stats[0].eval_derivative(smax)),
                  float(problem.stats[1].eval_derivative(smax)))
@@ -212,45 +213,38 @@ def _relaxation_default(problem: NonlinearPoissonProblem, K: float) -> float:
             break
         rho, v = rho_new, w
     L = 1.0 + sup_fp * rho
-    return 1.0 / (L * L)
+    return 2.0 / (1.0 + L)
 
 
-def contraction_iterate(problem: NonlinearPoissonProblem,
-                        relaxation: float | None = None, tol: float = 1e-10,
-                        max_iter: int = 200000,
+def contraction_iterate(problem: NonlinearPoissonProblem, tol: float = 1e-10,
                         cutoff_bound: float | None = None,
-                        x0: np.ndarray | None = None,
                         ) -> tuple[np.ndarray, SolveReport]:
-    """Relaxed fixed-point iteration with cut-off.
+    """Gradient iteration with cut-off, the reference potential solver.
 
-    Iterates phi <- phi - lambda P^{-1} K_cut(phi), where K_cut evaluates
-    the densities at the clamped potential; the P-solve is the Riesz map
-    of the discrete energy space, making the map a contraction for
-    0 < lambda < 2m/L^2.  Stops when the energy-norm update is below tol
-    and the dual residual below 10 tol, so both the increment and the
+    Iterates phi <- phi - lambda P^{-1} K_cut(phi) from phi = 0, where
+    K_cut evaluates the densities at the clamped potential.  The P-solve
+    is the Riesz map of the discrete energy space, so this is gradient
+    descent on a 1-strongly convex, L-smooth function in the P-metric;
+    the step lambda = 2/(1 + L) makes it a contraction with factor
+    (L - 1)/(L + 1).  Stops when the energy-norm update is below tol and
+    the dual residual below 10 tol, so both the increment and the
     equation contract are honored.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     K = apriori_bound(problem.omega, problem.stats) \
         if cutoff_bound is None else float(cutoff_bound)
-    if relaxation is None:
-        lam = _relaxation_default(problem, K)
-        if not lam > 0.0:
-            # sup F' overflowed on an extreme omega; the scheme's
-            # admissible relaxation window is empty in float arithmetic
-            raise NonConvergenceError(
-                "contraction constant is not representable for this data",
-                iterations=0, residual=math.inf)
-    else:
-        lam = relaxation
-        if lam <= 0.0:
-            raise DomainError("relaxation must be positive")
+    lam = _optimal_step(problem, K)
+    if not lam > 0.0:
+        # sup F' overflowed on an extreme omega; the step that makes the
+        # iteration a contraction is not representable in float arithmetic
+        raise NonConvergenceError(
+            "contraction constant is not representable for this data",
+            iterations=0, residual=math.inf)
     lu = problem.poisson.factor()
-    n = problem.poisson.dimension
-    phi = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    history = []
-    for it in range(max_iter):
+    phi = np.zeros(problem.poisson.dimension)
+    window = deque(maxlen=1001)  # the last 1001 update norms
+    for it in range(_CONTRACTION_MAX_ITER):
         clamped = cutoff(phi, K)
         u1 = problem.stats[0].eval(problem.omega[0] - clamped)
         u2 = problem.stats[1].eval(problem.omega[1] + clamped)
@@ -259,22 +253,21 @@ def contraction_iterate(problem: NonlinearPoissonProblem,
         w = lu.solve(r)
         dual = math.sqrt(max(float(r @ w), 0.0))
         if lam * dual <= tol and dual <= 10.0 * tol:
-            return phi, SolveReport("contraction", it, dual, K, history)
+            return phi, SolveReport("contraction", it, dual, K)
         phi = phi - lam * w
-        history.append(lam * dual)
+        window.append(lam * dual)
         # a window with under 1% total progress cannot reach tol within
         # any sane budget; bail out instead of burning the full budget
-        # (happens when lam is denormal-small on extreme data)
-        if it >= 2000 and history[-1] >= 0.99 * history[-1001]:
+        # (happens when L is so large on extreme data that lam is tiny)
+        if it >= 2000 and window[-1] >= 0.99 * window[0]:
             raise NonConvergenceError(
                 f"contraction stalled (window ratio "
-                f"{history[-1] / history[-1001]:.6f})",
+                f"{window[-1] / window[0]:.6f})",
                 iterations=it + 1, residual=dual)
-    rate = (history[-1] / history[-2]
-            if len(history) >= 2 and history[-2] > 0 else math.nan)
+    rate = window[-1] / window[-2] if window[-2] > 0 else math.nan
     raise NonConvergenceError(
         f"contraction stalled (update ratio {rate:.6f})",
-        iterations=max_iter, residual=history[-1] if history else math.nan)
+        iterations=_CONTRACTION_MAX_ITER, residual=window[-1])
 
 
 def solve_operator_S(problem: NonlinearPoissonProblem,
@@ -340,7 +333,7 @@ def split_load(problem: NonlinearPoissonProblem,
 
 
 def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
-                      mesh: Mesh | None = None, tol: float = 1e-12,
+                      mesh: Mesh | None = None,
                       poisson: SparseOperator | None = None):
     """Thermal equilibrium: zero quasi-Fermi levels, self-consistent phi.
 
@@ -349,6 +342,8 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
     densities are evaluated from the same arguments the solve used, so
     the consistency residual is zero by construction.  A given
     ``poisson`` operator is reused, with its mesh, not assembled again.
+    A Newton failure surfaces as its typed ``NonConvergenceError`` or
+    ``SolverError``.
     """
     s1, s2 = stats
     for c in device.contacts:
@@ -364,10 +359,7 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
         stats=(s1, s2), omega=np.zeros((2, mesh.n_cells)))
     phi_d, reduced = split_load(problem)
     start = neutral_potential(stats, bulk_doping(device, mesh)) - phi_d
-    try:
-        phi_t, _ = newton_solve(reduced, tol=tol, x0=start)
-    except (NonConvergenceError, SolverError):
-        phi_t, _ = contraction_iterate(reduced, tol=tol)
+    phi_t, _ = newton_solve(reduced, tol=_EQUILIBRIUM_TOL, x0=start)
     phi = phi_d + phi_t
     u1 = s1.eval(-phi)
     u2 = s2.eval(phi)

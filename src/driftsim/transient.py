@@ -95,10 +95,14 @@ class TimeStepperConfig:
             raise DomainError("dt_init and t_end must be positive")
         if not 0.0 < self.dt_min <= self.dt_init:
             raise DomainError("need 0 < dt_min <= dt_init")
+        if not self.dt_max >= self.dt_min:
+            raise DomainError("need dt_max >= dt_min")
         if self.growth < 1.0 or not 0.0 < self.shrink < 1.0:
             raise DomainError("growth must be >= 1 and shrink in (0, 1)")
         if self.gummel_tol <= 0.0 or self.gummel_max_iter < 1:
             raise DomainError("bad decoupling loop parameters")
+        if not self.poisson_tol > 0.0:
+            raise DomainError("poisson_tol must be positive")
         if self.blowup_window < 2:
             raise DomainError("blowup_window must be at least 2")
 

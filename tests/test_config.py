@@ -1,4 +1,6 @@
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +92,25 @@ def test_all_problems_surface_at_once():
                   .replace("dt_init: 0.1", "dt_init: -0.1")
     found = problems_of(text)
     assert len(found) >= 2
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("dt_max: -1.0", "dt_max"),
+    ("dt_max: 0.0", "dt_max"),
+    ("poisson_tol: 0.0", "poisson_tol"),
+])
+def test_stepper_values_that_break_run_rejected(setting, named):
+    found = problems_of(MINIMAL + f"  {setting}\n")
+    hits = [p for p in found if p.startswith("stepper:") and named in p]
+    assert hits, found
+
+
+def test_readme_deck_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```yaml\n(.*?)```", readme.read_text(), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
 
 
 def test_statistics_string_and_mapping_forms():

@@ -9,7 +9,8 @@ from driftsim.device import (
     MaterialRegion,
     build_mesh,
 )
-from driftsim.errors import DomainError
+from driftsim import nonlinear_poisson
+from driftsim.errors import DomainError, NonConvergenceError
 from driftsim.nonlinear_poisson import (
     NonlinearPoissonProblem,
     apriori_bound,
@@ -130,6 +131,15 @@ def test_contraction_and_newton_agree():
     assert np.max(np.abs(phi_n - phi_c)) <= 1e-9
 
 
+def test_contraction_iteration_count_pinned():
+    # the 64-cell problem of the poisson-newton suite: the optimal step
+    # 2/(1 + L) takes 67 iterations here, the old step 1/L^2 took 810
+    omega = np.random.default_rng(0).uniform(-2.0, 2.0, size=(2, 64))
+    p = grounded_problem(omega=omega, cells=64)
+    _, report = contraction_iterate(p, tol=1e-11)
+    assert report.iterations <= 100
+
+
 def test_contraction_records_cutoff():
     p = grounded_problem(omega=np.full((2, 24), 0.7))
     _, report = contraction_iterate(p, tol=1e-10)
@@ -190,6 +200,20 @@ def test_equilibrium_built_in_potential():
     _, phi, _ = equilibrium_state(dev, BB)
     target = 2.0 * np.arcsinh(0.5)
     assert abs((phi[-1] - phi[0]) - target) <= 1e-3
+
+
+def test_equilibrium_newton_failure_is_not_hidden(monkeypatch):
+    def failing_newton(*args, **kwargs):
+        raise NonConvergenceError("Newton did not reach tolerance",
+                                  iterations=100, residual=1.0)
+
+    def no_fallback(*args, **kwargs):
+        pytest.fail("equilibrium_state fell back to the contraction")
+
+    monkeypatch.setattr(nonlinear_poisson, "newton_solve", failing_newton)
+    monkeypatch.setattr(nonlinear_poisson, "contraction_iterate", no_fallback)
+    with pytest.raises(NonConvergenceError):
+        equilibrium_state(pn_junction(cells=32), BB)
 
 
 def test_equilibrium_consistent_densities():
