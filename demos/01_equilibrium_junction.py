@@ -2,7 +2,8 @@
 
 Builds the device in code, solves the self-consistent potential, and
 prints the built-in voltage next to the analytic value 2*asinh(1/2)
-that balanced unit doping implies for Boltzmann carriers.
+that balanced unit doping implies for Boltzmann carriers, and asserts
+that they agree to 1e-3, the bound of ``simulate verify equilibrium``.
 """
 
 import numpy as np
@@ -35,6 +36,7 @@ built_in = phi[-1] - phi[0]
 print(f"built-in potential : {built_in:.6f}")
 print(f"2 asinh(1/2)       : {2 * phi_n:.6f}")
 print(f"difference         : {abs(built_in - 2 * phi_n):.2e}")
+assert abs(built_in - 2 * phi_n) <= 1e-3
 
 x = mesh.cell_centers[:, 0]
 print("\n  x        phi        u1         u2")

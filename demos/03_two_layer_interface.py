@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from driftsim import build_mesh, build_models, load_config, run, terminal_currents
+from driftsim import build_models, load_config, run, terminal_currents
 from driftsim.device import InterfaceSpec
 
 deck = pathlib.Path(__file__).resolve().parent.parent / "decks" / "two_layer.yaml"
@@ -22,8 +22,8 @@ def final_current(cfg):
     models = build_models(cfg)
     result = run(cfg.device, models, cfg.stepper)
     assert result.completed
-    mesh = build_mesh(cfg.device)
-    return terminal_currents(cfg.device, mesh, models, result.final), result
+    return terminal_currents(cfg.device, result.disc, models,
+                             result.final), result
 
 
 with_sheet, result = final_current(config)

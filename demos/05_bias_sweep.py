@@ -3,7 +3,9 @@
 Drives `simulate sweep` exactly as a shell user would: five bias points
 on the diode deck, run one after another, one CSV row per point.  The bias
 path addresses the plateau knot of the contact ramp, so each instance
-still starts from a well-posed equilibrium at t = 0.
+still starts from a well-posed equilibrium at t = 0.  The script asserts
+that every point completes, that the current grows strictly with the bias
+and that the zero-bias point carries no current.
 """
 
 import pathlib
@@ -23,12 +25,16 @@ proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
 
 lines = proc.stdout.strip().splitlines()
 header = lines[0].split(",")
+rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
 print(f"\n{'bias':>8} {'I(right)':>14} {'iterations':>11} {'status':>7}")
-for line in lines[1:]:
-    row = dict(zip(header, line.split(",")))
+for row in rows:
     print(f"{float(row['value']):8.2f} {float(row['current_right']):+.6e}"
           f" {row['iterations']:>11} {row['status']:>7}")
 
-currents = [float(l.split(",")[2]) for l in lines[1:]]
-print(f"\nmonotone increasing: {all(b > a for a, b in zip(currents, currents[1:]))}")
+currents = [float(row["current_right"]) for row in rows]
+monotone = all(b > a for a, b in zip(currents, currents[1:]))
+print(f"\nmonotone increasing: {monotone}")
 print(f"zero-bias current  : {currents[0]:+.2e}")
+assert all(row["status"] == "ok" for row in rows)
+assert monotone
+assert abs(currents[0]) <= 1e-10

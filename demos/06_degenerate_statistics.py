@@ -4,7 +4,9 @@ At low occupation the two distribution functions coincide; once the
 argument passes zero the Fermi-Dirac density falls behind the
 exponential and the degeneracy factor eta = F/F' grows past one.  The
 enhanced flux variant uses exactly that factor, which is what keeps a
-degenerate junction's equilibrium current at zero.
+degenerate junction's equilibrium current at zero.  The script asserts the
+inversion round trip to 1e-12 relative and that the corrected flux
+vanishes to 1e-12 of the uncorrected one.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ print("\ninversion round trip at high degeneracy:")
 u = 50.0
 s = fd.invert(u)
 print(f"  F^-1({u}) = {s:.6f},  F(F^-1(u)) - u = {fd.eval(s) - u:+.2e}")
+assert abs(fd.eval(s) - u) <= 1e-12 * u
 
 # a face in detailed balance: equal quasi-Fermi levels on both sides
 s_lo, dphi = 4.0, 1.5
@@ -37,3 +40,4 @@ enhanced = sg_flux(FluxScheme(variant="scharfetter_gummel_enhanced"),
 print("\nspurious equilibrium flux on a degenerate face:")
 print(f"  exponential fitting assuming Boltzmann: {plain:+.4e}")
 print(f"  degeneracy-corrected variant          : {enhanced:+.4e}")
+assert abs(enhanced) <= 1e-12 * abs(plain)

@@ -44,7 +44,6 @@ from .transient import (
     SimulationModels,
     SimulationResult,
     TimeStepperConfig,
-    balance_report,
     initial_state,
     run,
     terminal_currents,
@@ -88,7 +87,6 @@ __all__ = [
     "SurfaceSRH",
     "SurfaceSegment",
     "TimeStepperConfig",
-    "balance_report",
     "boltzmann",
     "build_mesh",
     "build_models",

@@ -26,9 +26,7 @@ import yaml
 
 from . import verify
 from .config import build_models, parse_config
-from .device import build_mesh
 from .errors import ConfigError, DriftError
-from .operators import Discretization
 from .output import format_float, write_outputs, write_report
 from .transient import run, terminal_currents
 
@@ -42,9 +40,7 @@ def _load_deck(path: str) -> str:
 
 def _execute(config):
     models = build_models(config)
-    mesh = build_mesh(config.device)
-    result = run(config.device, models, config.stepper)
-    return mesh, models, result
+    return models, run(config.device, models, config.stepper)
 
 
 def cmd_run(args) -> int:
@@ -61,19 +57,18 @@ def cmd_run(args) -> int:
         return 1
     os.makedirs(args.outdir, exist_ok=True)
     try:
-        mesh, models, result = _execute(config)
+        models, result = _execute(config)
     except DriftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_outputs(config, config.device, mesh, models, result,
+    write_outputs(config, config.device, result.disc.mesh, models, result,
                   directory=args.outdir)
     if result.blowup is None:
         return 0
     if not any(s.kind == "report" for s in config.output):
         stem = os.path.splitext(os.path.basename(args.deck))[0]
         fallback = os.path.join(args.outdir, f"{stem}_report.json")
-        write_report(fallback, config.device,
-                     Discretization(config.device, mesh), models, result)
+        write_report(fallback, config.device, models, result)
     print(f"blow-up at t={result.final.t:.6g}: {result.blowup.reason}",
           file=sys.stderr)
     return 3
@@ -135,12 +130,13 @@ def _sweep_row(text: str, param: str, value: float, sides: list) -> list:
         # the sweep table is the only output; per-point sinks would
         # trample each other across values
         config = replace(config, output=())
-        mesh, models, result = _execute(config)
+        models, result = _execute(config)
     except (DriftError, ValueError) as exc:
         return [format_float(value)] + ["nan"] * len(sides) + [
             format_float(time.perf_counter() - started), "0",
             f"error: {exc}"]
-    currents = terminal_currents(config.device, mesh, models, result.final)
+    currents = terminal_currents(config.device, result.disc, models,
+                                 result.final)
     status = "ok" if result.blowup is None else "blow-up"
     iterations = sum(r.gummel_iterations for r in result.reports)
     return [format_float(value)] + [format_float(currents[s]) for s in sides] \

@@ -45,14 +45,14 @@ def _pn_device(extent: float, cells: int, bias=0.0) -> DeviceSpec:
             BoxDoping(bounds=((half, extent),), value=1.0))))
 
 
-def diode(bias: float = 0.25, t_end: float = 5.0) -> SimulationConfig:
-    """Forward-biased pn diode, ramped over one time unit."""
-    ramp = ((0.0, 0.0), (1.0, bias))
+def diode() -> SimulationConfig:
+    """Forward-biased pn diode, ramped to 0.25 over one time unit."""
+    ramp = ((0.0, 0.0), (1.0, 0.25))
     return SimulationConfig(
         device=_pn_device(20.0, 128, bias=ramp),
         statistics=("boltzmann", "boltzmann"),
         recombination=(ShockleyReadHall(),),
-        stepper=TimeStepperConfig(dt_init=0.001, t_end=t_end, dt_max=0.25),
+        stepper=TimeStepperConfig(dt_init=0.001, t_end=5.0, dt_max=0.25),
         output=(OutputSink(kind="series", path="diode_series.csv"),
                 OutputSink(kind="snapshot", path="diode_final.csv"),
                 OutputSink(kind="report", path="diode_report.json")))
@@ -70,10 +70,10 @@ def diode_equilibrium() -> SimulationConfig:
                 OutputSink(kind="snapshot", path="equilibrium_final.csv")))
 
 
-def two_layer(bias: float = 0.1) -> SimulationConfig:
+def two_layer() -> SimulationConfig:
     """Heterojunction: permittivity and mobility jump at x = 4 with
     interfacial recombination across the junction plane."""
-    ramp = ((0.0, 0.0), (0.5, bias))
+    ramp = ((0.0, 0.0), (0.5, 0.1))
     device = DeviceSpec(
         dimension=1, extent=(8.0,), resolution=(64,),
         regions=(
@@ -117,7 +117,7 @@ def insulated() -> SimulationConfig:
                            position=(2.0,))))
 
 
-def avalanche_runaway(gain: float = 1000.0) -> SimulationConfig:
+def avalanche_runaway() -> SimulationConfig:
     """Reverse-biased junction with impact ionization strong enough that
     generation outruns extraction; the run is expected to end early with
     a blow-up report rather than reach t_end."""
@@ -126,7 +126,7 @@ def avalanche_runaway(gain: float = 1000.0) -> SimulationConfig:
         device=_pn_device(10.0, 32, bias=ramp),
         statistics=("boltzmann", "boltzmann"),
         recombination=(ShockleyReadHall(),
-                       Avalanche(c1=gain, c2=gain, a1=0.5, a2=0.5)),
+                       Avalanche(c1=1000.0, c2=1000.0, a1=0.5, a2=0.5)),
         stepper=TimeStepperConfig(dt_init=0.001, t_end=1.0, dt_max=0.05,
                                   blowup_threshold=40.0),
         output=(OutputSink(kind="series", path="avalanche_series.csv"),

@@ -208,9 +208,6 @@ class Mesh:
     def n_faces(self) -> int:
         return self.face_axis.shape[0]
 
-    def interior_mask(self) -> np.ndarray:
-        return self.face_tag == TAG_INTERIOR
-
 
 def _snap(coord: float, h: float, n: int, extent: float, what: str) -> int:
     idx = int(round(coord / h))

@@ -353,7 +353,7 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
                 "equilibrium requires zero carrier levels on every contact")
     poisson = poisson or assemble_poisson(device, mesh or build_mesh(device))
     mesh = poisson.disc.mesh
-    load = poisson_data_load(device, mesh, poisson, t)
+    load = poisson_data_load(device, poisson, t)
     problem = NonlinearPoissonProblem(
         poisson=poisson, volumes=mesh.cell_volumes, load=load,
         stats=(s1, s2), omega=np.zeros((2, mesh.n_cells)))

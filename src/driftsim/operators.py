@@ -8,10 +8,12 @@ Neumann faces contribute nothing.  The electron/hole continuity operators
 use Scharfetter-Gummel exponential fitting, optionally corrected for
 degenerate statistics by a facewise degeneracy average (see ``sg_flux``).
 
-A ``Discretization``, built once per mesh, holds what a run never
-changes: the face sets, the transmissibilities and the one CSC sparsity
-pattern all matrices share.  Matrices are filled straight into that
-pattern, so no sweep builds a coordinate list or converts a format.
+A ``Discretization`` holds what a run never changes: the face sets, the
+transmissibilities and the one CSC sparsity pattern all matrices share.
+A run builds it once, with its Poisson operator, and carries it on
+``SimulationResult.disc``, so currents and outputs read it from there.
+Matrices are filled straight into that pattern, so no sweep builds a
+coordinate list or converts a format.
 
 ``SparseOperator.factor`` is the one place that factors.  A pattern that
 is tridiagonal in cell order (every 1D mesh of n >= 3 cells) goes to LAPACK
@@ -271,10 +273,6 @@ class SparseOperator:
         data[self.disc.diagonal_slots] += diagonal
         return self.disc.csc(data)
 
-    def asymmetry(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
 
 def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
     """Robin-Poisson operator: diffusion in eps + Robin masses + Dirichlet closure."""
@@ -286,13 +284,15 @@ def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
     return SparseOperator(matrix=disc.matrix(diagonal, -t, -t), disc=disc)
 
 
-def poisson_data_load(device: DeviceSpec, mesh: Mesh, op: SparseOperator,
+def poisson_data_load(device: DeviceSpec, op: SparseOperator,
                       t: float) -> np.ndarray:
-    """Right-hand side carrying doping, Dirichlet lifts, and Robin loads at time t."""
+    """Right-hand side carrying doping, Dirichlet lifts, and Robin loads at
+    time t, on the mesh of ``op``."""
+    disc = op.disc
+    mesh = disc.mesh
     load = mesh.cell_volumes * bulk_doping(device, mesh)
     for sheet, faces in zip(device.doping.sheets, mesh.sheet_faces):
         load += apply_surface_load(mesh, faces, sheet.density)
-    disc = op.disc
     phi_d = np.array([c.values(t)[0] for c in device.contacts])
     np.add.at(load, disc.cell,
               disc.transmissibility["eps"][1] * phi_d[disc.contact])

@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import SimulationConfig
 from .device import DeviceSpec, Mesh
-from .operators import Discretization
-from .transient import SimulationModels, SimulationResult, _terminal_currents
+from .transient import SimulationModels, SimulationResult, terminal_currents
 
 __all__ = ["format_float", "write_csv", "write_outputs"]
 
@@ -53,14 +52,14 @@ def _write_snapshot(path: str, mesh: Mesh, state) -> None:
     write_csv(path, _field_header(dim), rows)
 
 
-def _write_series(path: str, device: DeviceSpec, disc: Discretization,
-                  models: SimulationModels, result: SimulationResult) -> None:
+def _write_series(path: str, device: DeviceSpec, models: SimulationModels,
+                  result: SimulationResult) -> None:
     sides = [c.side for c in device.contacts]
     header = ["t", "dt", "iterations", "balance", "proxy"] \
         + [f"current_{s}" for s in sides]
     rows = []
     for state, report in zip(result.states[1:], result.reports):
-        flow = _terminal_currents(device, disc, models, state)
+        flow = terminal_currents(device, result.disc, models, state)
         rows.append([report.t, report.dt, float(report.gummel_iterations),
                      report.balance_residual, report.proxy]
                     + [flow[s] for s in sides])
@@ -78,8 +77,8 @@ def _write_probe(path: str, mesh: Mesh, result: SimulationResult,
     write_csv(path, header, rows)
 
 
-def _report_tree(device: DeviceSpec, disc: Discretization,
-                 models: SimulationModels, result: SimulationResult) -> dict:
+def _report_tree(device: DeviceSpec, models: SimulationModels,
+                 result: SimulationResult) -> dict:
     tree = {
         "completed": result.completed,
         "steps_accepted": result.steps_accepted,
@@ -89,8 +88,8 @@ def _report_tree(device: DeviceSpec, disc: Discretization,
                                     for r in result.reports)),
         "max_balance_residual": max(
             (r.balance_residual for r in result.reports), default=0.0),
-        "terminal_currents": _terminal_currents(device, disc, models,
-                                                result.final),
+        "terminal_currents": terminal_currents(device, result.disc, models,
+                                               result.final),
         "blowup": None,
     }
     if result.blowup is not None:
@@ -103,9 +102,11 @@ def _report_tree(device: DeviceSpec, disc: Discretization,
     return tree
 
 
-def write_report(path: str, device: DeviceSpec, disc: Discretization,
-                 models: SimulationModels, result: SimulationResult) -> None:
-    tree = _report_tree(device, disc, models, result)
+def write_report(path: str, device: DeviceSpec, models: SimulationModels,
+                 result: SimulationResult) -> None:
+    """The run's JSON summary: step counts, balance, terminal currents at
+    the final state (on ``result.disc``) and the blow-up report, if any."""
+    tree = _report_tree(device, models, result)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(tree, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -118,9 +119,9 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
 
     Relative sink paths land in ``directory`` (default: the current
     working directory).  Writes happen sequentially in declaration
-    order, so two sinks may safely share a path prefix.
+    order, so two sinks may safely share a path prefix.  ``mesh`` places
+    the snapshot and probe rows; currents are computed on ``result.disc``.
     """
-    disc = Discretization(device, mesh)
     written = []
     for sink in config.output:
         path = sink.path if directory is None \
@@ -128,10 +129,10 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
         if sink.kind == "snapshot":
             _write_snapshot(path, mesh, result.final)
         elif sink.kind == "series":
-            _write_series(path, device, disc, models, result)
+            _write_series(path, device, models, result)
         elif sink.kind == "probe":
             _write_probe(path, mesh, result, sink.position)
         else:
-            write_report(path, device, disc, models, result)
+            write_report(path, device, models, result)
         written.append(path)
     return written

@@ -178,7 +178,6 @@ class SurfaceSRH:
 
 
 _RECOMBINATION_KINDS = (ShockleyReadHall, Auger)
-_PRODUCTION_KINDS = (MassAction, Avalanche)
 
 
 def bulk_production(models, u1, u2, Phi1, Phi2, e, j1, j2) -> np.ndarray:

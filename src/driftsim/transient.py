@@ -57,9 +57,8 @@ from .statistics import StatisticsModel
 
 __all__ = [
     "CarrierState", "TimeStepperConfig", "SimulationModels", "StepReport",
-    "BlowUpReport", "SimulationResult", "CurrentField", "contact_data",
-    "initial_state", "compute_currents", "gummel_step", "run",
-    "balance_report", "detect_blowup", "terminal_currents",
+    "BlowUpReport", "SimulationResult", "contact_data", "initial_state",
+    "gummel_step", "run", "detect_blowup", "terminal_currents",
 ]
 
 
@@ -95,8 +94,8 @@ class TimeStepperConfig:
             raise DomainError("dt_init and t_end must be positive")
         if not 0.0 < self.dt_min <= self.dt_init:
             raise DomainError("need 0 < dt_min <= dt_init")
-        if not self.dt_max >= self.dt_min:
-            raise DomainError("need dt_max >= dt_min")
+        if not self.dt_init <= self.dt_max:
+            raise DomainError("need dt_init <= dt_max")
         if self.growth < 1.0 or not 0.0 < self.shrink < 1.0:
             raise DomainError("growth must be >= 1 and shrink in (0, 1)")
         if self.gummel_tol <= 0.0 or self.gummel_max_iter < 1:
@@ -140,11 +139,14 @@ class BlowUpReport:
 
 @dataclass
 class SimulationResult:
+    """A run's accepted states and step reports, and the ``disc`` (mesh,
+    face sets, sparsity) they live on, for computing currents from them."""
     states: list
     reports: list
     blowup: BlowUpReport | None
     steps_accepted: int
     steps_rejected: int
+    disc: Discretization
 
     @property
     def final(self) -> CarrierState:
@@ -153,15 +155,6 @@ class SimulationResult:
     @property
     def completed(self) -> bool:
         return self.blowup is None
-
-
-@dataclass
-class CurrentField:
-    """Reconstructed flux data for one potential/carrier iterate."""
-    face_flux: np.ndarray     # (2, n_faces) mass flow, low-to-high positive
-    cell_current: np.ndarray  # (2, n_cells, dim) current density vectors
-    face_field: np.ndarray    # (n_faces,) axis-directed potential gradient
-    cell_field: np.ndarray    # (n_cells, dim) cellwise potential gradient
 
 
 def contact_data(device: DeviceSpec, t: float) -> list[tuple[float, float, float]]:
@@ -180,44 +173,23 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
                         u=np.vstack([u1, u2]))
 
 
-def compute_currents(device: DeviceSpec, mesh: Mesh, models: SimulationModels,
-                     phi: np.ndarray, chi: np.ndarray,
-                     contacts: list[tuple[float, float, float]],
-                     ) -> CurrentField:
-    """Face fluxes, cell current vectors, and potential gradients.
+def _cell_currents(disc: Discretization, phi: np.ndarray,
+                   contacts: list[tuple[float, float, float]],
+                   face_flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cellwise potential gradient (n_cells, dim) and current density
+    vectors (2, n_cells, dim) of given (2, n_faces) carrier face fluxes.
 
     The axis current density at a face is the mass flow over the face
     area with a sign flip (the flux convention counts mass moving from
     the low to the high cell as positive, while the current field of
     carrier k points along u_k mu_k grad Phi_k).
     """
-    disc = Discretization(device, mesh)
-    return _current_field(disc, phi, contacts,
-                          _face_fluxes(disc, models, phi, chi, contacts))
-
-
-def _face_fluxes(disc: Discretization, models: SimulationModels,
-                 phi: np.ndarray, chi: np.ndarray,
-                 contacts: list[tuple[float, float, float]]) -> np.ndarray:
-    """(2, n_faces) mass flows of both carriers."""
-    return np.vstack([
-        face_coefficients(disc, models.stats[k - 1], models.scheme, k, phi,
-                          chi[k - 1], [(c[0], c[k]) for c in contacts])
-        .flux(models.stats[k - 1].eval(chi[k - 1])) for k in (1, 2)])
-
-
-def _current_field(disc: Discretization, phi: np.ndarray,
-                   contacts: list[tuple[float, float, float]],
-                   face_flux: np.ndarray) -> CurrentField:
-    """CurrentField of given (2, n_faces) carrier face fluxes."""
     mesh = disc.mesh
     phi_d = np.array([c[0] for c in contacts])
-    face_e = face_gradient(disc, phi, phi_d)
-    cell_e = cell_average_faces(mesh, face_e)
+    cell_e = cell_average_faces(mesh, face_gradient(disc, phi, phi_d))
     cell_current = np.stack([cell_average_faces(mesh, -flux / mesh.face_area)
                              for flux in face_flux])
-    return CurrentField(face_flux=face_flux, cell_current=cell_current,
-                        face_field=face_e, cell_field=cell_e)
+    return cell_e, cell_current
 
 
 def _face_density(mesh: Mesh, faces: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -264,20 +236,23 @@ def _quasi_fermi_norm(disc: Discretization, Phi: np.ndarray,
 _MIX_WINDOW = 5  # residual-history depth of the decoupling loop
 
 
-def gummel_step(device: DeviceSpec, mesh: Mesh, poisson: SparseOperator,
+def gummel_step(device: DeviceSpec, poisson: SparseOperator,
                 models: SimulationModels, state: CarrierState, dt: float,
                 config: TimeStepperConfig) -> tuple[CarrierState, StepReport]:
     """One backward-Euler step by decoupled, screening-corrected sweeps.
 
+    ``poisson`` is the run's Poisson operator; its ``disc`` supplies the
+    mesh, the face sets and the sparsity pattern of every system solved.
     Raises StepRejected when a density solve turns nonpositive, a
     potential solve fails, or the sweep budget runs out.  On success the
     returned report carries the defect of the discrete balance identity,
     evaluated with the exact loads the final linear solves used.
     """
     s1, s2 = models.stats
+    mesh = poisson.disc.mesh
     t_next = state.t + dt
     contacts = contact_data(device, t_next)
-    load = poisson_data_load(device, mesh, poisson, t_next)
+    load = poisson_data_load(device, poisson, t_next)
     phi_d = poisson.factor().solve(load)
     V = mesh.cell_volumes
 
@@ -314,12 +289,10 @@ def gummel_step(device: DeviceSpec, mesh: Mesh, poisson: SparseOperator,
                                    models.scheme, k, phi, chi[k - 1],
                                    [(c[0], c[k]) for c in contacts])
                  for k in (1, 2)]
-        currents = _current_field(poisson.disc, phi, contacts, np.vstack(
+        e, j = _cell_currents(poisson.disc, phi, contacts, np.vstack(
             [f.flux(u) for f, u in zip(faces, u_eval)]))
         r_bulk = bulk_production(models.bulk, u_eval[0], u_eval[1], Phi[0],
-                                 Phi[1], currents.cell_field,
-                                 currents.cell_current[0],
-                                 currents.cell_current[1])
+                                 Phi[1], e, j[0], j[1])
         shared = V * r_bulk + _surface_loads(device, mesh, *u_eval)
 
         u_new = np.empty_like(state.u)
@@ -407,34 +380,30 @@ def gummel_step(device: DeviceSpec, mesh: Mesh, poisson: SparseOperator,
         f"(last increment {increment:.3e})")
 
 
-def terminal_currents(device: DeviceSpec, mesh: Mesh,
+def terminal_currents(device: DeviceSpec, disc: Discretization,
                       models: SimulationModels,
                       state: CarrierState) -> dict[str, float]:
-    """Net electric current leaving each contact.
+    """Net electric current leaving each contact, keyed by contact side.
 
     Counts carrier-1 mass outflow minus carrier-2 outflow (the carriers
     enter the space charge with opposite signs), summed over the
     contact's faces.  In steady state this total is the same at every
-    contact up to sign, recombination notwithstanding.
+    contact up to sign, recombination notwithstanding.  ``disc`` is the
+    run's ``Discretization``, ``SimulationResult.disc``.
     """
-    return _terminal_currents(device, Discretization(device, mesh), models,
-                              state)
-
-
-def _terminal_currents(device: DeviceSpec, disc: Discretization,
-                       models: SimulationModels,
-                       state: CarrierState) -> dict[str, float]:
-    """``terminal_currents`` on a given ``Discretization``."""
     mesh = disc.mesh
     chi = np.vstack([state.Phi[0] - state.phi, state.Phi[1] + state.phi])
-    face_flux = _face_fluxes(disc, models, state.phi, chi,
-                             contact_data(device, state.t))
+    contacts = contact_data(device, state.t)
+    face_flux = [face_coefficients(disc, models.stats[k - 1], models.scheme,
+                                   k, state.phi, chi[k - 1],
+                                   [(c[0], c[k]) for c in contacts])
+                 .flux(models.stats[k - 1].eval(chi[k - 1])) for k in (1, 2)]
     out = {}
     for idx, contact in enumerate(device.contacts):
         faces = mesh.dirichlet_faces[idx]
         outward = np.where(mesh.face_cells[faces, 1] < 0, 1.0, -1.0)
-        flow1 = float(np.sum(outward * face_flux[0, faces]))
-        flow2 = float(np.sum(outward * face_flux[1, faces]))
+        flow1 = float(np.sum(outward * face_flux[0][faces]))
+        flow2 = float(np.sum(outward * face_flux[1][faces]))
         out[contact.side] = flow1 - flow2
     return out
 
@@ -467,7 +436,7 @@ def run(device: DeviceSpec, models: SimulationModels,
     while state.t < horizon:
         dt_step = min(dt, config.t_end - state.t)
         try:
-            state, report = gummel_step(device, mesh, poisson, models, state,
+            state, report = gummel_step(device, poisson, models, state,
                                         dt_step, config)
         except StepRejected as exc:
             rejected += 1
@@ -495,9 +464,6 @@ def run(device: DeviceSpec, models: SimulationModels,
             break
         dt = min(dt_step * config.growth, config.dt_max)
     return SimulationResult(states=states, reports=reports, blowup=blowup,
-                            steps_accepted=accepted, steps_rejected=rejected)
+                            steps_accepted=accepted, steps_rejected=rejected,
+                            disc=poisson.disc)
 
-
-def balance_report(result: SimulationResult) -> np.ndarray:
-    """Per-step defect of the discrete balance identity, relative scale."""
-    return np.array([r.balance_residual for r in result.reports])

@@ -320,7 +320,7 @@ def _mms_poisson_error(cells: int, piecewise: bool) -> float:
     x = mesh.cell_centers[:, 0]
     # Boltzmann pair with omega = 0 contributes -2 sinh(phi) of space
     # charge, so the manufactured volumetric load carries +2 sinh(phi*)
-    load = poisson_data_load(device, mesh, op, 0.0) \
+    load = poisson_data_load(device, op, 0.0) \
         + mesh.cell_volumes * (forcing(x) + 2.0 * np.sinh(exact(x)))
     problem = NonlinearPoissonProblem(
         poisson=op, volumes=mesh.cell_volumes, load=load,
@@ -388,21 +388,20 @@ def suite_mms_transient(seed: int) -> list[PropertyResult]:
 def _run_deck(name: str):
     config = getattr(decks, name)()
     models = build_models(config)
-    mesh = build_mesh(config.device)
-    result = run(config.device, models, config.stepper)
-    return config, mesh, models, result
+    return config, models, run(config.device, models, config.stepper)
 
 
 def suite_conservation(seed: int) -> list[PropertyResult]:
     del seed
     out = []
     for name in ("diode", "two_layer", "insulated"):
-        _, _, _, result = _run_deck(name)
+        _, _, result = _run_deck(name)
         worst = max(r.balance_residual for r in result.reports)
         out.append(_leq("conservation", f"balance-{name}", worst, 1e-12))
     # interfacial load: distributing rate * area into cells must re-sum
     # to the face total exactly (same additions, reassociated)
-    config, mesh, _, result = _run_deck("two_layer")
+    config, _, result = _run_deck("two_layer")
+    mesh = result.disc.mesh
     faces = mesh.interface_faces[0]
     model = config.device.interfaces[0].model
     state = result.final
@@ -419,7 +418,7 @@ def suite_conservation(seed: int) -> list[PropertyResult]:
 
 def suite_equilibrium(seed: int) -> list[PropertyResult]:
     del seed
-    _, _, _, result = _run_deck("diode_equilibrium")
+    _, _, result = _run_deck("diode_equilibrium")
     first = result.states[0]
     drift_phi = drift_Phi = drift_u = 0.0
     for state in result.states[1:]:
@@ -445,11 +444,11 @@ def suite_positivity_blowup(seed: int) -> list[PropertyResult]:
     del seed
     floor = math.inf
     for name in ("diode", "two_layer", "insulated", "avalanche_runaway"):
-        _, _, _, result = _run_deck(name)
+        _, _, result = _run_deck(name)
         floor = min(floor, min(float(np.min(s.u)) for s in result.states))
     out = [PropertyResult("positivity-blowup", "density-floor",
                           floor > 0.0, floor, ">0")]
-    config, _, _, result = _run_deck("avalanche_runaway")
+    config, _, result = _run_deck("avalanche_runaway")
     report = result.blowup
     out.append(PropertyResult("positivity-blowup", "avalanche-terminates",
                               report is not None,
@@ -537,12 +536,11 @@ def suite_gummel_monolithic(seed: int) -> list[PropertyResult]:
     del seed
     config = decks.srh_two_cell()
     models = build_models(config)
-    mesh = build_mesh(config.device)
-    poisson = assemble_poisson(config.device, mesh)
-    state = initial_state(config.device, models, mesh)
+    poisson = assemble_poisson(config.device, build_mesh(config.device))
+    state = initial_state(config.device, models, poisson=poisson)
     dt = config.stepper.dt_init
-    new_state, _ = gummel_step(config.device, mesh, poisson, models, state,
-                               dt, config.stepper)
+    new_state, _ = gummel_step(config.device, poisson, models, state, dt,
+                               config.stepper)
     ref = _monolithic_two_cell(config, dt)
     got = np.concatenate([new_state.phi, new_state.Phi[0], new_state.Phi[1]])
     return [_leq("gummel-monolithic", "state-agreement",
@@ -561,9 +559,10 @@ def suite_determinism(seed: int) -> list[PropertyResult]:
             sub = os.path.join(root, attempt)
             os.mkdir(sub)
             _run_deck.cache_clear()  # force a genuine recomputation
-            config, mesh, models, result = _run_deck("srh_two_cell")
-            paths.append(write_outputs(config, config.device, mesh, models,
-                                       result, directory=sub))
+            config, models, result = _run_deck("srh_two_cell")
+            paths.append(write_outputs(config, config.device,
+                                       result.disc.mesh, models, result,
+                                       directory=sub))
         _run_deck.cache_clear()
         for first, second in zip(*paths):
             if not filecmp.cmp(first, second, shallow=False):

@@ -1,16 +1,42 @@
 import filecmp
 import json
 import pathlib
+import sys
 
 import pytest
 
+from driftsim import device
 from driftsim.cli import main
+from driftsim.operators import Discretization
 
 DECKS = pathlib.Path(__file__).resolve().parent.parent / "decks"
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the Discretization and mesh builds made during a test."""
+    counts = {"disc": 0, "mesh": 0}
+    init, build_mesh = Discretization.__init__, device.build_mesh
+
+    def counting_init(self, *args, **kwargs):
+        counts["disc"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_build_mesh(*args, **kwargs):
+        counts["mesh"] += 1
+        return build_mesh(*args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "__init__", counting_init)
+    # every module that bound build_mesh by name holds its own reference
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "driftsim" \
+                and getattr(module, "build_mesh", None) is build_mesh:
+            monkeypatch.setattr(module, "build_mesh", counting_build_mesh)
+    return counts
 
 
 # -- run ------------------------------------------------------------------
@@ -29,6 +55,14 @@ def test_run_completes_and_writes_sinks(tmp_path):
     assert report["completed"] is True
     assert report["steps_accepted"] == 1
     assert report["blowup"] is None
+
+
+def test_run_builds_mesh_and_discretization_once(tmp_path, builds):
+    # the run's Discretization serves the steps, the currents and every sink
+    code = run_cli("run", str(DECKS / "srh_two_cell.yaml"), "--outdir",
+                   str(tmp_path))
+    assert code == 0
+    assert builds == {"disc": 1, "mesh": 1}
 
 
 def test_run_is_bit_identical(tmp_path):
@@ -73,7 +107,7 @@ def test_run_blowup_exits_3_with_report(tmp_path, capsys):
     assert tail[-1] > 40.0
 
 
-def test_blowup_report_written_even_without_sink(tmp_path, capsys):
+def test_blowup_report_written_even_without_sink(tmp_path, capsys, builds):
     # exit 3 always comes with a report file; a deck that declares no
     # report sink gets one named after itself
     text = (DECKS / "avalanche_runaway.yaml").read_text()
@@ -86,6 +120,7 @@ def test_blowup_report_written_even_without_sink(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((out / "runaway_report.json").read_text())
     assert report["blowup"] is not None
+    assert builds == {"disc": 1, "mesh": 1}
 
 
 # -- sweep ----------------------------------------------------------------
@@ -116,6 +151,17 @@ def test_sweep_forward_bias_currents_monotone(tmp_path):
     assert abs(float(rows[0][2])) <= 1e-10
     current_right = [float(r[2]) for r in rows]
     assert all(b > a for a, b in zip(current_right, current_right[1:]))
+
+
+def test_sweep_builds_mesh_and_discretization_once_per_point(tmp_path, builds):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", str(DECKS / "srh_two_cell.yaml"),
+                   "--param", "device.contacts[1].bias[1][1]",
+                   "--values=0.03,0.05", "--out", str(out))
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [r[-1] for r in rows] == ["ok", "ok"]
+    assert builds == {"disc": 2, "mesh": 2}
 
 
 def test_sweep_records_per_point_failure_and_continues(tmp_path):

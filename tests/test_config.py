@@ -97,6 +97,7 @@ def test_all_problems_surface_at_once():
 @pytest.mark.parametrize("setting, named", [
     ("dt_max: -1.0", "dt_max"),
     ("dt_max: 0.0", "dt_max"),
+    ("dt_max: 0.02", "dt_max"),  # below dt_init: 0.1
     ("poisson_tol: 0.0", "poisson_tol"),
 ])
 def test_stepper_values_that_break_run_rejected(setting, named):

@@ -43,7 +43,7 @@ def test_deck_names_are_the_file_names():
 def test_diode_bias_is_a_two_knot_ramp():
     # sweeps address the plateau value as contacts[1].bias[1][1]; the
     # interpolant clamps past the last knot, so two knots are enough
-    cfg = decks.diode(bias=0.25)
+    cfg = decks.diode()
     ramp = cfg.device.contacts[1].bias
     assert len(ramp) == 2
     assert ramp[0] == (0.0, 0.0)

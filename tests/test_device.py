@@ -11,6 +11,7 @@ from driftsim.device import (
     RobinSegment,
     SheetDoping,
     SurfaceSegment,
+    TAG_INTERIOR,
     build_mesh,
     bulk_doping,
     cell_tensor,
@@ -171,7 +172,7 @@ def test_mesh_1d_counts_and_volumes():
     assert mesh.spacing == (0.25,)
     assert np.sum(mesh.cell_volumes) == pytest.approx(2.0)
     assert np.all(mesh.face_area == 1.0)
-    assert np.sum(mesh.interior_mask()) == 7
+    assert np.sum(mesh.face_tag == TAG_INTERIOR) == 7
 
 
 def test_mesh_1d_contact_faces():
@@ -197,7 +198,7 @@ def test_mesh_2d_counts_and_areas():
 
 def test_mesh_2d_face_pairing_is_consistent():
     mesh = build_mesh(slab_2d(nx=3, ny=3))
-    interior = mesh.interior_mask()
+    interior = mesh.face_tag == TAG_INTERIOR
     lo = mesh.face_cells[interior, 0]
     hi = mesh.face_cells[interior, 1]
     assert np.all(lo >= 0) and np.all(hi >= 0)

@@ -18,9 +18,6 @@ from driftsim.statistics import boltzmann
 from driftsim.transient import (
     SimulationModels,
     TimeStepperConfig,
-    balance_report,
-    compute_currents,
-    contact_data,
     detect_blowup,
     gummel_step,
     initial_state,
@@ -128,7 +125,7 @@ def test_balance_report_matches_steps():
     models = SimulationModels(stats=BB)
     cfg = TimeStepperConfig(dt_init=0.05, t_end=0.3, dt_max=0.1)
     result = run(dev, models, cfg)
-    residuals = balance_report(result)
+    residuals = np.array([r.balance_residual for r in result.reports])
     assert residuals.shape == (result.steps_accepted,)
     assert np.max(residuals) <= 1e-12
 
@@ -166,37 +163,22 @@ def test_run_runs_its_own_equilibrium():
 
 def test_terminal_currents_vanish_at_equilibrium():
     dev = biased_diode(bias=0.0)
-    mesh = build_mesh(dev)
+    poisson = assemble_poisson(dev, build_mesh(dev))
     models = SimulationModels(stats=BB)
-    state = initial_state(dev, models, mesh)
-    currents = terminal_currents(dev, mesh, models, state)
+    state = initial_state(dev, models, poisson=poisson)
+    currents = terminal_currents(dev, poisson.disc, models, state)
     assert set(currents) == {"left", "right"}
     assert abs(currents["left"]) <= 1e-10
     assert abs(currents["right"]) <= 1e-10
 
 
-def test_current_field_shapes():
-    dev = biased_diode(cells=16)
-    mesh = build_mesh(dev)
-    models = SimulationModels(stats=BB)
-    state = initial_state(dev, models, mesh)
-    chi = np.vstack([state.Phi[0] - state.phi, state.Phi[1] + state.phi])
-    field = compute_currents(dev, mesh, models, state.phi, chi,
-                             contact_data(dev, state.t))
-    assert field.face_flux.shape == (2, mesh.n_faces)
-    assert field.cell_current.shape == (2, mesh.n_cells, 1)
-    assert field.face_field.shape == (mesh.n_faces,)
-    assert field.cell_field.shape == (mesh.n_cells, 1)
-
-
 def test_gummel_step_advances_time():
     dev = biased_diode()
-    mesh = build_mesh(dev)
-    poisson = assemble_poisson(dev, mesh)
+    poisson = assemble_poisson(dev, build_mesh(dev))
     models = SimulationModels(stats=BB)
     cfg = TimeStepperConfig(dt_init=0.05, t_end=1.0)
-    state = initial_state(dev, models, mesh)
-    new, report = gummel_step(dev, mesh, poisson, models, state, 0.05, cfg)
+    state = initial_state(dev, models, poisson=poisson)
+    new, report = gummel_step(dev, poisson, models, state, 0.05, cfg)
     assert new.t == pytest.approx(0.05)
     assert state.t == 0.0  # input state untouched
     assert report.gummel_iterations >= 1
@@ -219,18 +201,18 @@ def test_run_builds_one_discretization(monkeypatch):
     result = run(dev, models, cfg)
     assert result.steps_accepted == 5
     assert len(built) == 1
+    assert isinstance(result.disc, Discretization)
 
-    mesh = build_mesh(dev)
-    poisson = assemble_poisson(dev, mesh)
-    state = initial_state(dev, models, mesh, poisson=poisson)
+    poisson = assemble_poisson(dev, build_mesh(dev))
+    state = initial_state(dev, models, poisson=poisson)
     built.clear()
-    gummel_step(dev, mesh, poisson, models, state, 0.05, cfg)
+    gummel_step(dev, poisson, models, state, 0.05, cfg)
     assert built == []
 
 
-def test_write_outputs_builds_one_discretization(monkeypatch, tmp_path):
+def test_write_outputs_builds_no_discretization(monkeypatch, tmp_path):
     # the series sink needs currents at every accepted state, the report
-    # at the last one; all of them share one Discretization
+    # at the last one; all of them use the run's own Discretization
     dev = biased_diode(cells=16)
     models = SimulationModels(stats=BB)
     cfg = TimeStepperConfig(dt_init=0.05, t_end=0.25, growth=1.0)
@@ -249,6 +231,6 @@ def test_write_outputs_builds_one_discretization(monkeypatch, tmp_path):
     paths = write_outputs(config, dev, build_mesh(dev), models, result,
                           directory=str(tmp_path))
     assert len(paths) == 2
-    assert len(built) <= 1
+    assert built == []
     rows = (tmp_path / "series.csv").read_text().splitlines()
     assert len(rows) == 1 + 5
