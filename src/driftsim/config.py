@@ -8,6 +8,15 @@ the dotted path of the offending field.  Unknown keys are hard errors
 and name the nearest valid spelling, so a typo like "mobilty" surfaces
 at parse time instead of silently defaulting the physics.
 
+Every deck record (region, contact, robin segment, surface, interface,
+doping box and sheet, the device and its doping, the stepper, an output
+sink) is a dataclass, and one table, ``_FIELDS``, gives the kind of each
+of its fields: how the field is read from the deck and written back.
+``_record`` parses any record and ``_record_tree`` dumps it, so the
+dataclass is the single statement of a record's keys.  A field is
+optional exactly when its dataclass gives it a default; a missing field
+without one is reported as ``path.key: required``.
+
 parse_config and dump_config are inverses up to canonicalization:
 dumping a parsed deck and parsing the dump reproduces the same
 normalized tree, which makes deck files diffable and lets tests pin
@@ -18,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import functools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -48,6 +59,8 @@ _BULK_MODELS = {
 _SURFACE_MODELS = {
     "surface_srh": SurfaceSRH,
 }
+_MODEL_NAMES = {cls: name for name, cls in
+                {**_BULK_MODELS, **_SURFACE_MODELS}.items()}
 _SINK_KINDS = ("snapshot", "series", "probe", "report")
 
 
@@ -134,18 +147,29 @@ def _sequence(node, path: str, problems: list) -> list:
     return node
 
 
-def _float(node, path: str, problems: list, default: float = 0.0) -> float:
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
+def _is_number(node) -> bool:
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
+def _float(node, path: str, problems: list, dim=None) -> float:
+    if _is_number(node):
         return float(node)
     problems.append(f"{path}: expected a number, got {node!r}")
-    return default
+    return 0.0
 
 
-def _int(node, path: str, problems: list, default: int = 0) -> int:
+def _int(node, path: str, problems: list, dim=None) -> int:
     if isinstance(node, int) and not isinstance(node, bool):
         return node
     problems.append(f"{path}: expected an integer, got {node!r}")
-    return default
+    return 0
+
+
+def _text(node, path: str, problems: list, dim=None) -> str:
+    if isinstance(node, str) and node:
+        return node
+    problems.append(f"{path}: expected a nonempty string, got {node!r}")
+    return ""
 
 
 def _str_choice(node, choices, path: str, problems: list) -> str:
@@ -159,16 +183,15 @@ def _str_choice(node, choices, path: str, problems: list) -> str:
     return next(iter(choices))
 
 
-def _series(node, path: str, problems: list):
+def _series(node, path: str, problems: list, dim=None):
     """A contact value: scalar, or [[t, v], ...] with increasing t."""
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
+    if _is_number(node):
         return float(node)
     if isinstance(node, list):
         pairs = []
         for i, entry in enumerate(node):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float))
-                               and not isinstance(x, bool) for x in entry)):
+                    or not all(_is_number(x) for x in entry)):
                 problems.append(f"{path}[{i}]: expected a [time, value] pair")
                 return 0.0
             pairs.append((float(entry[0]), float(entry[1])))
@@ -183,35 +206,75 @@ def _series(node, path: str, problems: list):
     return 0.0
 
 
-def _span(node, path: str, problems: list):
-    if node is None:
-        return None
-    if (isinstance(node, list) and len(node) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in node)):
+def _span(node, path: str, problems: list, dim=None):
+    if isinstance(node, list) and len(node) == 2 and all(map(_is_number, node)):
         return (float(node[0]), float(node[1]))
     problems.append(f"{path}: expected [low, high]")
-    return None
+    return (0.0, 0.0)
 
 
-def _axis_value(node, path: str, problems: list):
+def _axis_value(node, path: str, problems: list, dim=None):
     """A per-axis coefficient: scalar or a list of scalars."""
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
+    if _is_number(node):
         return float(node)
-    if isinstance(node, list) and node and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in node):
+    if isinstance(node, list) and node and all(map(_is_number, node)):
         return tuple(float(x) for x in node)
     problems.append(f"{path}: expected a number or a list of numbers")
     return 1.0
 
 
-def _model_instance(node, registry, path: str, problems: list):
-    node = _mapping(node, path, problems)
-    if not node:
-        return None
-    kind = node.get("type")
-    if kind not in registry:
+# ---------------------------------------------------------------------------
+# field kinds: how one field is read from a deck and written back
+
+class _Kind(NamedTuple):
+    parse: Callable        # (node, path, problems, dim) -> value
+    dump: Callable         # value -> YAML tree
+    # a parse default for a field whose dataclass cannot give one
+    default: object = dataclasses.MISSING
+
+
+_NUMBER = _Kind(_float, float)
+_INTEGER = _Kind(_int, int)
+_TEXT = _Kind(_text, str)
+_SERIES = _Kind(_series, lambda value: [list(knot) for knot in value]
+                if isinstance(value, tuple) else float(value))
+_AXIS_VALUE = _Kind(_axis_value, lambda value: [float(v) for v in value]
+                    if isinstance(value, tuple) else float(value))
+# an explicit `span: null` is no span
+_SPAN = _Kind(lambda node, path, problems, dim:
+              None if node is None else _span(node, path, problems), list)
+# the device section reads its dimension first (_dimension) and hands it in
+_DIMENSION = _Kind(lambda node, path, problems, dim: dim, int)
+# axis 0 when left out; the dataclass field precedes ``position``
+_AXIS = _INTEGER._replace(default=0)
+
+
+def _choice(options) -> _Kind:
+    return _Kind(lambda node, path, problems, dim:
+                 _str_choice(node, options, path, problems), str)
+
+
+def _list(item: _Kind, per_axis: bool = False) -> _Kind:
+    """A list of items; a per-axis list has one entry per device axis."""
+    def parse(node, path, problems, dim):
+        out = tuple(item.parse(x, f"{path}[{i}]", problems, dim)
+                    for i, x in enumerate(_sequence(node, path, problems)))
+        if per_axis and len(out) != dim:
+            problems.append(f"{path}: expected {dim} entries, got {len(out)}")
+        return out
+    return _Kind(parse, lambda value: [item.dump(v) for v in value])
+
+
+def _model(registry) -> _Kind:
+    """A recombination model: ``type`` names it, the rest are its fields."""
+    def parse(node, path, problems, dim):
+        node = _mapping(node, path, problems)
+        if not node:
+            return None
+        kind = node.get("type")
+        if isinstance(kind, str) and kind in registry:
+            fields = {k: v for k, v in node.items() if k != "type"}
+            return _record(registry[kind], fields, path, problems, dim)
         known = sorted(registry)
         if isinstance(kind, str):
             problems.append(f"{path}.type: unknown model {kind!r}"
@@ -219,180 +282,127 @@ def _model_instance(node, registry, path: str, problems: list):
         else:
             problems.append(f"{path}.type: required, one of {known}")
         return None
-    cls = registry[kind]
-    names = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(node, set(names) | {"type"}, path, problems)
-    kwargs = {}
-    for name in names:
-        if name in node:
-            kwargs[name] = _float(node[name], f"{path}.{name}", problems)
+    return _Kind(parse, lambda model: {"type": _MODEL_NAMES[type(model)],
+                                       **_record_tree(model)})
+
+
+def _nested(cls) -> _Kind:
+    return _Kind(lambda node, path, problems, dim:
+                 _record(cls, node, path, problems, dim),
+                 lambda record: _record_tree(record))
+
+
+_BOUNDS = _list(_Kind(_span, list), per_axis=True)
+_SURFACE_MODEL = _model(_SURFACE_MODELS)
+_BULK_MODEL = _model(_BULK_MODELS)
+
+_FIELDS: dict[type, dict[str, _Kind]] = {
+    MaterialRegion: {"name": _TEXT, "bounds": _BOUNDS, "eps": _AXIS_VALUE,
+                     "mu1": _AXIS_VALUE, "mu2": _AXIS_VALUE},
+    Contact: {"side": _TEXT, "phi": _SERIES, "Phi1": _SERIES,
+              "Phi2": _SERIES, "bias": _SERIES, "span": _SPAN},
+    RobinSegment: {"side": _TEXT, "eps_gamma": _NUMBER,
+                   "phi_gamma": _SERIES, "span": _SPAN},
+    SurfaceSegment: {"side": _TEXT, "model": _SURFACE_MODEL, "span": _SPAN},
+    InterfaceSpec: {"axis": _AXIS, "position": _NUMBER,
+                    "model": _SURFACE_MODEL, "span": _SPAN},
+    BoxDoping: {"bounds": _BOUNDS, "value": _NUMBER},
+    SheetDoping: {"axis": _AXIS, "position": _NUMBER, "density": _NUMBER},
+    DopingProfile: {"bulk": _list(_nested(BoxDoping)),
+                    "sheets": _list(_nested(SheetDoping))},
+    DeviceSpec: {"dimension": _DIMENSION,
+                 "extent": _list(_NUMBER, per_axis=True),
+                 "resolution": _list(_INTEGER, per_axis=True),
+                 "regions": _list(_nested(MaterialRegion)),
+                 "contacts": _list(_nested(Contact)),
+                 "robin": _list(_nested(RobinSegment)),
+                 "surfaces": _list(_nested(SurfaceSegment)),
+                 "interfaces": _list(_nested(InterfaceSpec)),
+                 "doping": _nested(DopingProfile)},
+    OutputSink: {"kind": _choice(_SINK_KINDS), "path": _TEXT,
+                 "position": _list(_NUMBER)},
+    TimeStepperConfig: {
+        f.name: _INTEGER if f.type in (int, "int") else _NUMBER
+        for f in dataclasses.fields(TimeStepperConfig)},
+    # recombination models: every field is a number
+    **{cls: {f.name: _NUMBER for f in dataclasses.fields(cls)}
+       for cls in _MODEL_NAMES},
+}
+# decks say `boxes` for DopingProfile.bulk, a field its callers name
+_DECK_KEYS = {(DopingProfile, "bulk"): "boxes"}
+
+
+def _required(f: dataclasses.Field) -> bool:
+    return (f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING)
+
+
+@functools.cache
+def _layout(cls) -> tuple:
+    """(field, deck key, kind, required) per field, in declaration order."""
+    return tuple((f.name, _DECK_KEYS.get((cls, f.name), f.name),
+                  _FIELDS[cls][f.name], _required(f))
+                 for f in dataclasses.fields(cls))
+
+
+def _record(cls, node, path: str, problems: list, dim: int):
+    """Parse one record; None when any of its fields has a problem."""
+    start = len(problems)
+    node = _mapping(node, path, problems)
+    layout = _layout(cls)
+    _check_keys(node, [key for _, key, _, _ in layout], path, problems)
+    values = {}
+    for name, key, kind, required in layout:
+        if key in node:
+            values[name] = kind.parse(node[key], f"{path}.{key}", problems,
+                                      dim)
+        elif kind.default is not dataclasses.MISSING:
+            values[name] = kind.default
+        elif required:
+            problems.append(f"{path}.{key}: required")
+    if len(problems) > start:
+        return None
     try:
-        return cls(**kwargs)
+        return cls(**values)
     except DomainError as exc:
         problems.append(f"{path}: {exc}")
         return None
 
 
+def _record_tree(record) -> dict:
+    """Dump one record in field order, leaving out None and empty lists."""
+    out = {}
+    for name, key, kind, _ in _layout(type(record)):
+        value = getattr(record, name)
+        tree = None if value is None else kind.dump(value)
+        if tree is not None and not (isinstance(tree, (list, dict))
+                                     and not tree):
+            out[key] = tree
+    return out
+
+
 # ---------------------------------------------------------------------------
-# section parsers
+# top-level sections
 
-_REGION_KEYS = ("name", "bounds", "eps", "mu1", "mu2")
-_CONTACT_KEYS = ("side", "phi", "Phi1", "Phi2", "bias", "span")
-_ROBIN_KEYS = ("side", "eps_gamma", "phi_gamma", "span")
-_SURFACE_KEYS = ("side", "model", "span")
-_INTERFACE_KEYS = ("axis", "position", "model", "span")
-_DEVICE_KEYS = ("dimension", "extent", "resolution", "regions", "contacts",
-                "robin", "surfaces", "interfaces", "doping")
-_DOPING_KEYS = ("boxes", "sheets")
-_TOP_KEYS = ("device", "statistics", "flux_scheme", "recombination",
-             "stepper", "output", "seed")
-_STEPPER_KEYS = tuple(f.name for f in dataclasses.fields(TimeStepperConfig))
-_SINK_KEYS = ("kind", "path", "position")
+def _dimension(node, problems: list) -> int:
+    """The device dimension, which bounds and probe positions need."""
+    if not isinstance(node, dict) or "dimension" not in node:
+        return 1  # _record reports a missing dimension
+    dim = node["dimension"]
+    if isinstance(dim, int) and not isinstance(dim, bool) and dim in (1, 2):
+        return dim
+    problems.append(f"device.dimension: must be 1 or 2, got {dim!r}")
+    return 1
 
 
-def _parse_bounds(node, dim: int, path: str, problems: list):
-    seq = _sequence(node, path, problems)
-    out = []
-    for i, entry in enumerate(seq):
-        span = _span(entry, f"{path}[{i}]", problems)
-        out.append(span if span is not None else (0.0, 0.0))
-    if len(out) != dim:
-        problems.append(f"{path}: expected {dim} spans, got {len(out)}")
-        out = tuple([(0.0, 0.0)] * dim)
-    return tuple(out)
-
-
-def _parse_device(node, problems: list) -> DeviceSpec | None:
-    node = _mapping(node, "device", problems)
-    if not node:
-        problems.append("device: section is required")
+def _section(cls, node, name: str, problems: list, dim: int):
+    """A record the deck must contain."""
+    if not _mapping(node, name, problems):
+        required = [f.name for f in dataclasses.fields(cls) if _required(f)]
+        problems.append(
+            f"{name}: section is required ({', '.join(required)})")
         return None
-    _check_keys(node, _DEVICE_KEYS, "device", problems)
-    dim = _int(node.get("dimension"), "device.dimension", problems, default=1)
-    if dim not in (1, 2):
-        problems.append(f"device.dimension: must be 1 or 2, got {dim}")
-        dim = 1
-    extent = tuple(_float(x, f"device.extent[{i}]", problems, default=1.0)
-                   for i, x in enumerate(
-                       _sequence(node.get("extent"), "device.extent",
-                                 problems)))
-    resolution = tuple(_int(x, f"device.resolution[{i}]", problems, default=2)
-                       for i, x in enumerate(
-                           _sequence(node.get("resolution"),
-                                     "device.resolution", problems)))
-    if len(extent) != dim:
-        problems.append(f"device.extent: expected {dim} entries")
-    if len(resolution) != dim:
-        problems.append(f"device.resolution: expected {dim} entries")
-
-    regions = []
-    for i, raw in enumerate(_sequence(node.get("regions"), "device.regions",
-                                      problems)):
-        path = f"device.regions[{i}]"
-        raw = _mapping(raw, path, problems)
-        _check_keys(raw, _REGION_KEYS, path, problems)
-        name = raw.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append(f"{path}.name: required nonempty string")
-            name = f"region{i}"
-        regions.append(MaterialRegion(
-            name=name,
-            bounds=_parse_bounds(raw.get("bounds"), dim, f"{path}.bounds",
-                                 problems),
-            eps=_axis_value(raw.get("eps", 1.0), f"{path}.eps", problems),
-            mu1=_axis_value(raw.get("mu1", 1.0), f"{path}.mu1", problems),
-            mu2=_axis_value(raw.get("mu2", 1.0), f"{path}.mu2", problems)))
-
-    contacts = []
-    for i, raw in enumerate(_sequence(node.get("contacts"), "device.contacts",
-                                      problems)):
-        path = f"device.contacts[{i}]"
-        raw = _mapping(raw, path, problems)
-        _check_keys(raw, _CONTACT_KEYS, path, problems)
-        contacts.append(Contact(
-            side=str(raw.get("side", "")),
-            phi=_series(raw.get("phi", 0.0), f"{path}.phi", problems),
-            Phi1=_series(raw.get("Phi1", 0.0), f"{path}.Phi1", problems),
-            Phi2=_series(raw.get("Phi2", 0.0), f"{path}.Phi2", problems),
-            bias=_series(raw.get("bias", 0.0), f"{path}.bias", problems),
-            span=_span(raw.get("span"), f"{path}.span", problems)))
-
-    robin = []
-    for i, raw in enumerate(_sequence(node.get("robin"), "device.robin",
-                                      problems)):
-        path = f"device.robin[{i}]"
-        raw = _mapping(raw, path, problems)
-        _check_keys(raw, _ROBIN_KEYS, path, problems)
-        robin.append(RobinSegment(
-            side=str(raw.get("side", "")),
-            eps_gamma=_float(raw.get("eps_gamma"), f"{path}.eps_gamma",
-                             problems),
-            phi_gamma=_series(raw.get("phi_gamma", 0.0), f"{path}.phi_gamma",
-                              problems),
-            span=_span(raw.get("span"), f"{path}.span", problems)))
-
-    surfaces = []
-    for i, raw in enumerate(_sequence(node.get("surfaces"), "device.surfaces",
-                                      problems)):
-        path = f"device.surfaces[{i}]"
-        raw = _mapping(raw, path, problems)
-        _check_keys(raw, _SURFACE_KEYS, path, problems)
-        model = None
-        if raw.get("model") is not None:
-            model = _model_instance(raw["model"], _SURFACE_MODELS,
-                                    f"{path}.model", problems)
-        surfaces.append(SurfaceSegment(
-            side=str(raw.get("side", "")), model=model,
-            span=_span(raw.get("span"), f"{path}.span", problems)))
-
-    interfaces = []
-    for i, raw in enumerate(_sequence(node.get("interfaces"),
-                                      "device.interfaces", problems)):
-        path = f"device.interfaces[{i}]"
-        raw = _mapping(raw, path, problems)
-        _check_keys(raw, _INTERFACE_KEYS, path, problems)
-        model = None
-        if raw.get("model") is not None:
-            model = _model_instance(raw["model"], _SURFACE_MODELS,
-                                    f"{path}.model", problems)
-        interfaces.append(InterfaceSpec(
-            axis=_int(raw.get("axis", 0), f"{path}.axis", problems),
-            position=_float(raw.get("position"), f"{path}.position",
-                            problems),
-            model=model,
-            span=_span(raw.get("span"), f"{path}.span", problems)))
-
-    doping_node = _mapping(node.get("doping"), "device.doping", problems)
-    _check_keys(doping_node, _DOPING_KEYS, "device.doping", problems)
-    boxes = []
-    for i, raw in enumerate(_sequence(doping_node.get("boxes"),
-                                      "device.doping.boxes", problems)):
-        path = f"device.doping.boxes[{i}]"
-        raw = _mapping(raw, path, problems)
-        _check_keys(raw, ("bounds", "value"), path, problems)
-        boxes.append(BoxDoping(
-            bounds=_parse_bounds(raw.get("bounds"), dim, f"{path}.bounds",
-                                 problems),
-            value=_float(raw.get("value"), f"{path}.value", problems)))
-    sheets = []
-    for i, raw in enumerate(_sequence(doping_node.get("sheets"),
-                                      "device.doping.sheets", problems)):
-        path = f"device.doping.sheets[{i}]"
-        raw = _mapping(raw, path, problems)
-        _check_keys(raw, ("axis", "position", "density"), path, problems)
-        sheets.append(SheetDoping(
-            axis=_int(raw.get("axis", 0), f"{path}.axis", problems),
-            position=_float(raw.get("position"), f"{path}.position",
-                            problems),
-            density=_float(raw.get("density"), f"{path}.density", problems)))
-
-    if problems:
-        return None
-    return DeviceSpec(
-        dimension=dim, extent=extent, resolution=resolution,
-        regions=tuple(regions), contacts=tuple(contacts), robin=tuple(robin),
-        surfaces=tuple(surfaces), interfaces=tuple(interfaces),
-        doping=DopingProfile(bulk=tuple(boxes), sheets=tuple(sheets)))
+    return _record(cls, node, name, problems, dim)
 
 
 def _parse_statistics(node, problems: list) -> tuple[str, str]:
@@ -410,59 +420,20 @@ def _parse_statistics(node, problems: list) -> tuple[str, str]:
                     "statistics.carrier2", problems))
 
 
-def _parse_stepper(node, problems: list) -> TimeStepperConfig:
-    node = _mapping(node, "stepper", problems)
-    if not node:
-        problems.append("stepper: section is required (dt_init, t_end)")
-        return TimeStepperConfig(dt_init=0.01, t_end=1.0)
-    _check_keys(node, _STEPPER_KEYS, "stepper", problems)
-    kwargs = {}
-    for name in _STEPPER_KEYS:
-        if name not in node:
+def _parse_output(node, dim: int, problems: list) -> tuple[OutputSink, ...]:
+    sinks = _list(_nested(OutputSink)).parse(node, "output", problems, dim)
+    for i, sink in enumerate(sinks):
+        path = f"output[{i}].position"
+        if sink is None:
             continue
-        if name in ("gummel_max_iter", "blowup_window"):
-            kwargs[name] = _int(node[name], f"stepper.{name}", problems,
-                                default=1)
-        else:
-            kwargs[name] = _float(node[name], f"stepper.{name}", problems,
-                                  default=1.0)
-    for required in ("dt_init", "t_end"):
-        if required not in kwargs:
-            problems.append(f"stepper.{required}: required")
-            kwargs[required] = 1.0
-    try:
-        return TimeStepperConfig(**kwargs)
-    except DomainError as exc:
-        problems.append(f"stepper: {exc}")
-        return TimeStepperConfig(dt_init=0.01, t_end=1.0)
-
-
-def _parse_output(node, problems: list) -> tuple[OutputSink, ...]:
-    sinks = []
-    for i, raw in enumerate(_sequence(node, "output", problems)):
-        path = f"output[{i}]"
-        raw = _mapping(raw, path, problems)
-        _check_keys(raw, _SINK_KEYS, path, problems)
-        kind = _str_choice(raw.get("kind"), _SINK_KINDS, f"{path}.kind",
-                           problems)
-        sink_path = raw.get("path")
-        if not isinstance(sink_path, str) or not sink_path:
-            problems.append(f"{path}.path: required nonempty string")
-            sink_path = f"sink{i}.csv"
-        position = None
-        if kind == "probe":
-            if "position" not in raw:
-                problems.append(f"{path}.position: required for probes")
-            else:
-                position = tuple(
-                    _float(x, f"{path}.position[{j}]", problems)
-                    for j, x in enumerate(
-                        _sequence(raw["position"], f"{path}.position",
-                                  problems)))
-        elif "position" in raw:
-            problems.append(f"{path}.position: only probe sinks take one")
-        sinks.append(OutputSink(kind=kind, path=sink_path, position=position))
-    return tuple(sinks)
+        if sink.kind != "probe":
+            if sink.position is not None:
+                problems.append(f"{path}: only probe sinks take one")
+        elif sink.position is None:
+            problems.append(f"{path}: required for probes")
+        elif len(sink.position) != dim:
+            problems.append(f"{path}: expected {dim} coordinates")
+    return sinks
 
 
 def parse_config(text: str) -> SimulationConfig:
@@ -475,24 +446,20 @@ def parse_config(text: str) -> SimulationConfig:
         raise ConfigError(["deck is empty"])
     problems: list[str] = []
     tree = _mapping(tree, "deck", problems)
-    _check_keys(tree, _TOP_KEYS, "deck", problems)
+    _check_keys(tree, [f.name for f in dataclasses.fields(SimulationConfig)],
+                "deck", problems)
 
-    device = _parse_device(tree.get("device"), problems)
+    dim = _dimension(tree.get("device"), problems)
+    device = _section(DeviceSpec, tree.get("device"), "device", problems, dim)
     statistics = _parse_statistics(tree.get("statistics"), problems)
     flux = tree.get("flux_scheme", "scharfetter_gummel")
     flux = _str_choice(flux, FluxScheme.variants, "flux_scheme", problems)
-
-    bulk = []
-    for i, raw in enumerate(_sequence(tree.get("recombination"),
-                                      "recombination", problems)):
-        model = _model_instance(raw, _BULK_MODELS, f"recombination[{i}]",
-                                problems)
-        if model is not None:
-            bulk.append(model)
-
-    stepper = _parse_stepper(tree.get("stepper"), problems)
-    output = _parse_output(tree.get("output"), problems)
-    seed = _int(tree.get("seed", 0), "seed", problems, default=0)
+    bulk = _list(_BULK_MODEL).parse(tree.get("recombination"),
+                                    "recombination", problems, dim)
+    stepper = _section(TimeStepperConfig, tree.get("stepper"), "stepper",
+                       problems, dim)
+    output = _parse_output(tree.get("output"), dim, problems)
+    seed = _int(tree.get("seed", 0), "seed", problems)
 
     if device is not None:
         report = validate_device(device)
@@ -501,7 +468,8 @@ def parse_config(text: str) -> SimulationConfig:
         raise ConfigError(problems)
     return SimulationConfig(
         device=device, statistics=statistics, flux_scheme=flux,
-        recombination=tuple(bulk), stepper=stepper, output=output, seed=seed)
+        recombination=tuple(m for m in bulk if m is not None),
+        stepper=stepper, output=output, seed=seed)
 
 
 def load_config(path) -> SimulationConfig:
@@ -509,115 +477,19 @@ def load_config(path) -> SimulationConfig:
         return parse_config(handle.read())
 
 
-# ---------------------------------------------------------------------------
-# canonical dump
-
-def _series_tree(value):
-    if isinstance(value, tuple):
-        return [[t, v] for t, v in value]
-    return float(value)
-
-
-def _axis_tree(value):
-    if isinstance(value, tuple):
-        return [float(v) for v in value]
-    return float(value)
-
-
-def _model_tree(model) -> dict:
-    registry = {**_BULK_MODELS, **_SURFACE_MODELS}
-    for name, cls in registry.items():
-        if type(model) is cls:
-            out = {"type": name}
-            for f in dataclasses.fields(cls):
-                out[f.name] = float(getattr(model, f.name))
-            return out
-    raise DomainError(f"cannot serialize model {type(model).__name__}")
-
-
-def _device_tree(device: DeviceSpec) -> dict:
-    out: dict = {
-        "dimension": device.dimension,
-        "extent": [float(x) for x in device.extent],
-        "resolution": [int(n) for n in device.resolution],
-        "regions": [
-            {"name": r.name,
-             "bounds": [[float(a), float(b)] for a, b in r.bounds],
-             "eps": _axis_tree(r.eps), "mu1": _axis_tree(r.mu1),
-             "mu2": _axis_tree(r.mu2)}
-            for r in device.regions],
-    }
-    if device.contacts:
-        out["contacts"] = [
-            {k: v for k, v in (
-                ("side", c.side), ("phi", _series_tree(c.phi)),
-                ("Phi1", _series_tree(c.Phi1)),
-                ("Phi2", _series_tree(c.Phi2)),
-                ("bias", _series_tree(c.bias)),
-                ("span", list(c.span) if c.span else None))
-             if v is not None}
-            for c in device.contacts]
-    if device.robin:
-        out["robin"] = [
-            {k: v for k, v in (
-                ("side", r.side), ("eps_gamma", float(r.eps_gamma)),
-                ("phi_gamma", _series_tree(r.phi_gamma)),
-                ("span", list(r.span) if r.span else None))
-             if v is not None}
-            for r in device.robin]
-    if device.surfaces:
-        out["surfaces"] = [
-            {k: v for k, v in (
-                ("side", s.side),
-                ("model", _model_tree(s.model) if s.model else None),
-                ("span", list(s.span) if s.span else None))
-             if v is not None}
-            for s in device.surfaces]
-    if device.interfaces:
-        out["interfaces"] = [
-            {k: v for k, v in (
-                ("axis", i.axis), ("position", float(i.position)),
-                ("model", _model_tree(i.model) if i.model else None),
-                ("span", list(i.span) if i.span else None))
-             if v is not None}
-            for i in device.interfaces]
-    doping: dict = {}
-    if device.doping.bulk:
-        doping["boxes"] = [
-            {"bounds": [[float(a), float(b)] for a, b in box.bounds],
-             "value": float(box.value)}
-            for box in device.doping.bulk]
-    if device.doping.sheets:
-        doping["sheets"] = [
-            {"axis": s.axis, "position": float(s.position),
-             "density": float(s.density)}
-            for s in device.doping.sheets]
-    if doping:
-        out["doping"] = doping
-    return out
-
-
 def dump_config(config: SimulationConfig) -> str:
     """Canonical YAML for a config; parse_config(dump_config(c)) == c."""
-    tree: dict = {"device": _device_tree(config.device)}
+    tree: dict = {"device": _record_tree(config.device)}
     tree["statistics"] = {"carrier1": config.statistics[0],
                           "carrier2": config.statistics[1]}
     tree["flux_scheme"] = config.flux_scheme
     if config.recombination:
-        tree["recombination"] = [_model_tree(m) for m in config.recombination]
-    stepper = {}
-    for f in dataclasses.fields(TimeStepperConfig):
-        value = getattr(config.stepper, f.name)
-        stepper[f.name] = value if isinstance(value, int) else float(value)
-    if stepper["dt_max"] == np.inf:
-        del stepper["dt_max"]  # YAML has no portable infinity literal
-    tree["stepper"] = stepper
+        tree["recombination"] = [_BULK_MODEL.dump(m)
+                                 for m in config.recombination]
+    tree["stepper"] = _record_tree(config.stepper)
+    if tree["stepper"]["dt_max"] == np.inf:
+        del tree["stepper"]["dt_max"]  # YAML has no portable infinity literal
     if config.output:
-        tree["output"] = [
-            {k: v for k, v in (
-                ("kind", s.kind), ("path", s.path),
-                ("position", list(s.position) if s.position else None))
-             if v is not None}
-            for s in config.output]
+        tree["output"] = [_record_tree(s) for s in config.output]
     tree["seed"] = config.seed
     return yaml.safe_dump(tree, sort_keys=False, default_flow_style=None)

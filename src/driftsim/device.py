@@ -248,11 +248,13 @@ def validate_device(device: DeviceSpec) -> ValidationReport:
             v *= hi - lo
         covered += v
         for coeff_name in ("eps", "mu1", "mu2"):
-            vals = _axis_tuple(getattr(reg, coeff_name), dim)
-            if coeff_name == "eps":
-                if any((not np.isfinite(c)) or c <= 0.0 for c in vals):
-                    out.append(f"region {reg.name!r} has non-elliptic eps {vals}")
-            elif any((not np.isfinite(c)) or c <= 0.0 for c in vals):
+            value = getattr(reg, coeff_name)
+            if not isinstance(value, (int, float)) and len(value) != dim:
+                out.append(f"region {reg.name!r} has {len(value)} {coeff_name} "
+                           f"values, expected {dim}")
+                continue
+            vals = _axis_tuple(value, dim)
+            if any((not np.isfinite(c)) or c <= 0.0 for c in vals):
                 out.append(f"region {reg.name!r} has non-elliptic {coeff_name} {vals}")
         for other in device.regions[i + 1:]:
             if len(other.bounds) != dim:

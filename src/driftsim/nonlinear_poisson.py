@@ -51,6 +51,7 @@ __all__ = [
 _NEWTON_MAX_ITER = 100
 _CONTRACTION_MAX_ITER = 200000
 _EQUILIBRIUM_TOL = 1e-12
+_NEUTRAL_RTOL = 1e-12  # relative residual of the neutral-potential iteration
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def solve_operator_S(problem: NonlinearPoissonProblem,
     return phi
 
 
-def neutral_potential(stats, doping, rtol: float = 1e-12):
+def neutral_potential(stats, doping):
     """Chargewise-neutral potential: solve d + F1(-phi) - F2(phi) = 0.
 
     Closed form asinh(d/2) when both carriers are Boltzmann, otherwise a
@@ -306,7 +307,7 @@ def neutral_potential(stats, doping, rtol: float = 1e-12):
     scale = np.abs(flat) + 1.0
     for _ in range(100):
         g = flat + s1.eval(-phi) - s2.eval(phi)
-        if np.all(np.abs(g) <= rtol * scale):
+        if np.all(np.abs(g) <= _NEUTRAL_RTOL * scale):
             break
         gp = -s1.eval_derivative(-phi) - s2.eval_derivative(phi)
         phi = phi - g / gp

@@ -463,24 +463,27 @@ def cell_average_faces(mesh: Mesh, face_values: np.ndarray) -> np.ndarray:
                   + face_values[mesh.cell_face_hi])
 
 
-def solve_linear(op: SparseOperator, b: np.ndarray,
-                 rtol: float = 1e-12) -> np.ndarray:
+_SOLVE_RTOL = 1e-12  # residual contract of solve_linear, relative to ||b||
+
+
+def solve_linear(op: SparseOperator, b: np.ndarray) -> np.ndarray:
     """Direct solve with an explicit residual contract.
 
     Factorizes once (cached on the operator), applies one step of
     iterative refinement if the residual check fails, and raises
-    SolverError when ||Ax-b|| > rtol * ||b|| persists.
+    SolverError when ||Ax-b|| > _SOLVE_RTOL * ||b|| persists.
     """
     matrix, lu = op.matrix, op.factor()
     b = np.asarray(b, dtype=float)
     x = lu.solve(b)
     scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
     res = np.linalg.norm(matrix @ x - b)
-    if res > rtol * scale:
+    if res > _SOLVE_RTOL * scale:
         x = x + lu.solve(b - matrix @ x)
         res = np.linalg.norm(matrix @ x - b)
-        if res > rtol * scale:
+        if res > _SOLVE_RTOL * scale:
             raise SolverError(
-                f"linear solve residual {res:.3e} exceeds {rtol:.1e} * ||b||",
+                f"linear solve residual {res:.3e} exceeds "
+                f"{_SOLVE_RTOL:.1e} * ||b||",
                 residual=float(res))
     return x

@@ -37,6 +37,8 @@ __all__ = [
 # F and F' underflow together below s = -708, where 0/0 would replace
 # eta = 1 + 0.35 exp(s); that already rounds to 1 from s = -40 down
 _ETA_FLOOR = -700.0
+# relative residual |F(s) - u| / u at which invert stops
+_INVERT_RTOL = 1e-12
 
 
 class _FermiDiracIntegral:
@@ -125,13 +127,13 @@ class StatisticsModel:
         s = np.maximum(s, _ETA_FLOOR)
         return _match_shape(self.eval(s) / self.eval_derivative(s), s)
 
-    def invert(self, u, rtol: float = 1e-12):
+    def invert(self, u):
         """Solve F(s) = u for s.  Requires u > 0 elementwise.
 
         Bracketing is closed-form: F(s) < exp(s) makes log(u) a lower
         bound, and the degenerate leading term bounds from above; a
         safeguarded Newton iteration (bisection fallback) then converges to
-        ``|F(s) - u| <= rtol * u``.
+        ``|F(s) - u| <= _INVERT_RTOL * u``.
         """
         u = np.asarray(u, dtype=float)
         _require_finite(u, "u")
@@ -141,9 +143,9 @@ class StatisticsModel:
                               f"{np.atleast_1d(u)[bad]!r} at index {bad}")
         if self.kind == "boltzmann":
             return _match_shape(np.log(u), u)
-        return _match_shape(self._invert_fd(np.atleast_1d(u).ravel(), rtol), u)
+        return _match_shape(self._invert_fd(np.atleast_1d(u).ravel()), u)
 
-    def _invert_fd(self, u, rtol):
+    def _invert_fd(self, u):
         f0 = float(self.eval(0.0))
         # F(s) < exp(s) everywhere, so log(u) brackets from below; the
         # degenerate leading term (4/(3 sqrt(pi))) s^{3/2} < F(s) for s > 0
@@ -155,7 +157,7 @@ class StatisticsModel:
         s = lo.copy()
         for _ in range(80):
             f = self.eval(s) - u
-            done = np.abs(f) <= rtol * u
+            done = np.abs(f) <= _INVERT_RTOL * u
             if np.all(done):
                 return s
             lo = np.where(f < 0.0, s, lo)

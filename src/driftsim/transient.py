@@ -39,7 +39,7 @@ so this is an answer, not a failure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -90,6 +90,11 @@ class TimeStepperConfig:
     blowup_window: int = 3
 
     def __post_init__(self):
+        for f in fields(self):
+            if np.isnan(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must not be NaN")
+        if not np.isfinite(self.t_end):
+            raise DomainError("t_end must be finite")
         if self.dt_init <= 0.0 or self.t_end <= 0.0:
             raise DomainError("dt_init and t_end must be positive")
         if not 0.0 < self.dt_min <= self.dt_init:
@@ -408,7 +413,7 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     return out
 
 
-def detect_blowup(proxies, threshold: float, window: int = 3) -> bool:
+def detect_blowup(proxies, threshold: float, window: int) -> bool:
     """True when the trailing ``window`` proxies rise strictly past the threshold."""
     if len(proxies) < window:
         return False

@@ -4,6 +4,7 @@ import pathlib
 import sys
 
 import pytest
+import yaml
 
 from driftsim import device
 from driftsim.cli import main
@@ -77,6 +78,49 @@ def test_run_missing_deck_exits_1(tmp_path, capsys):
     code = run_cli("run", str(tmp_path / "nope.yaml"))
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def _set(path, value):
+    def edit(tree):
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+# one malformed record per kind, each in the shipped 1D diode deck
+MALFORMED = {
+    "region_coefficient_length": _set(("device", "regions", 0, "eps"),
+                                      [1.0, 2.0]),
+    "region": _set(("device", "regions", 0, "mobilty"), 2.0),
+    "contact": _set(("device", "contacts", 0, "side"), None),
+    "robin": _set(("device", "robin"), [{"side": "left"}]),
+    "surface": _set(("device", "surfaces"),
+                    [{"side": "left", "model": {"type": "bogus"}}]),
+    "interface": _set(("device", "interfaces"),
+                      [{"axis": "x", "position": 10.0}]),
+    "box": _set(("device", "doping", "boxes", 0, "value"), "high"),
+    "sheet": _set(("device", "doping", "sheets"), [{"position": 5.0}]),
+    "sink": _set(("output",), [{"kind": "probe", "path": "p.csv",
+                                "position": [1.0, 2.0]}]),
+    "stepper": _set(("stepper", "t_end"), float("nan")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_run_malformed_record_reports_errors_only(name, tmp_path, capsys):
+    tree = yaml.safe_load((DECKS / "diode.yaml").read_text())
+    MALFORMED[name](tree)
+    deck = tmp_path / "deck.yaml"
+    deck.write_text(yaml.safe_dump(tree, sort_keys=False))
+    code = run_cli("run", str(deck), "--outdir", str(tmp_path / "out"))
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines
+    assert all(line.startswith("error:") for line in lines), lines
+    if name == "region_coefficient_length":
+        assert any("'bulk'" in line and "eps" in line for line in lines)
 
 
 def test_run_broken_deck_exits_1_before_time_zero(tmp_path, capsys):

@@ -3,6 +3,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 from driftsim import decks
 from driftsim.config import (
@@ -99,6 +100,11 @@ def test_all_problems_surface_at_once():
     ("dt_max: 0.0", "dt_max"),
     ("dt_max: 0.02", "dt_max"),  # below dt_init: 0.1
     ("poisson_tol: 0.0", "poisson_tol"),
+    ("t_end: .nan", "t_end"),
+    ("t_end: .inf", "t_end"),
+    ("gummel_tol: .nan", "gummel_tol"),
+    ("growth: .nan", "growth"),
+    ("blowup_threshold: .nan", "blowup_threshold"),
 ])
 def test_stepper_values_that_break_run_rejected(setting, named):
     found = problems_of(MINIMAL + f"  {setting}\n")
@@ -161,6 +167,11 @@ def test_unknown_model_type_suggested():
     assert any("shockley_read_hall" in p for p in found)
 
 
+def test_unhashable_model_type_is_a_problem():
+    found = problems_of(MINIMAL + "recombination:\n  - {type: [1]}\n")
+    assert any(p.startswith("recombination[0].type: required") for p in found)
+
+
 def test_probe_sink_requires_position():
     found = problems_of(MINIMAL + textwrap.dedent("""
         output:
@@ -187,10 +198,180 @@ def test_snapshot_sink_rejects_position():
     assert any("position" in p for p in found)
 
 
+@pytest.mark.parametrize("position", ["[1.0]", "[]"])
+def test_probe_position_needs_one_coordinate_per_axis_2d(position):
+    text = FULL_2D.replace("position: [1.0, 0.5]", f"position: {position}")
+    found = problems_of(text)
+    assert "output[2].position: expected 2 coordinates" in found, found
+
+
+def test_probe_position_extra_coordinate_rejected_1d():
+    found = problems_of(MINIMAL + textwrap.dedent("""
+        output:
+          - kind: probe
+            path: probe.csv
+            position: [1.0, 2.0]
+        """))
+    assert "output[0].position: expected 1 coordinates" in found, found
+
+
+def test_per_axis_coefficient_of_wrong_length_is_a_problem():
+    text = MINIMAL.replace("bounds: [[0.0, 2.0]]",
+                           "bounds: [[0.0, 2.0]]\n      eps: [1.0, 2.0]")
+    found = problems_of(text)
+    assert any("'bulk'" in p and "eps" in p and "expected 1" in p
+               for p in found), found
+
+
 def test_device_violations_are_prefixed():
     text = MINIMAL.replace("bounds: [[0.0, 2.0]]", "bounds: [[0.0, 1.0]]")
     found = problems_of(text)
     assert any(p.startswith("device:") for p in found)
+
+
+# -- every record kind ----------------------------------------------------
+
+# a 2D deck with every record kind and every optional field; the first
+# interface and the first sheet leave out their axis
+FULL_2D = textwrap.dedent("""
+    device:
+      dimension: 2
+      extent: [4.0, 2.0]
+      resolution: [8, 4]
+      regions:
+        - name: left
+          bounds: [[0.0, 2.0], [0.0, 2.0]]
+          eps: [1.0, 2.0]
+          mu1: 0.5
+          mu2: [1.0, 1.5]
+        - name: right
+          bounds: [[2.0, 4.0], [0.0, 2.0]]
+      contacts:
+        - side: left
+          phi: [[0.0, -0.5], [1.0, -0.25]]
+          Phi1: 0.1
+          Phi2: -0.1
+          bias: 0.05
+          span: [0.0, 1.0]
+        - side: right
+      robin:
+        - side: left
+          eps_gamma: 0.5
+          phi_gamma: [[0.0, 0.0], [2.0, 0.3]]
+          span: [1.0, 2.0]
+      surfaces:
+        - side: bottom
+          model: {type: surface_srh, v1: 0.5, v2: 0.25}
+          span: [0.0, 2.0]
+        - side: top
+      interfaces:
+        - position: 2.0
+          model: {type: surface_srh, ni: 2.0}
+        - axis: 1
+          position: 1.0
+          span: [0.0, 2.0]
+      doping:
+        boxes:
+          - bounds: [[0.0, 2.0], [0.0, 2.0]]
+            value: -1.0
+        sheets:
+          - position: 1.0
+            density: 0.25
+          - axis: 1
+            position: 0.5
+            density: -0.25
+    statistics: {carrier1: boltzmann, carrier2: fermi_dirac_half}
+    flux_scheme: scharfetter_gummel_enhanced
+    recombination:
+      - {type: auger, c1: 2.0}
+    stepper:
+      dt_init: 0.01
+      t_end: 0.5
+      dt_min: 1.0e-9
+      dt_max: 0.1
+      growth: 1.5
+      shrink: 0.25
+      gummel_tol: 1.0e-9
+      gummel_max_iter: 30
+      poisson_tol: 1.0e-11
+      blowup_threshold: 1.0e+4
+      blowup_window: 4
+    output:
+      - {kind: snapshot, path: full_final.csv}
+      - {kind: series, path: full_series.csv}
+      - {kind: probe, path: full_probe.csv, position: [1.0, 0.5]}
+      - {kind: report, path: full_report.json}
+    seed: 7
+    """)
+
+
+def test_every_record_kind_round_trips_2d():
+    cfg = parse_config(FULL_2D)
+    device = cfg.device
+    assert [i.axis for i in device.interfaces] == [0, 1]
+    assert [s.axis for s in device.doping.sheets] == [0, 1]
+    assert device.regions[0].eps == (1.0, 2.0)
+    assert device.contacts[0].phi == ((0.0, -0.5), (1.0, -0.25))
+    assert device.contacts[0].span == (0.0, 1.0)
+    assert device.surfaces[0].model.v2 == 0.25
+    assert device.surfaces[1].model is None
+    assert device.interfaces[1].span == (0.0, 2.0)
+    assert cfg.stepper.blowup_window == 4
+    assert cfg.output[2] == OutputSink("probe", "full_probe.csv", (1.0, 0.5))
+    text = dump_config(cfg)
+    assert parse_config(text) == cfg
+    assert dump_config(parse_config(text)) == text
+    # the dump writes the axes the deck left out
+    tree = yaml.safe_load(text)["device"]
+    assert tree["interfaces"][0]["axis"] == 0
+    assert tree["doping"]["sheets"][0]["axis"] == 0
+
+
+# (record, path of the record in FULL_2D, a required field, a field and a
+# value of the wrong type for it)
+RECORD_CASES = [
+    ("region", ("device", "regions", 0), "name", "eps", "soft"),
+    ("contact", ("device", "contacts", 0), "side", "phi", "high"),
+    ("robin", ("device", "robin", 0), "eps_gamma", "span", [1.0]),
+    ("surface", ("device", "surfaces", 0), "side", "model", 3),
+    ("interface", ("device", "interfaces", 1), "position", "axis", "y"),
+    ("box", ("device", "doping", "boxes", 0), "value", "bounds",
+     [[0.0, 2.0]]),
+    ("sheet", ("device", "doping", "sheets", 0), "density", "position",
+     "middle"),
+    ("sink", ("output", 0), "path", "kind", 7),
+    ("stepper", ("stepper",), "dt_init", "gummel_max_iter", 4.5),
+]
+
+
+def _dotted(keys) -> str:
+    out = ""
+    for key in keys:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return out.lstrip(".")
+
+
+def _problems_with(keys, edit):
+    tree = yaml.safe_load(FULL_2D)
+    record = tree
+    for key in keys:
+        record = record[key]
+    edit(record)
+    return problems_of(yaml.safe_dump(tree, sort_keys=False))
+
+
+@pytest.mark.parametrize("name, keys, required, typed, bad",
+                         RECORD_CASES, ids=[c[0] for c in RECORD_CASES])
+def test_record_problems_carry_their_dotted_path(name, keys, required,
+                                                 typed, bad):
+    path = _dotted(keys)
+    found = _problems_with(keys, lambda r: r.update(bogus=1.0))
+    assert any(p.startswith(f"{path}.bogus: unknown key") for p in found), \
+        found
+    found = _problems_with(keys, lambda r: r.pop(required))
+    assert f"{path}.{required}: required" in found, found
+    found = _problems_with(keys, lambda r: r.update({typed: bad}))
+    assert any(p.startswith(f"{path}.{typed}") for p in found), found
 
 
 # -- round trip -----------------------------------------------------------
