@@ -14,6 +14,7 @@ the offending coordinate instead of silently moving it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -177,6 +178,13 @@ TAG_NEUMANN = 3
 
 @dataclass(frozen=True)
 class Mesh:
+    """Cells and faces of a uniform tensor-product mesh.
+
+    Cells are numbered x fastest.  Faces are numbered axis by axis, all
+    x-normal (axis-0) faces first, and x fastest within an axis; so the
+    1D face j lies between cells j - 1 and j.  ``Discretization.bands``
+    depends on this order to find a 1D operator's three diagonals.
+    """
     dimension: int
     shape: tuple[int, ...]
     extent: tuple[float, ...]
@@ -216,6 +224,29 @@ def _snap(coord: float, h: float, n: int, extent: float, what: str) -> int:
             f"{what} coordinate {coord!r} does not lie on a grid line "
             f"(spacing {h!r}); refusing to move it")
     return idx
+
+
+def _inside(centers: np.ndarray, bounds: tuple[Span, ...]) -> np.ndarray:
+    """Mask of the cells whose center lies strictly inside the box ``bounds``."""
+    inside = np.ones(centers.shape[0], dtype=bool)
+    for ax, (lo, hi) in enumerate(bounds):
+        inside &= (centers[:, ax] > lo) & (centers[:, ax] < hi)
+    return inside
+
+
+def _span_problems(what: str, span: Span | None, device: DeviceSpec,
+                   axis: int) -> list[str]:
+    """Why the span of a segment or interface normal to ``axis`` is
+    inadmissible: a span is a 2D interval of the tangent axis."""
+    if span is None:
+        return []
+    if device.dimension == 1:
+        return [f"{what} carries a span in 1D"]
+    lo, hi = span
+    length = device.extent[1 - axis]
+    if not (0.0 <= lo < hi <= length + 1e-12):
+        return [f"{what} has span {span}, need 0 <= lo < hi <= {length}"]
+    return []
 
 
 def validate_device(device: DeviceSpec) -> ValidationReport:
@@ -274,15 +305,8 @@ def validate_device(device: DeviceSpec) -> ValidationReport:
         if seg.side not in sides:
             out.append(f"{kind} side {seg.side!r} invalid for dimension {dim}")
             continue
-        if seg.span is not None:
-            if dim == 1:
-                out.append(f"{kind} on side {seg.side!r} carries a span in 1D")
-            else:
-                axis, _ = _SIDE_AXIS[seg.side]
-                tangent = 1 - axis
-                lo, hi = seg.span
-                if not (0.0 <= lo < hi <= device.extent[tangent] + 1e-12):
-                    out.append(f"{kind} span {seg.span} leaves side {seg.side!r}")
+        axis, _ = _SIDE_AXIS[seg.side]
+        out += _span_problems(f"{kind} on side {seg.side!r}", seg.span, device, axis)
     for i, (kind, seg) in enumerate(segments):
         for kind2, seg2 in segments[i + 1:]:
             if seg.side != seg2.side or seg.side not in sides:
@@ -318,9 +342,13 @@ def validate_device(device: DeviceSpec) -> ValidationReport:
         if not (0.0 < itf.position < device.extent[itf.axis]):
             out.append(f"interface at {itf.position} on axis {itf.axis} "
                        f"is not strictly interior")
+        out += _span_problems(f"interface at {itf.position}", itf.span, device, itf.axis)
     for box in device.doping.bulk:
         if len(box.bounds) != dim:
             out.append(f"doping box bounds {box.bounds} do not match dimension")
+        for ax, (lo, hi) in enumerate(box.bounds):
+            if not lo < hi:
+                out.append(f"doping box axis {ax} span ({lo}, {hi}) is empty")
         if not np.isfinite(box.value):
             out.append("doping box value is not finite")
     for sheet in device.doping.sheets:
@@ -340,23 +368,17 @@ def build_mesh(device: DeviceSpec) -> Mesh:
     shape = tuple(int(n) for n in device.resolution)
     extent = tuple(float(e) for e in device.extent)
     h = tuple(e / n for e, n in zip(extent, shape))
-    nx = shape[0]
-    ny = shape[1] if dim == 2 else 1
 
-    # cells, x-fastest ordering
-    ix = np.arange(nx)
-    if dim == 1:
-        centers = (ix[:, None] + 0.5) * h[0]
-        volumes = np.full(nx, h[0])
-    else:
-        iy = np.arange(ny)
-        cx, cy = np.meshgrid((ix + 0.5) * h[0], (iy + 0.5) * h[1], indexing="xy")
-        centers = np.column_stack([cx.ravel(), cy.ravel()])
-        volumes = np.full(nx * ny, h[0] * h[1])
+    def grid(counts) -> np.ndarray:
+        """(dim, n) grid indices of a ``counts`` block, x fastest."""
+        return np.indices(counts).reshape(dim, -1, order="F")
+
+    def cell_ids(index: np.ndarray) -> np.ndarray:
+        return np.ravel_multi_index(index, shape, mode="clip", order="F")
+
+    centers = np.column_stack([(i + 0.5) * hk for i, hk in zip(grid(shape), h)])
     n_cells = centers.shape[0]
-
-    def cell_index(i, j=0):
-        return i + nx * j
+    volumes = np.full(n_cells, math.prod(h))
 
     # region lookup by cell center; every bound must sit on a grid line
     for reg in device.regions:
@@ -365,9 +387,7 @@ def build_mesh(device: DeviceSpec) -> Mesh:
             _snap(hi, h[ax], shape[ax], extent[ax], f"region {reg.name!r}")
     region_of = np.full(n_cells, -1, dtype=int)
     for r, reg in enumerate(device.regions):
-        inside = np.ones(n_cells, dtype=bool)
-        for ax, (lo, hi) in enumerate(reg.bounds):
-            inside &= (centers[:, ax] > lo) & (centers[:, ax] < hi)
+        inside = _inside(centers, reg.bounds)
         if np.any(region_of[inside] >= 0):
             raise GeometryError(f"region {reg.name!r} overlaps another region")
         region_of[inside] = r
@@ -376,113 +396,73 @@ def build_mesh(device: DeviceSpec) -> Mesh:
         raise GeometryError(
             f"cell at {tuple(np.atleast_1d(centers[missing]))} belongs to no region")
 
-    # faces: all x-normal faces first, then y-normal
-    rows_ax, rows_area, rows_center = [], [], []
-    rows_cells, rows_dl, rows_dr = [], [], []
-    if dim == 1:
-        fx = np.arange(nx + 1)
-        rows_ax.append(np.zeros(nx + 1, dtype=int))
-        rows_area.append(np.ones(nx + 1))
-        rows_center.append((fx * h[0])[:, None])
-        lo_cell = np.where(fx > 0, fx - 1, -1)
-        hi_cell = np.where(fx < nx, fx, -1)
-        rows_cells.append(np.column_stack([lo_cell, hi_cell]))
-        rows_dl.append(np.where(lo_cell >= 0, 0.5 * h[0], 0.0))
-        rows_dr.append(np.where(hi_cell >= 0, 0.5 * h[0], 0.0))
-    else:
-        # x-normal: (nx+1) x ny
-        fx, fy = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="xy")
-        fx, fy = fx.ravel(), fy.ravel()
-        rows_ax.append(np.zeros(fx.size, dtype=int))
-        rows_area.append(np.full(fx.size, h[1]))
-        rows_center.append(np.column_stack([fx * h[0], (fy + 0.5) * h[1]]))
-        lo_cell = np.where(fx > 0, cell_index(fx - 1, fy), -1)
-        hi_cell = np.where(fx < nx, cell_index(np.minimum(fx, nx - 1), fy), -1)
-        rows_cells.append(np.column_stack([lo_cell, hi_cell]))
-        rows_dl.append(np.where(lo_cell >= 0, 0.5 * h[0], 0.0))
-        rows_dr.append(np.where(hi_cell >= 0, 0.5 * h[0], 0.0))
-        # y-normal: nx x (ny+1)
-        gx, gy = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="xy")
-        gx, gy = gx.ravel(), gy.ravel()
-        rows_ax.append(np.ones(gx.size, dtype=int))
-        rows_area.append(np.full(gx.size, h[0]))
-        rows_center.append(np.column_stack([(gx + 0.5) * h[0], gy * h[1]]))
-        lo_cell = np.where(gy > 0, cell_index(gx, gy - 1), -1)
-        hi_cell = np.where(gy < ny, cell_index(gx, np.minimum(gy, ny - 1)), -1)
-        rows_cells.append(np.column_stack([lo_cell, hi_cell]))
-        rows_dl.append(np.where(lo_cell >= 0, 0.5 * h[1], 0.0))
-        rows_dr.append(np.where(hi_cell >= 0, 0.5 * h[1], 0.0))
-
-    face_axis = np.concatenate(rows_ax)
-    face_area = np.concatenate(rows_area)
-    face_centers = np.vstack(rows_center)
-    face_cells = np.vstack(rows_cells)
-    face_dl = np.concatenate(rows_dl)
-    face_dr = np.concatenate(rows_dr)
+    # faces normal to each axis in turn; grid line k of axis a lies between
+    # cells k - 1 and k along a
+    per_axis = []
+    for a in range(dim):
+        index = grid(shape[:a] + (shape[a] + 1,) + shape[a + 1:])
+        line = index[a]
+        below = index.copy()
+        below[a] -= 1
+        lo = np.where(line > 0, cell_ids(below), -1)
+        hi = np.where(line < shape[a], cell_ids(index), -1)
+        position = [(i + 0.5) * hk for i, hk in zip(index, h)]
+        position[a] = line * h[a]
+        per_axis.append((
+            index.T, np.full(line.size, a),
+            np.full(line.size, math.prod(h[:a] + h[a + 1:], start=1.0)),
+            np.column_stack(position), np.column_stack([lo, hi]),
+            np.where(lo >= 0, 0.5 * h[a], 0.0), np.where(hi >= 0, 0.5 * h[a], 0.0)))
+    (face_index, face_axis, face_area, face_centers, face_cells,
+     face_dl, face_dr) = (np.concatenate(rows) for rows in zip(*per_axis))
     n_faces = face_axis.size
 
     boundary = (face_cells[:, 0] < 0) | (face_cells[:, 1] < 0)
     face_tag = np.where(boundary, TAG_NEUMANN, TAG_INTERIOR).astype(int)
+
+    def faces_on(axis: int, line: int, span: Span | None, what: str) -> np.ndarray:
+        """Faces normal to ``axis`` on grid line ``line``, within ``span`` of
+        the tangent axis when one is given (2D only)."""
+        sel = (face_axis == axis) & (face_index[:, axis] == line)
+        if span is not None and dim == 2:
+            tangent = 1 - axis
+            lo, hi = (_snap(c, h[tangent], shape[tangent], extent[tangent], what)
+                      for c in span)
+            sel &= (face_index[:, tangent] >= lo) & (face_index[:, tangent] < hi)
+        return np.flatnonzero(sel)
+
+    segment_faces = []
+    for kind, tag, segments in (("contact", TAG_DIRICHLET, device.contacts),
+                                ("robin segment", TAG_ROBIN, device.robin),
+                                ("surface segment", TAG_NEUMANN, device.surfaces)):
+        found = []
+        for seg in segments:
+            axis, high = _SIDE_AXIS[seg.side]
+            if axis >= dim:
+                raise GeometryError(f"side {seg.side!r} invalid in {dim}D")
+            faces = faces_on(axis, shape[axis] if high else 0, seg.span,
+                             f"segment on {seg.side!r}")
+            if np.any(face_tag[faces] != TAG_NEUMANN):
+                raise GeometryError(f"{kind} on {seg.side!r} overlaps another segment")
+            face_tag[faces] = tag
+            found.append(faces)
+        segment_faces.append(tuple(found))
+    dirichlet_faces, robin_faces, surface_faces = segment_faces
     face_contact = np.full(n_faces, -1, dtype=int)
-
-    def side_faces(side: str, span: Span | None) -> np.ndarray:
-        axis, high = _SIDE_AXIS[side]
-        if axis >= dim:
-            raise GeometryError(f"side {side!r} invalid in {dim}D")
-        coord = extent[axis] if high else 0.0
-        sel = (face_axis == axis) & boundary & \
-              (np.abs(face_centers[:, axis] - coord) < 1e-12 * max(extent))
-        if span is not None and dim == 2:
-            tangent = 1 - axis
-            lo, hi = span
-            _snap(lo, h[tangent], shape[tangent], extent[tangent], f"segment on {side!r}")
-            _snap(hi, h[tangent], shape[tangent], extent[tangent], f"segment on {side!r}")
-            c = face_centers[:, tangent]
-            sel &= (c > lo) & (c < hi)
-        return np.flatnonzero(sel)
-
-    dirichlet_faces = []
-    for ci, c in enumerate(device.contacts):
-        faces = side_faces(c.side, c.span)
-        if np.any(face_tag[faces] != TAG_NEUMANN):
-            raise GeometryError(f"contact on {c.side!r} overlaps another segment")
-        face_tag[faces] = TAG_DIRICHLET
+    for ci, faces in enumerate(dirichlet_faces):
         face_contact[faces] = ci
-        dirichlet_faces.append(faces)
-    robin_faces = []
-    for r in device.robin:
-        faces = side_faces(r.side, r.span)
-        if np.any(face_tag[faces] != TAG_NEUMANN):
-            raise GeometryError(f"robin segment on {r.side!r} overlaps another segment")
-        face_tag[faces] = TAG_ROBIN
-        robin_faces.append(faces)
-    surface_faces = []
-    for seg in device.surfaces:
-        faces = side_faces(seg.side, seg.span)
-        if np.any(face_tag[faces] != TAG_NEUMANN):
-            raise GeometryError(f"surface segment on {seg.side!r} overlaps another segment")
-        surface_faces.append(faces)
 
-    def hyperplane_faces(axis: int, position: float, span: Span | None,
-                         what: str) -> np.ndarray:
-        idx = _snap(position, h[axis], shape[axis], extent[axis], what)
-        if idx == 0 or idx == shape[axis]:
+    def plane_faces(axis: int, position: float, span: Span | None,
+                    what: str) -> np.ndarray:
+        line = _snap(position, h[axis], shape[axis], extent[axis], what)
+        if line == 0 or line == shape[axis]:
             raise GeometryError(f"{what} at {position!r} lies on the boundary")
-        sel = (face_axis == axis) & ~boundary & \
-              (np.abs(face_centers[:, axis] - idx * h[axis]) < 0.5 * h[axis])
-        if span is not None and dim == 2:
-            tangent = 1 - axis
-            lo, hi = span
-            _snap(lo, h[tangent], shape[tangent], extent[tangent], what)
-            _snap(hi, h[tangent], shape[tangent], extent[tangent], what)
-            c = face_centers[:, tangent]
-            sel &= (c > lo) & (c < hi)
-        return np.flatnonzero(sel)
+        return faces_on(axis, line, span, what)
 
-    interface_faces = [hyperplane_faces(i.axis, i.position, i.span, "interface")
-                       for i in device.interfaces]
-    sheet_faces = [hyperplane_faces(s.axis, s.position, None, "sheet doping")
-                   for s in device.doping.sheets]
+    interface_faces = tuple(plane_faces(i.axis, i.position, i.span, "interface")
+                            for i in device.interfaces)
+    sheet_faces = tuple(plane_faces(s.axis, s.position, None, "sheet doping")
+                        for s in device.doping.sheets)
 
     cell_face_lo = np.full((n_cells, dim), -1, dtype=int)
     cell_face_hi = np.full((n_cells, dim), -1, dtype=int)
@@ -498,13 +478,10 @@ def build_mesh(device: DeviceSpec) -> Mesh:
         face_axis=face_axis, face_area=face_area, face_centers=face_centers,
         face_cells=face_cells, face_dl=face_dl, face_dr=face_dr,
         face_tag=face_tag, face_contact=face_contact,
-        dirichlet_faces=tuple(dirichlet_faces),
-        robin_faces=tuple(robin_faces),
-        surface_faces=tuple(surface_faces),
-        interface_faces=tuple(interface_faces),
-        sheet_faces=tuple(sheet_faces),
-        cell_face_lo=cell_face_lo,
-        cell_face_hi=cell_face_hi,
+        dirichlet_faces=dirichlet_faces, robin_faces=robin_faces,
+        surface_faces=surface_faces, interface_faces=interface_faces,
+        sheet_faces=sheet_faces,
+        cell_face_lo=cell_face_lo, cell_face_hi=cell_face_hi,
     )
 
 
@@ -521,8 +498,5 @@ def bulk_doping(device: DeviceSpec, mesh: Mesh) -> np.ndarray:
     """Cellwise volume doping d evaluated at cell centers (boxes add up)."""
     d = np.zeros(mesh.n_cells)
     for box in device.doping.bulk:
-        inside = np.ones(mesh.n_cells, dtype=bool)
-        for ax, (lo, hi) in enumerate(box.bounds):
-            inside &= (mesh.cell_centers[:, ax] > lo) & (mesh.cell_centers[:, ax] < hi)
-        d[inside] += box.value
+        d[_inside(mesh.cell_centers, box.bounds)] += box.value
     return d

@@ -15,6 +15,13 @@ from driftsim.config import (
     load_config,
     parse_config,
 )
+from driftsim.device import (
+    TAG_DIRICHLET,
+    TAG_INTERIOR,
+    TAG_NEUMANN,
+    TAG_ROBIN,
+    build_mesh,
+)
 from driftsim.errors import ConfigError
 
 MINIMAL = textwrap.dedent("""
@@ -325,6 +332,59 @@ def test_every_record_kind_round_trips_2d():
     tree = yaml.safe_load(text)["device"]
     assert tree["interfaces"][0]["axis"] == 0
     assert tree["doping"]["sheets"][0]["axis"] == 0
+
+
+def test_full_2d_mesh_geometry_is_pinned():
+    # no shipped deck has a 2D span, a Robin segment, a surface or an
+    # interface, so this deck alone pins where their faces land.  Faces
+    # number the 4 rows of 9 x-normal faces, then the 5 rows of 8 y-normal
+    # faces, x fastest; cells number the 4 rows of 8, x fastest.
+    mesh = build_mesh(parse_config(FULL_2D).device)
+    I, D, R, N = TAG_INTERIOR, TAG_DIRICHLET, TAG_ROBIN, TAG_NEUMANN
+    assert mesh.face_tag.tolist() == [
+        D, I, I, I, I, I, I, I, D,
+        D, I, I, I, I, I, I, I, D,
+        R, I, I, I, I, I, I, I, D,
+        R, I, I, I, I, I, I, I, D,
+        N, N, N, N, N, N, N, N,
+        I, I, I, I, I, I, I, I,
+        I, I, I, I, I, I, I, I,
+        I, I, I, I, I, I, I, I,
+        N, N, N, N, N, N, N, N]
+    assert mesh.face_contact.tolist() == [
+        0, -1, -1, -1, -1, -1, -1, -1, 1,
+        0, -1, -1, -1, -1, -1, -1, -1, 1,
+        -1, -1, -1, -1, -1, -1, -1, -1, 1,
+        -1, -1, -1, -1, -1, -1, -1, -1, 1] + [-1] * 40
+    assert mesh.face_cells[:, 0].tolist() == [
+        -1, 0, 1, 2, 3, 4, 5, 6, 7,
+        -1, 8, 9, 10, 11, 12, 13, 14, 15,
+        -1, 16, 17, 18, 19, 20, 21, 22, 23,
+        -1, 24, 25, 26, 27, 28, 29, 30, 31,
+        -1, -1, -1, -1, -1, -1, -1, -1,
+        0, 1, 2, 3, 4, 5, 6, 7,
+        8, 9, 10, 11, 12, 13, 14, 15,
+        16, 17, 18, 19, 20, 21, 22, 23,
+        24, 25, 26, 27, 28, 29, 30, 31]
+    assert mesh.face_cells[:, 1].tolist() == [
+        0, 1, 2, 3, 4, 5, 6, 7, -1,
+        8, 9, 10, 11, 12, 13, 14, 15, -1,
+        16, 17, 18, 19, 20, 21, 22, 23, -1,
+        24, 25, 26, 27, 28, 29, 30, 31, -1,
+        0, 1, 2, 3, 4, 5, 6, 7,
+        8, 9, 10, 11, 12, 13, 14, 15,
+        16, 17, 18, 19, 20, 21, 22, 23,
+        24, 25, 26, 27, 28, 29, 30, 31,
+        -1, -1, -1, -1, -1, -1, -1, -1]
+
+    def lists(faces):
+        return [f.tolist() for f in faces]
+
+    assert lists(mesh.dirichlet_faces) == [[0, 9], [8, 17, 26, 35]]
+    assert lists(mesh.robin_faces) == [[18, 27]]
+    assert lists(mesh.surface_faces) == [[36, 37, 38, 39], list(range(68, 76))]
+    assert lists(mesh.interface_faces) == [[4, 13, 22, 31], [52, 53, 54, 55]]
+    assert lists(mesh.sheet_faces) == [[2, 11, 20, 29], list(range(44, 52))]
 
 
 # (record, path of the record in FULL_2D, a required field, a field and a

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftsim.device import (
     BoxDoping,
@@ -148,6 +151,29 @@ def test_interface_must_be_interior():
     assert any("interior" in v for v in validate_device(dev).violations)
 
 
+@pytest.mark.parametrize("dim, span, expected", [
+    (1, (5.0, 1.0), "interface at 1.0 carries a span in 1D"),
+    (2, (2.0, 0.0), "interface at 1.0 has span (2.0, 0.0)"),
+    (2, (0.0, 3.0), "interface at 1.0 has span (0.0, 3.0)"),
+], ids=["1d", "reversed", "past-the-side"])
+def test_interface_span_checked(dim, span, expected):
+    itf = (InterfaceSpec(axis=0, position=1.0, span=span),)
+    dev = slab_1d(interfaces=itf) if dim == 1 else \
+        slab_2d(extent=(2.0, 2.0), interfaces=itf)
+    assert any(v.startswith(expected) for v in validate_device(dev).violations)
+
+
+def test_empty_doping_box_rejected():
+    dev = slab_1d(cells=4, extent=2.0,
+                  doping=DopingProfile(bulk=(BoxDoping(((1.5, 0.5),), 1.0),)))
+    assert any("doping box" in v and "empty" in v
+               for v in validate_device(dev).violations)
+    # a box reaching past the domain only covers fewer cells
+    dev = slab_1d(cells=4, extent=2.0,
+                  doping=DopingProfile(bulk=(BoxDoping(((1.0, 3.0),), 1.0),)))
+    assert validate_device(dev).ok
+
+
 def test_sheet_doping_checks():
     dev = slab_1d(doping=DopingProfile(sheets=(SheetDoping(1, 0.5, 1.0),)))
     assert any("sheet" in v for v in validate_device(dev).violations)
@@ -207,6 +233,41 @@ def test_mesh_2d_face_pairing_is_consistent():
     dlo = mesh.cell_centers[lo, ax]
     dhi = mesh.cell_centers[hi, ax]
     assert np.all(dhi > dlo)
+
+
+@given(data=st.data(), dim=st.sampled_from([1, 2]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_mesh_geometry_holds_for_any_resolution(data, dim):
+    shape = tuple(data.draw(st.lists(st.integers(1, 12), min_size=dim,
+                                     max_size=dim)))
+    extent = tuple(data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim,
+                                      max_size=dim)))
+    dev = slab_1d(cells=shape[0], extent=extent[0]) if dim == 1 else \
+        slab_2d(nx=shape[0], ny=shape[1], extent=extent)
+    mesh = build_mesh(dev)
+    # axis a has one more face than cells along a, as many as cells across
+    assert mesh.n_faces == sum(
+        math.prod(shape) // shape[a] * (shape[a] + 1) for a in range(dim))
+    assert np.sum(mesh.cell_volumes) == pytest.approx(math.prod(extent),
+                                                      rel=1e-12)
+    lo, hi = mesh.face_cells.T
+    faces = np.arange(mesh.n_faces)
+    assert np.array_equal(mesh.cell_face_lo[hi[hi >= 0], mesh.face_axis[hi >= 0]],
+                          faces[hi >= 0])
+    assert np.array_equal(mesh.cell_face_hi[lo[lo >= 0], mesh.face_axis[lo >= 0]],
+                          faces[lo >= 0])
+    cells = np.arange(mesh.n_cells)
+    for a in range(dim):
+        assert np.array_equal(hi[mesh.cell_face_lo[:, a]], cells)
+        assert np.array_equal(lo[mesh.cell_face_hi[:, a]], cells)
+    inner = mesh.face_tag == TAG_INTERIOR
+    assert np.array_equal(inner, (lo >= 0) & (hi >= 0))
+    spacing = np.asarray(mesh.spacing)[mesh.face_axis[inner]]
+    assert np.array_equal(mesh.face_dl[inner] + mesh.face_dr[inner], spacing)
+    if dim == 1:
+        # Discretization.bands relies on face j joining cells j - 1 and j
+        assert lo.tolist() == list(range(-1, shape[0]))
+        assert hi.tolist() == list(range(shape[0])) + [-1]
 
 
 def test_two_region_assignment():
