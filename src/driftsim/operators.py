@@ -1,14 +1,14 @@
 """Finite-volume operator assembly on tensor-product meshes.
 
 Two-point flux approximation with distance-weighted harmonic averaging of
-the diagonal coefficient tensors across faces.  Dirichlet boundaries are
-eliminated against ghost values at face centers (half-cell distance),
-Robin segments add ``eps_gamma * area`` masses to the diagonal, plain
-Neumann faces contribute nothing.  The electron/hole continuity operators
-use Scharfetter-Gummel exponential fitting, optionally corrected for
-degenerate statistics by a facewise degeneracy average (see ``sg_flux``).
+the diagonal coefficient tensors across faces.  A Dirichlet face joins
+its cell to a ghost, the contact's value at the face center (half-cell
+distance), so it is one more stencil face.  Robin segments add
+``eps_gamma * area`` masses to the diagonal, Neumann faces nothing.
+The electron/hole continuity operators use Scharfetter-Gummel fitting,
+optionally corrected for degenerate statistics (see ``sg_flux``).
 
-A ``Discretization`` holds what a run never changes: the face sets, the
+A ``Discretization`` holds what a run never changes: the stencil, the
 transmissibilities and the one CSC sparsity pattern all matrices share.
 A run builds it once, with its Poisson operator, and carries it on
 ``SimulationResult.disc``, so currents and outputs read it from there.
@@ -96,13 +96,13 @@ class FluxScheme:
             raise DomainError(f"unknown flux scheme {self.variant!r}")
 
 
-def eta_face(stats: StatisticsModel, s_lo, s_hi):
+def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
     """Face average of the degeneracy factor eta = F/F'.
 
-    Uses the divided difference (s_hi - s_lo)/(ln F(s_hi) - ln F(s_lo)),
-    the harmonic path average of eta along the edge; this is the unique
-    face constant for which equal quasi-Fermi levels produce exactly zero
-    flux.  Falls back to the midpoint value when the arguments coincide.
+    Uses the divided difference (s_hi - s_lo)/(ln u_hi - ln u_lo) of the
+    face-side densities u = F(s), the harmonic path average of eta along the
+    edge; the unique face constant for which equal quasi-Fermi levels give
+    exactly zero flux.  Falls back to the midpoint when the s coincide.
     """
     if stats.kind == "boltzmann":
         return np.ones_like(np.asarray(s_lo, dtype=float))
@@ -111,18 +111,19 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi):
     ds = s_hi - s_lo
     close = np.abs(ds) < 1e-6
     mid = stats.eval_eta(0.5 * (s_lo + s_hi))
-    dlog = np.log(stats.eval(s_hi)) - np.log(stats.eval(s_lo))
+    dlog = np.log(u_hi) - np.log(u_lo)
     dlog = np.where(close, 1.0, dlog)
     return np.where(close, mid, ds / dlog)
 
 
-def _sg_coefficients(scheme: FluxScheme, stats, s_lo, s_hi, dphi, t):
-    """Per-face coefficients (a, b) with flux = a*u_lo - b*u_hi."""
+def _sg_coefficients(scheme: FluxScheme, face_eta, dphi, t):
+    """Per-face coefficients (a, b) with flux = a*u_lo - b*u_hi; only the
+    enhanced variant calls ``face_eta()`` for its degeneracy factors."""
     if scheme.variant == "central":
         return t * (1.0 + 0.5 * dphi), t * (1.0 - 0.5 * dphi)
     if scheme.variant == "scharfetter_gummel":
         return t * bernoulli(-dphi), t * bernoulli(dphi)
-    eta = eta_face(stats, s_lo, s_hi)
+    eta = face_eta()
     d = dphi / eta
     return t * eta * bernoulli(-d), t * eta * bernoulli(d)
 
@@ -145,9 +146,9 @@ def sg_flux(scheme: FluxScheme, u_lo, u_hi, s_lo, s_hi, dphi,
         raise DomainError("enhanced flux needs the statistics model")
     t = np.asarray(mobility, dtype=float) * np.asarray(area, dtype=float) \
         / np.asarray(distance, dtype=float)
-    a, b = _sg_coefficients(scheme, stats, np.asarray(s_lo, dtype=float),
-                            np.asarray(s_hi, dtype=float),
-                            np.asarray(dphi, dtype=float), t)
+    a, b = _sg_coefficients(scheme, lambda: eta_face(
+        stats, s_lo, s_hi, stats.eval(s_lo), stats.eval(s_hi)),
+        np.asarray(dphi, dtype=float), t)
     out = a * u_lo - b * u_hi
     if out.ndim == 0:
         return float(out)
@@ -155,57 +156,69 @@ def sg_flux(scheme: FluxScheme, u_lo, u_hi, s_lo, s_hi, dphi,
 
 
 class Discretization:
-    """Face sets, transmissibilities and sparsity pattern of one mesh.
+    """Flux stencil, transmissibilities and sparsity pattern of one mesh.
 
-    Interior faces ``interior`` join cells ``lo`` and ``hi`` at distance
-    ``span``.  Dirichlet face ``dirichlet`` of contact ``contact`` touches
-    ``cell`` at distance ``ghost_distance``; its ghost value sits on the
-    high side where ``on_lo_side`` holds.  Robin faces add ``robin_coeff``
-    to the diagonal of ``robin_cell``, loaded by segment ``robin_segment``.
-    ``transmissibility[name]`` (eps, mu1, mu2) holds the interior and the
-    Dirichlet face transmissibilities.  The CSC pattern, structurally
-    symmetric, holds the full diagonal (at ``diagonal_slots`` of the data)
-    and the (lo, hi) and (hi, lo) entries of every interior face.  If it is
-    tridiagonal (n >= 3, interior face j joins cells j and j + 1), ``bands``
-    holds the data slots of the sub-, main and super-diagonal, else None.
+    Stencil face j (mesh face ``faces[j]``) joins ``lo[j]`` to ``hi[j]`` at
+    distance ``span[j]``: first the ``n_interior`` interior faces, then the
+    Dirichlet faces, whose outer side is ghost ``n_cells + i`` for the i-th,
+    holding contact ``contact[i]``'s value at the face center; so a cell
+    field extended by its ghost values is read alike on every face, with
+    ``transmissibility[name]`` (eps, mu1, mu2).  Robin faces add
+    ``robin_coeff`` to the diagonal of ``robin_cell``, loaded by segment
+    ``robin_segment``.  The CSC pattern, structurally symmetric, holds the
+    full diagonal (at ``diagonal_slots`` of the data) and the (lo, hi) and
+    (hi, lo) entries of every interior face.  If it is tridiagonal (n >= 3,
+    interior face j joins cells j and j + 1), ``bands`` holds the data
+    slots of the sub-, main and super-diagonal, else None.
     """
 
     def __init__(self, device: DeviceSpec, mesh: Mesh):
         self.mesh = mesh
         n = self.n_cells = mesh.n_cells
-        inner = self.interior = np.flatnonzero(mesh.face_tag == TAG_INTERIOR)
-        self.lo, self.hi = mesh.face_cells[inner].T.copy()
-        bound = self.dirichlet = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
-        self.on_lo_side = mesh.face_cells[bound, 0] >= 0
-        # a boundary face has -1 on its outer side, so max() is its cell
-        self.cell = mesh.face_cells[bound].max(axis=1)
+        inner = np.flatnonzero(mesh.face_tag == TAG_INTERIOR)
+        bound = np.flatnonzero(mesh.face_tag == TAG_DIRICHLET)
+        m = self.n_interior = inner.size
+        faces = self.faces = np.concatenate([inner, bound])
         self.contact = mesh.face_contact[bound]
+        # a boundary face has -1 on its outer side, where its ghost goes
+        cells = mesh.face_cells[faces]
+        ghost = np.concatenate([np.full(m, -1), n + np.arange(bound.size)])
+        self.lo, self.hi = np.where(cells < 0, ghost[:, None], cells).T.copy()
         segment_of = np.full(mesh.n_faces, -1)
-        for s, faces in enumerate(mesh.robin_faces):
-            segment_of[faces] = s
+        for s, robin_faces in enumerate(mesh.robin_faces):
+            segment_of[robin_faces] = s
         robin = np.flatnonzero(mesh.face_tag == TAG_ROBIN)
         self.robin_segment = segment_of[robin]
         self.robin_cell = mesh.face_cells[robin].max(axis=1)
         self.robin_coeff = mesh.face_area[robin] * np.array(
             [device.robin[s].eps_gamma for s in self.robin_segment])
-        dl, dr, axis = (a[inner] for a in (mesh.face_dl, mesh.face_dr,
-                                           mesh.face_axis))
+        dl, dr, axis, area = (a[faces] for a in (
+            mesh.face_dl, mesh.face_dr, mesh.face_axis, mesh.face_area))
         self.span = dl + dr
-        dist = self.ghost_distance = np.where(
-            self.on_lo_side, mesh.face_dl[bound], mesh.face_dr[bound])
+        lo, hi, cell = self.lo[:m], self.hi[:m], cells[m:].max(axis=1)
         self.transmissibility = {}
         for name in ("eps", "mu1", "mu2"):
             k = cell_tensor(device, mesh, name)
             with np.errstate(divide="ignore"):
-                t = mesh.face_area[inner] / (dl / k[self.lo, axis]
-                                             + dr / k[self.hi, axis])
-            self.transmissibility[name] = (t, mesh.face_area[bound] * k[
-                self.cell, mesh.face_axis[bound]] / dist)
+                t = area[:m] / (dl[:m] / k[lo, axis[:m]]
+                                + dr[:m] / k[hi, axis[:m]])
+            self.transmissibility[name] = np.concatenate(
+                [t, area[m:] * k[cell, axis[m:]] / self.span[m:]])
+
+        # term j of concatenate([a, b]) is a_j, weight of face j's lo value,
+        # and term faces.size + j is b_j.  Diagonals sum interior a's, interior
+        # b's, then contact faces' cell-side terms (one fixed rounding order);
+        # the ghost-side terms load the cells
+        j = np.arange(m, faces.size)
+        terms = np.concatenate([np.arange(m), faces.size + np.arange(m),
+                                j + faces.size * (self.lo[j] >= n)])
+        self._diagonal = (np.concatenate([lo, hi, cell]), terms)
+        self._ghost_load = (cell, j + faces.size * (self.hi[j] >= n))
 
         # entries in fill order: the diagonal, then (lo, hi) and (hi, lo)
         # of each interior face; sorted by column, then row, they are CSC
-        rows = np.concatenate([np.arange(n), self.lo, self.hi])
-        cols = np.concatenate([np.arange(n), self.hi, self.lo])
+        rows = np.concatenate([np.arange(n), lo, hi])
+        cols = np.concatenate([np.arange(n), hi, lo])
         self._order = np.lexsort((rows, cols))
         self._template = sp.csc_matrix((np.zeros(rows.size), (rows, cols)),
                                        shape=(n, n))
@@ -214,15 +227,29 @@ class Discretization:
         slots = np.argsort(self._order)
         self.diagonal_slots = slots[:n]
         self.bands = (slots[2 * n - 1:], slots[:n], slots[n:2 * n - 1]) \
-            if n >= 3 and np.array_equal(self.lo, np.arange(n - 1)) \
-            and np.array_equal(self.hi, self.lo + 1) else None
-        # the cell of each face term on a continuity diagonal, in order
-        self.continuity_rows = np.concatenate([self.lo, self.hi, self.cell])
+            if n >= 3 and np.array_equal(lo, np.arange(n - 1)) \
+            and np.array_equal(hi, lo + 1) else None
+
+    def diagonal(self, a, b, cells, values) -> np.ndarray:
+        """Diagonal of a stencil operator with face coefficients ``a``/``b``,
+        plus ``values`` summed into ``cells`` after the face terms."""
+        rows, terms = self._diagonal
+        return np.bincount(np.concatenate([rows, cells]), np.concatenate(
+            [np.concatenate([a, b])[terms], values]), minlength=self.n_cells)
+
+    def ghost_load(self, a, b, ghost: np.ndarray, out: np.ndarray):
+        """Add the ghost columns' right-hand side into ``out``: each contact
+        face's ghost-side coefficient times its ``ghost`` value."""
+        cells, terms = self._ghost_load
+        np.add.at(out, cells, np.concatenate([a, b])[terms] * ghost)
+        return out
 
     def matrix(self, diagonal, upper, lower) -> sp.csc_matrix:
-        """The matrix with ``diagonal``, ``upper`` at each interior face's
-        (lo, hi) entry and ``lower`` at its (hi, lo) entry."""
-        return self.csc(np.concatenate([diagonal, upper, lower])[self._order])
+        """The matrix with ``diagonal``, ``upper[j]`` at the (lo, hi) entry
+        and ``lower[j]`` at the (hi, lo) entry of each interior face j."""
+        m = self.n_interior
+        return self.csc(np.concatenate([diagonal, upper[:m],
+                                        lower[:m]])[self._order])
 
     def csc(self, data: np.ndarray) -> sp.csc_matrix:
         """The matrix whose data array, in pattern order, is ``data``."""
@@ -277,10 +304,8 @@ class SparseOperator:
 def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
     """Robin-Poisson operator: diffusion in eps + Robin masses + Dirichlet closure."""
     disc = Discretization(device, mesh)
-    t, tb = disc.transmissibility["eps"]
-    diagonal = np.bincount(
-        np.concatenate([disc.lo, disc.hi, disc.cell, disc.robin_cell]),
-        np.concatenate([t, t, tb, disc.robin_coeff]), minlength=disc.n_cells)
+    t = disc.transmissibility["eps"]
+    diagonal = disc.diagonal(t, t, disc.robin_cell, disc.robin_coeff)
     return SparseOperator(matrix=disc.matrix(diagonal, -t, -t), disc=disc)
 
 
@@ -294,8 +319,8 @@ def poisson_data_load(device: DeviceSpec, op: SparseOperator,
     for sheet, faces in zip(device.doping.sheets, mesh.sheet_faces):
         load += apply_surface_load(mesh, faces, sheet.density)
     phi_d = np.array([c.values(t)[0] for c in device.contacts])
-    np.add.at(load, disc.cell,
-              disc.transmissibility["eps"][1] * phi_d[disc.contact])
+    eps = disc.transmissibility["eps"]
+    disc.ghost_load(eps, eps, phi_d[disc.contact], load)
     phi_g = np.array([sample_series(r.phi_gamma, t) for r in device.robin])
     np.add.at(load, disc.robin_cell,
               disc.robin_coeff * phi_g[disc.robin_segment])
@@ -306,45 +331,34 @@ def poisson_data_load(device: DeviceSpec, op: SparseOperator,
 class FaceCoefficients:
     """Scharfetter-Gummel coefficients of one carrier on every stencil face.
 
-    The mass flow through a face, positive from its low to its high side,
-    is ``a * u_lo - b * u_hi``.  Interior faces couple the cells ``lo`` and
-    ``hi`` of ``disc`` with coefficients ``a``/``b``.  A Dirichlet face
-    couples its one cell with the ghost density ``u_d`` at the face center
-    through ``a_d``/``b_d``.
+    The mass flow through stencil face j of ``disc``, positive from its low
+    to its high side, is ``a[j] * u[lo[j]] - b[j] * u[hi[j]]``, where the
+    cell densities ``u`` are extended by the ghost densities ``u_d`` at the
+    Dirichlet face centers.
     """
     disc: Discretization
     a: np.ndarray
     b: np.ndarray
-    a_d: np.ndarray
-    b_d: np.ndarray
     u_d: np.ndarray
 
     def flux(self, u: np.ndarray) -> np.ndarray:
         """Facewise mass flow for cell densities ``u``; zero off the stencil."""
         d = self.disc
+        u = np.concatenate([u, self.u_d])
         out = np.zeros(d.mesh.n_faces)
-        out[d.interior] = self.a * u[d.lo] - self.b * u[d.hi]
-        u_lo = np.where(d.on_lo_side, u[d.cell], self.u_d)
-        u_hi = np.where(d.on_lo_side, self.u_d, u[d.cell])
-        out[d.dirichlet] = self.a_d * u_lo - self.b_d * u_hi
+        out[d.faces] = self.a * u[d.lo] - self.b * u[d.hi]
         return out
 
-    def system(self, diagonal: np.ndarray | None = None,
-               ) -> tuple[sp.csc_matrix, np.ndarray]:
-        """Net-outflow matrix M (plus ``diagonal``, if given) and Dirichlet load.
+    def system(self, diagonal) -> tuple[sp.csc_matrix, np.ndarray]:
+        """Net-outflow matrix M plus ``diagonal``, and the Dirichlet load.
 
         ``M u - load`` is the cellwise divergence of ``flux(u)``.  The
-        optional ``diagonal`` (a time-derivative mass, say) is summed into
+        ``diagonal`` (a time-derivative mass, say, or zeros) is summed into
         each diagonal entry after the face contributions.
         """
         d = self.disc
-        inner = np.where(d.on_lo_side, self.a_d, self.b_d)
-        outer = np.where(d.on_lo_side, self.b_d, self.a_d)
-        main = np.bincount(d.continuity_rows, np.concatenate(
-            [self.a, self.b, inner]), minlength=d.n_cells)
-        if diagonal is not None:
-            main += diagonal
-        load = np.bincount(d.cell, outer * self.u_d, minlength=d.n_cells)
+        main = d.diagonal(self.a, self.b, np.arange(d.n_cells), diagonal)
+        load = d.ghost_load(self.a, self.b, self.u_d, np.zeros(d.n_cells))
         return d.matrix(main, -self.b, -self.a), load
 
 
@@ -361,23 +375,16 @@ def face_coefficients(disc: Discretization, stats: StatisticsModel,
     if k not in (1, 2):
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
     sign = -1.0 if k == 1 else 1.0
-    t, tb = disc.transmissibility["mu1" if k == 1 else "mu2"]
-    lo, hi, cell, on_lo_side = disc.lo, disc.hi, disc.cell, disc.on_lo_side
-    dphi = sign * (phi[hi] - phi[lo])
-    a, b = _sg_coefficients(scheme, stats, chi[lo], chi[hi], dphi, t)
-
     phi_d, Phi_d = np.asarray(contact_values, dtype=float).reshape(-1, 2)[
         disc.contact].T
-    chi_d = Phi_d + sign * phi_d
-    u_d = stats.eval(chi_d)
-    # ghost sits on the high side of the face when the cell is the low
-    # side, and vice versa; dphi is always high minus low
-    dphi_b = np.where(on_lo_side, sign * (phi_d - phi[cell]),
-                      sign * (phi[cell] - phi_d))
-    s_lo = np.where(on_lo_side, chi[cell], chi_d)
-    s_hi = np.where(on_lo_side, chi_d, chi[cell])
-    a_d, b_d = _sg_coefficients(scheme, stats, s_lo, s_hi, dphi_b, tb)
-    return FaceCoefficients(disc=disc, a=a, b=b, a_d=a_d, b_d=b_d, u_d=u_d)
+    phi = np.concatenate([phi, phi_d])
+    chi = np.concatenate([chi, Phi_d + sign * phi_d])
+    u = stats.eval(chi)
+    lo, hi = disc.lo, disc.hi
+    a, b = _sg_coefficients(scheme, lambda: eta_face(
+        stats, chi[lo], chi[hi], u[lo], u[hi]), sign * (phi[hi] - phi[lo]),
+        disc.transmissibility["mu1" if k == 1 else "mu2"])
+    return FaceCoefficients(disc=disc, a=a, b=b, u_d=u[disc.n_cells:])
 
 
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
@@ -391,7 +398,8 @@ def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
     production terms are the caller's business.
     """
     return face_coefficients(Discretization(device, mesh), stats, scheme, k,
-                             phi, chi, contact_values).system()
+                             phi, chi, contact_values).system(
+                                 np.zeros(mesh.n_cells))
 
 
 def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
@@ -433,26 +441,18 @@ def apply_surface_load(mesh: Mesh, faces: np.ndarray, rate) -> np.ndarray:
 
 
 def face_gradient(disc: Discretization, values: np.ndarray,
-                  contact_values: np.ndarray | None = None) -> np.ndarray:
+                  contact_values: np.ndarray) -> np.ndarray:
     """Axis-directed first difference of a cell field at every face.
 
-    Interior faces use the two-point difference over the center-to-center
-    distance, Dirichlet faces the half-cell difference against the ghost
-    value at the face center (``contact_values`` indexed by contact id).
-    Other boundary faces report zero, which is the consistent value for
-    insulated segments and a deliberate approximation for Robin ones.
+    Stencil faces difference ``values``, extended by the ghost values
+    (``contact_values`` indexed by contact id), over their ``span``.  Other
+    boundary faces report zero, which is the consistent value for insulated
+    segments and a deliberate approximation for Robin ones.
     """
+    values = np.concatenate([values, np.asarray(contact_values,
+                                                dtype=float)[disc.contact]])
     g = np.zeros(disc.mesh.n_faces)
-    g[disc.interior] = (values[disc.hi] - values[disc.lo]) / disc.span
-    if disc.dirichlet.size:
-        if contact_values is None:
-            raise DomainError("face_gradient needs contact values on "
-                              "meshes with Dirichlet faces")
-        ghost = np.asarray(contact_values, dtype=float)[disc.contact]
-        g[disc.dirichlet] = np.where(disc.on_lo_side,
-                                     ghost - values[disc.cell],
-                                     values[disc.cell] - ghost) \
-            / disc.ghost_distance
+    g[disc.faces] = (values[disc.hi] - values[disc.lo]) / disc.span
     return g
 
 

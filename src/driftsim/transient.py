@@ -103,10 +103,12 @@ class TimeStepperConfig:
             raise DomainError("need dt_init <= dt_max")
         if self.growth < 1.0 or not 0.0 < self.shrink < 1.0:
             raise DomainError("growth must be >= 1 and shrink in (0, 1)")
-        if self.gummel_tol <= 0.0 or self.gummel_max_iter < 1:
-            raise DomainError("bad decoupling loop parameters")
-        if not self.poisson_tol > 0.0:
-            raise DomainError("poisson_tol must be positive")
+        # an infinite tolerance would end every loop after its first iterate
+        for name in ("gummel_tol", "poisson_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be positive and finite")
+        if self.gummel_max_iter < 1:
+            raise DomainError("gummel_max_iter must be at least 1")
         if self.blowup_window < 2:
             raise DomainError("blowup_window must be at least 2")
 
@@ -396,19 +398,20 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     contact up to sign, recombination notwithstanding.  ``disc`` is the
     run's ``Discretization``, ``SimulationResult.disc``.
     """
-    mesh = disc.mesh
     chi = np.vstack([state.Phi[0] - state.phi, state.Phi[1] + state.phi])
     contacts = contact_data(device, state.t)
     face_flux = [face_coefficients(disc, models.stats[k - 1], models.scheme,
                                    k, state.phi, chi[k - 1],
                                    [(c[0], c[k]) for c in contacts])
                  .flux(models.stats[k - 1].eval(chi[k - 1])) for k in (1, 2)]
+    # a contact face's flow runs from lo to hi: outward where hi is its ghost
+    faces = disc.faces[disc.n_interior:]
+    outward = np.where(disc.hi[disc.n_interior:] >= disc.n_cells, 1.0, -1.0)
     out = {}
     for idx, contact in enumerate(device.contacts):
-        faces = mesh.dirichlet_faces[idx]
-        outward = np.where(mesh.face_cells[faces, 1] < 0, 1.0, -1.0)
-        flow1 = float(np.sum(outward * face_flux[0][faces]))
-        flow2 = float(np.sum(outward * face_flux[1][faces]))
+        on = disc.contact == idx
+        flow1 = float(np.sum(outward[on] * face_flux[0][faces[on]]))
+        flow2 = float(np.sum(outward[on] * face_flux[1][faces[on]]))
         out[contact.side] = flow1 - flow2
     return out
 

@@ -110,6 +110,8 @@ def test_all_problems_surface_at_once():
     ("t_end: .nan", "t_end"),
     ("t_end: .inf", "t_end"),
     ("gummel_tol: .nan", "gummel_tol"),
+    ("gummel_tol: .inf", "gummel_tol"),
+    ("poisson_tol: .inf", "poisson_tol"),
     ("growth: .nan", "growth"),
     ("blowup_threshold: .nan", "blowup_threshold"),
 ])

@@ -186,19 +186,23 @@ def test_enhanced_needs_statistics():
         sg_flux(ENHANCED, 1.0, 1.0, 0.0, 0.0, 0.1, 1.0, 1.0, 1.0)
 
 
+def _eta_face(stats, s_lo, s_hi):
+    return eta_face(stats, s_lo, s_hi, stats.eval(s_lo), stats.eval(s_hi))
+
+
 def test_eta_face_boltzmann_unity():
-    assert np.all(eta_face(boltzmann(), np.array([0.0, 1.0]),
-                           np.array([2.0, 1.0])) == 1.0)
+    assert np.all(_eta_face(boltzmann(), np.array([0.0, 1.0]),
+                            np.array([2.0, 1.0])) == 1.0)
 
 
 def test_eta_face_degenerate_exceeds_one():
-    eta = eta_face(fermi_dirac_half(), 10.0, 12.0)
+    eta = _eta_face(fermi_dirac_half(), 10.0, 12.0)
     assert eta > 1.0
 
 
 def test_eta_face_smooth_in_the_nondegenerate_range():
     # a short face deep in the Boltzmann range: eta is 1 + 0.35 exp(s)
-    eta = eta_face(fermi_dirac_half(), -15.0000015, -14.9999995)
+    eta = _eta_face(fermi_dirac_half(), -15.0000015, -14.9999995)
     assert eta == pytest.approx(1.0000001082, abs=1e-8)
 
 
@@ -264,7 +268,38 @@ def _two_contact_device_2d():
         robin=(RobinSegment("bottom", eps_gamma=0.5, span=(0.0, 0.6)),))
 
 
-@pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+def _every_side_device_2d():
+    # a one-face contact on every side: on the left and bottom ones the
+    # ghost lies below its cell, on the right and top ones above it.  The
+    # top-left and bottom-right cells each touch two contacts, one with
+    # the ghost below and one with it above, so their diagonals sum the
+    # two contact terms in face order (the anisotropic mobilities make the
+    # other order round differently); a Robin segment and walls fill in.
+    return DeviceSpec(
+        dimension=2, extent=(1.2, 1.0), resolution=(6, 5),
+        regions=(MaterialRegion("a", ((0.0, 0.6), (0.0, 1.0)),
+                                mu1=(1.0, 0.3), mu2=(0.9, 0.3)),
+                 MaterialRegion("b", ((0.6, 1.2), (0.0, 1.0)),
+                                mu1=(2.5, 0.5), mu2=1.5)),
+        contacts=(Contact(side="left", span=(0.8, 1.0)),
+                  Contact(side="top", span=(0.0, 0.2)),
+                  Contact(side="bottom", span=(1.0, 1.2)),
+                  Contact(side="right", span=(0.0, 0.2))),
+        robin=(RobinSegment("bottom", eps_gamma=0.5, span=(0.2, 0.8)),))
+
+
+def _device(dimension):
+    if dimension == 1:
+        return dirichlet_slab(cells=9)
+    return _two_contact_device_2d() if dimension == 2 \
+        else _every_side_device_2d()
+
+
+DIMENSIONS = pytest.mark.parametrize(
+    "dimension", [1, 2, "2d_every_side"], ids=["1d", "2d", "2d_every_side"])
+
+
+@DIMENSIONS
 @pytest.mark.parametrize("k", [1, 2], ids=["k1", "k2"])
 @pytest.mark.parametrize("scheme,stats", [
     (CENTRAL, boltzmann()),
@@ -275,8 +310,7 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
                                                    stats):
     # the face flux and the matrix come from one set of face coefficients,
     # so the net cell outflow of the flux is M u minus the Dirichlet load
-    dev = dirichlet_slab(cells=9) if dimension == 1 \
-        else _two_contact_device_2d()
+    dev = _device(dimension)
     mesh = build_mesh(dev)
     rng = np.random.default_rng(11 + k)
     phi = rng.uniform(0.0, 2.0, mesh.n_cells)
@@ -302,11 +336,6 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
 # references below are coordinate-list builds, with their face sets read
 # off the mesh, and every entry must come out bit for bit the same.
 
-def _fill_device(dimension):
-    return dirichlet_slab(cells=9) if dimension == 1 \
-        else _two_contact_device_2d()
-
-
 def _reference_faces(mesh):
     interior = mesh.face_tag == TAG_INTERIOR
     lo, hi = mesh.face_cells[interior].T
@@ -320,14 +349,14 @@ def _coo(n, rows, cols, data):
                          shape=(n, n)).tocsr()
 
 
-@pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+@DIMENSIONS
 @pytest.mark.parametrize("k", [1, 2], ids=["k1", "k2"])
 @pytest.mark.parametrize("scheme,stats", [
     (SG, boltzmann()),
     (ENHANCED, fermi_dirac_half()),
 ], ids=["sg", "enhanced_fd"])
 def test_system_fill_matches_coordinate_build(dimension, k, scheme, stats):
-    dev = _fill_device(dimension)
+    dev = _device(dimension)
     mesh = build_mesh(dev)
     n = mesh.n_cells
     rng = np.random.default_rng(5 + k)
@@ -340,27 +369,30 @@ def test_system_fill_matches_coordinate_build(dimension, k, scheme, stats):
                           chi, values)
     M, load = f.system(mass)
 
+    # the stencil lists the interior faces first, then the contact faces
     lo, hi, cell, on_lo_side = _reference_faces(mesh)
-    inner = np.where(on_lo_side, f.a_d, f.b_d)
+    m = lo.size
+    a, b = f.a[:m], f.b[:m]
+    inner = np.where(on_lo_side, f.a[m:], f.b[m:])
     every = np.arange(n)
     ref = _coo(n, [lo, lo, hi, hi, cell, every],
                [lo, hi, hi, lo, cell, every],
-               [f.a, -f.b, f.b, -f.a, inner, mass])
+               [a, -b, b, -a, inner, mass])
     ref_load = np.zeros(n)
-    np.add.at(ref_load, cell, np.where(on_lo_side, f.b_d, f.a_d) * f.u_d)
+    np.add.at(ref_load, cell, np.where(on_lo_side, f.b[m:], f.a[m:]) * f.u_d)
     assert np.array_equal(M.toarray(), ref.toarray())
     assert np.array_equal(load, ref_load)
 
 
 @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
 def test_newton_jacobian_fill_matches_sparse_sum(dimension):
-    dev = _fill_device(dimension)
+    dev = _device(dimension)
     mesh = build_mesh(dev)
     n = mesh.n_cells
     op = assemble_poisson(dev, mesh)
 
     lo, hi, cell, _ = _reference_faces(mesh)
-    t, tb = op.disc.transmissibility["eps"]
+    t, tb = np.split(op.disc.transmissibility["eps"], [lo.size])
     eps_gamma = np.zeros(mesh.n_faces)
     for segment, faces in zip(dev.robin, mesh.robin_faces):
         eps_gamma[faces] = segment.eps_gamma
@@ -381,7 +413,7 @@ def test_newton_jacobian_fill_matches_sparse_sum(dimension):
 def test_matrices_cannot_change_the_shared_pattern():
     # every matrix on a mesh shares the Discretization's index arrays, so
     # an in-place structural change must fail instead of corrupting them
-    dev = _fill_device(2)
+    dev = _device(2)
     op = assemble_poisson(dev, build_mesh(dev))
     with pytest.raises(ValueError):
         op.matrix.eliminate_zeros()
@@ -541,14 +573,24 @@ def test_surface_load_conserves_mass():
     assert injected == pytest.approx(direct, abs=1e-15)
 
 
-def test_face_gradient_of_affine_field():
-    dev = dirichlet_slab(cells=10, extent=2.0, phi_left=0.5, phi_right=4.5)
+@pytest.mark.parametrize("dimension", [1, "2d_every_side"],
+                         ids=["1d", "2d_every_side"])
+def test_face_gradient_of_affine_field(dimension):
+    # every contact has one face, so the field's value at its center is
+    # the contact value; flux faces see the slope along their axis, the
+    # walls and Robin faces report zero
+    dev = dirichlet_slab(cells=10, extent=2.0) if dimension == 1 \
+        else _every_side_device_2d()
     mesh = build_mesh(dev)
-    values = 0.5 + 2.0 * mesh.cell_centers[:, 0]
-    contacts = [(0.5,), (4.5,)]
-    grad = face_gradient(Discretization(dev, mesh), values,
-                         [c[0] for c in contacts])
-    assert np.max(np.abs(grad - 2.0)) <= 1e-12
+    slope = np.array([2.0, -0.75])[:mesh.cell_centers.shape[1]]
+    values = 0.5 + mesh.cell_centers @ slope
+    contacts = [(0.5 + mesh.face_centers[faces] @ slope).item()
+                for faces in mesh.dirichlet_faces]
+    grad = face_gradient(Discretization(dev, mesh), values, contacts)
+    stencil = np.isin(mesh.face_tag, (TAG_INTERIOR, TAG_DIRICHLET))
+    assert np.max(np.abs(grad[stencil] - slope[mesh.face_axis[stencil]])) \
+        <= 1e-12
+    assert np.all(grad[~stencil] == 0.0)
 
 
 def test_cell_average_faces_of_constant():
