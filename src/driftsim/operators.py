@@ -331,34 +331,34 @@ def poisson_data_load(device: DeviceSpec, op: SparseOperator,
 class FaceCoefficients:
     """Scharfetter-Gummel coefficients of one carrier on every stencil face.
 
-    The mass flow through stencil face j of ``disc``, positive from its low
-    to its high side, is ``a[j] * u[lo[j]] - b[j] * u[hi[j]]``, where the
-    cell densities ``u`` are extended by the ghost densities ``u_d`` at the
-    Dirichlet face centers.
+    ``u`` holds the densities F(chi) the coefficients were evaluated at:
+    the cells, then the ghosts at the Dirichlet face centers.  The mass
+    flow through stencil face j of ``disc``, positive from its low to its
+    high side, is ``a[j] * u[lo[j]] - b[j] * u[hi[j]]``.
     """
     disc: Discretization
     a: np.ndarray
     b: np.ndarray
-    u_d: np.ndarray
+    u: np.ndarray
 
-    def flux(self, u: np.ndarray) -> np.ndarray:
-        """Facewise mass flow for cell densities ``u``; zero off the stencil."""
+    def flux(self) -> np.ndarray:
+        """Facewise mass flow of the densities ``u``; zero off the stencil."""
         d = self.disc
-        u = np.concatenate([u, self.u_d])
         out = np.zeros(d.mesh.n_faces)
-        out[d.faces] = self.a * u[d.lo] - self.b * u[d.hi]
+        out[d.faces] = self.a * self.u[d.lo] - self.b * self.u[d.hi]
         return out
 
     def system(self, diagonal) -> tuple[sp.csc_matrix, np.ndarray]:
         """Net-outflow matrix M plus ``diagonal``, and the Dirichlet load.
 
-        ``M u - load`` is the cellwise divergence of ``flux(u)``.  The
-        ``diagonal`` (a time-derivative mass, say, or zeros) is summed into
-        each diagonal entry after the face contributions.
+        ``M u[:n_cells] - load`` is the cellwise divergence of ``flux()``.
+        The ``diagonal`` (a time-derivative mass, say, or zeros) is summed
+        into each diagonal entry after the face contributions.
         """
         d = self.disc
         main = d.diagonal(self.a, self.b, np.arange(d.n_cells), diagonal)
-        load = d.ghost_load(self.a, self.b, self.u_d, np.zeros(d.n_cells))
+        load = d.ghost_load(self.a, self.b, self.u[d.n_cells:],
+                            np.zeros(d.n_cells))
         return d.matrix(main, -self.b, -self.a), load
 
 
@@ -384,7 +384,7 @@ def face_coefficients(disc: Discretization, stats: StatisticsModel,
     a, b = _sg_coefficients(scheme, lambda: eta_face(
         stats, chi[lo], chi[hi], u[lo], u[hi]), sign * (phi[hi] - phi[lo]),
         disc.transmissibility["mu1" if k == 1 else "mu2"])
-    return FaceCoefficients(disc=disc, a=a, b=b, u_d=u[disc.n_cells:])
+    return FaceCoefficients(disc=disc, a=a, b=b, u=u)
 
 
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
@@ -416,7 +416,7 @@ def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
     boundary loads.
     """
     return face_coefficients(Discretization(device, mesh), stats, scheme, k,
-                             phi, chi, contact_values).flux(stats.eval(chi))
+                             phi, chi, contact_values).flux()
 
 
 def apply_surface_load(mesh: Mesh, faces: np.ndarray, rate) -> np.ndarray:

@@ -48,8 +48,8 @@ from .device import DeviceSpec, Mesh, build_mesh
 from .errors import DomainError, SolverError, StepRejected
 from .nonlinear_poisson import (NonlinearPoissonProblem, equilibrium_state,
                                 solve_operator_S)
-from .operators import (Discretization, FluxScheme, SparseOperator,
-                        apply_surface_load, assemble_poisson,
+from .operators import (Discretization, FaceCoefficients, FluxScheme,
+                        SparseOperator, apply_surface_load, assemble_poisson,
                         cell_average_faces, face_coefficients, face_gradient,
                         poisson_data_load, solve_linear)
 from .recombination import SurfaceSRH, bulk_production
@@ -180,6 +180,17 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
                         u=np.vstack([u1, u2]))
 
 
+def _carrier_coefficients(disc: Discretization, models: SimulationModels,
+                          phi: np.ndarray, chi: np.ndarray,
+                          contacts: list[tuple[float, float, float]],
+                          ) -> list[FaceCoefficients]:
+    """Both carriers' face coefficients, with their densities F(chi), at
+    potential ``phi`` and statistics arguments ``chi`` (2, n_cells)."""
+    return [face_coefficients(disc, models.stats[k - 1], models.scheme, k,
+                              phi, chi[k - 1], [(c[0], c[k]) for c in contacts])
+            for k in (1, 2)]
+
+
 def _cell_currents(disc: Discretization, phi: np.ndarray,
                    contacts: list[tuple[float, float, float]],
                    face_flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,13 +302,11 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             phi = phi_d + phi_tilde
 
         chi = np.vstack([Phi[0] - phi, Phi[1] + phi])
-        u_eval = (s1.eval(chi[0]), s2.eval(chi[1]))
-        faces = [face_coefficients(poisson.disc, models.stats[k - 1],
-                                   models.scheme, k, phi, chi[k - 1],
-                                   [(c[0], c[k]) for c in contacts])
-                 for k in (1, 2)]
-        e, j = _cell_currents(poisson.disc, phi, contacts, np.vstack(
-            [f.flux(u) for f, u in zip(faces, u_eval)]))
+        faces = _carrier_coefficients(poisson.disc, models, phi, chi,
+                                      contacts)
+        u_eval = [f.u[:mesh.n_cells] for f in faces]
+        e, j = _cell_currents(poisson.disc, phi, contacts,
+                              np.vstack([f.flux() for f in faces]))
         r_bulk = bulk_production(models.bulk, u_eval[0], u_eval[1], Phi[0],
                                  Phi[1], e, j[0], j[1])
         shared = V * r_bulk + _surface_loads(device, mesh, *u_eval)
@@ -399,11 +408,8 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     run's ``Discretization``, ``SimulationResult.disc``.
     """
     chi = np.vstack([state.Phi[0] - state.phi, state.Phi[1] + state.phi])
-    contacts = contact_data(device, state.t)
-    face_flux = [face_coefficients(disc, models.stats[k - 1], models.scheme,
-                                   k, state.phi, chi[k - 1],
-                                   [(c[0], c[k]) for c in contacts])
-                 .flux(models.stats[k - 1].eval(chi[k - 1])) for k in (1, 2)]
+    face_flux = [f.flux() for f in _carrier_coefficients(
+        disc, models, state.phi, chi, contact_data(device, state.t))]
     # a contact face's flow runs from lo to hi: outward where hi is its ghost
     faces = disc.faces[disc.n_interior:]
     outward = np.where(disc.hi[disc.n_interior:] >= disc.n_cells, 1.0, -1.0)
