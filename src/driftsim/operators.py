@@ -355,10 +355,9 @@ class FaceCoefficients:
         The ``diagonal`` (a time-derivative mass, say, or zeros) is summed
         into each diagonal entry after the face contributions.
         """
-        d = self.disc
-        main = d.diagonal(self.a, self.b, np.arange(d.n_cells), diagonal)
-        load = d.ghost_load(self.a, self.b, self.u[d.n_cells:],
-                            np.zeros(d.n_cells))
+        d, n = self.disc, self.disc.n_cells
+        main = d.diagonal(self.a, self.b, np.arange(n), diagonal)
+        load = d.ghost_load(self.a, self.b, self.u[n:], np.zeros(n))
         return d.matrix(main, -self.b, -self.a), load
 
 

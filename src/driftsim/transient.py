@@ -23,10 +23,10 @@ residual plus (+w, -w).  The few transport modes the preconditioner
 leaves (they strengthen with the step size) are collapsed by Anderson
 mixing over a short history of the corrected residuals.  If an
 accelerated iterate breaks a solve, the loop falls back to the plain
-sweep image and continues.  Once the increment test passes, one
-corrector pass re-evaluates the reaction loads at the new state and
-re-solves the density systems, so the accepted step is implicit in the
-recombination terms as well.
+sweep image and continues.  The accepted state is the sweep image that
+passes the increment test, with the balance of its density solves; its
+reaction loads were taken at an iterate within the step tolerance of it,
+so the step is implicit in the recombination terms to that tolerance.
 
 A step that produces a nonpositive density or fails to converge raises
 StepRejected; the driver halves the step and retries, growing it again
@@ -266,7 +266,6 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     returned report carries the defect of the discrete balance identity,
     evaluated with the exact loads the final linear solves used.
     """
-    s1, s2 = models.stats
     mesh = poisson.disc.mesh
     t_next = state.t + dt
     contacts = contact_data(device, t_next)
@@ -281,25 +280,23 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         source = np.asarray(source, dtype=float)
     zero_load = np.zeros(mesh.n_cells)
 
-    def advance(Phi, refresh_potential=True):
+    def advance(Phi):
         """One sweep image of the quasi-Fermi iterate.
 
-        Solves the potential for the iterate (unless the corrector pass
-        asks to keep it), evaluates the reaction loads there, solves the
-        two density systems, and reads the quasi-Fermi levels back.
+        Solves the potential for the iterate, evaluates the densities and
+        the reaction loads there, solves the two density systems, and reads
+        the quasi-Fermi levels back.
         """
         nonlocal phi, phi_tilde
-        if refresh_potential:
-            omega = np.vstack([Phi[0] - phi_d, Phi[1] + phi_d])
-            problem = NonlinearPoissonProblem(
-                poisson=poisson, volumes=V, load=zero_load,
-                stats=models.stats, omega=omega)
-            try:
-                phi_tilde = solve_operator_S(problem, tol=config.poisson_tol,
-                                             x0=phi_tilde)
-            except SolverError as exc:
-                raise StepRejected(f"potential solve failed: {exc}") from exc
-            phi = phi_d + phi_tilde
+        problem = NonlinearPoissonProblem(
+            poisson=poisson, volumes=V, load=zero_load, stats=models.stats,
+            omega=np.vstack([Phi[0] - phi_d, Phi[1] + phi_d]))
+        try:
+            phi_tilde = solve_operator_S(problem, tol=config.poisson_tol,
+                                         x0=phi_tilde)
+        except SolverError as exc:
+            raise StepRejected(f"potential solve failed: {exc}") from exc
+        phi = phi_d + phi_tilde
 
         chi = np.vstack([Phi[0] - phi, Phi[1] + phi])
         faces = _carrier_coefficients(poisson.disc, models, phi, chi,
@@ -315,7 +312,6 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         Phi_new = np.empty_like(Phi)
         balance = 0.0
         for k in (1, 2):
-            stats_k = models.stats[k - 1]
             system, dirichlet_load = faces[k - 1].system(V / dt)
             rhs = V * state.u[k - 1] / dt + shared + dirichlet_load
             if source is not None:
@@ -332,9 +328,9 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             balance = max(balance, float(np.max(np.abs(defect))) / scale)
             u_new[k - 1] = u_k
             sign = -1.0 if k == 1 else 1.0
-            Phi_new[k - 1] = stats_k.invert(u_k) - sign * phi
-        screen = np.vstack([V * s1.eval_derivative(chi[0]),
-                            V * s2.eval_derivative(chi[1])])
+            Phi_new[k - 1] = models.stats[k - 1].invert(u_k) - sign * phi
+        screen = np.vstack([V * s.eval_derivative(c)
+                            for s, c in zip(models.stats, chi)])
         return Phi_new, u_new, balance, screen
 
     Phi = state.Phi.copy()
@@ -360,14 +356,10 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         residual = Phi_new - Phi
         increment = float(np.max(np.abs(residual)))
         if increment <= config.gummel_tol:
-            Phi_fin, u_fin, balance, _ = advance(Phi_new,
-                                                 refresh_potential=False)
-            new_state = CarrierState(t=t_next, phi=phi, Phi=Phi_fin, u=u_fin)
-            proxy = _quasi_fermi_norm(poisson.disc, Phi_fin, contacts)
-            return new_state, StepReport(t=t_next, dt=dt,
-                                         gummel_iterations=sweep + 1,
-                                         balance_residual=balance,
-                                         proxy=proxy)
+            proxy = _quasi_fermi_norm(poisson.disc, Phi_new, contacts)
+            return (CarrierState(t=t_next, phi=phi, Phi=Phi_new, u=u_new),
+                    StepReport(t=t_next, dt=dt, gummel_iterations=sweep + 1,
+                               balance_residual=balance, proxy=proxy))
         plain_image = Phi_new
         w = poisson.factor().solve(screen[0] * residual[0]
                                    - screen[1] * residual[1])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftsim import transient
 from driftsim.config import OutputSink, SimulationConfig
 from driftsim.device import (
     BoxDoping,
@@ -172,7 +173,15 @@ def test_terminal_currents_vanish_at_equilibrium():
     assert abs(currents["right"]) <= 1e-10
 
 
-def test_gummel_step_advances_time():
+def test_gummel_step_advances_time(monkeypatch):
+    solves = []
+    original = transient.solve_linear
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transient, "solve_linear", counting)
     dev = biased_diode()
     poisson = assemble_poisson(dev, build_mesh(dev))
     models = SimulationModels(stats=BB)
@@ -183,6 +192,9 @@ def test_gummel_step_advances_time():
     assert state.t == 0.0  # input state untouched
     assert report.gummel_iterations >= 1
     assert report.balance_residual <= 1e-12
+    # the accepted state is the last sweep's image: two density solves per
+    # sweep, and no further pass after the increment test
+    assert len(solves) == 2 * report.gummel_iterations
 
 
 def test_run_builds_one_discretization(monkeypatch):
