@@ -45,30 +45,25 @@ def _execute(config):
 
 def cmd_run(args) -> int:
     try:
-        text = _load_deck(args.deck)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = parse_config(text)
+        config = parse_config(_load_deck(args.deck))
+        os.makedirs(args.outdir, exist_ok=True)
+        models, result = _execute(config)
+        write_outputs(config, config.device, result.disc.mesh, models,
+                      result, directory=args.outdir)
+        if result.blowup is not None \
+                and not any(s.kind == "report" for s in config.output):
+            stem = os.path.splitext(os.path.basename(args.deck))[0]
+            fallback = os.path.join(args.outdir, f"{stem}_report.json")
+            write_report(fallback, config.device, models, result)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-    os.makedirs(args.outdir, exist_ok=True)
-    try:
-        models, result = _execute(config)
-    except DriftError as exc:
+    except (OSError, DriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_outputs(config, config.device, result.disc.mesh, models, result,
-                  directory=args.outdir)
     if result.blowup is None:
         return 0
-    if not any(s.kind == "report" for s in config.output):
-        stem = os.path.splitext(os.path.basename(args.deck))[0]
-        fallback = os.path.join(args.outdir, f"{stem}_report.json")
-        write_report(fallback, config.device, models, result)
     print(f"blow-up at t={result.final.t:.6g}: {result.blowup.reason}",
           file=sys.stderr)
     return 3

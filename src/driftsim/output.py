@@ -118,14 +118,16 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
     """Write every declared sink; returns the paths written.
 
     Relative sink paths land in ``directory`` (default: the current
-    working directory).  Writes happen sequentially in declaration
-    order, so two sinks may safely share a path prefix.  ``mesh`` places
-    the snapshot and probe rows; currents are computed on ``result.disc``.
+    working directory), and a sink's missing parent directories are made.
+    Writes happen sequentially in declaration order, so two sinks may
+    safely share a path prefix.  ``mesh`` places the snapshot and probe
+    rows; currents are computed on ``result.disc``.
     """
     written = []
     for sink in config.output:
         path = sink.path if directory is None \
             else os.path.join(directory, sink.path)
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         if sink.kind == "snapshot":
             _write_snapshot(path, mesh, result.final)
         elif sink.kind == "series":

@@ -167,6 +167,40 @@ def test_blowup_report_written_even_without_sink(tmp_path, capsys, builds):
     assert builds == {"disc": 1, "mesh": 1}
 
 
+def test_run_makes_missing_sink_directories(tmp_path, capsys):
+    # a sink in a directory that does not exist yet must not lose the
+    # blow-up report after the whole run
+    text = (DECKS / "avalanche_runaway.yaml").read_text()
+    text = text.replace("path: avalanche_report.json",
+                        "path: nested/deeper/avalanche_report.json")
+    deck = tmp_path / "runaway.yaml"
+    deck.write_text(text)
+    out = tmp_path / "out"
+    code = run_cli("run", str(deck), "--outdir", str(out))
+    assert code == 3
+    assert "blow-up" in capsys.readouterr().err
+    report = json.loads(
+        (out / "nested" / "deeper" / "avalanche_report.json").read_text())
+    assert report["blowup"] is not None
+    assert (out / "avalanche_series.csv").exists()
+
+
+def test_run_unwritable_sink_exits_1(tmp_path, capsys):
+    text = (DECKS / "srh_two_cell.yaml").read_text()
+    text = text.replace("path: srh_two_cell_report.json",
+                        "path: blocker/srh_two_cell_report.json")
+    deck = tmp_path / "srh.yaml"
+    deck.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "blocker").write_text("a file, not a directory\n")
+    code = run_cli("run", str(deck), "--outdir", str(out))
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines
+    assert all(line.startswith("error:") for line in lines), lines
+
+
 # -- sweep ----------------------------------------------------------------
 
 def test_sweep_empty_values_header_only(tmp_path, capsys):
