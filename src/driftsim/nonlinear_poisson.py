@@ -40,7 +40,7 @@ import numpy as np
 from .device import DeviceSpec, Mesh, build_mesh, bulk_doping
 from .errors import DomainError, NonConvergenceError, SolverError
 from .operators import SparseOperator, assemble_poisson, poisson_data_load
-from .statistics import StatisticsModel
+from .statistics import StatisticsModel, eval_carriers
 
 __all__ = [
     "NonlinearPoissonProblem", "SolveReport", "apriori_bound", "cutoff",
@@ -80,20 +80,18 @@ class NonlinearPoissonProblem:
         object.__setattr__(self, "load", load)
         object.__setattr__(self, "omega", omega)
 
-    def densities(self, phi: np.ndarray):
-        u1 = self.stats[0].eval(self.omega[0] - phi)
-        u2 = self.stats[1].eval(self.omega[1] + phi)
-        return u1, u2
+    def linearize(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residual at ``phi`` and the diagonal V (F1' + F2') that the
+        density terms add to P there (always positive), from one
+        statistics evaluation of both carriers."""
+        args = np.vstack([self.omega[0] - phi, self.omega[1] + phi])
+        u, du = eval_carriers(self.stats, args)
+        residual = self.poisson.matrix @ phi - self.load \
+            - self.volumes * (u[0] - u[1])
+        return residual, self.volumes * (du[0] + du[1])
 
     def residual(self, phi: np.ndarray) -> np.ndarray:
-        u1, u2 = self.densities(phi)
-        return self.poisson.matrix @ phi - self.load - self.volumes * (u1 - u2)
-
-    def jacobian_diagonal(self, phi: np.ndarray) -> np.ndarray:
-        """Diagonal added to P by the density terms (always positive)."""
-        d1 = self.stats[0].eval_derivative(self.omega[0] - phi)
-        d2 = self.stats[1].eval_derivative(self.omega[1] + phi)
-        return self.volumes * (d1 + d2)
+        return self.linearize(phi)[0]
 
     def dual_norm(self, r: np.ndarray) -> float:
         """sqrt(r^T P^{-1} r), the discrete dual norm of a residual."""
@@ -149,13 +147,13 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
         raise DomainError("tol must be positive")
     n = problem.poisson.dimension
     phi = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = problem.residual(phi)
+    r, diagonal = problem.linearize(phi)
     res = problem.dual_norm(r)
     for it in range(_NEWTON_MAX_ITER):
         if res <= tol:
             return phi, SolveReport("newton", it, res)
-        J = SparseOperator(problem.poisson.shifted(
-            problem.jacobian_diagonal(phi)), problem.poisson.disc)
+        J = SparseOperator(problem.poisson.shifted(diagonal),
+                           problem.poisson.disc)
         try:
             delta = J.factor().solve(r)
         except RuntimeError as exc:
@@ -170,7 +168,7 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
         while True:
             trial = phi - step * delta
             with np.errstate(invalid="ignore"):
-                r_trial = problem.residual(trial)
+                r_trial, diagonal_trial = problem.linearize(trial)
             res_trial = (problem.dual_norm(r_trial)
                          if np.all(np.isfinite(r_trial)) else math.inf)
             if res_trial < res:
@@ -179,7 +177,7 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
             if step < 2.0 ** -40:
                 raise NonConvergenceError(
                     "Newton line search stalled", iterations=it, residual=res)
-        phi, r, res = trial, r_trial, res_trial
+        phi, r, diagonal, res = trial, r_trial, diagonal_trial, res_trial
     if res <= tol:
         return phi, SolveReport("newton", _NEWTON_MAX_ITER, res)
     raise NonConvergenceError("Newton did not reach tolerance",
@@ -306,11 +304,11 @@ def neutral_potential(stats, doping):
     phi = np.arcsinh(flat / 2.0)  # Boltzmann guess
     scale = np.abs(flat) + 1.0
     for _ in range(100):
-        g = flat + s1.eval(-phi) - s2.eval(phi)
+        u, du = eval_carriers(stats, np.vstack([-phi, phi]))
+        g = flat + u[0] - u[1]
         if np.all(np.abs(g) <= _NEUTRAL_RTOL * scale):
             break
-        gp = -s1.eval_derivative(-phi) - s2.eval_derivative(phi)
-        phi = phi - g / gp
+        phi = phi - g / (-du[0] - du[1])
     else:
         raise NonConvergenceError("neutral potential iteration stalled",
                                   iterations=100,
@@ -362,6 +360,5 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
     start = neutral_potential(stats, bulk_doping(device, mesh)) - phi_d
     phi_t, _ = newton_solve(reduced, tol=_EQUILIBRIUM_TOL, x0=start)
     phi = phi_d + phi_t
-    u1 = s1.eval(-phi)
-    u2 = s2.eval(phi)
-    return mesh, phi, (u1, u2)
+    u, _ = eval_carriers(stats, np.vstack([-phi, phi]))
+    return mesh, phi, (u[0], u[1])

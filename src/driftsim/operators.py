@@ -24,6 +24,8 @@ columns in minimum-degree order of A^T + A, as the pattern is symmetric.
 One kernel, ``face_coefficients``, computes a carrier's coefficients on
 every stencil face; both the continuity matrix with its Dirichlet load and
 the face flux ``a u_lo - b u_hi`` are read off that one result.
+``carrier_face_coefficients`` runs it for both carriers on one joint
+statistics evaluation.
 
 Sign conventions: the Poisson operator acts so that ``(P phi)_i``
 approximates the cellwise integral of ``-div(eps grad phi)`` plus boundary
@@ -46,13 +48,14 @@ from scipy.linalg import lapack
 from .device import (DeviceSpec, Mesh, TAG_DIRICHLET, TAG_INTERIOR,
                      TAG_ROBIN, bulk_doping, cell_tensor, sample_series)
 from .errors import DomainError, SolverError
-from .statistics import StatisticsModel
+from .statistics import StatisticsModel, eval_carriers
 
 __all__ = [
     "Discretization", "SparseOperator", "FluxScheme", "FaceCoefficients",
     "bernoulli", "sg_flux", "eta_face", "assemble_poisson",
-    "poisson_data_load", "face_coefficients", "assemble_continuity",
-    "continuity_face_flux", "apply_surface_load", "face_gradient",
+    "poisson_data_load", "face_coefficients", "carrier_face_coefficients",
+    "assemble_continuity", "continuity_face_flux", "apply_surface_load",
+    "face_gradient",
     "cell_average_faces", "solve_linear",
 ]
 
@@ -102,7 +105,8 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
     Uses the divided difference (s_hi - s_lo)/(ln u_hi - ln u_lo) of the
     face-side densities u = F(s), the harmonic path average of eta along the
     edge; the unique face constant for which equal quasi-Fermi levels give
-    exactly zero flux.  Falls back to the midpoint when the s coincide.
+    exactly zero flux.  Falls back to the midpoint on the faces where the
+    s coincide, and evaluates eta only there.
     """
     if stats.kind == "boltzmann":
         return np.ones_like(np.asarray(s_lo, dtype=float))
@@ -110,10 +114,11 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
     s_hi = np.asarray(s_hi, dtype=float)
     ds = s_hi - s_lo
     close = np.abs(ds) < 1e-6
-    mid = stats.eval_eta(0.5 * (s_lo + s_hi))
     dlog = np.log(u_hi) - np.log(u_lo)
-    dlog = np.where(close, 1.0, dlog)
-    return np.where(close, mid, ds / dlog)
+    eta = np.asarray(ds / np.where(close, 1.0, dlog))
+    if np.any(close):
+        eta[close] = stats.eval_eta((0.5 * (s_lo + s_hi))[close])
+    return eta
 
 
 def _sg_coefficients(scheme: FluxScheme, face_eta, dphi, t):
@@ -331,15 +336,17 @@ def poisson_data_load(device: DeviceSpec, op: SparseOperator,
 class FaceCoefficients:
     """Scharfetter-Gummel coefficients of one carrier on every stencil face.
 
-    ``u`` holds the densities F(chi) the coefficients were evaluated at:
-    the cells, then the ghosts at the Dirichlet face centers.  The mass
-    flow through stencil face j of ``disc``, positive from its low to its
-    high side, is ``a[j] * u[lo[j]] - b[j] * u[hi[j]]``.
+    ``u`` holds the densities F(chi) the coefficients were evaluated at,
+    and ``du`` the derivatives F'(chi) there: the cells, then the ghosts
+    at the Dirichlet face centers.  The mass flow through stencil face j
+    of ``disc``, positive from its low to its high side, is
+    ``a[j] * u[lo[j]] - b[j] * u[hi[j]]``.
     """
     disc: Discretization
     a: np.ndarray
     b: np.ndarray
     u: np.ndarray
+    du: np.ndarray
 
     def flux(self) -> np.ndarray:
         """Facewise mass flow of the densities ``u``; zero off the stencil."""
@@ -373,17 +380,51 @@ def face_coefficients(disc: Discretization, stats: StatisticsModel,
     """
     if k not in (1, 2):
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
+    phi, chi = _with_ghosts(disc, k, phi, chi, contact_values)
+    return _coefficients(disc, stats, scheme, k, phi, chi,
+                         *stats.eval_pair(chi))
+
+
+def carrier_face_coefficients(disc: Discretization, stats, scheme: FluxScheme,
+                              phi: np.ndarray, chi: np.ndarray,
+                              contacts: list[tuple[float, float, float]],
+                              ) -> list[FaceCoefficients]:
+    """``face_coefficients`` of both carriers, at statistics arguments
+    ``chi`` (2, n_cells) and one (phi_D, Phi1_D, Phi2_D) per contact.
+
+    Both carriers' densities come from one statistics evaluation when
+    they share their statistics.
+    """
+    ghosted = [_with_ghosts(disc, k, phi, chi[k - 1],
+                            [(c[0], c[k]) for c in contacts]) for k in (1, 2)]
+    u, du = eval_carriers(stats, np.vstack([g[1] for g in ghosted]))
+    return [_coefficients(disc, stats[k - 1], scheme, k, *ghosted[k - 1],
+                          u[k - 1], du[k - 1]) for k in (1, 2)]
+
+
+def _with_ghosts(disc: Discretization, k: int, phi: np.ndarray,
+                 chi: np.ndarray, contact_values) -> tuple[np.ndarray,
+                                                           np.ndarray]:
+    """phi and carrier k's chi, extended by their Dirichlet ghost values."""
     sign = -1.0 if k == 1 else 1.0
     phi_d, Phi_d = np.asarray(contact_values, dtype=float).reshape(-1, 2)[
         disc.contact].T
-    phi = np.concatenate([phi, phi_d])
-    chi = np.concatenate([chi, Phi_d + sign * phi_d])
-    u = stats.eval(chi)
+    return (np.concatenate([phi, phi_d]),
+            np.concatenate([chi, Phi_d + sign * phi_d]))
+
+
+def _coefficients(disc: Discretization, stats: StatisticsModel,
+                  scheme: FluxScheme, k: int, phi: np.ndarray,
+                  chi: np.ndarray, u: np.ndarray,
+                  du: np.ndarray) -> FaceCoefficients:
+    """Carrier k's coefficients at ghost-extended phi and chi, with their
+    densities u = F(chi) and derivatives du = F'(chi)."""
+    sign = -1.0 if k == 1 else 1.0
     lo, hi = disc.lo, disc.hi
     a, b = _sg_coefficients(scheme, lambda: eta_face(
         stats, chi[lo], chi[hi], u[lo], u[hi]), sign * (phi[hi] - phi[lo]),
         disc.transmissibility["mu1" if k == 1 else "mu2"])
-    return FaceCoefficients(disc=disc, a=a, b=b, u=u)
+    return FaceCoefficients(disc=disc, a=a, b=b, u=u, du=du)
 
 
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,

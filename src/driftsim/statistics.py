@@ -15,6 +15,13 @@ the last place of the exact values over the whole range, so they join
 smoothly at the piece edges and need no accuracy controls.  The
 degeneracy factor eta = F/F' equals 1 for Boltzmann statistics and is
 >= 1 otherwise.
+
+``eval_pair`` returns F and F' from one pass: one exp for Boltzmann, and
+for Fermi-Dirac one piece lookup and one Clenshaw recurrence over both
+tables.  ``eval_carriers`` and ``invert_carriers`` serve the two carriers
+of a device, in one call on all points when they share their statistics.
+Every entry is computed independently of the others, so these joint
+evaluations equal the separate ones bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ from .errors import DomainError, NonConvergenceError
 __all__ = [
     "StatisticsModel",
     "boltzmann",
+    "eval_carriers",
     "fermi_dirac_half",
+    "invert_carriers",
 ]
 
 # F and F' underflow together below s = -708, where 0/0 would replace
@@ -41,35 +50,43 @@ _ETA_FLOOR = -700.0
 _INVERT_RTOL = 1e-12
 
 
-class _FermiDiracIntegral:
-    """F_j(s) for one order j, evaluated from its generated table."""
+class _FermiDirac:
+    """F_{1/2} and F_{-1/2}, evaluated from their generated tables.
 
-    def __init__(self, table):
-        self.power = table["order"] + 1.0
-        self.series = np.array(table["series"])
+    The two tables share ``EDGES``, so one piece lookup, one gather and
+    one Clenshaw pass serve both orders at once.
+    """
+
+    def __init__(self, tables):
+        self.power = [table["order"] + 1.0 for table in tables]
+        self.series = [np.array(table["series"]) for table in tables]
         # Chebyshev piece i lives on bounds[i]: the first in t = exp(s)
         # over [0, 1], the others in s itself
         edges = _table.EDGES
         bounds = np.array([(0.0, 1.0), *zip(edges[:-1], edges[1:])])
         self.center = bounds.mean(axis=1)
         self.scale = 2.0 / (bounds[:, 1] - bounds[:, 0])
-        self.coef = np.array([table["low"], *table["mid"]]).T  # (term, piece)
+        # (term, order, piece)
+        self.coef = np.stack([np.array([table["low"], *table["mid"]]).T
+                              for table in tables], axis=1)
 
-    def __call__(self, s):
-        out = np.empty_like(s)
+    def __call__(self, s, orders: slice):
+        """One row per selected order of F_j(s), for a flat array s."""
+        out = np.empty((len(self.power[orders]), s.size))
         piece = np.searchsorted(_table.EDGES, s)  # 0 for s <= 0
         tail = piece == len(_table.EDGES)
         if np.any(tail):
             s_tail = s[tail]
-            out[tail] = s_tail ** self.power * polyval(s_tail ** -2.0,
-                                                       self.series)
+            for row, power, series in zip(out, self.power[orders],
+                                          self.series[orders]):
+                row[tail] = s_tail ** power * polyval(s_tail ** -2.0, series)
         near = ~tail
         p, s_near = piece[near], s[near]
         low = p == 0
         t = np.exp(np.minimum(s_near, 0.0))
         x = (np.where(low, t, s_near) - self.center[p]) * self.scale[p]
-        value = _clenshaw(x, self.coef[:, p])
-        out[near] = np.where(low, t * value, value)
+        value = _clenshaw(x, self.coef[:, orders, p])
+        out[:, near] = np.where(low, t * value, value)
         return out
 
 
@@ -82,8 +99,11 @@ def _clenshaw(x, coef):
     return coef[0] + x * b1 - b2
 
 
-_FD_HALF = _FermiDiracIntegral(_table.HALF)
-_FD_MINUS_HALF = _FermiDiracIntegral(_table.MINUS_HALF)
+_FERMI_DIRAC = _FermiDirac((_table.HALF, _table.MINUS_HALF))
+# rows of _FERMI_DIRAC: F = F_{1/2}, its derivative F' = F_{-1/2}, or both
+_F, _DF, _PAIR = slice(0, 1), slice(1, 2), slice(0, 2)
+# F(0), where the upper inversion bracket changes form
+_F_AT_ZERO = float(_FERMI_DIRAC(np.zeros(1), _F)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -100,23 +120,29 @@ class StatisticsModel:
 
     def eval(self, s):
         """Density F(s).  Accepts scalars or arrays; s must be finite."""
-        return self._evaluate(s, _FD_HALF)
+        return self._evaluate(s, _F)[0]
 
     def eval_derivative(self, s):
         """dF/ds, strictly positive.  Equals the order -1/2 integral for FD."""
-        return self._evaluate(s, _FD_MINUS_HALF)
+        return self._evaluate(s, _DF)[0]
 
-    def _evaluate(self, s, fermi_dirac):
+    def eval_pair(self, s):
+        """(F(s), F'(s)) in one pass: one exp for Boltzmann statistics, where
+        both are the same array, and one table pass for Fermi-Dirac."""
+        return self._evaluate(s, _PAIR)
+
+    def _evaluate(self, s, orders):
         s = np.asarray(s, dtype=float)
         _require_finite(s, "s")
         # overflow to inf is the honest answer for huge arguments and
         # lets line searches reject the trial point without a warning
         with np.errstate(over="ignore"):
             if self.kind == "boltzmann":
-                out = np.exp(s)
+                out = [np.exp(s)] * (orders.stop - orders.start)
             else:
-                out = fermi_dirac(s.reshape(-1)).reshape(s.shape)
-        return float(out) if s.ndim == 0 else out
+                out = _FERMI_DIRAC(s.reshape(-1), orders).reshape(
+                    (-1, *s.shape))
+        return tuple(float(row) if s.ndim == 0 else row for row in out)
 
     def eval_eta(self, s):
         """Degeneracy factor eta(s) = F(s)/F'(s); identically 1 for Boltzmann."""
@@ -124,8 +150,8 @@ class StatisticsModel:
         _require_finite(s, "s")
         if self.kind == "boltzmann":
             return _match_shape(np.ones(s.shape), s)
-        s = np.maximum(s, _ETA_FLOOR)
-        return _match_shape(self.eval(s) / self.eval_derivative(s), s)
+        f, df = self.eval_pair(np.maximum(s, _ETA_FLOOR))
+        return _match_shape(f / df, s)
 
     def invert(self, u):
         """Solve F(s) = u for s.  Requires u > 0 elementwise.
@@ -143,26 +169,26 @@ class StatisticsModel:
                               f"{np.atleast_1d(u)[bad]!r} at index {bad}")
         if self.kind == "boltzmann":
             return _match_shape(np.log(u), u)
-        return _match_shape(self._invert_fd(np.atleast_1d(u).ravel()), u)
+        return _match_shape(self._invert_fd(u.ravel()), u)
 
     def _invert_fd(self, u):
-        f0 = float(self.eval(0.0))
         # F(s) < exp(s) everywhere, so log(u) brackets from below; the
         # degenerate leading term (4/(3 sqrt(pi))) s^{3/2} < F(s) for s > 0
         # gives the upper bracket for u >= F(0)
         lo = np.log(u)
-        hi = np.where(u >= f0,
+        hi = np.where(u >= _F_AT_ZERO,
                       (0.75 * np.sqrt(np.pi) * u) ** (2.0 / 3.0) + 1.0,
                       0.0)
         s = lo.copy()
         for _ in range(80):
-            f = self.eval(s) - u
+            f, df = self.eval_pair(s)
+            f = f - u
             done = np.abs(f) <= _INVERT_RTOL * u
             if np.all(done):
                 return s
             lo = np.where(f < 0.0, s, lo)
             hi = np.where(f > 0.0, s, hi)
-            trial = s - f / self.eval_derivative(s)
+            trial = s - f / df
             inside = (trial > lo) & (trial < hi)
             # converged entries stay put: a zero Newton step lands on the
             # bracket itself and would otherwise be bisected away
@@ -170,6 +196,26 @@ class StatisticsModel:
         raise NonConvergenceError("Fermi-Dirac inversion stalled",
                                   iterations=80,
                                   residual=float(np.max(np.abs(f / u))))
+
+
+def eval_carriers(stats, s):
+    """(F, F') of both carriers, each at its row of ``s`` (2, n).
+
+    One ``eval_pair`` call on all 2n points when the two carriers share
+    their statistics, one per carrier otherwise.
+    """
+    if stats[0] == stats[1]:
+        return stats[0].eval_pair(s)
+    f, df = zip(*(model.eval_pair(row) for model, row in zip(stats, s)))
+    return np.stack(f), np.stack(df)
+
+
+def invert_carriers(stats, u):
+    """Both carriers' ``invert``, each on its row of ``u`` (2, n); one call
+    on all 2n points when they share statistics."""
+    if stats[0] == stats[1]:
+        return stats[0].invert(u)
+    return np.stack([model.invert(row) for model, row in zip(stats, u)])
 
 
 def boltzmann() -> StatisticsModel:

@@ -48,12 +48,12 @@ from .device import DeviceSpec, Mesh, build_mesh
 from .errors import DomainError, SolverError, StepRejected
 from .nonlinear_poisson import (NonlinearPoissonProblem, equilibrium_state,
                                 solve_operator_S)
-from .operators import (Discretization, FaceCoefficients, FluxScheme,
-                        SparseOperator, apply_surface_load, assemble_poisson,
-                        cell_average_faces, face_coefficients, face_gradient,
-                        poisson_data_load, solve_linear)
+from .operators import (Discretization, FluxScheme, SparseOperator,
+                        apply_surface_load, assemble_poisson,
+                        carrier_face_coefficients, cell_average_faces,
+                        face_gradient, poisson_data_load, solve_linear)
 from .recombination import SurfaceSRH, bulk_production
-from .statistics import StatisticsModel
+from .statistics import StatisticsModel, invert_carriers
 
 __all__ = [
     "CarrierState", "TimeStepperConfig", "SimulationModels", "StepReport",
@@ -180,17 +180,6 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
                         u=np.vstack([u1, u2]))
 
 
-def _carrier_coefficients(disc: Discretization, models: SimulationModels,
-                          phi: np.ndarray, chi: np.ndarray,
-                          contacts: list[tuple[float, float, float]],
-                          ) -> list[FaceCoefficients]:
-    """Both carriers' face coefficients, with their densities F(chi), at
-    potential ``phi`` and statistics arguments ``chi`` (2, n_cells)."""
-    return [face_coefficients(disc, models.stats[k - 1], models.scheme, k,
-                              phi, chi[k - 1], [(c[0], c[k]) for c in contacts])
-            for k in (1, 2)]
-
-
 def _cell_currents(disc: Discretization, phi: np.ndarray,
                    contacts: list[tuple[float, float, float]],
                    face_flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,8 +288,8 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         phi = phi_d + phi_tilde
 
         chi = np.vstack([Phi[0] - phi, Phi[1] + phi])
-        faces = _carrier_coefficients(poisson.disc, models, phi, chi,
-                                      contacts)
+        faces = carrier_face_coefficients(poisson.disc, models.stats,
+                                          models.scheme, phi, chi, contacts)
         u_eval = [f.u[:mesh.n_cells] for f in faces]
         e, j = _cell_currents(poisson.disc, phi, contacts,
                               np.vstack([f.flux() for f in faces]))
@@ -309,7 +298,6 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         shared = V * r_bulk + _surface_loads(device, mesh, *u_eval)
 
         u_new = np.empty_like(state.u)
-        Phi_new = np.empty_like(Phi)
         balance = 0.0
         for k in (1, 2):
             system, dirichlet_load = faces[k - 1].system(V / dt)
@@ -327,10 +315,9 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             scale = max(float(np.max(np.abs(rhs))), np.finfo(float).tiny)
             balance = max(balance, float(np.max(np.abs(defect))) / scale)
             u_new[k - 1] = u_k
-            sign = -1.0 if k == 1 else 1.0
-            Phi_new[k - 1] = models.stats[k - 1].invert(u_k) - sign * phi
-        screen = np.vstack([V * s.eval_derivative(c)
-                            for s, c in zip(models.stats, chi)])
+        Phi_new = invert_carriers(models.stats, u_new) \
+            - np.vstack([-phi, phi])
+        screen = V * np.vstack([f.du[:mesh.n_cells] for f in faces])
         return Phi_new, u_new, balance, screen
 
     Phi = state.Phi.copy()
@@ -400,8 +387,9 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     run's ``Discretization``, ``SimulationResult.disc``.
     """
     chi = np.vstack([state.Phi[0] - state.phi, state.Phi[1] + state.phi])
-    face_flux = [f.flux() for f in _carrier_coefficients(
-        disc, models, state.phi, chi, contact_data(device, state.t))]
+    face_flux = [f.flux() for f in carrier_face_coefficients(
+        disc, models.stats, models.scheme, state.phi, chi,
+        contact_data(device, state.t))]
     # a contact face's flow runs from lo to hi: outward where hi is its ghost
     faces = disc.faces[disc.n_interior:]
     outward = np.where(disc.hi[disc.n_interior:] >= disc.n_cells, 1.0, -1.0)

@@ -114,6 +114,22 @@ def test_split_load_homogenizes():
     assert np.allclose(reduced.omega[1], p.omega[1] + phi_d)
 
 
+@pytest.mark.parametrize("stats", [BB, FF, BF], ids=["bb", "ff", "bf"])
+def test_linearize_matches_carrierwise_evaluation(stats):
+    # one statistics call for both carriers changes no bit of the residual
+    # or of the Jacobian diagonal
+    rng = np.random.default_rng(4)
+    p = grounded_problem(stats=stats, load=rng.normal(size=24),
+                         omega=rng.uniform(-3.0, 3.0, size=(2, 24)))
+    phi = rng.uniform(-1.0, 1.0, 24)
+    s1, s2 = p.omega[0] - phi, p.omega[1] + phi
+    r, diagonal = p.linearize(phi)
+    assert np.array_equal(r, p.poisson.matrix @ phi - p.load - p.volumes
+                          * (stats[0].eval(s1) - stats[1].eval(s2)))
+    assert np.array_equal(diagonal, p.volumes * (
+        stats[0].eval_derivative(s1) + stats[1].eval_derivative(s2)))
+
+
 def test_newton_reaches_tolerance():
     rng = np.random.default_rng(0)
     p = grounded_problem(omega=rng.uniform(-2.0, 2.0, size=(2, 24)))

@@ -26,6 +26,7 @@ from driftsim.operators import (
     assemble_continuity,
     assemble_poisson,
     bernoulli,
+    carrier_face_coefficients,
     cell_average_faces,
     continuity_face_flux,
     eta_face,
@@ -206,6 +207,19 @@ def test_eta_face_smooth_in_the_nondegenerate_range():
     assert eta == pytest.approx(1.0000001082, abs=1e-8)
 
 
+def test_eta_face_midpoint_only_where_the_sides_coincide():
+    # faces with |ds| < 1e-6 take eta at the midpoint, the others the
+    # divided difference; a face's value does not depend on its neighbours
+    fd = fermi_dirac_half()
+    s_lo = np.array([1.0, 2.0, 5.0, -3.0, 30.0])
+    s_hi = np.array([1.0 + 1e-8, 4.0, 5.0, -3.0 + 2e-6, 30.0 - 5e-7])
+    eta = _eta_face(fd, s_lo, s_hi)
+    close = np.array([True, False, True, False, True])
+    assert np.array_equal(eta[close], fd.eval_eta(0.5 * (s_lo + s_hi))[close])
+    for i in range(s_lo.size):
+        assert eta[i] == _eta_face(fd, s_lo[i], s_hi[i])
+
+
 # -- elliptic assembly ----------------------------------------------------
 
 def test_poisson_operator_is_symmetric():
@@ -333,6 +347,35 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
     f = face_coefficients(Discretization(dev, mesh), stats, scheme, k, phi,
                           chi, values)
     assert np.array_equal(f.u[:mesh.n_cells], u)
+
+
+@DIMENSIONS
+@pytest.mark.parametrize("stats", [
+    (fermi_dirac_half(), fermi_dirac_half()),
+    (boltzmann(), boltzmann()),
+    (boltzmann(), fermi_dirac_half()),
+], ids=["fd", "boltzmann", "mixed"])
+def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
+    # both carriers evaluated in one statistics call give each carrier's
+    # own coefficients, densities and derivatives bit for bit
+    dev = _device(dimension)
+    mesh = build_mesh(dev)
+    disc = Discretization(dev, mesh)
+    n = mesh.n_cells
+    rng = np.random.default_rng(3)
+    phi = rng.uniform(0.0, 2.0, n)
+    chi = rng.uniform(-1.0, 3.0, (2, n))
+    contacts = [tuple(rng.uniform(0.0, 1.0, 3)) for _ in dev.contacts]
+    both = carrier_face_coefficients(disc, stats, ENHANCED, phi, chi,
+                                     contacts)
+    for k in (1, 2):
+        one = face_coefficients(disc, stats[k - 1], ENHANCED, k, phi,
+                                chi[k - 1], [(c[0], c[k]) for c in contacts])
+        for name in ("a", "b", "u", "du"):
+            assert np.array_equal(getattr(both[k - 1], name),
+                                  getattr(one, name))
+        assert np.array_equal(one.du[:n],
+                              stats[k - 1].eval_derivative(chi[k - 1]))
 
 
 # -- fill into the fixed pattern ------------------------------------------

@@ -27,7 +27,9 @@ from hypothesis import given, settings, strategies as st
 
 from driftsim._fermi_dirac_table import EDGES
 from driftsim.errors import DomainError
-from driftsim.statistics import StatisticsModel, boltzmann, fermi_dirac_half
+from driftsim import statistics
+from driftsim.statistics import (StatisticsModel, boltzmann, eval_carriers,
+                                 fermi_dirac_half, invert_carriers)
 
 FD = fermi_dirac_half()
 BOLTZ = boltzmann()
@@ -135,22 +137,58 @@ def test_invert_is_inverse_from_density_side(u):
 
 @pytest.mark.parametrize("s_min", [-30.0, -60.0])
 def test_invert_converged_entries_stay_put(monkeypatch, s_min):
-    # each entry alone converges within 5 eval calls; an entry that has
+    # each entry alone converges within 5 table passes; an entry that has
     # converged (below about -37, log(u) is exact) must not be thrown
     # back into the bracket while the others still iterate
     u = FD.eval(np.linspace(s_min, -5.0, 1000))
-    calls = []
-    original = StatisticsModel.eval
+    passes = []
+    original = statistics._clenshaw
 
-    def counted(self, s):
-        calls.append(s)
-        return original(self, s)
+    def counted(x, coef):
+        passes.append(x)
+        return original(x, coef)
 
-    monkeypatch.setattr(StatisticsModel, "eval", counted)
+    monkeypatch.setattr(statistics, "_clenshaw", counted)
     s = FD.invert(u)
     monkeypatch.undo()
-    assert len(calls) <= 8
+    assert len(passes) <= 8
     assert np.max(np.abs(FD.eval(s) / u - 1.0)) <= 1e-12
+
+
+# every piece edge from both sides, the Sommerfeld tail beyond the last
+# edge, and arguments at and below the eta floor, where F and F' underflow
+_PAIR_GRID = np.concatenate([
+    np.linspace(-60.0, 200.0, 521), np.array(EDGES),
+    np.nextafter(EDGES, -np.inf), np.nextafter(EDGES, np.inf),
+    np.array([-700.0, -745.0, -800.0, -1e4, 1e3, 1e6]),
+])
+
+
+@pytest.mark.parametrize("model", [FD, BOLTZ], ids=["fermi_dirac", "boltzmann"])
+def test_eval_pair_equals_separate_evaluations(model):
+    f, df = model.eval_pair(_PAIR_GRID)
+    assert np.array_equal(f, model.eval(_PAIR_GRID))
+    assert np.array_equal(df, model.eval_derivative(_PAIR_GRID))
+    # a (2, n) argument evaluates row by row, and a scalar gives floats
+    grid = _PAIR_GRID[:-3].reshape(2, -1)
+    f2, df2 = model.eval_pair(grid)
+    assert np.array_equal(f2, model.eval(grid))
+    assert np.array_equal(df2, model.eval_derivative(grid))
+    pair = model.eval_pair(0.3)
+    assert all(isinstance(v, float) for v in pair)
+    assert pair == (model.eval(0.3), model.eval_derivative(0.3))
+
+
+@pytest.mark.parametrize("stats", [(FD, FD), (BOLTZ, FD), (FD, BOLTZ)],
+                         ids=["same", "boltzmann_fd", "fd_boltzmann"])
+def test_carriers_evaluate_and_invert_row_by_row(stats):
+    s = np.vstack([np.linspace(-30.0, 30.0, 50), np.linspace(20.0, -20.0, 50)])
+    u, du = eval_carriers(stats, s)
+    for row, model in enumerate(stats):
+        assert np.array_equal(u[row], model.eval(s[row]))
+        assert np.array_equal(du[row], model.eval_derivative(s[row]))
+        assert np.array_equal(invert_carriers(stats, u)[row],
+                              model.invert(u[row]))
 
 
 def test_boltzmann_is_exp_and_log():
