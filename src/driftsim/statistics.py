@@ -104,6 +104,7 @@ _FERMI_DIRAC = _FermiDirac((_table.HALF, _table.MINUS_HALF))
 _F, _DF, _PAIR = slice(0, 1), slice(1, 2), slice(0, 2)
 # F(0), where the upper inversion bracket changes form
 _F_AT_ZERO = float(_FERMI_DIRAC(np.zeros(1), _F)[0, 0])
+_LOG_F_AT_ZERO = float(np.log(_F_AT_ZERO))
 
 
 @dataclass(frozen=True)
@@ -153,13 +154,15 @@ class StatisticsModel:
         f, df = self.eval_pair(np.maximum(s, _ETA_FLOOR))
         return _match_shape(f / df, s)
 
-    def invert(self, u):
+    def invert(self, u, start=None):
         """Solve F(s) = u for s.  Requires u > 0 elementwise.
 
         Bracketing is closed-form: F(s) < exp(s) makes log(u) a lower
         bound, and the degenerate leading term bounds from above; a
         safeguarded Newton iteration (bisection fallback) then converges to
-        ``|F(s) - u| <= _INVERT_RTOL * u``.
+        ``|F(s) - u| <= _INVERT_RTOL * u``.  It starts from ``start``
+        clipped into the bracket, or from log(u) where ``start`` is None
+        or not finite; Boltzmann statistics ignore it.
         """
         u = np.asarray(u, dtype=float)
         _require_finite(u, "u")
@@ -169,17 +172,23 @@ class StatisticsModel:
                               f"{np.atleast_1d(u)[bad]!r} at index {bad}")
         if self.kind == "boltzmann":
             return _match_shape(np.log(u), u)
-        return _match_shape(self._invert_fd(u.ravel()), u)
+        if start is not None:
+            start = np.broadcast_to(np.asarray(start, dtype=float),
+                                    u.shape).ravel()
+        return _match_shape(self._invert_fd(u.ravel(), start), u)
 
-    def _invert_fd(self, u):
+    def _invert_fd(self, u, start):
         # F(s) < exp(s) everywhere, so log(u) brackets from below; the
         # degenerate leading term (4/(3 sqrt(pi))) s^{3/2} < F(s) for s > 0
-        # gives the upper bracket for u >= F(0)
+        # gives the upper bracket for u >= F(0), and F(s) exp(-s), which
+        # falls as s grows, exceeds F(0) for s < 0, so log(u / F(0)) bounds
+        # from above for u < F(0)
         lo = np.log(u)
         hi = np.where(u >= _F_AT_ZERO,
                       (0.75 * np.sqrt(np.pi) * u) ** (2.0 / 3.0) + 1.0,
-                      0.0)
-        s = lo.copy()
+                      lo - _LOG_F_AT_ZERO)
+        s = lo.copy() if start is None else np.where(
+            np.isfinite(start), np.clip(start, lo, hi), lo)
         for _ in range(80):
             f, df = self.eval_pair(s)
             f = f - u
@@ -210,12 +219,13 @@ def eval_carriers(stats, s):
     return np.stack(f), np.stack(df)
 
 
-def invert_carriers(stats, u):
-    """Both carriers' ``invert``, each on its row of ``u`` (2, n); one call
-    on all 2n points when they share statistics."""
+def invert_carriers(stats, u, start):
+    """Both carriers' ``invert``, each on its row of ``u`` and of ``start``
+    (2, n); one call on all 2n points when they share statistics."""
     if stats[0] == stats[1]:
-        return stats[0].invert(u)
-    return np.stack([model.invert(row) for model, row in zip(stats, u)])
+        return stats[0].invert(u, start)
+    return np.stack([model.invert(row, s0)
+                     for model, row, s0 in zip(stats, u, start)])
 
 
 def boltzmann() -> StatisticsModel:

@@ -290,7 +290,8 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         chi = np.vstack([Phi[0] - phi, Phi[1] + phi])
         faces = carrier_face_coefficients(poisson.disc, models.stats,
                                           models.scheme, phi, chi, contacts)
-        u_eval = [f.u[:mesh.n_cells] for f in faces]
+        u_eval = np.vstack([f.u[:mesh.n_cells] for f in faces])
+        du_eval = np.vstack([f.du[:mesh.n_cells] for f in faces])
         e, j = _cell_currents(poisson.disc, phi, contacts,
                               np.vstack([f.flux() for f in faces]))
         r_bulk = bulk_production(models.bulk, u_eval[0], u_eval[1], Phi[0],
@@ -315,10 +316,14 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             scale = max(float(np.max(np.abs(rhs))), np.finfo(float).tiny)
             balance = max(balance, float(np.max(np.abs(defect))) / scale)
             u_new[k - 1] = u_k
-        Phi_new = invert_carriers(models.stats, u_new) \
+        # the inversion starts one log-space Newton step from chi, where
+        # ln F(s) ~ ln F(chi) + (s - chi) / eta(chi); a start that the
+        # quotient makes non-finite falls back to invert's cold start
+        with np.errstate(all="ignore"):
+            start = chi + u_eval / du_eval * np.log(u_new / u_eval)
+        Phi_new = invert_carriers(models.stats, u_new, start) \
             - np.vstack([-phi, phi])
-        screen = V * np.vstack([f.du[:mesh.n_cells] for f in faces])
-        return Phi_new, u_new, balance, screen
+        return Phi_new, u_new, balance, V * du_eval
 
     Phi = state.Phi.copy()
     plain_image = None

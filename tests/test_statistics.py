@@ -135,6 +135,25 @@ def test_invert_is_inverse_from_density_side(u):
     assert FD.eval(FD.invert(u)) == pytest.approx(u, rel=1e-10)
 
 
+# densities from 1e-300 to 1e300: below, F(s) is subnormal and holds fewer
+# digits than the tolerance asks for; from about 1e308 up, the s^{3/2} of
+# the Sommerfeld tail overflows
+@given(st.floats(min_value=1e-300, max_value=1e300),
+       st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_invert_from_any_start(u, start):
+    s = FD.invert(u, start)
+    assert abs(FD.eval(s) - u) <= 1e-12 * u
+
+
+def test_invert_start_that_is_not_finite_starts_cold():
+    u = FD.eval(np.array([-40.0, -1.0, 0.5, 30.0]))
+    start = np.array([np.nan, np.inf, -np.inf, np.nan])
+    assert np.array_equal(FD.invert(u, start), FD.invert(u))
+    # Boltzmann inversion is the closed form whatever the start
+    assert np.array_equal(BOLTZ.invert(u, u), np.log(u))
+
+
 @pytest.mark.parametrize("s_min", [-30.0, -60.0])
 def test_invert_converged_entries_stay_put(monkeypatch, s_min):
     # each entry alone converges within 5 table passes; an entry that has
@@ -187,8 +206,8 @@ def test_carriers_evaluate_and_invert_row_by_row(stats):
     for row, model in enumerate(stats):
         assert np.array_equal(u[row], model.eval(s[row]))
         assert np.array_equal(du[row], model.eval_derivative(s[row]))
-        assert np.array_equal(invert_carriers(stats, u)[row],
-                              model.invert(u[row]))
+        assert np.array_equal(invert_carriers(stats, u, s + 0.5)[row],
+                              model.invert(u[row], s[row] + 0.5))
 
 
 def test_boltzmann_is_exp_and_log():
