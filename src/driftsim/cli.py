@@ -24,13 +24,19 @@ from dataclasses import replace
 
 import yaml
 
-from . import verify
-from .config import build_models, parse_config
+from .config import build_models, load_yaml, parse_config
 from .errors import ConfigError, DriftError
 from .output import format_float, write_outputs, write_report
 from .transient import run, terminal_currents
 
 __all__ = ["main"]
+
+# the keys of verify.SUITES; verify imports scipy.optimize, which only
+# cmd_verify needs, so run and sweep start without it
+_SUITES = ("kappa-lipschitz", "kappa-branches", "statistics",
+           "poisson-nonexpansive", "poisson-flat", "poisson-newton",
+           "mms-poisson", "mms-transient", "conservation", "equilibrium",
+           "positivity-blowup", "gummel-monolithic", "determinism")
 
 
 def _load_deck(path: str) -> str:
@@ -119,7 +125,7 @@ def _sweep_row(text: str, param: str, value: float, sides: list) -> list:
     """One independent simulation, as a finished CSV row."""
     started = time.perf_counter()
     try:
-        tree = yaml.safe_load(text)
+        tree = load_yaml(text)
         _set_by_path(tree, param, value)
         config = parse_config(yaml.safe_dump(tree, sort_keys=False))
         # the sweep table is the only output; per-point sinks would
@@ -145,20 +151,21 @@ def cmd_sweep(args) -> int:
         values = _parse_values(args.values)
         # dry resolution: a path that cannot address the deck at all is a
         # usage error, not a per-point failure
-        _set_by_path(yaml.safe_load(text), args.param, 0.0)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
+        _set_by_path(load_yaml(text), args.param, 0.0)
+        # the table is written once every point has run; open it first,
+        # so that a path it cannot take fails before any point runs
+        sink = sys.stdout
+        if args.out:
+            os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+            sink = open(args.out, "w", encoding="utf-8", newline="")
+    except (OSError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sides = [c.side for c in base.device.contacts]
     header = ["value"] + [f"current_{s}" for s in sides] \
         + ["wall_time", "iterations", "status"]
-    rows = [_sweep_row(text, args.param, v, sides) for v in values]
-    sink = open(args.out, "w", encoding="utf-8", newline="") \
-        if args.out else sys.stdout
     try:
+        rows = [_sweep_row(text, args.param, v, sides) for v in values]
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -169,13 +176,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.suite != "all" and args.suite not in _SUITES:
+        parser.error(f"unknown suite {args.suite!r}; available: "
+                     + ", ".join(_SUITES) + ", all")
+    from . import verify
     if args.suite == "all":
         results = verify.run_all(args.seed)
-    elif args.suite in verify.available():
-        results = verify.run_suite(args.suite, args.seed)
     else:
-        parser.error(f"unknown suite {args.suite!r}; available: "
-                     + ", ".join(verify.available()) + ", all")
+        results = verify.run_suite(args.suite, args.seed)
     print(verify.render_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -205,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run a named property suite")
     p_verify.add_argument("suite",
-                          help="one of: " + ", ".join(verify.available())
-                               + ", all")
+                          help="one of: " + ", ".join(_SUITES) + ", all")
     p_verify.add_argument("--seed", type=int, default=0)
     return parser
 

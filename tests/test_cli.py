@@ -1,12 +1,14 @@
 import filecmp
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 import yaml
 
-from driftsim import device
+from driftsim import cli, device, verify
 from driftsim.cli import main
 from driftsim.operators import Discretization
 
@@ -257,6 +259,29 @@ def test_sweep_records_per_point_failure_and_continues(tmp_path):
     assert rows[1][1] == "nan"
 
 
+def test_sweep_makes_missing_out_directory(tmp_path):
+    out = tmp_path / "nested" / "deeper" / "sweep.csv"
+    code = run_cli("sweep", str(DECKS / "srh_two_cell.yaml"),
+                   "--param", "stepper.t_end", "--values", "0.5",
+                   "--out", str(out))
+    assert code == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].endswith(",ok")
+
+
+def test_sweep_unwritable_out_exits_1_before_any_point(tmp_path, capsys,
+                                                        builds):
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    code = run_cli("sweep", str(DECKS / "srh_two_cell.yaml"),
+                   "--param", "stepper.t_end", "--values", "0.5",
+                   "--out", str(tmp_path / "blocker" / "sweep.csv"))
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert builds == {"mesh": 0, "disc": 0}
+
+
 def test_sweep_bad_path_exits_1(capsys):
     code = run_cli("sweep", str(DECKS / "srh_two_cell.yaml"),
                    "--param", "device.contcts[1].bias",
@@ -290,6 +315,25 @@ def test_verify_unknown_suite_is_usage_error(capsys):
         run_cli("verify", "no-such-suite")
     assert exc.value.code == 2
     assert "no-such-suite" in capsys.readouterr().err
+
+
+def test_suite_names_match_verify():
+    assert cli._SUITES == tuple(verify.SUITES)
+
+
+def test_run_does_not_import_scipy_optimize(tmp_path):
+    # scipy.optimize serves one verify oracle and costs a third of start-up
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys\n"
+             "from driftsim.cli import main\n"
+             "code = main(['run', sys.argv[1], '--outdir', sys.argv[2]])\n"
+             "print(code, 'scipy.optimize' in sys.modules)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(DECKS / "srh_two_cell.yaml"),
+         str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from driftsim import config as config_module
 from driftsim import decks
 from driftsim.config import (
     OutputSink,
@@ -83,6 +84,34 @@ def test_negative_capacity_rejected():
 def test_syntax_error_is_a_config_error():
     found = problems_of(": : :")
     assert found[0].startswith("syntax:")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+DECK_FILES = sorted(ROOT.glob("decks/*.yaml")) \
+    + sorted(ROOT.glob("perfbench/decks/*.yaml"))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="libyaml not present")
+@pytest.mark.parametrize("path", DECK_FILES,
+                         ids=[p.relative_to(ROOT).as_posix() for p in DECK_FILES])
+def test_deck_parses_equally_under_both_loaders(path, monkeypatch):
+    text = path.read_text()
+    configs = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+        assert yaml.load(text, Loader=loader) == yaml.safe_load(text)
+        configs.append(parse_config(text))
+    assert configs[0] == configs[1]
+    assert dump_config(configs[0]) == dump_config(configs[1])
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_syntax_error_is_one_problem_under_either_loader(loader, monkeypatch):
+    if not hasattr(yaml, loader):
+        pytest.skip("libyaml not present")
+    monkeypatch.setattr(config_module, "_YAML_LOADER", getattr(yaml, loader))
+    found = problems_of("device: [1, 2\nseed: 0\n")
+    assert len(found) == 1 and found[0].startswith("syntax:"), found
 
 
 def test_empty_deck_rejected():
