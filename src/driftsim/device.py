@@ -26,7 +26,7 @@ __all__ = [
     "MaterialRegion", "Contact", "RobinSegment", "SurfaceSegment",
     "InterfaceSpec", "BoxDoping", "SheetDoping", "DopingProfile",
     "DeviceSpec", "Mesh", "ValidationReport",
-    "build_mesh", "validate_device", "sample_series",
+    "build_mesh", "contact_values", "validate_device", "sample_series",
 ]
 
 Span = tuple[float, float]
@@ -97,6 +97,13 @@ class Contact:
         return (sample_series(self.phi, t) + b,
                 sample_series(self.Phi1, t) + b,
                 sample_series(self.Phi2, t) + b)
+
+
+def contact_values(device: DeviceSpec, t: float) -> np.ndarray:
+    """(phi_D, Phi1_D, Phi2_D) of every contact at time t, bias included:
+    a (3, n_contacts) array, one column per contact."""
+    return np.array([c.values(t) for c in device.contacts],
+                    dtype=float).reshape(-1, 3).T
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import DeviceSpec, Mesh, build_mesh, bulk_doping
+from .device import DeviceSpec, Mesh, build_mesh, bulk_doping, contact_values
 from .errors import DomainError, NonConvergenceError, SolverError
 from .operators import SparseOperator, assemble_poisson, poisson_data_load
-from .statistics import StatisticsModel, eval_carriers
+from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 
 __all__ = [
     "NonlinearPoissonProblem", "SolveReport", "apriori_bound", "cutoff",
@@ -84,8 +84,7 @@ class NonlinearPoissonProblem:
         """Residual at ``phi`` and the diagonal V (F1' + F2') that the
         density terms add to P there (always positive), from one
         statistics evaluation of both carriers."""
-        args = np.vstack([self.omega[0] - phi, self.omega[1] + phi])
-        u, du = eval_carriers(self.stats, args)
+        u, du = eval_carriers(self.stats, carrier_arguments(self.omega, phi))
         residual = self.poisson.matrix @ phi - self.load \
             - self.volumes * (u[0] - u[1])
         return residual, self.volumes * (du[0] + du[1])
@@ -244,9 +243,9 @@ def contraction_iterate(problem: NonlinearPoissonProblem, tol: float = 1e-10,
     phi = np.zeros(problem.poisson.dimension)
     window = deque(maxlen=1001)  # the last 1001 update norms
     for it in range(_CONTRACTION_MAX_ITER):
-        clamped = cutoff(phi, K)
-        u1 = problem.stats[0].eval(problem.omega[0] - clamped)
-        u2 = problem.stats[1].eval(problem.omega[1] + clamped)
+        args = carrier_arguments(problem.omega, cutoff(phi, K))
+        u1 = problem.stats[0].eval(args[0])
+        u2 = problem.stats[1].eval(args[1])
         r = problem.poisson.matrix @ phi - problem.load \
             - problem.volumes * (u1 - u2)
         w = lu.solve(r)
@@ -269,8 +268,7 @@ def contraction_iterate(problem: NonlinearPoissonProblem, tol: float = 1e-10,
         iterations=_CONTRACTION_MAX_ITER, residual=window[-1])
 
 
-def solve_operator_S(problem: NonlinearPoissonProblem,
-                     omega: np.ndarray | None = None, tol: float = 1e-12,
+def solve_operator_S(problem: NonlinearPoissonProblem, tol: float = 1e-12,
                      x0: np.ndarray | None = None) -> np.ndarray:
     """The potential map omega -> phi, by damped Newton.
 
@@ -279,8 +277,6 @@ def solve_operator_S(problem: NonlinearPoissonProblem,
     A Newton failure surfaces as ``SolverError``; the caller decides
     whether to retry with a smaller step.
     """
-    if omega is not None:
-        problem = replace(problem, omega=np.asarray(omega, dtype=float))
     try:
         phi, _ = newton_solve(problem, tol=tol, x0=x0)
     except NonConvergenceError as exc:
@@ -304,7 +300,7 @@ def neutral_potential(stats, doping):
     phi = np.arcsinh(flat / 2.0)  # Boltzmann guess
     scale = np.abs(flat) + 1.0
     for _ in range(100):
-        u, du = eval_carriers(stats, np.vstack([-phi, phi]))
+        u, du = eval_carriers(stats, carrier_arguments(0.0, phi))
         g = flat + u[0] - u[1]
         if np.all(np.abs(g) <= _NEUTRAL_RTOL * scale):
             break
@@ -326,8 +322,8 @@ def split_load(problem: NonlinearPoissonProblem,
     estimate and hence the contraction cut-off.
     """
     phi_d = problem.poisson.factor().solve(problem.load)
-    omega = np.vstack([problem.omega[0] - phi_d, problem.omega[1] + phi_d])
-    reduced = replace(problem, load=np.zeros_like(problem.load), omega=omega)
+    reduced = replace(problem, load=np.zeros_like(problem.load),
+                      omega=carrier_arguments(problem.omega, phi_d))
     return phi_d, reduced
 
 
@@ -344,21 +340,18 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
     A Newton failure surfaces as its typed ``NonConvergenceError`` or
     ``SolverError``.
     """
-    s1, s2 = stats
-    for c in device.contacts:
-        _, P1, P2 = c.values(t)
-        if abs(P1) > 1e-14 or abs(P2) > 1e-14:
-            raise DomainError(
-                "equilibrium requires zero carrier levels on every contact")
+    if np.any(np.abs(contact_values(device, t)[1:]) > 1e-14):
+        raise DomainError(
+            "equilibrium requires zero carrier levels on every contact")
     poisson = poisson or assemble_poisson(device, mesh or build_mesh(device))
     mesh = poisson.disc.mesh
     load = poisson_data_load(device, poisson, t)
     problem = NonlinearPoissonProblem(
         poisson=poisson, volumes=mesh.cell_volumes, load=load,
-        stats=(s1, s2), omega=np.zeros((2, mesh.n_cells)))
+        stats=tuple(stats), omega=np.zeros((2, mesh.n_cells)))
     phi_d, reduced = split_load(problem)
     start = neutral_potential(stats, bulk_doping(device, mesh)) - phi_d
     phi_t, _ = newton_solve(reduced, tol=_EQUILIBRIUM_TOL, x0=start)
     phi = phi_d + phi_t
-    u, _ = eval_carriers(stats, np.vstack([-phi, phi]))
+    u, _ = eval_carriers(stats, carrier_arguments(0.0, phi))
     return mesh, phi, (u[0], u[1])

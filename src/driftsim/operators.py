@@ -21,11 +21,10 @@ gttrf/gttrs, a few microseconds where SuperLU spends 100 us on set-up.  Any
 other (2D, and n <= 2, which scipy's gttrf rejects) goes to SuperLU, with
 columns in minimum-degree order of A^T + A, as the pattern is symmetric.
 
-One kernel, ``face_coefficients``, computes a carrier's coefficients on
-every stencil face; both the continuity matrix with its Dirichlet load and
-the face flux ``a u_lo - b u_hi`` are read off that one result.
-``carrier_face_coefficients`` runs it for both carriers on one joint
-statistics evaluation.
+One kernel, ``carrier_face_coefficients``, computes both carriers'
+coefficients on every stencil face from one joint statistics evaluation;
+each carrier's continuity matrix with its Dirichlet load and its face
+flux ``a u_lo - b u_hi`` are read off that one result.
 
 Sign conventions: the Poisson operator acts so that ``(P phi)_i``
 approximates the cellwise integral of ``-div(eps grad phi)`` plus boundary
@@ -46,14 +45,15 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .device import (DeviceSpec, Mesh, TAG_DIRICHLET, TAG_INTERIOR,
-                     TAG_ROBIN, bulk_doping, cell_tensor, sample_series)
+                     TAG_ROBIN, bulk_doping, cell_tensor, contact_values,
+                     sample_series)
 from .errors import DomainError, SolverError
-from .statistics import StatisticsModel, eval_carriers
+from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 
 __all__ = [
     "Discretization", "SparseOperator", "FluxScheme", "FaceCoefficients",
     "bernoulli", "sg_flux", "eta_face", "assemble_poisson",
-    "poisson_data_load", "face_coefficients", "carrier_face_coefficients",
+    "poisson_data_load", "carrier_face_coefficients",
     "assemble_continuity", "continuity_face_flux", "apply_surface_load",
     "face_gradient",
     "cell_average_faces", "solve_linear",
@@ -323,9 +323,9 @@ def poisson_data_load(device: DeviceSpec, op: SparseOperator,
     load = mesh.cell_volumes * bulk_doping(device, mesh)
     for sheet, faces in zip(device.doping.sheets, mesh.sheet_faces):
         load += apply_surface_load(mesh, faces, sheet.density)
-    phi_d = np.array([c.values(t)[0] for c in device.contacts])
     eps = disc.transmissibility["eps"]
-    disc.ghost_load(eps, eps, phi_d[disc.contact], load)
+    disc.ghost_load(eps, eps, contact_values(device, t)[0, disc.contact],
+                    load)
     phi_g = np.array([sample_series(r.phi_gamma, t) for r in device.robin])
     np.add.at(load, disc.robin_cell,
               disc.robin_coeff * phi_g[disc.robin_segment])
@@ -368,95 +368,60 @@ class FaceCoefficients:
         return d.matrix(main, -self.b, -self.a), load
 
 
-def face_coefficients(disc: Discretization, stats: StatisticsModel,
-                      scheme: FluxScheme, k: int, phi: np.ndarray,
-                      chi: np.ndarray, contact_values: list[tuple[float, float]],
-                      ) -> FaceCoefficients:
-    """The continuity kernel: carrier k's coefficients on all stencil faces.
-
-    ``contact_values`` holds one (phi_D, Phi_D) pair per contact, already
-    sampled at the step time; the Dirichlet ghost densities are
-    F(Phi_D + (-1)^k phi_D).
-    """
-    if k not in (1, 2):
-        raise DomainError(f"carrier index must be 1 or 2, got {k}")
-    phi, chi = _with_ghosts(disc, k, phi, chi, contact_values)
-    return _coefficients(disc, stats, scheme, k, phi, chi,
-                         *stats.eval_pair(chi))
-
-
 def carrier_face_coefficients(disc: Discretization, stats, scheme: FluxScheme,
                               phi: np.ndarray, chi: np.ndarray,
-                              contacts: list[tuple[float, float, float]],
-                              ) -> list[FaceCoefficients]:
-    """``face_coefficients`` of both carriers, at statistics arguments
-    ``chi`` (2, n_cells) and one (phi_D, Phi1_D, Phi2_D) per contact.
+                              contacts: np.ndarray) -> list[FaceCoefficients]:
+    """The continuity kernel: both carriers' coefficients on every face.
 
-    Both carriers' densities come from one statistics evaluation when
-    they share their statistics.
+    ``stats`` holds the two carriers' statistics, ``chi`` (2, n_cells)
+    their arguments and ``contacts`` the (3, n_contacts) contact values
+    (phi_D, Phi1_D, Phi2_D) at the step time (``device.contact_values``);
+    carrier k's Dirichlet ghost argument is Phi_k,D + (-1)^k phi_D.  Both
+    carriers' densities come from one statistics evaluation when they
+    share their statistics.
     """
-    ghosted = [_with_ghosts(disc, k, phi, chi[k - 1],
-                            [(c[0], c[k]) for c in contacts]) for k in (1, 2)]
-    u, du = eval_carriers(stats, np.vstack([g[1] for g in ghosted]))
-    return [_coefficients(disc, stats[k - 1], scheme, k, *ghosted[k - 1],
-                          u[k - 1], du[k - 1]) for k in (1, 2)]
-
-
-def _with_ghosts(disc: Discretization, k: int, phi: np.ndarray,
-                 chi: np.ndarray, contact_values) -> tuple[np.ndarray,
-                                                           np.ndarray]:
-    """phi and carrier k's chi, extended by their Dirichlet ghost values."""
-    sign = -1.0 if k == 1 else 1.0
-    phi_d, Phi_d = np.asarray(contact_values, dtype=float).reshape(-1, 2)[
-        disc.contact].T
-    return (np.concatenate([phi, phi_d]),
-            np.concatenate([chi, Phi_d + sign * phi_d]))
-
-
-def _coefficients(disc: Discretization, stats: StatisticsModel,
-                  scheme: FluxScheme, k: int, phi: np.ndarray,
-                  chi: np.ndarray, u: np.ndarray,
-                  du: np.ndarray) -> FaceCoefficients:
-    """Carrier k's coefficients at ghost-extended phi and chi, with their
-    densities u = F(chi) and derivatives du = F'(chi)."""
-    sign = -1.0 if k == 1 else 1.0
+    ghost = contacts[:, disc.contact]
+    phi = np.concatenate([phi, ghost[0]])
+    chi = np.hstack([chi, carrier_arguments(ghost[1:], ghost[0])])
+    u, du = eval_carriers(stats, chi)
     lo, hi = disc.lo, disc.hi
-    a, b = _sg_coefficients(scheme, lambda: eta_face(
-        stats, chi[lo], chi[hi], u[lo], u[hi]), sign * (phi[hi] - phi[lo]),
-        disc.transmissibility["mu1" if k == 1 else "mu2"])
-    return FaceCoefficients(disc=disc, a=a, b=b, u=u, du=du)
+    drop = carrier_arguments(0.0, phi[hi] - phi[lo])
+    out = []
+    for k, mobility in enumerate(("mu1", "mu2")):
+        a, b = _sg_coefficients(scheme, lambda: eta_face(
+            stats[k], chi[k, lo], chi[k, hi], u[k, lo], u[k, hi]), drop[k],
+            disc.transmissibility[mobility])
+        out.append(FaceCoefficients(disc=disc, a=a, b=b, u=u[k], du=du[k]))
+    return out
 
 
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
                         scheme: FluxScheme, k: int, phi: np.ndarray,
-                        chi: np.ndarray, contact_values: list[tuple[float, float]],
+                        chi: np.ndarray, contacts: np.ndarray,
                         ) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Steady continuity matrix M (net outflow of carrier k) and its load.
-
-    Arguments as for ``face_coefficients``, on a ``Discretization`` of
-    ``mesh``.  The returned load carries only the Dirichlet contributions;
-    production terms are the caller's business.
-    """
-    return face_coefficients(Discretization(device, mesh), stats, scheme, k,
-                             phi, chi, contact_values).system(
-                                 np.zeros(mesh.n_cells))
+    """Steady continuity matrix M (net outflow of carrier k) and its load:
+    ``carrier_face_coefficients`` with both carriers at ``stats`` and
+    ``chi``, on a ``Discretization`` of ``mesh``.  The load carries only
+    the Dirichlet contributions."""
+    if k not in (1, 2):
+        raise DomainError(f"carrier index must be 1 or 2, got {k}")
+    return carrier_face_coefficients(
+        Discretization(device, mesh), (stats, stats), scheme, phi,
+        np.vstack([chi, chi]), contacts)[k - 1].system(np.zeros(mesh.n_cells))
 
 
 def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
                          stats: StatisticsModel, scheme: FluxScheme, k: int,
                          phi: np.ndarray, chi: np.ndarray,
-                         contact_values: list[tuple[float, float]],
-                         ) -> np.ndarray:
-    """Facewise mass flow of carrier k, positive from the low to high side.
-
-    Built from the same ``face_coefficients`` as ``assemble_continuity``,
-    so the divergence of this field reproduces M u minus the Dirichlet
-    load by construction.  Faces without a flux stencil (insulated,
-    Robin, surface) report zero; their physical flux lives in the
-    boundary loads.
-    """
-    return face_coefficients(Discretization(device, mesh), stats, scheme, k,
-                             phi, chi, contact_values).flux()
+                         contacts: np.ndarray) -> np.ndarray:
+    """Facewise mass flow of carrier k, positive from the low to high side,
+    from the same coefficients as ``assemble_continuity``; faces without a
+    flux stencil (insulated, Robin, surface) report zero."""
+    if k not in (1, 2):
+        raise DomainError(f"carrier index must be 1 or 2, got {k}")
+    return carrier_face_coefficients(
+        Discretization(device, mesh), (stats, stats), scheme, phi,
+        np.vstack([chi, chi]), contacts)[k - 1].flux()
 
 
 def apply_surface_load(mesh: Mesh, faces: np.ndarray, rate) -> np.ndarray:
@@ -481,15 +446,15 @@ def apply_surface_load(mesh: Mesh, faces: np.ndarray, rate) -> np.ndarray:
 
 
 def face_gradient(disc: Discretization, values: np.ndarray,
-                  contact_values: np.ndarray) -> np.ndarray:
+                  on_contacts: np.ndarray) -> np.ndarray:
     """Axis-directed first difference of a cell field at every face.
 
     Stencil faces difference ``values``, extended by the ghost values
-    (``contact_values`` indexed by contact id), over their ``span``.  Other
+    (``on_contacts`` indexed by contact id), over their ``span``.  Other
     boundary faces report zero, which is the consistent value for insulated
     segments and a deliberate approximation for Robin ones.
     """
-    values = np.concatenate([values, np.asarray(contact_values,
+    values = np.concatenate([values, np.asarray(on_contacts,
                                                 dtype=float)[disc.contact]])
     g = np.zeros(disc.mesh.n_faces)
     g[disc.faces] = (values[disc.hi] - values[disc.lo]) / disc.span

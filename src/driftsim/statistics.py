@@ -16,6 +16,9 @@ smoothly at the piece edges and need no accuracy controls.  The
 degeneracy factor eta = F/F' equals 1 for Boltzmann statistics and is
 >= 1 otherwise.
 
+Carrier 1 sees the argument Phi1 - phi and carrier 2 sees Phi2 + phi;
+``carrier_arguments`` is the one place that spells out these signs.
+
 ``eval_pair`` returns F and F' from one pass: one exp for Boltzmann, and
 for Fermi-Dirac one piece lookup and one Clenshaw recurrence over both
 tables.  ``eval_carriers`` and ``invert_carriers`` serve the two carriers
@@ -38,6 +41,7 @@ from .errors import DomainError, NonConvergenceError
 __all__ = [
     "StatisticsModel",
     "boltzmann",
+    "carrier_arguments",
     "eval_carriers",
     "fermi_dirac_half",
     "invert_carriers",
@@ -79,7 +83,10 @@ class _FermiDirac:
             s_tail = s[tail]
             for row, power, series in zip(out, self.power[orders],
                                           self.series[orders]):
-                row[tail] = s_tail ** power * polyval(s_tail ** -2.0, series)
+                # as s^(power-1) * (s * series), so that no intermediate
+                # exceeds F and F stays finite up to the largest float
+                row[tail] = s_tail ** (power - 1.0) * (
+                    s_tail * polyval(s_tail ** -2.0, series))
         near = ~tail
         p, s_near = piece[near], s[near]
         low = p == 0
@@ -105,6 +112,9 @@ _F, _DF, _PAIR = slice(0, 1), slice(1, 2), slice(0, 2)
 # F(0), where the upper inversion bracket changes form
 _F_AT_ZERO = float(_FERMI_DIRAC(np.zeros(1), _F)[0, 0])
 _LOG_F_AT_ZERO = float(np.log(_F_AT_ZERO))
+# (3 sqrt(pi) / 4)^(2/3), so that the upper bracket c u^(2/3) does not
+# overflow where u itself is finite
+_BRACKET_SCALE = (0.75 * np.sqrt(np.pi)) ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,7 @@ class StatisticsModel:
         # from above for u < F(0)
         lo = np.log(u)
         hi = np.where(u >= _F_AT_ZERO,
-                      (0.75 * np.sqrt(np.pi) * u) ** (2.0 / 3.0) + 1.0,
+                      _BRACKET_SCALE * u ** (2.0 / 3.0) + 1.0,
                       lo - _LOG_F_AT_ZERO)
         s = lo.copy() if start is None else np.where(
             np.isfinite(start), np.clip(start, lo, hi), lo)
@@ -205,6 +215,16 @@ class StatisticsModel:
         raise NonConvergenceError("Fermi-Dirac inversion stalled",
                                   iterations=80,
                                   residual=float(np.max(np.abs(f / u))))
+
+
+# carrier k's argument is its level plus (-1)^k phi
+_CARRIER_SIGN = np.array([[-1.0], [1.0]])
+
+
+def carrier_arguments(levels, phi):
+    """Both carriers' statistics arguments (levels1 - phi, levels2 + phi),
+    a (2, n) array; ``levels`` is a (2, n) pair or a scalar."""
+    return levels + _CARRIER_SIGN * phi
 
 
 def eval_carriers(stats, s):

@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .device import DeviceSpec, Mesh, build_mesh
+from .device import DeviceSpec, Mesh, build_mesh, contact_values
 from .errors import DomainError, SolverError, StepRejected
 from .nonlinear_poisson import (NonlinearPoissonProblem, equilibrium_state,
                                 solve_operator_S)
@@ -53,11 +53,11 @@ from .operators import (Discretization, FluxScheme, SparseOperator,
                         carrier_face_coefficients, cell_average_faces,
                         face_gradient, poisson_data_load, solve_linear)
 from .recombination import SurfaceSRH, bulk_production
-from .statistics import StatisticsModel, invert_carriers
+from .statistics import StatisticsModel, carrier_arguments, invert_carriers
 
 __all__ = [
     "CarrierState", "TimeStepperConfig", "SimulationModels", "StepReport",
-    "BlowUpReport", "SimulationResult", "contact_data", "initial_state",
+    "BlowUpReport", "SimulationResult", "initial_state",
     "gummel_step", "run", "detect_blowup", "terminal_currents",
 ]
 
@@ -151,9 +151,12 @@ class SimulationResult:
     states: list
     reports: list
     blowup: BlowUpReport | None
-    steps_accepted: int
     steps_rejected: int
     disc: Discretization
+
+    @property
+    def steps_accepted(self) -> int:
+        return len(self.reports)
 
     @property
     def final(self) -> CarrierState:
@@ -162,11 +165,6 @@ class SimulationResult:
     @property
     def completed(self) -> bool:
         return self.blowup is None
-
-
-def contact_data(device: DeviceSpec, t: float) -> list[tuple[float, float, float]]:
-    """(phi_D, Phi1_D, Phi2_D) per contact at time t, bias included."""
-    return [c.values(t) for c in device.contacts]
 
 
 def initial_state(device: DeviceSpec, models: SimulationModels,
@@ -181,10 +179,11 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
 
 
 def _cell_currents(disc: Discretization, phi: np.ndarray,
-                   contacts: list[tuple[float, float, float]],
+                   contacts: np.ndarray,
                    face_flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cellwise potential gradient (n_cells, dim) and current density
-    vectors (2, n_cells, dim) of given (2, n_faces) carrier face fluxes.
+    vectors (2, n_cells, dim) of given (2, n_faces) carrier face fluxes;
+    ``contacts`` is the (3, n_contacts) ``contact_values`` array.
 
     The axis current density at a face is the mass flow over the face
     area with a sign flip (the flux convention counts mass moving from
@@ -192,8 +191,7 @@ def _cell_currents(disc: Discretization, phi: np.ndarray,
     carrier k points along u_k mu_k grad Phi_k).
     """
     mesh = disc.mesh
-    phi_d = np.array([c[0] for c in contacts])
-    cell_e = cell_average_faces(mesh, face_gradient(disc, phi, phi_d))
+    cell_e = cell_average_faces(mesh, face_gradient(disc, phi, contacts[0]))
     cell_current = np.stack([cell_average_faces(mesh, -flux / mesh.face_area)
                              for flux in face_flux])
     return cell_e, cell_current
@@ -229,12 +227,11 @@ def _surface_loads(device: DeviceSpec, mesh: Mesh, u1: np.ndarray,
 
 
 def _quasi_fermi_norm(disc: Discretization, Phi: np.ndarray,
-                      contacts: list[tuple[float, float, float]]) -> float:
+                      contacts: np.ndarray) -> float:
     """Blow-up proxy: max over carriers of sup|grad Phi_k| + sup|Phi_k|."""
     worst = 0.0
     for k in (1, 2):
-        levels = np.array([c[k] for c in contacts])
-        g = face_gradient(disc, Phi[k - 1], levels)
+        g = face_gradient(disc, Phi[k - 1], contacts[k])
         worst = max(worst, float(np.max(np.abs(g))
                                  + np.max(np.abs(Phi[k - 1]))))
     return worst
@@ -257,7 +254,7 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     """
     mesh = poisson.disc.mesh
     t_next = state.t + dt
-    contacts = contact_data(device, t_next)
+    contacts = contact_values(device, t_next)
     load = poisson_data_load(device, poisson, t_next)
     phi_d = poisson.factor().solve(load)
     V = mesh.cell_volumes
@@ -279,7 +276,7 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         nonlocal phi, phi_tilde
         problem = NonlinearPoissonProblem(
             poisson=poisson, volumes=V, load=zero_load, stats=models.stats,
-            omega=np.vstack([Phi[0] - phi_d, Phi[1] + phi_d]))
+            omega=carrier_arguments(Phi, phi_d))
         try:
             phi_tilde = solve_operator_S(problem, tol=config.poisson_tol,
                                          x0=phi_tilde)
@@ -287,7 +284,7 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             raise StepRejected(f"potential solve failed: {exc}") from exc
         phi = phi_d + phi_tilde
 
-        chi = np.vstack([Phi[0] - phi, Phi[1] + phi])
+        chi = carrier_arguments(Phi, phi)
         faces = carrier_face_coefficients(poisson.disc, models.stats,
                                           models.scheme, phi, chi, contacts)
         u_eval = np.vstack([f.u[:mesh.n_cells] for f in faces])
@@ -318,11 +315,12 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             u_new[k - 1] = u_k
         # the inversion starts one log-space Newton step from chi, where
         # ln F(s) ~ ln F(chi) + (s - chi) / eta(chi); a start that the
-        # quotient makes non-finite falls back to invert's cold start
+        # quotient makes non-finite falls back to invert's cold start; the
+        # levels are the inverted arguments minus (-1)^k phi
         with np.errstate(all="ignore"):
             start = chi + u_eval / du_eval * np.log(u_new / u_eval)
-        Phi_new = invert_carriers(models.stats, u_new, start) \
-            - np.vstack([-phi, phi])
+        Phi_new = carrier_arguments(
+            invert_carriers(models.stats, u_new, start), -phi)
         return Phi_new, u_new, balance, V * du_eval
 
     Phi = state.Phi.copy()
@@ -391,10 +389,10 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     contact up to sign, recombination notwithstanding.  ``disc`` is the
     run's ``Discretization``, ``SimulationResult.disc``.
     """
-    chi = np.vstack([state.Phi[0] - state.phi, state.Phi[1] + state.phi])
     face_flux = [f.flux() for f in carrier_face_coefficients(
-        disc, models.stats, models.scheme, state.phi, chi,
-        contact_data(device, state.t))]
+        disc, models.stats, models.scheme, state.phi,
+        carrier_arguments(state.Phi, state.phi),
+        contact_values(device, state.t))]
     # a contact face's flow runs from lo to hi: outward where hi is its ghost
     faces = disc.faces[disc.n_interior:]
     outward = np.where(disc.hi[disc.n_interior:] >= disc.n_cells, 1.0, -1.0)
@@ -426,10 +424,8 @@ def run(device: DeviceSpec, models: SimulationModels,
         if initial is None else initial.copy()
     states = [state]
     reports: list[StepReport] = []
-    proxies: list[float] = []
-    times: list[float] = []
-    accepted = rejected = 0
-    blowup = None
+    rejected = 0
+    reason = None
     dt = config.dt_init
     horizon = config.t_end * (1.0 - 1e-14)
     while state.t < horizon:
@@ -441,28 +437,21 @@ def run(device: DeviceSpec, models: SimulationModels,
             rejected += 1
             dt = dt_step * config.shrink
             if dt < config.dt_min:
-                blowup = BlowUpReport(
-                    reason=f"step size underflow: {exc}",
-                    threshold=config.blowup_threshold,
-                    times=list(times), proxies=list(proxies))
+                reason = f"step size underflow: {exc}"
                 break
             continue
-        accepted += 1
         states.append(state)
         reports.append(report)
-        proxies.append(report.proxy)
-        times.append(report.t)
         if observer is not None:
             observer(state, report)
-        if detect_blowup(proxies, config.blowup_threshold,
-                         config.blowup_window):
-            blowup = BlowUpReport(
-                reason="carrier norm proxy increasing past threshold",
-                threshold=config.blowup_threshold,
-                times=list(times), proxies=list(proxies))
+        if detect_blowup([r.proxy for r in reports[-config.blowup_window:]],
+                         config.blowup_threshold, config.blowup_window):
+            reason = "carrier norm proxy increasing past threshold"
             break
         dt = min(dt_step * config.growth, config.dt_max)
+    blowup = None if reason is None else BlowUpReport(
+        reason=reason, threshold=config.blowup_threshold,
+        times=[r.t for r in reports], proxies=[r.proxy for r in reports])
     return SimulationResult(states=states, reports=reports, blowup=blowup,
-                            steps_accepted=accepted, steps_rejected=rejected,
-                            disc=poisson.disc)
+                            steps_rejected=rejected, disc=poisson.disc)
 

@@ -15,7 +15,7 @@ import filecmp
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -215,8 +215,8 @@ def suite_nonexpansive(seed: int) -> list[PropertyResult]:
     for label, base, pairs in _omega_problems(seed):
         worst = -math.inf
         for om_a, om_b in pairs:
-            phi_a = solve_operator_S(base, omega=om_a, tol=1e-12)
-            phi_b = solve_operator_S(base, omega=om_b, tol=1e-12)
+            phi_a = solve_operator_S(replace(base, omega=om_a), tol=1e-12)
+            phi_b = solve_operator_S(replace(base, omega=om_b), tol=1e-12)
             excess = float(np.max(np.abs(phi_a - phi_b))
                            - np.max(np.abs(om_a - om_b)))
             worst = max(worst, excess)

@@ -30,7 +30,6 @@ from driftsim.operators import (
     cell_average_faces,
     continuity_face_flux,
     eta_face,
-    face_coefficients,
     face_gradient,
     poisson_data_load,
     sg_flux,
@@ -302,6 +301,14 @@ def _every_side_device_2d():
         robin=(RobinSegment("bottom", eps_gamma=0.5, span=(0.2, 0.8)),))
 
 
+def _one_carrier_contacts(rng, dev):
+    """A (phi_D, Phi_D) draw per contact, as the (3, n_contacts) contact
+    array with Phi_D for both carriers."""
+    phi_d, level = np.array([(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))
+                             for _ in dev.contacts]).reshape(-1, 2).T
+    return np.vstack([phi_d, level, level])
+
+
 def _device(dimension):
     if dimension == 1:
         return dirichlet_slab(cells=9)
@@ -329,11 +336,11 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
     rng = np.random.default_rng(11 + k)
     phi = rng.uniform(0.0, 2.0, mesh.n_cells)
     chi = rng.uniform(0.0, 3.0, mesh.n_cells)
-    values = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))
-              for _ in dev.contacts]
-    flux = continuity_face_flux(dev, mesh, stats, scheme, k, phi, chi, values)
+    contacts = _one_carrier_contacts(rng, dev)
+    flux = continuity_face_flux(dev, mesh, stats, scheme, k, phi, chi,
+                                contacts)
     M, load = assemble_continuity(dev, mesh, stats, scheme, k, phi, chi,
-                                  values)
+                                  contacts)
     u = stats.eval(chi)
     lo, hi = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
     outflow = np.zeros(mesh.n_cells)
@@ -344,9 +351,39 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
     assert np.max(np.abs(outflow - (M @ u - load))) <= 1e-13 * scale
     # the cell densities the coefficients carry are F(chi) bit for bit:
     # F of chi extended by its ghosts equals F of chi alone, elementwise
-    f = face_coefficients(Discretization(dev, mesh), stats, scheme, k, phi,
-                          chi, values)
+    f = carrier_face_coefficients(Discretization(dev, mesh), (stats, stats),
+                                  scheme, phi, np.vstack([chi, chi]),
+                                  contacts)[k - 1]
     assert np.array_equal(f.u[:mesh.n_cells], u)
+
+
+@DIMENSIONS
+@pytest.mark.parametrize("k", [1, 2], ids=["k1", "k2"])
+def test_continuity_shims_equal_the_kernel(dimension, k):
+    # assemble_continuity and continuity_face_flux are one kernel call for
+    # carrier k with both carriers at its statistics
+    dev = _device(dimension)
+    mesh = build_mesh(dev)
+    rng = np.random.default_rng(17 + k)
+    phi = rng.uniform(0.0, 2.0, mesh.n_cells)
+    chi = rng.uniform(-1.0, 3.0, (2, mesh.n_cells))
+    contacts = rng.uniform(0.0, 1.0, (3, len(dev.contacts)))
+    stats = (fermi_dirac_half(), boltzmann())
+    f = carrier_face_coefficients(Discretization(dev, mesh), stats, ENHANCED,
+                                  phi, chi, contacts)[k - 1]
+    # carrier k's contact level, in both rows the shims read it from
+    own = contacts[[0, k, k]]
+    M, load = assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, k, phi,
+                                  chi[k - 1], own)
+    M_ref, load_ref = f.system(np.zeros(mesh.n_cells))
+    assert np.array_equal(M.data, M_ref.data)
+    assert np.array_equal(load, load_ref)
+    flux = continuity_face_flux(dev, mesh, stats[k - 1], ENHANCED, k, phi,
+                                chi[k - 1], own)
+    assert np.array_equal(flux, f.flux())
+    with pytest.raises(DomainError, match="carrier index"):
+        assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, 0, phi,
+                            chi[k - 1], own)
 
 
 @DIMENSIONS
@@ -357,7 +394,8 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
 ], ids=["fd", "boltzmann", "mixed"])
 def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
     # both carriers evaluated in one statistics call give each carrier's
-    # own coefficients, densities and derivatives bit for bit
+    # own coefficients, densities and derivatives bit for bit: row k of a
+    # call equals row k of the call with both carriers at s_k
     dev = _device(dimension)
     mesh = build_mesh(dev)
     disc = Discretization(dev, mesh)
@@ -365,12 +403,12 @@ def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
     rng = np.random.default_rng(3)
     phi = rng.uniform(0.0, 2.0, n)
     chi = rng.uniform(-1.0, 3.0, (2, n))
-    contacts = [tuple(rng.uniform(0.0, 1.0, 3)) for _ in dev.contacts]
+    contacts = rng.uniform(0.0, 1.0, (len(dev.contacts), 3)).T
     both = carrier_face_coefficients(disc, stats, ENHANCED, phi, chi,
                                      contacts)
     for k in (1, 2):
-        one = face_coefficients(disc, stats[k - 1], ENHANCED, k, phi,
-                                chi[k - 1], [(c[0], c[k]) for c in contacts])
+        one = carrier_face_coefficients(disc, (stats[k - 1],) * 2, ENHANCED,
+                                        phi, chi, contacts)[k - 1]
         for name in ("a", "b", "u", "du"):
             assert np.array_equal(getattr(both[k - 1], name),
                                   getattr(one, name))
@@ -410,11 +448,11 @@ def test_system_fill_matches_coordinate_build(dimension, k, scheme, stats):
     rng = np.random.default_rng(5 + k)
     phi = rng.uniform(0.0, 2.0, n)
     chi = rng.uniform(-1.0, 3.0, n)
-    values = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))
-              for _ in dev.contacts]
+    contacts = _one_carrier_contacts(rng, dev)
     mass = mesh.cell_volumes / 0.0137
-    f = face_coefficients(Discretization(dev, mesh), stats, scheme, k, phi,
-                          chi, values)
+    f = carrier_face_coefficients(Discretization(dev, mesh), (stats, stats),
+                                  scheme, phi, np.vstack([chi, chi]),
+                                  contacts)[k - 1]
     M, load = f.system(mass)
 
     # the stencil lists the interior faces first, then the contact faces

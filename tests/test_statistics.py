@@ -136,13 +136,21 @@ def test_invert_is_inverse_from_density_side(u):
 
 
 # densities from 1e-300 to 1e300: below, F(s) is subnormal and holds fewer
-# digits than the tolerance asks for; from about 1e308 up, the s^{3/2} of
-# the Sommerfeld tail overflows
+# digits than the tolerance asks for; the top of the float range has its
+# own test below
 @given(st.floats(min_value=1e-300, max_value=1e300),
        st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_invert_from_any_start(u, start):
     s = FD.invert(u, start)
+    assert abs(FD.eval(s) - u) <= 1e-12 * u
+
+
+@pytest.mark.parametrize("u", [1.7e308, np.finfo(float).max])
+def test_invert_at_the_top_of_the_float_range(u):
+    # neither the upper bracket nor the Sommerfeld tail forms an
+    # intermediate larger than F, so nothing overflows on the way
+    s = FD.invert(u)
     assert abs(FD.eval(s) - u) <= 1e-12 * u
 
 
