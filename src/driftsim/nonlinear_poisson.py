@@ -39,7 +39,8 @@ import numpy as np
 
 from .device import DeviceSpec, Mesh, build_mesh, bulk_doping, contact_values
 from .errors import DomainError, NonConvergenceError, SolverError
-from .operators import SparseOperator, assemble_poisson, poisson_data_load
+from .operators import (FactorSlot, SparseOperator, assemble_poisson,
+                        poisson_data_load, solve_linear)
 from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 
 __all__ = [
@@ -134,16 +135,26 @@ def cutoff(s, K: float):
 
 
 def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
-                 x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+                 x0: np.ndarray | None = None,
+                 slot: FactorSlot | None = None,
+                 ) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton on K(phi) = 0, measured in the discrete dual norm.
 
     The Jacobian P + V diag(F1' + F2') is symmetric positive definite, so
     the Newton direction always exists; step halving enforces monotone
     residual decrease.  Trial points that overflow the statistics produce
     an infinite residual and are rejected by the same test.
+
+    A tridiagonal Jacobian is factored and solved directly.  Any other is
+    solved by ``solve_linear`` from ``slot`` (a fresh slot when none is
+    given), so a Jacobian close to the last one factored, in this solve
+    or in an earlier one that shared the slot, takes no new factor; the
+    direction then meets the linear residual contract, not the dual-norm
+    test, which stays Newton's own.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
+    slot = FactorSlot() if slot is None else slot
     n = problem.poisson.dimension
     phi = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r, diagonal = problem.linearize(phi)
@@ -153,11 +164,15 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
             return phi, SolveReport("newton", it, res)
         J = SparseOperator(problem.poisson.shifted(diagonal),
                            problem.poisson.disc)
-        try:
-            delta = J.factor().solve(r)
-        except RuntimeError as exc:
-            raise SolverError(f"Newton matrix factorization failed: {exc}",
-                              residual=res) from exc
+        if J.disc.bands is None:
+            delta = solve_linear(J, r, slot)
+        else:
+            try:
+                delta = J.factor().solve(r)
+            except RuntimeError as exc:
+                raise SolverError(
+                    f"Newton matrix factorization failed: {exc}",
+                    residual=res) from exc
         if not np.all(np.isfinite(delta)):
             # an overflowed Jacobian diagonal poisons the direction; no
             # amount of damping recovers from a non-finite step
@@ -269,16 +284,18 @@ def contraction_iterate(problem: NonlinearPoissonProblem, tol: float = 1e-10,
 
 
 def solve_operator_S(problem: NonlinearPoissonProblem, tol: float = 1e-12,
-                     x0: np.ndarray | None = None) -> np.ndarray:
+                     x0: np.ndarray | None = None,
+                     slot: FactorSlot | None = None) -> np.ndarray:
     """The potential map omega -> phi, by damped Newton.
 
-    ``x0`` warm-starts the iteration; callers stepping through a family
-    of nearby omega (the decoupling loop) pass the previous potential.
+    ``x0`` warm-starts the iteration and ``slot`` holds the last Jacobian
+    factor; callers stepping through a family of nearby omega (the
+    decoupling loop) pass the previous potential and the same slot.
     A Newton failure surfaces as ``SolverError``; the caller decides
     whether to retry with a smaller step.
     """
     try:
-        phi, _ = newton_solve(problem, tol=tol, x0=x0)
+        phi, _ = newton_solve(problem, tol=tol, x0=x0, slot=slot)
     except NonConvergenceError as exc:
         raise SolverError(str(exc), residual=exc.residual) from exc
     return phi

@@ -20,6 +20,13 @@ is tridiagonal in cell order (every 1D mesh of n >= 3 cells) goes to LAPACK
 gttrf/gttrs, a few microseconds where SuperLU spends 100 us on set-up.  Any
 other (2D, and n <= 2, which scipy's gttrf rejects) goes to SuperLU, with
 columns in minimum-degree order of A^T + A, as the pattern is symmetric.
+SuperLU factors through its ILU driver with nothing dropped: the same
+exact LU as ``splu``, on a workspace sized to the fill instead of one
+reserved for a worst case.  On that path ``solve_linear`` can solve a
+system by iterative refinement from the factor of a nearby one held in a
+``FactorSlot``, and factors afresh only when refinement misses the
+residual contract; a solve sequence of slowly changing systems (one time
+step's sweeps) then takes one factor per system instead of one per solve.
 
 One kernel, ``carrier_face_coefficients``, computes both carriers'
 coefficients on every stencil face from one joint statistics evaluation;
@@ -56,7 +63,7 @@ __all__ = [
     "poisson_data_load", "carrier_face_coefficients",
     "assemble_continuity", "continuity_face_flux", "apply_surface_load",
     "face_gradient",
-    "cell_average_faces", "solve_linear",
+    "cell_average_faces", "FactorSlot", "solve_linear",
 ]
 
 
@@ -265,6 +272,15 @@ class Discretization:
         return out
 
 
+# SuperLU's ILU driver grows its L and U workspace by realloc from
+# _FILL_FACTOR * nnz(A).  Per 64x64 junction factor, interleaved against
+# splu (2 vCPUs, scipy 1.17.1): F = 2 took 1.24x splu's time (the growth
+# reallocs), F = 3-5 1.02-1.05x, F = 7 and 10 1.07x and 1.12x; a live
+# factor held 2.1 MB of heap at F = 4, 3.5 MB at 7 and 5.0 MB at 10,
+# where an splu factor holds 14.7 MB for the same fill.
+_FILL_FACTOR = 4
+
+
 class _TridiagonalLU:
     """LAPACK gttrf factors of CSC ``data`` on ``bands``, solved by gttrs."""
 
@@ -290,11 +306,20 @@ class SparseOperator:
         return self.matrix.shape[0]
 
     def factor(self):
-        """LU factors with a ``solve(b)``; RuntimeError if exactly singular."""
+        """LU factors with a ``solve(b)``; RuntimeError if exactly singular.
+
+        Off the tridiagonal path, SuperLU's ILU driver with drop tolerance
+        0 under the "basic" rule drops nothing, so the factors are exact
+        (the default rule also drops by area, to hold the fill at
+        ``fill_factor * nnz(A)``, which is no longer an LU).
+        """
         if self._lu is None:
             bands = self.disc.bands
             if bands is None:
-                self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A")
+                self._lu = spla.spilu(
+                    self.matrix, drop_tol=0.0, drop_rule="basic",
+                    diag_pivot_thresh=1.0, fill_factor=_FILL_FACTOR,
+                    permc_spec="MMD_AT_PLUS_A")
             else:
                 self._lu = _TridiagonalLU(self.matrix.data, bands)
         return self._lu
@@ -469,19 +494,76 @@ def cell_average_faces(mesh: Mesh, face_values: np.ndarray) -> np.ndarray:
 
 
 _SOLVE_RTOL = 1e-12  # residual contract of solve_linear, relative to ||b||
+_REFINE_MAX = 8  # refinement steps from a held factor before a fresh one
 
 
-def solve_linear(op: SparseOperator, b: np.ndarray) -> np.ndarray:
+class FactorSlot:
+    """Holds the last operator ``solve_linear`` factored for one family of
+    nearby systems (one carrier's continuity matrices, or the potential
+    Newton Jacobians), so that the next system of the family can be
+    solved from its factor."""
+
+    def __init__(self):
+        self.op: SparseOperator | None = None
+
+
+def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray):
+    """Iterative refinement for ``matrix x = b`` from the factor ``lu`` of
+    a nearby matrix: x <- x + LU^{-1} (b - matrix x) while each step at
+    least halves the residual, so it runs down to the rounding floor when
+    the factor is close, and stops early when it is not; at most
+    _REFINE_MAX steps.  Returns x and ||b - matrix x||."""
+    x = lu.solve(b)
+    r = b - matrix @ x
+    res = np.linalg.norm(r)
+    for _ in range(_REFINE_MAX):
+        x_next = x + lu.solve(r)
+        r_next = b - matrix @ x_next
+        res_next = np.linalg.norm(r_next)
+        if not res_next < res:
+            break
+        halved = res_next <= 0.5 * res
+        x, r, res = x_next, r_next, res_next
+        if not halved:
+            break
+    return x, res
+
+
+def solve_linear(op: SparseOperator, b: np.ndarray,
+                 slot: FactorSlot | None = None) -> np.ndarray:
     """Direct solve with an explicit residual contract.
 
     Factorizes once (cached on the operator), applies one step of
     iterative refinement if the residual check fails, and raises
-    SolverError when ||Ax-b|| > _SOLVE_RTOL * ||b|| persists.
+    SolverError when ||Ax-b|| > _SOLVE_RTOL * ||b|| persists, or when
+    the matrix is singular.
+
+    On the SuperLU path the factor held in ``slot``, if any, is tried
+    first: ``_refine`` from that factor, accepted if it meets the
+    contract.  Otherwise the slot is emptied, so the stale factor is
+    freed before the new one is allocated, and ``op`` is factored and
+    kept in the slot.  The tridiagonal path ignores the slot, as its
+    factor costs a few microseconds.
     """
-    matrix, lu = op.matrix, op.factor()
     b = np.asarray(b, dtype=float)
-    x = lu.solve(b)
     scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
+    if op.disc.bands is not None:
+        slot = None
+    if slot is not None:
+        if slot.op is not None:
+            x, res = _refine(op.matrix, slot.op.factor(), b)
+            if res <= _SOLVE_RTOL * scale:
+                return x
+        slot.op = None
+    matrix = op.matrix
+    try:
+        lu = op.factor()
+    except RuntimeError as exc:
+        raise SolverError(f"linear solve factorization failed: {exc}") \
+            from exc
+    if slot is not None:
+        slot.op = op
+    x = lu.solve(b)
     res = np.linalg.norm(matrix @ x - b)
     if res > _SOLVE_RTOL * scale:
         x = x + lu.solve(b - matrix @ x)

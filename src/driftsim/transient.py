@@ -28,6 +28,15 @@ passes the increment test, with the balance of its density solves; its
 reaction loads were taken at an iterate within the step tolerance of it,
 so the step is implicit in the recombination terms to that tolerance.
 
+The sweeps of one step solve nearby linear systems.  On the SuperLU path
+(2D, and n <= 2) the step holds the last factor of each family, the
+potential Newton Jacobian and each carrier's continuity matrix, and a
+later system is solved by iterative refinement from it; a system that
+refinement cannot bring within the linear residual contract is factored
+afresh and replaces the held factor.  The factors are dropped when the
+step returns or raises.  A tridiagonal (1D) system is factored each time,
+as that costs a few microseconds.
+
 A step that produces a nonpositive density or fails to converge raises
 StepRejected; the driver halves the step and retries, growing it again
 after acceptances.  Blow-up is reported, not fought: when the carrier
@@ -48,8 +57,8 @@ from .device import DeviceSpec, Mesh, build_mesh, contact_values
 from .errors import DomainError, SolverError, StepRejected
 from .nonlinear_poisson import (NonlinearPoissonProblem, equilibrium_state,
                                 solve_operator_S)
-from .operators import (Discretization, FluxScheme, SparseOperator,
-                        apply_surface_load, assemble_poisson,
+from .operators import (Discretization, FactorSlot, FluxScheme,
+                        SparseOperator, apply_surface_load, assemble_poisson,
                         carrier_face_coefficients, cell_average_faces,
                         face_gradient, poisson_data_load, solve_linear)
 from .recombination import SurfaceSRH, bulk_production
@@ -265,6 +274,10 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     if source is not None:
         source = np.asarray(source, dtype=float)
     zero_load = np.zeros(mesh.n_cells)
+    # the last factor of each family of nearby systems, held for the step:
+    # the potential Newton Jacobians (across sweeps) and each carrier's
+    # continuity matrices
+    jacobians, continuity = FactorSlot(), (FactorSlot(), FactorSlot())
 
     def advance(Phi):
         """One sweep image of the quasi-Fermi iterate.
@@ -279,7 +292,7 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             omega=carrier_arguments(Phi, phi_d))
         try:
             phi_tilde = solve_operator_S(problem, tol=config.poisson_tol,
-                                         x0=phi_tilde)
+                                         x0=phi_tilde, slot=jacobians)
         except SolverError as exc:
             raise StepRejected(f"potential solve failed: {exc}") from exc
         phi = phi_d + phi_tilde
@@ -303,7 +316,8 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             if source is not None:
                 rhs = rhs + V * source[k - 1]
             try:
-                u_k = solve_linear(SparseOperator(system, poisson.disc), rhs)
+                u_k = solve_linear(SparseOperator(system, poisson.disc), rhs,
+                                   continuity[k - 1])
             except SolverError as exc:
                 raise StepRejected(f"continuity solve failed: {exc}") from exc
             if np.any(u_k <= 0.0) or not np.all(np.isfinite(u_k)):

@@ -20,6 +20,7 @@ from driftsim.errors import DomainError, SolverError
 from driftsim.nonlinear_poisson import NonlinearPoissonProblem, newton_solve
 from driftsim.operators import (
     Discretization,
+    FactorSlot,
     FluxScheme,
     SparseOperator,
     apply_surface_load,
@@ -508,34 +509,112 @@ def test_matrices_cannot_change_the_shared_pattern():
         op.shifted(np.ones(op.dimension)).indices[0] = 1
 
 
+def _junction_2d(cells=64):
+    return DeviceSpec(
+        dimension=2, extent=(20.0, 20.0), resolution=(cells, cells),
+        regions=(MaterialRegion("bulk", ((0.0, 20.0), (0.0, 20.0))),),
+        contacts=(Contact(side="left", phi=-0.48), Contact(side="right",
+                                                           phi=0.48)))
+
+
 def test_poisson_factor_fill_on_the_2d_junction():
     # the stencil is structurally symmetric, so a minimum-degree ordering
     # of A^T + A keeps the LU fill of the 64x64 junction near 6.3 nnz(A);
     # the default column ordering gives 10.9
-    dev = DeviceSpec(
-        dimension=2, extent=(20.0, 20.0), resolution=(64, 64),
-        regions=(MaterialRegion("bulk", ((0.0, 20.0), (0.0, 20.0))),),
-        contacts=(Contact(side="left", phi=-0.48), Contact(side="right",
-                                                           phi=0.48)))
+    dev = _junction_2d()
     op = assemble_poisson(dev, build_mesh(dev))
     lu = op.factor()
     assert (lu.L.nnz + lu.U.nnz) / op.matrix.nnz <= 7.0
 
 
+@pytest.mark.parametrize("system", ["poisson", "sg"])
+def test_superlu_factor_matches_splu(system):
+    # the ILU driver with nothing dropped gives splu's fill and, up to
+    # rounding, splu's solution
+    dev = _junction_2d()
+    mesh = build_mesh(dev)
+    op = assemble_poisson(dev, mesh)
+    n = op.dimension
+    rng = np.random.default_rng(11)
+    if system == "sg":
+        chi = rng.uniform(-1.0, 3.0, n)
+        f = carrier_face_coefficients(
+            op.disc, (boltzmann(), boltzmann()), SG, rng.uniform(0.0, 2.0, n),
+            np.vstack([chi, chi]), _one_carrier_contacts(rng, dev))[0]
+        op = SparseOperator(f.system(mesh.cell_volumes / 0.01)[0], op.disc)
+    lu = op.factor()
+    reference = spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
+    assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+    for b in rng.normal(size=(3, n)):
+        ref = reference.solve(b)
+        assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_solve_linear_refines_from_the_held_factor(monkeypatch):
+    # P + c V with c = 1 is factored; c = 1.01 is solved from that factor
+    # down to rounding, with no new factor; c = 100 is too far for
+    # refinement to halve the residual, so it takes exactly one factor,
+    # which replaces the held one
+    calls = _count_superlu(monkeypatch)
+    dev = _junction_2d(cells=24)
+    mesh = build_mesh(dev)
+    poisson = assemble_poisson(dev, mesh)
+    b = np.random.default_rng(2).normal(size=poisson.dimension)
+    slot = FactorSlot()
+
+    def solve(c):
+        op = SparseOperator(poisson.shifted(c * mesh.cell_volumes),
+                            poisson.disc)
+        x = solve_linear(op, b, slot)
+        assert np.linalg.norm(op.matrix @ x - b) <= 1e-14 * np.linalg.norm(b)
+        return op
+
+    first = solve(1.0)
+    assert len(calls) == 1 and slot.op is first
+    near = solve(1.01)
+    assert len(calls) == 1 and slot.op is first and near._lu is None
+    far = solve(100.0)
+    assert len(calls) == 2 and slot.op is far
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_singular_system_in_solve_linear_is_a_solver_error(dimension):
+    # a zero first column makes the matrix exactly singular, on the gttrf
+    # path (1D) and the SuperLU path (2D); the error is typed, so a step
+    # that meets it is rejected instead of ending the run, and the stale
+    # factor is not kept
+    dev = dirichlet_slab(cells=6) if dimension == 1 else _device(2)
+    op = assemble_poisson(dev, build_mesh(dev))
+    data = op.matrix.data.copy()
+    data[:op.matrix.indptr[1]] = 0.0
+    singular = SparseOperator(op.disc.csc(data), op.disc)
+    b = np.ones(op.dimension)
+    slot = FactorSlot()
+    solve_linear(op, b, slot)
+    assert (slot.op is op) == (dimension == 2)
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve_linear(singular, b, slot)
+    assert slot.op is None
+
+
 # -- tridiagonal factor ---------------------------------------------------
 #
 # A pattern that is tridiagonal in cell order (every 1D mesh with at least
-# three cells) is factored by LAPACK gttrf; every other one by splu.
+# three cells) is factored by LAPACK gttrf; every other one by SuperLU,
+# through its ILU driver (spilu) with nothing dropped.
 
-def _count_splu(monkeypatch):
+def _count_superlu(monkeypatch, drivers=("spilu",)):
+    """Record the matrix shape of every call of the named SuperLU drivers."""
     calls = []
-    original = spla.splu
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
+    def counting(original):
+        def call(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(spla, "splu", counting)
+    for name in drivers:
+        monkeypatch.setattr(spla, name, counting(getattr(spla, name)))
     return calls
 
 
@@ -543,7 +622,7 @@ def _count_splu(monkeypatch):
                                               (16, 0)])
 def test_factor_path_follows_the_pattern_in_1d(monkeypatch, cells,
                                                splu_calls):
-    calls = _count_splu(monkeypatch)
+    calls = _count_superlu(monkeypatch)
     dev = dirichlet_slab(cells=cells, phi_left=1.0, phi_right=3.0)
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
@@ -555,7 +634,7 @@ def test_factor_path_follows_the_pattern_in_1d(monkeypatch, cells,
 
 
 def test_factor_path_is_splu_in_2d(monkeypatch):
-    calls = _count_splu(monkeypatch)
+    calls = _count_superlu(monkeypatch)
     dev = _two_contact_device_2d()
     op = assemble_poisson(dev, build_mesh(dev))
     assert op.disc.bands is None
@@ -565,8 +644,8 @@ def test_factor_path_is_splu_in_2d(monkeypatch):
 
 def test_1d_run_never_calls_splu(monkeypatch):
     # the Poisson factor, every Newton Jacobian and every continuity
-    # system of a 1D run go through gttrf
-    calls = _count_splu(monkeypatch)
+    # system of a 1D run go through gttrf, through neither SuperLU driver
+    calls = _count_superlu(monkeypatch, drivers=("splu", "spilu"))
     dev = DeviceSpec(
         dimension=1, extent=(2.0,), resolution=(16,),
         regions=(MaterialRegion("bulk", ((0.0, 2.0),)),),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from driftsim import transient
 from driftsim.config import OutputSink, SimulationConfig
@@ -195,6 +196,43 @@ def test_gummel_step_advances_time(monkeypatch):
     # the accepted state is the last sweep's image: two density solves per
     # sweep, and no further pass after the increment test
     assert len(solves) == 2 * report.gummel_iterations
+
+
+def test_2d_step_factors_each_system_once(monkeypatch):
+    # off the tridiagonal path a step factors the Newton Jacobian and each
+    # carrier's continuity matrix at most once, and solves the later
+    # sweeps' systems by refinement from those factors, down to the
+    # balance bound
+    factors = []
+    original = spla.spilu
+
+    def counting(*args, **kwargs):
+        factors.append(1)
+        return original(*args, **kwargs)
+
+    phi_n = float(np.arcsinh(0.5))
+    dev = DeviceSpec(
+        dimension=2, extent=(4.0, 2.0), resolution=(12, 6),
+        regions=(MaterialRegion("bulk", ((0.0, 4.0), (0.0, 2.0))),),
+        contacts=(Contact(side="left", phi=-phi_n),
+                  Contact(side="right", phi=phi_n,
+                          bias=((0.0, 0.0), (0.1, 0.25)))),
+        doping=DopingProfile(bulk=(BoxDoping(((0.0, 2.0), (0.0, 2.0)), -1.0),
+                                   BoxDoping(((2.0, 4.0), (0.0, 2.0)), 1.0))))
+    poisson = assemble_poisson(dev, build_mesh(dev))
+    assert poisson.disc.bands is None
+    models = SimulationModels(stats=BB)
+    cfg = TimeStepperConfig(dt_init=0.01, t_end=1.0)
+    state = initial_state(dev, models, poisson=poisson)
+    monkeypatch.setattr(spla, "spilu", counting)
+    sweeps = 0
+    for _ in range(3):
+        factors.clear()
+        state, report = gummel_step(dev, poisson, models, state, 0.01, cfg)
+        assert len(factors) <= 3
+        assert report.balance_residual <= 1e-12
+        sweeps += report.gummel_iterations
+    assert sweeps > 3 * 2  # some step refined a later sweep's systems
 
 
 def test_run_builds_one_discretization(monkeypatch):
