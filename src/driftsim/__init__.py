@@ -52,7 +52,6 @@ from .config import (
     OutputSink,
     SimulationConfig,
     build_models,
-    build_statistics,
     dump_config,
     load_config,
     parse_config,
@@ -90,7 +89,6 @@ __all__ = [
     "boltzmann",
     "build_mesh",
     "build_models",
-    "build_statistics",
     "dump_config",
     "equilibrium_state",
     "fermi_dirac_half",

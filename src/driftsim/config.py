@@ -41,12 +41,12 @@ from .errors import ConfigError, DomainError
 from .operators import FluxScheme
 from .recombination import (Auger, Avalanche, MassAction, ShockleyReadHall,
                             SurfaceSRH)
-from .statistics import StatisticsModel, boltzmann, fermi_dirac_half
+from .statistics import StatisticsModel
 from .transient import SimulationModels, TimeStepperConfig
 
 __all__ = [
     "OutputSink", "SimulationConfig", "parse_config", "load_config",
-    "dump_config", "build_statistics", "build_models", "load_yaml",
+    "dump_config", "build_models", "load_yaml",
 ]
 
 # libyaml's loader builds the same trees as the pure-Python one, several
@@ -96,19 +96,11 @@ class SimulationConfig:
     seed: int = 0
 
 
-def build_statistics(name: str) -> StatisticsModel:
-    if name == "boltzmann":
-        return boltzmann()
-    if name == "fermi_dirac_half":
-        return fermi_dirac_half()
-    raise DomainError(f"unknown statistics {name!r}")
-
-
 def build_models(config: SimulationConfig) -> SimulationModels:
     """Instantiate the solver-facing model bundle for a parsed deck."""
     return SimulationModels(
-        stats=(build_statistics(config.statistics[0]),
-               build_statistics(config.statistics[1])),
+        stats=(StatisticsModel(config.statistics[0]),
+               StatisticsModel(config.statistics[1])),
         scheme=FluxScheme(config.flux_scheme),
         bulk=config.recombination,
     )
@@ -472,8 +464,7 @@ def parse_config(text: str) -> SimulationConfig:
     seed = _int(tree.get("seed", 0), "seed", problems)
 
     if device is not None:
-        report = validate_device(device)
-        problems.extend(f"device: {v}" for v in report.violations)
+        problems.extend(f"device: {v}" for v in validate_device(device))
     if problems:
         raise ConfigError(problems)
     return SimulationConfig(

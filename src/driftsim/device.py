@@ -25,7 +25,7 @@ from .errors import GeometryError
 __all__ = [
     "MaterialRegion", "Contact", "RobinSegment", "SurfaceSegment",
     "InterfaceSpec", "BoxDoping", "SheetDoping", "DopingProfile",
-    "DeviceSpec", "Mesh", "ValidationReport",
+    "DeviceSpec", "Mesh",
     "build_mesh", "contact_values", "validate_device", "sample_series",
 ]
 
@@ -167,15 +167,6 @@ class DeviceSpec:
     doping: DopingProfile = field(default_factory=DopingProfile)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # face boundary tags
 TAG_INTERIOR = 0
 TAG_DIRICHLET = 1
@@ -201,13 +192,11 @@ class Mesh:
     cell_region: np.ndarray       # (n_cells,) index into device.regions
     face_axis: np.ndarray         # (n_faces,)
     face_area: np.ndarray         # (n_faces,)
-    face_centers: np.ndarray      # (n_faces, dim)
     face_cells: np.ndarray        # (n_faces, 2): [low-side cell, high-side cell], -1 outside
     face_dl: np.ndarray           # center-to-face distance on the low side (0 if none)
     face_dr: np.ndarray           # center-to-face distance on the high side
     face_tag: np.ndarray          # TAG_* per face
     face_contact: np.ndarray      # contact index for Dirichlet faces, else -1
-    dirichlet_faces: tuple[np.ndarray, ...]   # per contact
     robin_faces: tuple[np.ndarray, ...]       # per robin segment
     surface_faces: tuple[np.ndarray, ...]     # per surface segment
     interface_faces: tuple[np.ndarray, ...]   # per interface
@@ -256,19 +245,20 @@ def _span_problems(what: str, span: Span | None, device: DeviceSpec,
     return []
 
 
-def validate_device(device: DeviceSpec) -> ValidationReport:
-    """Static admissibility checks; returns every finding, raises nothing."""
+def validate_device(device: DeviceSpec) -> tuple[str, ...]:
+    """Static admissibility checks: every finding, empty when the device is
+    admissible; raises nothing."""
     out: list[str] = []
     dim = device.dimension
     if dim not in (1, 2):
-        return ValidationReport((f"dimension must be 1 or 2, got {dim}",))
+        return (f"dimension must be 1 or 2, got {dim}",)
     sides = _SIDES_1D if dim == 1 else _SIDES_2D
     if len(device.extent) != dim or any(e <= 0 for e in device.extent):
         out.append(f"extent must be {dim} positive lengths, got {device.extent}")
     if len(device.resolution) != dim or any(n < 1 for n in device.resolution):
         out.append(f"resolution must be {dim} positive cell counts, got {device.resolution}")
     if out:
-        return ValidationReport(tuple(out))
+        return tuple(out)
     volume = float(np.prod(device.extent))
 
     if not device.regions:
@@ -366,7 +356,7 @@ def validate_device(device: DeviceSpec) -> ValidationReport:
         if not np.isfinite(sheet.density):
             out.append("sheet doping density is not finite")
 
-    return ValidationReport(tuple(out))
+    return tuple(out)
 
 
 def build_mesh(device: DeviceSpec) -> Mesh:
@@ -413,15 +403,13 @@ def build_mesh(device: DeviceSpec) -> Mesh:
         below[a] -= 1
         lo = np.where(line > 0, cell_ids(below), -1)
         hi = np.where(line < shape[a], cell_ids(index), -1)
-        position = [(i + 0.5) * hk for i, hk in zip(index, h)]
-        position[a] = line * h[a]
         per_axis.append((
             index.T, np.full(line.size, a),
             np.full(line.size, math.prod(h[:a] + h[a + 1:], start=1.0)),
-            np.column_stack(position), np.column_stack([lo, hi]),
+            np.column_stack([lo, hi]),
             np.where(lo >= 0, 0.5 * h[a], 0.0), np.where(hi >= 0, 0.5 * h[a], 0.0)))
-    (face_index, face_axis, face_area, face_centers, face_cells,
-     face_dl, face_dr) = (np.concatenate(rows) for rows in zip(*per_axis))
+    face_index, face_axis, face_area, face_cells, face_dl, face_dr = (
+        np.concatenate(rows) for rows in zip(*per_axis))
     n_faces = face_axis.size
 
     boundary = (face_cells[:, 0] < 0) | (face_cells[:, 1] < 0)
@@ -454,9 +442,9 @@ def build_mesh(device: DeviceSpec) -> Mesh:
             face_tag[faces] = tag
             found.append(faces)
         segment_faces.append(tuple(found))
-    dirichlet_faces, robin_faces, surface_faces = segment_faces
+    contact_faces, robin_faces, surface_faces = segment_faces
     face_contact = np.full(n_faces, -1, dtype=int)
-    for ci, faces in enumerate(dirichlet_faces):
+    for ci, faces in enumerate(contact_faces):
         face_contact[faces] = ci
 
     def plane_faces(axis: int, position: float, span: Span | None,
@@ -482,12 +470,11 @@ def build_mesh(device: DeviceSpec) -> Mesh:
     return Mesh(
         dimension=dim, shape=shape, extent=extent, spacing=h,
         cell_centers=centers, cell_volumes=volumes, cell_region=region_of,
-        face_axis=face_axis, face_area=face_area, face_centers=face_centers,
-        face_cells=face_cells, face_dl=face_dl, face_dr=face_dr,
+        face_axis=face_axis, face_area=face_area, face_cells=face_cells,
+        face_dl=face_dl, face_dr=face_dr,
         face_tag=face_tag, face_contact=face_contact,
-        dirichlet_faces=dirichlet_faces, robin_faces=robin_faces,
-        surface_faces=surface_faces, interface_faces=interface_faces,
-        sheet_faces=sheet_faces,
+        robin_faces=robin_faces, surface_faces=surface_faces,
+        interface_faces=interface_faces, sheet_faces=sheet_faces,
         cell_face_lo=cell_face_lo, cell_face_hi=cell_face_hi,
     )
 

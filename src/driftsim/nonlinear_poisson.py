@@ -90,9 +90,6 @@ class NonlinearPoissonProblem:
             - self.volumes * (u[0] - u[1])
         return residual, self.volumes * (du[0] + du[1])
 
-    def residual(self, phi: np.ndarray) -> np.ndarray:
-        return self.linearize(phi)[0]
-
     def dual_norm(self, r: np.ndarray) -> float:
         """sqrt(r^T P^{-1} r), the discrete dual norm of a residual."""
         w = self.poisson.factor().solve(r)
@@ -145,12 +142,14 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     residual decrease.  Trial points that overflow the statistics produce
     an infinite residual and are rejected by the same test.
 
-    A tridiagonal Jacobian is factored and solved directly.  Any other is
-    solved by ``solve_linear`` from ``slot`` (a fresh slot when none is
-    given), so a Jacobian close to the last one factored, in this solve
-    or in an earlier one that shared the slot, takes no new factor; the
-    direction then meets the linear residual contract, not the dual-norm
-    test, which stays Newton's own.
+    A tridiagonal Jacobian is factored and solved directly, without the
+    residual check of ``solve_linear``, which would double the cost of a
+    1D direction.  Any other is solved by ``solve_linear`` from ``slot``
+    (a fresh slot when none is given), so a Jacobian close to the last one
+    factored, in this solve or in an earlier one that shared the slot,
+    takes no new factor; the direction then meets the linear residual
+    contract, not the dual-norm test, which stays Newton's own.  A
+    singular Jacobian raises ``SolverError`` from its factorization.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
@@ -164,15 +163,8 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
             return phi, SolveReport("newton", it, res)
         J = SparseOperator(problem.poisson.shifted(diagonal),
                            problem.poisson.disc)
-        if J.disc.bands is None:
-            delta = solve_linear(J, r, slot)
-        else:
-            try:
-                delta = J.factor().solve(r)
-            except RuntimeError as exc:
-                raise SolverError(
-                    f"Newton matrix factorization failed: {exc}",
-                    residual=res) from exc
+        delta = solve_linear(J, r, slot) if J.disc.bands is None \
+            else J.factor().solve(r)
         if not np.all(np.isfinite(delta)):
             # an overflowed Jacobian diagonal poisons the direction; no
             # amount of damping recovers from a non-finite step

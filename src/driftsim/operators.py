@@ -91,14 +91,12 @@ def bernoulli(x):
 class FluxScheme:
     """Discrete flux variant for the continuity equations.
 
-    ``central`` is the naive centered discretization (kept for
-    comparison), ``scharfetter_gummel`` the exponentially fitted scheme,
-    and ``scharfetter_gummel_enhanced`` its degeneracy-corrected form,
-    which needs the statistics to average eta across each face.
+    ``scharfetter_gummel`` is the exponentially fitted scheme, and
+    ``scharfetter_gummel_enhanced`` its degeneracy-corrected form, which
+    needs the statistics to average eta across each face.
     """
-    variants = ("central", "scharfetter_gummel",
-                "scharfetter_gummel_enhanced")
-    variant: Literal["central", "scharfetter_gummel",
+    variants = ("scharfetter_gummel", "scharfetter_gummel_enhanced")
+    variant: Literal["scharfetter_gummel",
                      "scharfetter_gummel_enhanced"] = "scharfetter_gummel"
 
     def __post_init__(self):
@@ -131,8 +129,6 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
 def _sg_coefficients(scheme: FluxScheme, face_eta, dphi, t):
     """Per-face coefficients (a, b) with flux = a*u_lo - b*u_hi; only the
     enhanced variant calls ``face_eta()`` for its degeneracy factors."""
-    if scheme.variant == "central":
-        return t * (1.0 + 0.5 * dphi), t * (1.0 - 0.5 * dphi)
     if scheme.variant == "scharfetter_gummel":
         return t * bernoulli(-dphi), t * bernoulli(dphi)
     eta = face_eta()
@@ -306,22 +302,28 @@ class SparseOperator:
         return self.matrix.shape[0]
 
     def factor(self):
-        """LU factors with a ``solve(b)``; RuntimeError if exactly singular.
+        """LU factors with a ``solve(b)``, cached on the operator.
 
-        Off the tridiagonal path, SuperLU's ILU driver with drop tolerance
-        0 under the "basic" rule drops nothing, so the factors are exact
-        (the default rule also drops by area, to hold the fill at
-        ``fill_factor * nnz(A)``, which is no longer an LU).
+        This is the one place a failed factorization (an exactly singular
+        matrix, on either backend) becomes a ``SolverError``, so callers
+        need no handler of their own.  Off the tridiagonal path, SuperLU's
+        ILU driver with drop tolerance 0 under the "basic" rule drops
+        nothing, so the factors are exact (the default rule also drops by
+        area, to hold the fill at ``fill_factor * nnz(A)``, which is no
+        longer an LU).
         """
         if self._lu is None:
             bands = self.disc.bands
-            if bands is None:
-                self._lu = spla.spilu(
-                    self.matrix, drop_tol=0.0, drop_rule="basic",
-                    diag_pivot_thresh=1.0, fill_factor=_FILL_FACTOR,
-                    permc_spec="MMD_AT_PLUS_A")
-            else:
-                self._lu = _TridiagonalLU(self.matrix.data, bands)
+            try:
+                if bands is None:
+                    self._lu = spla.spilu(
+                        self.matrix, drop_tol=0.0, drop_rule="basic",
+                        diag_pivot_thresh=1.0, fill_factor=_FILL_FACTOR,
+                        permc_spec="MMD_AT_PLUS_A")
+                else:
+                    self._lu = _TridiagonalLU(self.matrix.data, bands)
+            except RuntimeError as exc:
+                raise SolverError(f"factorization failed: {exc}") from exc
         return self._lu
 
     def shifted(self, diagonal: np.ndarray) -> sp.csc_matrix:
@@ -535,8 +537,8 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
 
     Factorizes once (cached on the operator), applies one step of
     iterative refinement if the residual check fails, and raises
-    SolverError when ||Ax-b|| > _SOLVE_RTOL * ||b|| persists, or when
-    the matrix is singular.
+    SolverError when ||Ax-b|| > _SOLVE_RTOL * ||b|| persists, when the
+    residual is not finite, or when the matrix is singular.
 
     On the SuperLU path the factor held in ``slot``, if any, is tried
     first: ``_refine`` from that factor, accepted if it meets the
@@ -556,19 +558,15 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
                 return x
         slot.op = None
     matrix = op.matrix
-    try:
-        lu = op.factor()
-    except RuntimeError as exc:
-        raise SolverError(f"linear solve factorization failed: {exc}") \
-            from exc
+    lu = op.factor()
     if slot is not None:
         slot.op = op
     x = lu.solve(b)
     res = np.linalg.norm(matrix @ x - b)
-    if res > _SOLVE_RTOL * scale:
+    if not res <= _SOLVE_RTOL * scale:
         x = x + lu.solve(b - matrix @ x)
         res = np.linalg.norm(matrix @ x - b)
-        if res > _SOLVE_RTOL * scale:
+        if not res <= _SOLVE_RTOL * scale:
             raise SolverError(
                 f"linear solve residual {res:.3e} exceeds "
                 f"{_SOLVE_RTOL:.1e} * ||b||",

@@ -2,6 +2,7 @@ import re
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -11,7 +12,6 @@ from driftsim.config import (
     OutputSink,
     SimulationConfig,
     build_models,
-    build_statistics,
     dump_config,
     load_config,
     parse_config,
@@ -167,6 +167,12 @@ def test_statistics_string_and_mapping_forms():
           carrier2: fermi_dirac_half
         """))
     assert cfg.statistics == ("boltzmann", "fermi_dirac_half")
+
+
+def test_central_flux_scheme_rejected():
+    found = problems_of(MINIMAL + "flux_scheme: central\n")
+    assert found == ["flux_scheme: unknown value 'central' (valid keys: "
+                     "scharfetter_gummel, scharfetter_gummel_enhanced)"]
 
 
 def test_unknown_statistics_rejected():
@@ -411,7 +417,8 @@ def test_full_2d_mesh_geometry_is_pinned():
     def lists(faces):
         return [f.tolist() for f in faces]
 
-    assert lists(mesh.dirichlet_faces) == [[0, 9], [8, 17, 26, 35]]
+    assert [np.flatnonzero(mesh.face_contact == c).tolist()
+            for c in range(2)] == [[0, 9], [8, 17, 26, 35]]
     assert lists(mesh.robin_faces) == [[18, 27]]
     assert lists(mesh.surface_faces) == [[36, 37, 38, 39], list(range(68, 76))]
     assert lists(mesh.interface_faces) == [[4, 13, 22, 31], [52, 53, 54, 55]]
@@ -495,8 +502,15 @@ def test_load_config_reads_files(tmp_path):
 # -- model building -------------------------------------------------------
 
 def test_build_statistics_names():
-    assert build_statistics("boltzmann").kind == "boltzmann"
-    assert build_statistics("fermi_dirac_half").kind == "fermi_dirac_half"
+    # build_models builds each carrier's model from its deck kind
+    cfg = parse_config(MINIMAL + textwrap.dedent("""
+        statistics:
+          carrier1: fermi_dirac_half
+          carrier2: boltzmann
+        """))
+    models = build_models(cfg)
+    assert [m.kind for m in models.stats] == ["fermi_dirac_half",
+                                              "boltzmann"]
 
 
 def test_build_models_splits_bulk_and_surface():

@@ -76,79 +76,79 @@ def test_contact_bias_shifts_all_values():
 # -- validation -----------------------------------------------------------
 
 def test_valid_slab_passes():
-    assert validate_device(slab_1d()).ok
-    assert validate_device(slab_2d()).ok
+    assert validate_device(slab_1d()) == ()
+    assert validate_device(slab_2d()) == ()
 
 
 def test_dimension_must_be_low():
-    report = validate_device(slab_1d(dimension=3))
-    assert not report.ok
-    assert "dimension" in report.violations[0]
+    violations = validate_device(slab_1d(dimension=3))
+    assert violations
+    assert "dimension" in violations[0]
 
 
 def test_extent_resolution_mismatch():
     from dataclasses import replace
-    report = validate_device(replace(slab_1d(), extent=(2.0, 1.0)))
-    assert any("extent" in v for v in report.violations)
-    report = validate_device(replace(slab_1d(), resolution=(0,)))
-    assert any("resolution" in v for v in report.violations)
+    violations = validate_device(replace(slab_1d(), extent=(2.0, 1.0)))
+    assert any("extent" in v for v in violations)
+    violations = validate_device(replace(slab_1d(), resolution=(0,)))
+    assert any("resolution" in v for v in violations)
 
 
 def test_region_coverage_gap_detected():
     dev = slab_1d(regions=(MaterialRegion("half", ((0.0, 1.0),)),))
-    report = validate_device(dev)
-    assert any("cover" in v for v in report.violations)
+    violations = validate_device(dev)
+    assert any("cover" in v for v in violations)
 
 
 def test_region_overlap_detected():
     dev = slab_1d(regions=(MaterialRegion("a", ((0.0, 1.5),)),
                            MaterialRegion("b", ((0.5, 2.0),))))
-    report = validate_device(dev)
-    assert any("overlap" in v for v in report.violations)
+    violations = validate_device(dev)
+    assert any("overlap" in v for v in violations)
 
 
 def test_non_elliptic_coefficients_rejected():
     dev = slab_1d(regions=(MaterialRegion("bulk", ((0.0, 2.0),), eps=0.0),))
-    assert any("eps" in v for v in validate_device(dev).violations)
+    assert any("eps" in v for v in validate_device(dev))
     dev = slab_1d(regions=(MaterialRegion("bulk", ((0.0, 2.0),), mu2=-1.0),))
-    assert any("mu2" in v for v in validate_device(dev).violations)
+    assert any("mu2" in v for v in validate_device(dev))
 
 
 def test_double_booking_a_side():
     dev = slab_1d(contacts=(Contact(side="left"), Contact(side="left")))
-    report = validate_device(dev)
-    assert any("claimed by both" in v for v in report.violations)
+    violations = validate_device(dev)
+    assert any("claimed by both" in v for v in violations)
 
 
 def test_span_on_1d_side_rejected():
     dev = slab_1d(contacts=(Contact(side="left", span=(0.0, 0.5)),
                             Contact(side="right")))
-    assert any("span" in v for v in validate_device(dev).violations)
+    assert any("span" in v for v in validate_device(dev))
 
 
 def test_negative_robin_capacity_message():
     dev = slab_1d(contacts=(), robin=(RobinSegment("left", eps_gamma=-2.0),
                                       RobinSegment("right", eps_gamma=1.0)))
-    report = validate_device(dev)
-    assert any("negative capacity" in v for v in report.violations)
+    violations = validate_device(dev)
+    assert any("negative capacity" in v for v in violations)
 
 
 def test_floating_device_rejected():
     # no Dirichlet contact and only zero-capacity Robin walls
     dev = slab_1d(contacts=(), robin=(RobinSegment("left", eps_gamma=0.0),))
-    report = validate_device(dev)
-    assert any("not coercive" in v for v in report.violations)
+    violations = validate_device(dev)
+    assert any("not coercive" in v for v in violations)
 
 
 def test_malformed_series_reported():
     dev = slab_1d(contacts=(Contact(side="left", bias=((0.0, 0.0), (0.0, 1.0))),
                             Contact(side="right")))
-    assert any("malformed" in v for v in validate_device(dev).violations)
+    assert any("malformed" in v for v in validate_device(dev))
 
 
 def test_interface_must_be_interior():
     dev = slab_1d(interfaces=(InterfaceSpec(axis=0, position=2.0),))
-    assert any("interior" in v for v in validate_device(dev).violations)
+    assert any("interior" in v for v in validate_device(dev))
 
 
 @pytest.mark.parametrize("dim, span, expected", [
@@ -160,23 +160,23 @@ def test_interface_span_checked(dim, span, expected):
     itf = (InterfaceSpec(axis=0, position=1.0, span=span),)
     dev = slab_1d(interfaces=itf) if dim == 1 else \
         slab_2d(extent=(2.0, 2.0), interfaces=itf)
-    assert any(v.startswith(expected) for v in validate_device(dev).violations)
+    assert any(v.startswith(expected) for v in validate_device(dev))
 
 
 def test_empty_doping_box_rejected():
     dev = slab_1d(cells=4, extent=2.0,
                   doping=DopingProfile(bulk=(BoxDoping(((1.5, 0.5),), 1.0),)))
     assert any("doping box" in v and "empty" in v
-               for v in validate_device(dev).violations)
+               for v in validate_device(dev))
     # a box reaching past the domain only covers fewer cells
     dev = slab_1d(cells=4, extent=2.0,
                   doping=DopingProfile(bulk=(BoxDoping(((1.0, 3.0),), 1.0),)))
-    assert validate_device(dev).ok
+    assert validate_device(dev) == ()
 
 
 def test_sheet_doping_checks():
     dev = slab_1d(doping=DopingProfile(sheets=(SheetDoping(1, 0.5, 1.0),)))
-    assert any("sheet" in v for v in validate_device(dev).violations)
+    assert any("sheet" in v for v in validate_device(dev))
 
 
 def test_validation_collects_everything():
@@ -184,8 +184,8 @@ def test_validation_collects_everything():
         regions=(MaterialRegion("bulk", ((0.0, 2.0),), eps=-1.0),),
         contacts=(Contact(side="left"), Contact(side="up")),
     )
-    report = validate_device(dev)
-    assert len(report.violations) >= 2
+    violations = validate_device(dev)
+    assert len(violations) >= 2
 
 
 # -- mesh geometry --------------------------------------------------------
@@ -203,9 +203,8 @@ def test_mesh_1d_counts_and_volumes():
 
 def test_mesh_1d_contact_faces():
     mesh = build_mesh(slab_1d(cells=4))
-    left, right = mesh.dirichlet_faces
-    assert left.tolist() == [0]
-    assert right.tolist() == [4]
+    assert np.flatnonzero(mesh.face_contact == 0).tolist() == [0]
+    assert np.flatnonzero(mesh.face_contact == 1).tolist() == [4]
     assert mesh.face_cells[0].tolist() == [-1, 0]
     assert mesh.face_cells[4].tolist() == [3, -1]
 
@@ -287,7 +286,11 @@ def test_interface_faces_cover_the_hyperplane():
     mesh = build_mesh(dev)
     faces = mesh.interface_faces[0]
     assert faces.shape == (6,)
-    assert np.all(mesh.face_centers[faces, 0] == pytest.approx(0.5))
+    assert np.all(mesh.face_axis[faces] == 0)
+    # each face lies half a cell past its low-side cell's center
+    lo = mesh.face_cells[faces, 0]
+    assert np.all(mesh.cell_centers[lo, 0] + mesh.face_dl[faces]
+                  == pytest.approx(0.5))
 
 
 def test_off_grid_interface_raises():

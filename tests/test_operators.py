@@ -40,7 +40,6 @@ from driftsim.statistics import boltzmann, fermi_dirac_half
 from driftsim.transient import SimulationModels, TimeStepperConfig, run
 
 SG = FluxScheme()
-CENTRAL = FluxScheme(variant="central")
 ENHANCED = FluxScheme(variant="scharfetter_gummel_enhanced")
 
 
@@ -119,13 +118,16 @@ def test_bernoulli_bit_identical_to_the_two_where_form():
 def test_flux_scheme_validation():
     with pytest.raises(DomainError):
         FluxScheme(variant="upwind")
+    with pytest.raises(DomainError):
+        FluxScheme(variant="central")
 
 
 def test_pure_diffusion_limit():
     # d_phi = 0, u_lo = 2, u_hi = 1, unit edge: flux = 2 - 1 = 1 downhill
     f = sg_flux(SG, 2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     assert f == pytest.approx(1.0)
-    f = sg_flux(CENTRAL, 2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    f = sg_flux(ENHANCED, 2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0,
+                boltzmann())
     assert f == pytest.approx(1.0)
 
 
@@ -168,10 +170,13 @@ def test_flux_scales_with_transmissibility():
 
 
 def test_central_agrees_with_sg_to_second_order():
+    # consistency oracle: the centered flux
+    # t (u_lo - u_hi) + t dphi (u_lo + u_hi) / 2, here with t = 1
+    u_lo, u_hi = 1.5, 0.7
     errs = []
     for dphi in (0.1, 0.05, 0.025):
-        a = sg_flux(SG, 1.5, 0.7, 0.0, 0.0, dphi, 1.0, 1.0, 1.0)
-        b = sg_flux(CENTRAL, 1.5, 0.7, 0.0, 0.0, dphi, 1.0, 1.0, 1.0)
+        a = sg_flux(SG, u_lo, u_hi, 0.0, 0.0, dphi, 1.0, 1.0, 1.0)
+        b = (u_lo - u_hi) + dphi * (u_lo + u_hi) / 2.0
         errs.append(abs(a - b))
     rate = np.polyfit(np.log([0.1, 0.05, 0.025]), np.log(errs), 1)[0]
     assert rate == pytest.approx(2.0, abs=0.1)
@@ -324,10 +329,9 @@ DIMENSIONS = pytest.mark.parametrize(
 @DIMENSIONS
 @pytest.mark.parametrize("k", [1, 2], ids=["k1", "k2"])
 @pytest.mark.parametrize("scheme,stats", [
-    (CENTRAL, boltzmann()),
     (SG, boltzmann()),
     (ENHANCED, fermi_dirac_half()),
-], ids=["central", "sg", "enhanced_fd"])
+], ids=["sg", "enhanced_fd"])
 def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
                                                    stats):
     # the face flux and the matrix come from one set of face coefficients,
@@ -595,6 +599,21 @@ def test_singular_system_in_solve_linear_is_a_solver_error(dimension):
     with pytest.raises(SolverError, match="factorization failed"):
         solve_linear(singular, b, slot)
     assert slot.op is None
+    # the error comes from SparseOperator.factor, on either backend
+    with pytest.raises(SolverError, match="singular"):
+        singular.factor()
+
+
+def test_non_finite_residual_in_solve_linear_is_a_solver_error():
+    # an infinite diagonal entry makes the residual NaN (inf * 0), which
+    # the contract must reject: no comparison with a bound is true for NaN
+    dev = dirichlet_slab(cells=6)
+    op = assemble_poisson(dev, build_mesh(dev))
+    data = op.matrix.data.copy()
+    data[op.disc.diagonal_slots[2]] = np.inf
+    poisoned = SparseOperator(op.disc.csc(data), op.disc)
+    with pytest.raises(SolverError, match="residual nan"):
+        solve_linear(poisoned, np.ones(6))
 
 
 # -- tridiagonal factor ---------------------------------------------------
@@ -697,13 +716,16 @@ def _singular_first_column(n, volumes):
 
 
 def test_singular_tridiagonal_factor_raises():
+    # SparseOperator.factor is where a singular matrix becomes a
+    # SolverError; splu agrees that this one is singular
     dev = dirichlet_slab(cells=6)
     mesh = build_mesh(dev)
     disc = Discretization(dev, mesh)
     diagonal, upper, lower = _singular_first_column(6, mesh.cell_volumes)
     diagonal[0] = 0.0
     op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
-    with pytest.raises(RuntimeError, match="singular"):
+    assert disc.bands is not None
+    with pytest.raises(SolverError, match="singular"):
         op.factor()
     with pytest.raises(RuntimeError, match="singular"):
         spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
@@ -723,7 +745,7 @@ def test_singular_newton_jacobian_is_a_solver_error():
         poisson=poisson, volumes=volumes,
         load=np.concatenate([[0.0], -np.ones(n - 1)]),
         stats=(boltzmann(), boltzmann()), omega=np.zeros((2, n)))
-    assert problem.dual_norm(problem.residual(np.zeros(n))) > 0.0
+    assert problem.dual_norm(problem.linearize(np.zeros(n))[0]) > 0.0
     with pytest.raises(SolverError, match="factorization failed"):
         newton_solve(problem)
 
@@ -739,6 +761,16 @@ def test_surface_load_conserves_mass():
     assert injected == pytest.approx(direct, abs=1e-15)
 
 
+def _face_center(mesh, face):
+    """Center of ``face``: a cell center moved by its center-to-face
+    distance along the face's axis."""
+    lo, hi = mesh.face_cells[face]
+    normal = np.eye(mesh.dimension)[mesh.face_axis[face]]
+    if lo >= 0:
+        return mesh.cell_centers[lo] + mesh.face_dl[face] * normal
+    return mesh.cell_centers[hi] - mesh.face_dr[face] * normal
+
+
 @pytest.mark.parametrize("dimension", [1, "2d_every_side"],
                          ids=["1d", "2d_every_side"])
 def test_face_gradient_of_affine_field(dimension):
@@ -750,8 +782,9 @@ def test_face_gradient_of_affine_field(dimension):
     mesh = build_mesh(dev)
     slope = np.array([2.0, -0.75])[:mesh.cell_centers.shape[1]]
     values = 0.5 + mesh.cell_centers @ slope
-    contacts = [(0.5 + mesh.face_centers[faces] @ slope).item()
-                for faces in mesh.dirichlet_faces]
+    contacts = [0.5 + _face_center(mesh, face) @ slope
+                for face in (np.flatnonzero(mesh.face_contact == c).item()
+                             for c in range(len(dev.contacts)))]
     grad = face_gradient(Discretization(dev, mesh), values, contacts)
     stencil = np.isin(mesh.face_tag, (TAG_INTERIOR, TAG_DIRICHLET))
     assert np.max(np.abs(grad[stencil] - slope[mesh.face_axis[stencil]])) \
