@@ -29,10 +29,6 @@ class ConfigError(DriftError, ValueError):
 class SolverError(DriftError, RuntimeError):
     """A linear solve did not meet its residual contract."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        self.residual = residual
-        super().__init__(message)
-
 
 class NonConvergenceError(DriftError, RuntimeError):
     """An iterative solver ran out of iterations."""

@@ -24,16 +24,14 @@ Thm 2.1.15).
 The potential map is nonexpansive in the sup norm with respect to omega,
 a consequence of the M-matrix structure of P and the monotonicity of the
 statistics, and the solution of the load-free problem is bounded by
-``apriori_bound``; callers wanting that guarantee for loaded problems
-should split off the linear part first (``split_load`` below) and solve
-the homogenized remainder.
+``apriori_bound``, the contraction reference's default cut-off.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +44,7 @@ from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 __all__ = [
     "NonlinearPoissonProblem", "SolveReport", "apriori_bound", "cutoff",
     "newton_solve", "contraction_iterate", "solve_operator_S",
-    "neutral_potential", "split_load", "equilibrium_state",
+    "neutral_potential", "equilibrium_state",
 ]
 
 _NEWTON_MAX_ITER = 100
@@ -57,29 +55,31 @@ _NEUTRAL_RTOL = 1e-12  # relative residual of the neutral-potential iteration
 
 @dataclass(frozen=True)
 class NonlinearPoissonProblem:
-    """One potential solve: operator, load, statistics pair, frozen omega."""
+    """One potential solve: operator, load, statistics pair, frozen omega.
+
+    The density terms are weighted by the cell volumes of the operator's
+    mesh."""
     poisson: SparseOperator
-    volumes: np.ndarray
     load: np.ndarray
     stats: tuple[StatisticsModel, StatisticsModel]
     omega: np.ndarray
 
     def __post_init__(self):
         n = self.poisson.dimension
-        volumes = np.asarray(self.volumes, dtype=float)
         load = np.asarray(self.load, dtype=float)
         omega = np.asarray(self.omega, dtype=float)
-        if volumes.shape != (n,) or load.shape != (n,):
-            raise DomainError("volumes and load must match the operator size")
+        if load.shape != (n,):
+            raise DomainError("load must match the operator size")
         if omega.shape != (2, n):
             raise DomainError("omega must be a (2, n) pair field")
         if not np.all(np.isfinite(omega)):
             raise DomainError("omega must be bounded")
-        if np.any(volumes <= 0.0):
-            raise DomainError("cell volumes must be positive")
-        object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "load", load)
         object.__setattr__(self, "omega", omega)
+
+    @property
+    def volumes(self) -> np.ndarray:
+        return self.poisson.disc.mesh.cell_volumes
 
     def linearize(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residual at ``phi`` and the diagonal V (F1' + F2') that the
@@ -91,9 +91,11 @@ class NonlinearPoissonProblem:
         return residual, self.volumes * (du[0] + du[1])
 
     def dual_norm(self, r: np.ndarray) -> float:
-        """sqrt(r^T P^{-1} r), the discrete dual norm of a residual."""
+        """sqrt(r^T P^{-1} r), the discrete dual norm of a residual; inf
+        when the product overflows."""
         w = self.poisson.factor().solve(r)
-        val = float(r @ w)
+        with np.errstate(over="ignore"):
+            val = float(r @ w)
         return math.sqrt(max(val, 0.0))
 
 
@@ -142,10 +144,8 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     residual decrease.  Trial points that overflow the statistics produce
     an infinite residual and are rejected by the same test.
 
-    A tridiagonal Jacobian is factored and solved directly, without the
-    residual check of ``solve_linear``, which would double the cost of a
-    1D direction.  Any other is solved by ``solve_linear`` from ``slot``
-    (a fresh slot when none is given), so a Jacobian close to the last one
+    Each direction is solved by ``solve_linear`` from ``slot`` (a fresh
+    slot when none is given), so a Jacobian close to the last one
     factored, in this solve or in an earlier one that shared the slot,
     takes no new factor; the direction then meets the linear residual
     contract, not the dual-norm test, which stays Newton's own.  A
@@ -163,8 +163,7 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
             return phi, SolveReport("newton", it, res)
         J = SparseOperator(problem.poisson.shifted(diagonal),
                            problem.poisson.disc)
-        delta = solve_linear(J, r, slot) if J.disc.bands is None \
-            else J.factor().solve(r)
+        delta = solve_linear(J, r, slot)
         if not np.all(np.isfinite(delta)):
             # an overflowed Jacobian diagonal poisons the direction; no
             # amount of damping recovers from a non-finite step
@@ -289,7 +288,7 @@ def solve_operator_S(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     try:
         phi, _ = newton_solve(problem, tol=tol, x0=x0, slot=slot)
     except NonConvergenceError as exc:
-        raise SolverError(str(exc), residual=exc.residual) from exc
+        raise SolverError(str(exc)) from exc
     return phi
 
 
@@ -322,20 +321,6 @@ def neutral_potential(stats, doping):
     return float(out) if d.ndim == 0 else out
 
 
-def split_load(problem: NonlinearPoissonProblem,
-               ) -> tuple[np.ndarray, NonlinearPoissonProblem]:
-    """Homogenize: phi_d = P^{-1} load, omega shifted by (-phi_d, +phi_d).
-
-    The full solution is phi_d plus the solution of the returned
-    load-free problem, whose omega bound now licenses the a-priori
-    estimate and hence the contraction cut-off.
-    """
-    phi_d = problem.poisson.factor().solve(problem.load)
-    reduced = replace(problem, load=np.zeros_like(problem.load),
-                      omega=carrier_arguments(problem.omega, phi_d))
-    return phi_d, reduced
-
-
 def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
                       mesh: Mesh | None = None,
                       poisson: SparseOperator | None = None):
@@ -356,11 +341,9 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
     mesh = poisson.disc.mesh
     load = poisson_data_load(device, poisson, t)
     problem = NonlinearPoissonProblem(
-        poisson=poisson, volumes=mesh.cell_volumes, load=load,
-        stats=tuple(stats), omega=np.zeros((2, mesh.n_cells)))
-    phi_d, reduced = split_load(problem)
-    start = neutral_potential(stats, bulk_doping(device, mesh)) - phi_d
-    phi_t, _ = newton_solve(reduced, tol=_EQUILIBRIUM_TOL, x0=start)
-    phi = phi_d + phi_t
+        poisson=poisson, load=load, stats=tuple(stats),
+        omega=np.zeros((2, mesh.n_cells)))
+    start = neutral_potential(stats, bulk_doping(device, mesh))
+    phi, _ = newton_solve(problem, tol=_EQUILIBRIUM_TOL, x0=start)
     u, _ = eval_carriers(stats, carrier_arguments(0.0, phi))
     return mesh, phi, (u[0], u[1])

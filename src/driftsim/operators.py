@@ -496,7 +496,7 @@ def cell_average_faces(mesh: Mesh, face_values: np.ndarray) -> np.ndarray:
 
 
 _SOLVE_RTOL = 1e-12  # residual contract of solve_linear, relative to ||b||
-_REFINE_MAX = 8  # refinement steps from a held factor before a fresh one
+_REFINE_MAX = 8  # refinement steps of one _refine call
 
 
 class FactorSlot:
@@ -509,15 +509,18 @@ class FactorSlot:
         self.op: SparseOperator | None = None
 
 
-def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray):
-    """Iterative refinement for ``matrix x = b`` from the factor ``lu`` of
-    a nearby matrix: x <- x + LU^{-1} (b - matrix x) while each step at
-    least halves the residual, so it runs down to the rounding floor when
-    the factor is close, and stops early when it is not; at most
-    _REFINE_MAX steps.  Returns x and ||b - matrix x||."""
+def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float):
+    """Solve ``matrix x = b`` from the factor ``lu`` of ``matrix`` or of a
+    nearby matrix.  Returns the first solve x = LU^{-1} b when its residual
+    meets ``target``; otherwise refines, x <- x + LU^{-1} (b - matrix x),
+    while each step at least halves the residual, so it runs down to the
+    rounding floor when the factor is close, and stops early when it is
+    not; at most _REFINE_MAX steps.  Returns x and ||b - matrix x||."""
     x = lu.solve(b)
     r = b - matrix @ x
     res = np.linalg.norm(r)
+    if res <= target:
+        return x, res
     for _ in range(_REFINE_MAX):
         x_next = x + lu.solve(r)
         r_next = b - matrix @ x_next
@@ -531,44 +534,41 @@ def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray):
     return x, res
 
 
+# a norm that overflows reads inf: no residual that large meets the
+# contract, and a right-hand side that large leaves it vacuous, so the
+# caller checks the solution itself (Newton rejects a non-finite step)
+@np.errstate(over="ignore")
 def solve_linear(op: SparseOperator, b: np.ndarray,
                  slot: FactorSlot | None = None) -> np.ndarray:
     """Direct solve with an explicit residual contract.
 
-    Factorizes once (cached on the operator), applies one step of
-    iterative refinement if the residual check fails, and raises
-    SolverError when ||Ax-b|| > _SOLVE_RTOL * ||b|| persists, when the
-    residual is not finite, or when the matrix is singular.
-
-    On the SuperLU path the factor held in ``slot``, if any, is tried
-    first: ``_refine`` from that factor, accepted if it meets the
-    contract.  Otherwise the slot is emptied, so the stale factor is
-    freed before the new one is allocated, and ``op`` is factored and
-    kept in the slot.  The tridiagonal path ignores the slot, as its
-    factor costs a few microseconds.
+    Every solve goes through ``_refine``: it returns the first solve when
+    ||Ax-b|| <= _SOLVE_RTOL * ||b||, and refines otherwise.  On the
+    SuperLU path the factor held in ``slot``, if any, is tried first and
+    accepted if it meets the contract.  Otherwise the slot is emptied, so
+    the stale factor is freed before the new one is allocated, and ``op``
+    is factored (cached on the operator) and kept in the slot.  The
+    tridiagonal path ignores the slot, as its factor costs a few
+    microseconds.  Raises SolverError when the fresh factor misses the
+    contract, when the residual is not finite, or when the matrix is
+    singular.
     """
     b = np.asarray(b, dtype=float)
-    scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
+    target = _SOLVE_RTOL * max(float(np.linalg.norm(b)),
+                               np.finfo(float).tiny)
     if op.disc.bands is not None:
         slot = None
     if slot is not None:
         if slot.op is not None:
-            x, res = _refine(op.matrix, slot.op.factor(), b)
-            if res <= _SOLVE_RTOL * scale:
+            x, res = _refine(op.matrix, slot.op.factor(), b, target)
+            if res <= target:
                 return x
         slot.op = None
-    matrix = op.matrix
     lu = op.factor()
     if slot is not None:
         slot.op = op
-    x = lu.solve(b)
-    res = np.linalg.norm(matrix @ x - b)
-    if not res <= _SOLVE_RTOL * scale:
-        x = x + lu.solve(b - matrix @ x)
-        res = np.linalg.norm(matrix @ x - b)
-        if not res <= _SOLVE_RTOL * scale:
-            raise SolverError(
-                f"linear solve residual {res:.3e} exceeds "
-                f"{_SOLVE_RTOL:.1e} * ||b||",
-                residual=float(res))
+    x, res = _refine(op.matrix, lu, b, target)
+    if not res <= target:
+        raise SolverError(f"linear solve residual {res:.3e} exceeds "
+                          f"{_SOLVE_RTOL:.1e} * ||b||")
     return x

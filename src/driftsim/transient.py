@@ -2,10 +2,10 @@
 
 Backward Euler in time.  Each step freezes the time level and decouples
 the equations: the potential is solved for the current quasi-Fermi
-iterate (through the homogenized nonlinear Poisson problem), fields and
-currents are reconstructed, the reaction loads are evaluated at the
-iterate (frozen coefficients), and the two continuity equations are
-solved as linear systems in the densities.  The quasi-Fermi levels are
+iterate (the nonlinear Poisson problem with the step's data load),
+fields and currents are reconstructed, the reaction loads are evaluated
+at the iterate (frozen coefficients), and the two continuity equations
+are solved as linear systems in the densities.  The quasi-Fermi levels are
 read back through the inverse statistics and the sweep repeats until
 their sup-norm increment drops below the step tolerance.
 
@@ -265,15 +265,12 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     t_next = state.t + dt
     contacts = contact_values(device, t_next)
     load = poisson_data_load(device, poisson, t_next)
-    phi_d = poisson.factor().solve(load)
     V = mesh.cell_volumes
 
     phi = state.phi
-    phi_tilde = phi - phi_d
     source = models.source(t_next, mesh) if models.source is not None else None
     if source is not None:
         source = np.asarray(source, dtype=float)
-    zero_load = np.zeros(mesh.n_cells)
     # the last factor of each family of nearby systems, held for the step:
     # the potential Newton Jacobians (across sweeps) and each carrier's
     # continuity matrices
@@ -286,16 +283,14 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         the reaction loads there, solves the two density systems, and reads
         the quasi-Fermi levels back.
         """
-        nonlocal phi, phi_tilde
-        problem = NonlinearPoissonProblem(
-            poisson=poisson, volumes=V, load=zero_load, stats=models.stats,
-            omega=carrier_arguments(Phi, phi_d))
+        nonlocal phi
+        problem = NonlinearPoissonProblem(poisson=poisson, load=load,
+                                          stats=models.stats, omega=Phi)
         try:
-            phi_tilde = solve_operator_S(problem, tol=config.poisson_tol,
-                                         x0=phi_tilde, slot=jacobians)
+            phi = solve_operator_S(problem, tol=config.poisson_tol, x0=phi,
+                                   slot=jacobians)
         except SolverError as exc:
             raise StepRejected(f"potential solve failed: {exc}") from exc
-        phi = phi_d + phi_tilde
 
         chi = carrier_arguments(Phi, phi)
         faces = carrier_face_coefficients(poisson.disc, models.stats,

@@ -205,8 +205,8 @@ def _omega_problems(seed: int):
                     if p % 2 else rng.uniform(-2.0, 2.0, (2, mesh.n_cells))
                 pairs.append((om_a, om_b))
             base = NonlinearPoissonProblem(
-                poisson=op, volumes=mesh.cell_volumes, load=zero,
-                stats=make(), omega=np.zeros((2, mesh.n_cells)))
+                poisson=op, load=zero, stats=make(),
+                omega=np.zeros((2, mesh.n_cells)))
             yield f"{mesh_name}-{stats_name}", base, pairs
 
 
@@ -244,8 +244,7 @@ def suite_flat(seed: int) -> list[PropertyResult]:
             omega = np.vstack([np.full(mesh.n_cells, k1),
                                np.full(mesh.n_cells, k2)])
             problem = NonlinearPoissonProblem(
-                poisson=op, volumes=mesh.cell_volumes, load=zero,
-                stats=(s1, s2), omega=omega)
+                poisson=op, load=zero, stats=(s1, s2), omega=omega)
             phi = solve_operator_S(problem, tol=1e-13)
             worst = max(worst, float(np.max(np.abs(phi))))
         out.append(_leq("poisson-flat", f"zero-{tag}", worst, 1e-12))
@@ -258,9 +257,7 @@ def suite_newton_agreement(seed: int) -> list[PropertyResult]:
         samples = [om for pair in pairs for om in pair]
         worst = 0.0
         for om in samples:
-            problem = NonlinearPoissonProblem(
-                poisson=base.poisson, volumes=base.volumes, load=base.load,
-                stats=base.stats, omega=om)
+            problem = replace(base, omega=om)
             phi_n, _ = newton_solve(problem, tol=1e-12)
             phi_c, _ = contraction_iterate(problem, tol=1e-11)
             worst = max(worst, float(np.max(np.abs(phi_n - phi_c))))
@@ -268,9 +265,7 @@ def suite_newton_agreement(seed: int) -> list[PropertyResult]:
                         worst, 1e-8))
         worst_k = 0.0
         for om in samples[:5]:
-            problem = NonlinearPoissonProblem(
-                poisson=base.poisson, volumes=base.volumes, load=base.load,
-                stats=base.stats, omega=om)
+            problem = replace(base, omega=om)
             K = apriori_bound(om, base.stats)
             phi_1, _ = contraction_iterate(problem, tol=3e-14,
                                            cutoff_bound=K)
@@ -323,8 +318,7 @@ def _mms_poisson_error(cells: int, piecewise: bool) -> float:
     load = poisson_data_load(device, op, 0.0) \
         + mesh.cell_volumes * (forcing(x) + 2.0 * np.sinh(exact(x)))
     problem = NonlinearPoissonProblem(
-        poisson=op, volumes=mesh.cell_volumes, load=load,
-        stats=(boltzmann(), boltzmann()),
+        poisson=op, load=load, stats=(boltzmann(), boltzmann()),
         omega=np.zeros((2, mesh.n_cells)))
     phi = solve_operator_S(problem, tol=1e-13)
     return float(np.max(np.abs(phi - exact(x))))

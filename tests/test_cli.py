@@ -8,7 +8,7 @@ import sys
 import pytest
 import yaml
 
-from driftsim import cli, device, verify
+from driftsim import cli, device
 from driftsim.cli import main
 from driftsim.operators import Discretization
 
@@ -315,10 +315,6 @@ def test_verify_unknown_suite_is_usage_error(capsys):
         run_cli("verify", "no-such-suite")
     assert exc.value.code == 2
     assert "no-such-suite" in capsys.readouterr().err
-
-
-def test_suite_names_match_verify():
-    assert cli._SUITES == tuple(verify.SUITES)
 
 
 def test_run_does_not_import_scipy_optimize(tmp_path):

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,10 +23,9 @@ from driftsim.nonlinear_poisson import (
     neutral_potential,
     newton_solve,
     solve_operator_S,
-    split_load,
 )
 from driftsim.operators import assemble_poisson, poisson_data_load
-from driftsim.statistics import boltzmann, fermi_dirac_half
+from driftsim.statistics import boltzmann, carrier_arguments, fermi_dirac_half
 
 BB = (boltzmann(), boltzmann())
 FF = (fermi_dirac_half(), fermi_dirac_half())
@@ -44,8 +46,8 @@ def grounded_problem(stats=BB, omega=None, cells=24, load=None):
         omega = np.zeros((2, mesh.n_cells))
     if load is None:
         load = np.zeros(mesh.n_cells)
-    return NonlinearPoissonProblem(poisson=op, volumes=mesh.cell_volumes,
-                                   load=load, stats=stats, omega=omega)
+    return NonlinearPoissonProblem(poisson=op, load=load, stats=stats,
+                                   omega=omega)
 
 
 def pn_junction(cells=64, bias_right=0.0, extent=2.0):
@@ -103,15 +105,47 @@ def test_apriori_bound_mixed_statistics():
     assert apriori_bound(omega, BF) == pytest.approx(INVERT_FD_ONE, rel=1e-9)
 
 
-def test_split_load_homogenizes():
+def test_loaded_solve_is_lift_plus_homogenized_solve():
+    # phi = P^{-1} load + phi~, where phi~ solves the load-free problem
+    # with omega shifted by (-P^{-1} load, +P^{-1} load)
     rng = np.random.default_rng(11)
     p = grounded_problem(load=rng.normal(size=24),
                          omega=rng.uniform(-1.0, 1.0, size=(2, 24)))
-    phi_d, reduced = split_load(p)
-    assert np.all(reduced.load == 0.0)
-    assert np.max(np.abs(p.poisson.matrix @ phi_d - p.load)) <= 1e-12
-    assert np.allclose(reduced.omega[0], p.omega[0] - phi_d)
-    assert np.allclose(reduced.omega[1], p.omega[1] + phi_d)
+    phi_d = p.poisson.factor().solve(p.load)
+    homogenized = replace(p, load=np.zeros(24),
+                          omega=carrier_arguments(p.omega, phi_d))
+    phi, _ = newton_solve(p, tol=1e-13)
+    phi_tilde, _ = newton_solve(homogenized, tol=1e-13)
+    assert np.max(np.abs(phi - (phi_d + phi_tilde))) <= 1e-12
+
+
+def test_newton_solves_each_direction_through_solve_linear(monkeypatch):
+    # a tridiagonal Jacobian goes through the residual contract too: one
+    # solve_linear call per Newton iteration
+    calls = []
+    original = nonlinear_poisson.solve_linear
+
+    def counting(op, b, slot=None):
+        calls.append(op.dimension)
+        return original(op, b, slot)
+
+    monkeypatch.setattr(nonlinear_poisson, "solve_linear", counting)
+    rng = np.random.default_rng(3)
+    p = grounded_problem(load=rng.normal(size=24),
+                         omega=rng.uniform(-2.0, 2.0, size=(2, 24)))
+    assert p.poisson.disc.bands is not None
+    _, report = newton_solve(p, tol=1e-12)
+    assert report.iterations >= 2
+    assert calls == [24] * report.iterations
+
+
+def test_dual_norm_overflow_reads_infinite():
+    # r^T P^{-1} r overflows for residual entries near 1e160; the norm
+    # reads inf, which the line search rejects, without a warning
+    p = grounded_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert p.dual_norm(np.full(24, 1e160)) == np.inf
 
 
 @pytest.mark.parametrize("stats", [BB, FF, BF], ids=["bb", "ff", "bf"])
@@ -190,12 +224,10 @@ def test_problem_shape_validation():
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
     with pytest.raises(DomainError):
-        NonlinearPoissonProblem(poisson=op, volumes=mesh.cell_volumes,
-                                load=np.zeros(3), stats=BB,
+        NonlinearPoissonProblem(poisson=op, load=np.zeros(3), stats=BB,
                                 omega=np.zeros((2, 4)))
     with pytest.raises(DomainError):
-        NonlinearPoissonProblem(poisson=op, volumes=mesh.cell_volumes,
-                                load=np.zeros(4), stats=BB,
+        NonlinearPoissonProblem(poisson=op, load=np.zeros(4), stats=BB,
                                 omega=np.full((2, 4), np.inf))
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -604,6 +606,38 @@ def test_singular_system_in_solve_linear_is_a_solver_error(dimension):
         singular.factor()
 
 
+def test_tridiagonal_solve_meeting_the_contract_solves_once(monkeypatch):
+    # the residual check is the only cost solve_linear adds to a 1D
+    # solve: a first solve that meets the contract is not refined
+    dev = dirichlet_slab(cells=16, phi_left=1.0, phi_right=3.0)
+    op = assemble_poisson(dev, build_mesh(dev))
+    lu = op.factor()
+    calls = []
+    original = lu.solve
+
+    def counting(b):
+        calls.append(b.shape)
+        return original(b)
+
+    monkeypatch.setattr(lu, "solve", counting)
+    b = poisson_data_load(dev, op, t=0.0)
+    x = solve_linear(op, b)
+    assert calls == [(16,)]
+    assert np.linalg.norm(op.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_overflowing_right_hand_side_norm_is_not_a_warning():
+    # ||b|| overflows for entries near 1e160; it reads inf, which leaves
+    # the contract vacuous, and the first solve is returned as it is
+    dev = dirichlet_slab(cells=6)
+    op = assemble_poisson(dev, build_mesh(dev))
+    b = np.full(6, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_linear(op, b)
+    assert np.array_equal(x, op.factor().solve(b))
+
+
 def test_non_finite_residual_in_solve_linear_is_a_solver_error():
     # an infinite diagonal entry makes the residual NaN (inf * 0), which
     # the contract must reject: no comparison with a bound is true for NaN
@@ -742,7 +776,7 @@ def test_singular_newton_jacobian_is_a_solver_error():
     poisson = SparseOperator(disc.matrix(*_singular_first_column(n, volumes)),
                              disc)
     problem = NonlinearPoissonProblem(
-        poisson=poisson, volumes=volumes,
+        poisson=poisson,
         load=np.concatenate([[0.0], -np.ones(n - 1)]),
         stats=(boltzmann(), boltzmann()), omega=np.zeros((2, n)))
     assert problem.dual_norm(problem.linearize(np.zeros(n))[0]) > 0.0
