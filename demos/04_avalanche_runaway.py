@@ -1,10 +1,12 @@
 """Impact-ionization runaway under reverse bias.
 
 The shipped avalanche deck multiplies the ionization production by a
-factor of a thousand, which makes the reverse-biased junction unstable:
-the carrier norm grows without bound and the stepper refuses to follow
-it past the configured threshold.  This is a detected outcome, not a
-crash; the result object says when and why integration stopped.
+factor of a thousand under reverse bias.  The carrier norm proxy rises
+over ``blowup_window`` accepted steps and passes the deck's threshold
+of 40 at t ~ 0.284 on this 32-cell mesh, where the stepper stops.  This
+is a detected outcome, not a crash; the result object says when and why
+integration stopped.  How this verdict depends on the mesh is recorded
+in ROADMAP item 10.
 """
 
 import pathlib

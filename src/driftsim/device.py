@@ -185,7 +185,6 @@ class Mesh:
     """
     dimension: int
     shape: tuple[int, ...]
-    extent: tuple[float, ...]
     spacing: tuple[float, ...]
     cell_centers: np.ndarray      # (n_cells, dim)
     cell_volumes: np.ndarray      # (n_cells,)
@@ -468,7 +467,7 @@ def build_mesh(device: DeviceSpec) -> Mesh:
     cell_face_hi[face_cells[has_lo, 0], face_axis[has_lo]] = fids[has_lo]
 
     return Mesh(
-        dimension=dim, shape=shape, extent=extent, spacing=h,
+        dimension=dim, shape=shape, spacing=h,
         cell_centers=centers, cell_volumes=volumes, cell_region=region_of,
         face_axis=face_axis, face_area=face_area, face_cells=face_cells,
         face_dl=face_dl, face_dr=face_dr,

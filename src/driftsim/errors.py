@@ -27,10 +27,11 @@ class ConfigError(DriftError, ValueError):
 
 
 class SolverError(DriftError, RuntimeError):
-    """A linear solve did not meet its residual contract."""
+    """A solver failed: a singular factor, a missed residual contract, or
+    an iteration that ran out."""
 
 
-class NonConvergenceError(DriftError, RuntimeError):
+class NonConvergenceError(SolverError):
     """An iterative solver ran out of iterations."""
 
     def __init__(self, message: str, iterations: int, residual: float):

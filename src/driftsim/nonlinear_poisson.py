@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceSpec, Mesh, build_mesh, bulk_doping, contact_values
-from .errors import DomainError, NonConvergenceError, SolverError
+from .errors import DomainError, NonConvergenceError
 from .operators import (FactorSlot, SparseOperator, assemble_poisson,
                         poisson_data_load, solve_linear)
 from .statistics import StatisticsModel, carrier_arguments, eval_carriers
@@ -282,30 +282,24 @@ def solve_operator_S(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     ``x0`` warm-starts the iteration and ``slot`` holds the last Jacobian
     factor; callers stepping through a family of nearby omega (the
     decoupling loop) pass the previous potential and the same slot.
-    A Newton failure surfaces as ``SolverError``; the caller decides
-    whether to retry with a smaller step.
+    A Newton failure raises ``SolverError``, a ``NonConvergenceError``
+    when Newton ran out; the caller decides whether to retry with a
+    smaller step.
     """
-    try:
-        phi, _ = newton_solve(problem, tol=tol, x0=x0, slot=slot)
-    except NonConvergenceError as exc:
-        raise SolverError(str(exc)) from exc
-    return phi
+    return newton_solve(problem, tol=tol, x0=x0, slot=slot)[0]
 
 
 def neutral_potential(stats, doping):
     """Chargewise-neutral potential: solve d + F1(-phi) - F2(phi) = 0.
 
-    Closed form asinh(d/2) when both carriers are Boltzmann, otherwise a
-    safeguarded Newton on the strictly decreasing scalar map.  Vectorized
-    over the doping array.
+    Newton on the strictly decreasing scalar map, started from asinh(d/2),
+    the Boltzmann closed form; for a Boltzmann pair the start passes the
+    first residual check, so the loop exits at once.  Vectorized over the
+    doping array.
     """
-    s1, s2 = stats
     d = np.asarray(doping, dtype=float)
-    if s1.kind == "boltzmann" and s2.kind == "boltzmann":
-        out = np.arcsinh(d / 2.0)
-        return float(out) if out.ndim == 0 else out
-    flat = np.atleast_1d(d).astype(float)
-    phi = np.arcsinh(flat / 2.0)  # Boltzmann guess
+    flat = np.atleast_1d(d)
+    phi = np.arcsinh(flat / 2.0)
     scale = np.abs(flat) + 1.0
     for _ in range(100):
         u, du = eval_carriers(stats, carrier_arguments(0.0, phi))
@@ -331,8 +325,8 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
     densities are evaluated from the same arguments the solve used, so
     the consistency residual is zero by construction.  A given
     ``poisson`` operator is reused, with its mesh, not assembled again.
-    A Newton failure surfaces as its typed ``NonConvergenceError`` or
-    ``SolverError``.
+    A Newton failure raises ``SolverError``, a ``NonConvergenceError``
+    when Newton ran out.
     """
     if np.any(np.abs(contact_values(device, t)[1:]) > 1e-14):
         raise DomainError(

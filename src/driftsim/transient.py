@@ -21,9 +21,8 @@ to a single solve with the already-factored Poisson matrix:
 w = P^{-1} V (F1' r1 - F2' r2), after which the iterate moves by the
 residual plus (+w, -w).  The few transport modes the preconditioner
 leaves (they strengthen with the step size) are collapsed by Anderson
-mixing over a short history of the corrected residuals.  If an
-accelerated iterate breaks a solve, the loop falls back to the plain
-sweep image and continues.  The accepted state is the sweep image that
+mixing over a short history of the corrected residuals; a sweep whose
+solve fails rejects the step.  The accepted state is the sweep image that
 passes the increment test, with the balance of its density solves; its
 reaction loads were taken at an iterate within the step tolerance of it,
 so the step is implicit in the recombination terms to that tolerance.
@@ -333,25 +332,11 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         return Phi_new, u_new, balance, V * du_eval
 
     Phi = state.Phi.copy()
-    plain_image = None
     iterates: list[np.ndarray] = []
     directions: list[np.ndarray] = []
     prev_increment = np.inf
     for sweep in range(config.gummel_max_iter):
-        try:
-            Phi_new, u_new, balance, screen = advance(Phi)
-        except StepRejected:
-            if plain_image is None:
-                raise
-            # the accelerated iterate broke a solve; resume the plain
-            # iteration from the last sweep image, which the map itself
-            # produced
-            Phi = plain_image
-            plain_image = None
-            iterates.clear()
-            directions.clear()
-            prev_increment = np.inf
-            Phi_new, u_new, balance, screen = advance(Phi)
+        Phi_new, u_new, balance, screen = advance(Phi)
         residual = Phi_new - Phi
         increment = float(np.max(np.abs(residual)))
         if increment <= config.gummel_tol:
@@ -359,7 +344,6 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             return (CarrierState(t=t_next, phi=phi, Phi=Phi_new, u=u_new),
                     StepReport(t=t_next, dt=dt, gummel_iterations=sweep + 1,
                                balance_residual=balance, proxy=proxy))
-        plain_image = Phi_new
         w = poisson.factor().solve(screen[0] * residual[0]
                                    - screen[1] * residual[1])
         direction = np.concatenate([residual[0] + w, residual[1] - w])

@@ -76,7 +76,7 @@ def test_cutoff_rejects_negative_bound():
 
 
 def test_neutral_potential_boltzmann_closed_form():
-    d = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    d = np.array([-1e6, -2.0, -1.0, -1e-8, 0.0, 1e-8, 1.0, 2.0, 1e6])
     assert np.allclose(neutral_potential(BB, d), np.arcsinh(d / 2.0),
                        rtol=0.0, atol=0.0)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from driftsim import transient
-from driftsim.config import OutputSink, SimulationConfig
+from driftsim import decks, nonlinear_poisson, transient
+from driftsim.config import OutputSink, SimulationConfig, build_models
 from driftsim.device import (
     BoxDoping,
     Contact,
@@ -13,7 +13,8 @@ from driftsim.device import (
     RobinSegment,
     build_mesh,
 )
-from driftsim.errors import DomainError
+from driftsim.errors import (DomainError, NonConvergenceError, SolverError,
+                             StepRejected)
 from driftsim.operators import Discretization, assemble_poisson
 from driftsim.output import write_outputs
 from driftsim.statistics import boltzmann
@@ -196,6 +197,54 @@ def test_gummel_step_advances_time(monkeypatch):
     # the accepted state is the last sweep's image: two density solves per
     # sweep, and no further pass after the increment test
     assert len(solves) == 2 * report.gummel_iterations
+
+
+def diode_first_step():
+    """The shipped diode deck at equilibrium, and its first step's
+    arguments (dt = dt_init); unpatched, that step takes 3 sweeps."""
+    config = decks.diode()
+    models = build_models(config)
+    poisson = assemble_poisson(config.device, build_mesh(config.device))
+    state = initial_state(config.device, models, poisson=poisson)
+    return (config.device, poisson, models, state, config.stepper.dt_init,
+            config.stepper)
+
+
+def test_failed_sweep_rejects_the_step(monkeypatch):
+    # a solve that fails in a later sweep rejects the step at once; the
+    # sweep is not rerun from an earlier iterate
+    calls = []
+    original = transient.solve_operator_S
+
+    def failing_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise SolverError("stub")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transient, "solve_operator_S", failing_third)
+    with pytest.raises(StepRejected, match="potential solve failed: stub"):
+        gummel_step(*diode_first_step())
+    assert len(calls) == 3
+
+
+def test_rejection_chains_the_newton_error(monkeypatch):
+    # the step's StepRejected carries the Newton error itself, with the
+    # iteration count and residual it stopped at
+    args = diode_first_step()
+    stub = NonConvergenceError("stub", iterations=7, residual=0.5)
+
+    def failing(*args, **kwargs):
+        raise stub
+
+    monkeypatch.setattr(nonlinear_poisson, "newton_solve", failing)
+    with pytest.raises(StepRejected) as info:
+        gummel_step(*args)
+    cause = info.value.__cause__
+    assert cause is stub
+    assert isinstance(cause, SolverError)
+    assert cause.iterations == 7
+    assert cause.residual == 0.5
 
 
 def test_2d_step_factors_each_system_once(monkeypatch):
