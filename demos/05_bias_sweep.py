@@ -1,11 +1,12 @@
 """Current-voltage sweep through the command-line front end.
 
 Drives `simulate sweep` exactly as a shell user would: five bias points
-on the diode deck, run one after another, one CSV row per point.  The bias
-path addresses the plateau knot of the contact ramp, so each instance
-still starts from a well-posed equilibrium at t = 0.  The script asserts
-that every point completes, that the current grows strictly with the bias
-and that the zero-bias point carries no current.
+on the diode deck, run in forked worker processes (one per available CPU
+up to the number of points), one CSV row per point in input order.  The
+bias path addresses the plateau knot of the contact ramp, so each
+instance still starts from a well-posed equilibrium at t = 0.  The script
+asserts that every point completes, that the current grows strictly with
+the bias and that the zero-bias point carries no current.
 """
 
 import pathlib

@@ -7,9 +7,10 @@ errors.  A blow-up always leaves a JSON report file behind, either at
 the deck's declared report sink or next to the other outputs under a
 name derived from the deck file.
 
-Sweep points run one after another, in input order, and the rows are
-emitted in that order; a failing point becomes a row with an error
-status rather than aborting the sweep.
+Sweep points are independent problems, so they run in forked worker
+processes, one per available CPU up to the number of points; the rows
+are emitted in input order, and a failing point becomes a row with an
+error status rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import re
 import sys
 import time
 from dataclasses import replace
+from itertools import repeat
 
 import yaml
 
@@ -156,8 +158,20 @@ def cmd_sweep(args) -> int:
     sides = [c.side for c in base.device.contacts]
     header = ["value"] + [f"current_{s}" for s in sides] \
         + ["wall_time", "iterations", "status"]
+    # imported here, so that run and verify do not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    workers = max(1, min(len(values), len(os.sched_getaffinity(0))))
     try:
-        rows = [_sweep_row(text, args.param, v, sides) for v in values]
+        # fork, not spawn: workers inherit the imported numpy and scipy,
+        # so they start in milliseconds.  A fork-context executor starts
+        # every worker at the first submit, before its manager thread
+        # (Python >= 3.11), so no worker is forked from a threaded parent.
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) \
+                as pool:
+            rows = list(pool.map(_sweep_row, repeat(text), repeat(args.param),
+                                 values, repeat(sides)))
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -205,7 +205,7 @@ class Mesh:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def n_faces(self) -> int:

@@ -43,6 +43,7 @@ integrated over cells (production terms belong on the right-hand side).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -509,6 +510,16 @@ class FactorSlot:
         self.op: SparseOperator | None = None
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of ``v``, rescaled by max|v| only when the plain norm
+    overflows, so every finite case is the plain norm bit for bit."""
+    norm = np.linalg.norm(v)
+    if math.isinf(norm):
+        scale = np.max(np.abs(v))
+        norm = scale * np.linalg.norm(v / scale)
+    return norm
+
+
 def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float):
     """Solve ``matrix x = b`` from the factor ``lu`` of ``matrix`` or of a
     nearby matrix.  Returns the first solve x = LU^{-1} b when its residual
@@ -518,13 +529,13 @@ def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float):
     not; at most _REFINE_MAX steps.  Returns x and ||b - matrix x||."""
     x = lu.solve(b)
     r = b - matrix @ x
-    res = np.linalg.norm(r)
+    res = _norm(r)
     if res <= target:
         return x, res
     for _ in range(_REFINE_MAX):
         x_next = x + lu.solve(r)
         r_next = b - matrix @ x_next
-        res_next = np.linalg.norm(r_next)
+        res_next = _norm(r_next)
         if not res_next < res:
             break
         halved = res_next <= 0.5 * res
@@ -534,9 +545,9 @@ def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float):
     return x, res
 
 
-# a norm that overflows reads inf: no residual that large meets the
-# contract, and a right-hand side that large leaves it vacuous, so the
-# caller checks the solution itself (Newton rejects a non-finite step)
+# _norm's first try and the residual matvec may overflow: _norm rescales
+# the first, so the target is finite whenever ||b|| is a finite float,
+# and a residual that reads inf meets no contract
 @np.errstate(over="ignore")
 def solve_linear(op: SparseOperator, b: np.ndarray,
                  slot: FactorSlot | None = None) -> np.ndarray:
@@ -554,7 +565,7 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
     singular.
     """
     b = np.asarray(b, dtype=float)
-    target = _SOLVE_RTOL * max(float(np.linalg.norm(b)),
+    target = _SOLVE_RTOL * max(float(_norm(b)),
                                np.finfo(float).tiny)
     if op.disc.bands is not None:
         slot = None

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -233,15 +234,28 @@ def test_sweep_forward_bias_currents_monotone(tmp_path):
     assert all(b > a for a, b in zip(current_right, current_right[1:]))
 
 
-def test_sweep_builds_mesh_and_discretization_once_per_point(tmp_path, builds):
+def test_sweep_builds_mesh_and_discretization_once_per_point(builds):
+    # points build in the sweep's workers, so the builds are counted on
+    # _sweep_row, the function each worker runs, called in this process
+    text = (DECKS / "srh_two_cell.yaml").read_text()
+    rows = [cli._sweep_row(text, "device.contacts[1].bias[1][1]", value,
+                           ["left", "right"]) for value in (0.03, 0.05)]
+    assert [r[-1] for r in rows] == ["ok", "ok"]
+    assert builds == {"disc": 2, "mesh": 2}
+
+
+def test_sweep_points_run_in_workers(tmp_path, builds):
+    # nothing is built in this process, the rows keep the input order,
+    # and every worker has exited when main returns
     out = tmp_path / "sweep.csv"
     code = run_cli("sweep", str(DECKS / "srh_two_cell.yaml"),
                    "--param", "device.contacts[1].bias[1][1]",
-                   "--values=0.03,0.05", "--out", str(out))
+                   "--values=0.05,0.03", "--out", str(out))
     assert code == 0
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
-    assert [r[-1] for r in rows] == ["ok", "ok"]
-    assert builds == {"disc": 2, "mesh": 2}
+    assert [(float(r[0]), r[-1]) for r in rows] == [(0.05, "ok"), (0.03, "ok")]
+    assert builds == {"disc": 0, "mesh": 0}
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_records_per_point_failure_and_continues(tmp_path):

@@ -627,8 +627,8 @@ def test_tridiagonal_solve_meeting_the_contract_solves_once(monkeypatch):
 
 
 def test_overflowing_right_hand_side_norm_is_not_a_warning():
-    # ||b|| overflows for entries near 1e160; it reads inf, which leaves
-    # the contract vacuous, and the first solve is returned as it is
+    # the plain ||b|| overflows for entries near 1e160; the rescaled norm
+    # is finite, and the first solve meets the contract as it is
     dev = dirichlet_slab(cells=6)
     op = assemble_poisson(dev, build_mesh(dev))
     b = np.full(6, 1e160)
@@ -636,6 +636,18 @@ def test_overflowing_right_hand_side_norm_is_not_a_warning():
         warnings.simplefilter("error")
         x = solve_linear(op, b)
     assert np.array_equal(x, op.factor().solve(b))
+
+
+def test_huge_right_hand_side_still_meets_the_contract():
+    # a held factor of 2A halves the solution, so the residual is b/2;
+    # with b near 1e200 both norms overflow when taken plainly, and an
+    # infinite target would accept that x
+    dev = dirichlet_slab(cells=6)
+    op = assemble_poisson(dev, build_mesh(dev))
+    op._lu = SparseOperator(op.disc.csc(2.0 * op.matrix.data),
+                            op.disc).factor()
+    with pytest.raises(SolverError, match="exceeds"):
+        solve_linear(op, np.full(6, 1e200))
 
 
 def test_non_finite_residual_in_solve_linear_is_a_solver_error():

@@ -16,7 +16,9 @@ to ``sweep.csv`` without its ``wall_time`` column, the one field that is
 not deterministic.  So two runs of the same code must give byte-identical
 directories (``diff -r``), and two versions of the code can be compared
 file by file with ``tools/compare_outputs.py``.  Nothing is written
-outside OUTDIR.
+outside OUTDIR.  The runs share no files, so they go on one thread per
+available CPU, each in its own subprocess; the summary lines keep the
+order above.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import io
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,12 +92,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
     outdir = parser.parse_args(argv).outdir
-    for deck in deck_paths():
-        where = run_deck(deck, outdir)
-        print(f"{deck}: exit {(where / 'exit_code.txt').read_text().strip()}")
-    where = run_sweep(outdir)
-    print(f"sweep {SWEEP_DECK}: exit "
-          f"{(where / 'exit_code.txt').read_text().strip()}")
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        jobs = [(deck, pool.submit(run_deck, deck, outdir))
+                for deck in deck_paths()]
+        jobs.append((f"sweep {SWEEP_DECK}", pool.submit(run_sweep, outdir)))
+        for label, job in jobs:
+            where = job.result()
+            print(f"{label}: exit "
+                  f"{(where / 'exit_code.txt').read_text().strip()}")
     return 0
 
 
