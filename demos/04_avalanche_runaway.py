@@ -3,7 +3,7 @@
 The shipped avalanche deck multiplies the ionization production by a
 factor of a thousand under reverse bias.  The carrier norm proxy rises
 over ``blowup_window`` accepted steps and passes the deck's threshold
-of 40 at t ~ 0.284 on this 32-cell mesh, where the stepper stops.  This
+of 40 at t ~ 0.282 on this 32-cell mesh, where the stepper stops.  This
 is a detected outcome, not a crash; the result object says when and why
 integration stopped.  How this verdict depends on the mesh is recorded
 in ROADMAP item 10.
@@ -28,8 +28,8 @@ assert result.blowup is not None
 print(f"\nreason    : {result.blowup.reason}")
 print(f"threshold : {result.blowup.threshold}")
 print("trailing norm proxies:")
-for t, proxy in list(zip(result.blowup.times, result.blowup.proxies))[-6:]:
-    print(f"  t = {t:.4f}  proxy = {proxy:8.3f}")
+for report in result.reports[-6:]:
+    print(f"  t = {report.t:.4f}  proxy = {report.proxy:8.3f}")
 
 print("\nevery accepted state stayed positive on the way up:")
 floor = min(float(state.u.min()) for state in result.states)

@@ -96,8 +96,8 @@ def _report_tree(device: DeviceSpec, models: SimulationModels,
         tree["blowup"] = {
             "reason": result.blowup.reason,
             "threshold": result.blowup.threshold,
-            "times": list(result.blowup.times),
-            "proxies": list(result.blowup.proxies),
+            "times": [r.t for r in result.reports],
+            "proxies": [r.proxy for r in result.reports],
         }
     return tree
 

@@ -20,9 +20,10 @@ Woodbury-style cancellation (I - (P + VF')^{-1} VF') = (P + VF')^{-1}P,
 to a single solve with the already-factored Poisson matrix:
 w = P^{-1} V (F1' r1 - F2' r2), after which the iterate moves by the
 residual plus (+w, -w).  The few transport modes the preconditioner
-leaves (they strengthen with the step size) are collapsed by Anderson
-mixing over a short history of the corrected residuals; a sweep whose
-solve fails rejects the step.  The accepted state is the sweep image that
+leaves (they strengthen with the step size) are collapsed by windowed
+Anderson mixing (Walker and Ni, 2011) over the last few corrected
+residuals; a sweep whose solve fails, or a mixed iterate that is not
+finite, rejects the step.  The accepted state is the sweep image that
 passes the increment test, with the balance of its density solves; its
 reaction loads were taken at an iterate within the step tolerance of it,
 so the step is implicit in the recombination terms to that tolerance.
@@ -47,6 +48,7 @@ so this is an answer, not a failure).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -146,10 +148,10 @@ class StepReport:
 
 @dataclass
 class BlowUpReport:
+    """Why and at which proxy threshold integration stopped; the times
+    and proxies it saw are the accepted steps' ``SimulationResult.reports``."""
     reason: str
     threshold: float
-    times: list
-    proxies: list
 
 
 @dataclass
@@ -256,9 +258,10 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     ``poisson`` is the run's Poisson operator; its ``disc`` supplies the
     mesh, the face sets and the sparsity pattern of every system solved.
     Raises StepRejected when a density solve turns nonpositive, a
-    potential solve fails, or the sweep budget runs out.  On success the
-    returned report carries the defect of the discrete balance identity,
-    evaluated with the exact loads the final linear solves used.
+    potential solve fails, the mixed iterate is not finite, or the sweep
+    budget runs out.  On success the returned report carries the defect
+    of the discrete balance identity, evaluated with the exact loads the
+    final linear solves used.
     """
     mesh = poisson.disc.mesh
     t_next = state.t + dt
@@ -332,9 +335,8 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         return Phi_new, u_new, balance, V * du_eval
 
     Phi = state.Phi.copy()
-    iterates: list[np.ndarray] = []
-    directions: list[np.ndarray] = []
-    prev_increment = np.inf
+    iterates = deque(maxlen=_MIX_WINDOW + 1)
+    directions = deque(maxlen=_MIX_WINDOW + 1)
     for sweep in range(config.gummel_max_iter):
         Phi_new, u_new, balance, screen = advance(Phi)
         residual = Phi_new - Phi
@@ -348,15 +350,8 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
                                    - screen[1] * residual[1])
         direction = np.concatenate([residual[0] + w, residual[1] - w])
         x = Phi.ravel()
-        if increment > prev_increment and iterates:
-            iterates.clear()
-            directions.clear()
-        prev_increment = increment
-        iterates.append(x.copy())
+        iterates.append(x)
         directions.append(direction)
-        if len(iterates) > _MIX_WINDOW + 1:
-            iterates.pop(0)
-            directions.pop(0)
         if len(iterates) >= 2:
             dX = np.diff(np.stack(iterates, axis=1), axis=1)
             dD = np.diff(np.stack(directions, axis=1), axis=1)
@@ -364,8 +359,9 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             mixed = x + direction - (dX + dD) @ gamma
         else:
             mixed = x + direction
-        Phi = mixed.reshape(Phi.shape) if np.all(np.isfinite(mixed)) \
-            else Phi_new
+        if not np.all(np.isfinite(mixed)):
+            raise StepRejected(f"mixed iterate is not finite at t={t_next:.6g}")
+        Phi = mixed.reshape(Phi.shape)
     raise StepRejected(
         f"decoupling loop did not converge in {config.gummel_max_iter} sweeps "
         f"(last increment {increment:.3e})")
@@ -443,8 +439,7 @@ def run(device: DeviceSpec, models: SimulationModels,
             break
         dt = min(dt_step * config.growth, config.dt_max)
     blowup = None if reason is None else BlowUpReport(
-        reason=reason, threshold=config.blowup_threshold,
-        times=[r.t for r in reports], proxies=[r.proxy for r in reports])
+        reason=reason, threshold=config.blowup_threshold)
     return SimulationResult(states=states, reports=reports, blowup=blowup,
                             steps_rejected=rejected, disc=poisson.disc)
 

@@ -36,8 +36,7 @@ from .statistics import boltzmann, fermi_dirac_half
 from .transient import (CarrierState, SimulationModels, TimeStepperConfig,
                         gummel_step, initial_state, run)
 
-__all__ = ["PropertyResult", "available", "run_suite", "run_all",
-           "render_report"]
+__all__ = ["PropertyResult", "run_suite", "run_all", "render_report"]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -448,7 +447,8 @@ def suite_positivity_blowup(seed: int) -> list[PropertyResult]:
                               report is not None,
                               1.0 if report is not None else 0.0, "=1"))
     if report is not None:
-        tail = np.array(report.proxies[-config.stepper.blowup_window:])
+        tail = np.array([r.proxy for r in
+                         result.reports[-config.stepper.blowup_window:]])
         rising = bool(np.all(np.diff(tail) > 0.0)
                       and tail[-1] > report.threshold)
         out.append(PropertyResult("positivity-blowup",
@@ -587,10 +587,6 @@ SUITES = {
     "gummel-monolithic": suite_gummel_monolithic,
     "determinism": suite_determinism,
 }
-
-
-def available() -> tuple[str, ...]:
-    return tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = 0) -> list[PropertyResult]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -17,6 +19,7 @@ from driftsim.errors import (DomainError, NonConvergenceError, SolverError,
                              StepRejected)
 from driftsim.operators import Discretization, assemble_poisson
 from driftsim.output import write_outputs
+from driftsim.recombination import MassAction
 from driftsim.statistics import boltzmann
 from driftsim.transient import (
     SimulationModels,
@@ -245,6 +248,43 @@ def test_rejection_chains_the_newton_error(monkeypatch):
     assert isinstance(cause, SolverError)
     assert cause.iterations == 7
     assert cause.residual == 0.5
+
+
+def test_nonfinite_mix_rejects_the_step(monkeypatch):
+    # the first Anderson mix (sweep 2) comes out NaN: the step is rejected
+    # there with that cause, not continued from the sweep image
+    args = diode_first_step()
+    calls = []
+    original = transient.solve_operator_S
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    def nan_lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], np.nan), np.empty(0), 0, np.empty(0)
+
+    monkeypatch.setattr(transient, "solve_operator_S", counting)
+    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    with pytest.raises(StepRejected, match="mixed iterate is not finite"):
+        gummel_step(*args)
+    assert len(calls) == 2
+
+
+def test_mixing_keeps_a_reacting_insulated_box_unrejected():
+    # strong doping and generation on the insulated deck: windowed Anderson
+    # mixing reaches t_end with no rejected step
+    config = decks.insulated()
+    doping = config.device.doping
+    device = dataclasses.replace(config.device, doping=dataclasses.replace(
+        doping, bulk=(dataclasses.replace(doping.bulk[0], value=40.0),)))
+    config = dataclasses.replace(
+        config, device=device,
+        recombination=(MassAction(rate=1.0, generation=30.0),))
+    result = run(config.device, build_models(config), config.stepper)
+    assert result.completed
+    assert result.final.t == pytest.approx(1.0)
+    assert result.steps_rejected == 0
 
 
 def test_2d_step_factors_each_system_once(monkeypatch):
