@@ -25,8 +25,11 @@ exact LU as ``splu``, on a workspace sized to the fill instead of one
 reserved for a worst case.  On that path ``solve_linear`` can solve a
 system by iterative refinement from the factor of a nearby one held in a
 ``FactorSlot``, and factors afresh only when refinement misses the
-residual contract; a solve sequence of slowly changing systems (one time
-step's sweeps) then takes one factor per system instead of one per solve.
+residual target; a solve sequence of slowly changing systems (one time
+step's sweeps, a run's potential Newton Jacobians) then takes one factor
+per family instead of one per solve.  The target belongs to the caller:
+a final answer keeps the 1e-12 contract, a Newton direction asks only for
+its forcing term.
 
 One kernel, ``carrier_face_coefficients``, computes both carriers'
 coefficients on every stencil face from one joint statistics evaluation;
@@ -82,7 +85,11 @@ def bernoulli(x):
     small = np.abs(x) < 1e-4
     if small.any():
         xs = x[small]
-        out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0 - xs ** 4 / 720.0
+        # x2 * x2 may differ from xs ** 4 in its last bit, but below 1e-4
+        # the x^4/720 term is under half an ulp of the sum it joins, so B
+        # is the same, and the libm pow behind ** 4 is skipped
+        x2 = xs * xs
+        out[small] = 1.0 - xs / 2.0 + x2 / 12.0 - x2 * x2 / 720.0
     if out.ndim == 0:
         return float(out)
     return out
@@ -550,11 +557,15 @@ def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float):
 # and a residual that reads inf meets no contract
 @np.errstate(over="ignore")
 def solve_linear(op: SparseOperator, b: np.ndarray,
-                 slot: FactorSlot | None = None) -> np.ndarray:
+                 slot: FactorSlot | None = None,
+                 rtol: float = _SOLVE_RTOL) -> np.ndarray:
     """Direct solve with an explicit residual contract.
 
-    Every solve goes through ``_refine``: it returns the first solve when
-    ||Ax-b|| <= _SOLVE_RTOL * ||b||, and refines otherwise.  On the
+    The caller owns the target: ``rtol`` relative to ||b||, by default
+    _SOLVE_RTOL, the contract of a solve whose answer is final; a caller
+    that checks the answer itself (a Newton direction) may pass a looser
+    one.  Every solve goes through ``_refine``: it returns the first solve
+    when ||Ax-b|| <= rtol * ||b||, and refines otherwise.  On the
     SuperLU path the factor held in ``slot``, if any, is tried first and
     accepted if it meets the contract.  Otherwise the slot is emptied, so
     the stale factor is freed before the new one is allocated, and ``op``
@@ -565,8 +576,7 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
     singular.
     """
     b = np.asarray(b, dtype=float)
-    target = _SOLVE_RTOL * max(float(_norm(b)),
-                               np.finfo(float).tiny)
+    target = rtol * max(float(_norm(b)), np.finfo(float).tiny)
     if op.disc.bands is not None:
         slot = None
     if slot is not None:
@@ -581,5 +591,5 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
     x, res = _refine(op.matrix, lu, b, target)
     if not res <= target:
         raise SolverError(f"linear solve residual {res:.3e} exceeds "
-                          f"{_SOLVE_RTOL:.1e} * ||b||")
+                          f"{rtol:.1e} * ||b||")
     return x

@@ -20,20 +20,25 @@ from .transient import SimulationModels, SimulationResult, terminal_currents
 __all__ = ["format_float", "write_csv", "write_outputs"]
 
 _AXES = ("x", "y")
+_FLOAT = "%.17e"  # full precision: every float round-trips bit for bit
 
 
 def format_float(value: float) -> str:
-    return "%.17e" % float(value)
+    return _FLOAT % float(value)
+
+
+def _write_table(path: str, header: list[str], body: str) -> None:
+    """The header line, then ``body``: rows that each end in a newline."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n" + body)
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else format_float(cell)
-            for cell in row))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    """Rows of numbers, written as ``format_float`` writes them, and of
+    strings, written as they are; one ``%`` formats a whole row."""
+    _write_table(path, header, "".join(
+        ",".join(["%s" if isinstance(cell, str) else _FLOAT for cell in row])
+        % tuple(row) + "\n" for row in rows))
 
 
 def _field_header(dim: int) -> list[str]:
@@ -47,9 +52,13 @@ def _field_row(mesh: Mesh, state, cell: int) -> list[float]:
 
 
 def _write_snapshot(path: str, mesh: Mesh, state) -> None:
-    dim = mesh.cell_centers.shape[1]
-    rows = (_field_row(mesh, state, c) for c in range(mesh.n_cells))
-    write_csv(path, _field_header(dim), rows)
+    """One row per cell, as ``_field_row``; the whole table is formatted
+    by one ``%``."""
+    table = np.column_stack([mesh.cell_centers, state.phi, state.Phi.T,
+                             state.u.T])
+    row = ",".join([_FLOAT] * table.shape[1]) + "\n"
+    _write_table(path, _field_header(mesh.cell_centers.shape[1]),
+                 row * mesh.n_cells % tuple(table.ravel().tolist()))
 
 
 def _write_series(path: str, device: DeviceSpec, models: SimulationModels,

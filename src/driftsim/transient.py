@@ -29,13 +29,18 @@ reaction loads were taken at an iterate within the step tolerance of it,
 so the step is implicit in the recombination terms to that tolerance.
 
 The sweeps of one step solve nearby linear systems.  On the SuperLU path
-(2D, and n <= 2) the step holds the last factor of each family, the
-potential Newton Jacobian and each carrier's continuity matrix, and a
-later system is solved by iterative refinement from it; a system that
-refinement cannot bring within the linear residual contract is factored
-afresh and replaces the held factor.  The factors are dropped when the
-step returns or raises.  A tridiagonal (1D) system is factored each time,
-as that costs a few microseconds.
+(2D, and n <= 2) the last factor of each family is held, and a later
+system is solved by iterative refinement from it; a system that
+refinement cannot bring within its residual target is factored afresh
+and replaces the held factor.  The potential Newton Jacobian
+P + V diag(F1' + F2') moves only through the densities, so ``run`` holds
+its factor for the whole run, and a Newton direction, which needs only
+the forcing term, mostly takes one triangular solve from it.  Each
+carrier's continuity factor is held for one step and dropped when the
+step returns or raises: dt, and the V/dt on the continuity diagonal
+with it, changes between steps by more than refinement can bridge.  A
+tridiagonal (1D) system is factored each time, as that costs a few
+microseconds.
 
 A step that produces a nonpositive density or fails to converge raises
 StepRejected; the driver halves the step and retries, growing it again
@@ -252,11 +257,16 @@ _MIX_WINDOW = 5  # residual-history depth of the decoupling loop
 
 def gummel_step(device: DeviceSpec, poisson: SparseOperator,
                 models: SimulationModels, state: CarrierState, dt: float,
-                config: TimeStepperConfig) -> tuple[CarrierState, StepReport]:
+                config: TimeStepperConfig,
+                jacobians: FactorSlot | None = None,
+                ) -> tuple[CarrierState, StepReport]:
     """One backward-Euler step by decoupled, screening-corrected sweeps.
 
     ``poisson`` is the run's Poisson operator; its ``disc`` supplies the
     mesh, the face sets and the sparsity pattern of every system solved.
+    ``jacobians`` holds the last potential Newton Jacobian factor across
+    calls (``run`` passes one slot to every step); without it the step
+    starts from an empty slot of its own.
     Raises StepRejected when a density solve turns nonpositive, a
     potential solve fails, the mixed iterate is not finite, or the sweep
     budget runs out.  On success the returned report carries the defect
@@ -273,10 +283,11 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     source = models.source(t_next, mesh) if models.source is not None else None
     if source is not None:
         source = np.asarray(source, dtype=float)
-    # the last factor of each family of nearby systems, held for the step:
-    # the potential Newton Jacobians (across sweeps) and each carrier's
-    # continuity matrices
-    jacobians, continuity = FactorSlot(), (FactorSlot(), FactorSlot())
+    # the last factor of each carrier's continuity matrices, held for the
+    # step, and of the potential Newton Jacobians, held as long as the
+    # caller's slot (for the step when there is none)
+    jacobians = FactorSlot() if jacobians is None else jacobians
+    continuity = FactorSlot(), FactorSlot()
 
     def advance(Phi):
         """One sweep image of the quasi-Fermi iterate.
@@ -417,11 +428,12 @@ def run(device: DeviceSpec, models: SimulationModels,
     reason = None
     dt = config.dt_init
     horizon = config.t_end * (1.0 - 1e-14)
+    jacobians = FactorSlot()
     while state.t < horizon:
         dt_step = min(dt, config.t_end - state.t)
         try:
             state, report = gummel_step(device, poisson, models, state,
-                                        dt_step, config)
+                                        dt_step, config, jacobians)
         except StepRejected as exc:
             rejected += 1
             dt = dt_step * config.shrink

@@ -12,7 +12,7 @@ from driftsim.device import (
     MaterialRegion,
     build_mesh,
 )
-from driftsim import nonlinear_poisson
+from driftsim import nonlinear_poisson, operators
 from driftsim.errors import DomainError, NonConvergenceError
 from driftsim.nonlinear_poisson import (
     NonlinearPoissonProblem,
@@ -125,9 +125,9 @@ def test_newton_solves_each_direction_through_solve_linear(monkeypatch):
     calls = []
     original = nonlinear_poisson.solve_linear
 
-    def counting(op, b, slot=None):
+    def counting(op, b, slot=None, rtol=operators._SOLVE_RTOL):
         calls.append(op.dimension)
-        return original(op, b, slot)
+        return original(op, b, slot, rtol)
 
     monkeypatch.setattr(nonlinear_poisson, "solve_linear", counting)
     rng = np.random.default_rng(3)
@@ -137,6 +137,34 @@ def test_newton_solves_each_direction_through_solve_linear(monkeypatch):
     _, report = newton_solve(p, tol=1e-12)
     assert report.iterations >= 2
     assert calls == [24] * report.iterations
+
+
+def test_1d_newton_iterates_do_not_depend_on_the_forcing_term(monkeypatch):
+    # tridiagonal directions meet 1e-12 on their first solve, so the looser
+    # forcing term changes no bit of any iterate, trial points included
+    rng = np.random.default_rng(5)
+    p = grounded_problem(load=rng.normal(size=24),
+                         omega=rng.uniform(-2.0, 2.0, size=(2, 24)))
+    seen = []
+    original = NonlinearPoissonProblem.linearize
+
+    def recording(self, phi):
+        seen.append(phi.copy())
+        return original(self, phi)
+
+    monkeypatch.setattr(NonlinearPoissonProblem, "linearize", recording)
+    assert nonlinear_poisson._NEWTON_FORCING > 1e-12
+    runs = []
+    for forcing in (nonlinear_poisson._NEWTON_FORCING, 1e-12):
+        seen.clear()
+        monkeypatch.setattr(nonlinear_poisson, "_NEWTON_FORCING", forcing)
+        phi, report = newton_solve(p, tol=1e-12)
+        runs.append((np.array(seen), phi, report))
+    (seen_a, phi_a, report_a), (seen_b, phi_b, report_b) = runs
+    assert report_a.iterations >= 2
+    assert np.array_equal(seen_a.view(np.int64), seen_b.view(np.int64))
+    assert np.array_equal(phi_a.view(np.int64), phi_b.view(np.int64))
+    assert report_a == report_b
 
 
 def test_dual_norm_overflow_reads_infinite():

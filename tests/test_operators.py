@@ -115,6 +115,18 @@ def test_bernoulli_bit_identical_to_the_two_where_form():
     assert type(bernoulli(np.float64(0.5))) is float
 
 
+def test_bernoulli_series_bit_identical_to_the_pow_form():
+    # the series' x^4 term, taken as (x * x) * (x * x) instead of x ** 4,
+    # changes no bit of B on |x| < 1e-4, down to the subnormals and +-0
+    tiny = np.geomspace(5e-324, 1e-4, 200_001)[:-1]
+    x = np.concatenate([np.linspace(-1e-4, 1e-4, 2_000_001)[1:-1],
+                        tiny, -tiny, [0.0, -0.0, 5e-324, -5e-324,
+                                      2.2250738585072014e-308]])
+    assert np.all(np.abs(x) < 1e-4)
+    old = 1.0 - x / 2.0 + x * x / 12.0 - x ** 4 / 720.0
+    assert np.array_equal(bernoulli(x).view(np.int64), old.view(np.int64))
+
+
 # -- face flux ------------------------------------------------------------
 
 def test_flux_scheme_validation():

@@ -287,6 +287,19 @@ def test_mixing_keeps_a_reacting_insulated_box_unrejected():
     assert result.steps_rejected == 0
 
 
+def junction_2d(ramp_end):
+    """A 12x6 pn junction whose right contact ramps to 0.25 by ``ramp_end``."""
+    phi_n = float(np.arcsinh(0.5))
+    return DeviceSpec(
+        dimension=2, extent=(4.0, 2.0), resolution=(12, 6),
+        regions=(MaterialRegion("bulk", ((0.0, 4.0), (0.0, 2.0))),),
+        contacts=(Contact(side="left", phi=-phi_n),
+                  Contact(side="right", phi=phi_n,
+                          bias=((0.0, 0.0), (ramp_end, 0.25)))),
+        doping=DopingProfile(bulk=(BoxDoping(((0.0, 2.0), (0.0, 2.0)), -1.0),
+                                   BoxDoping(((2.0, 4.0), (0.0, 2.0)), 1.0))))
+
+
 def test_2d_step_factors_each_system_once(monkeypatch):
     # off the tridiagonal path a step factors the Newton Jacobian and each
     # carrier's continuity matrix at most once, and solves the later
@@ -299,15 +312,7 @@ def test_2d_step_factors_each_system_once(monkeypatch):
         factors.append(1)
         return original(*args, **kwargs)
 
-    phi_n = float(np.arcsinh(0.5))
-    dev = DeviceSpec(
-        dimension=2, extent=(4.0, 2.0), resolution=(12, 6),
-        regions=(MaterialRegion("bulk", ((0.0, 4.0), (0.0, 2.0))),),
-        contacts=(Contact(side="left", phi=-phi_n),
-                  Contact(side="right", phi=phi_n,
-                          bias=((0.0, 0.0), (0.1, 0.25)))),
-        doping=DopingProfile(bulk=(BoxDoping(((0.0, 2.0), (0.0, 2.0)), -1.0),
-                                   BoxDoping(((2.0, 4.0), (0.0, 2.0)), 1.0))))
+    dev = junction_2d(0.1)
     poisson = assemble_poisson(dev, build_mesh(dev))
     assert poisson.disc.bands is None
     models = SimulationModels(stats=BB)
@@ -322,6 +327,63 @@ def test_2d_step_factors_each_system_once(monkeypatch):
         assert report.balance_residual <= 1e-12
         sweeps += report.gummel_iterations
     assert sweeps > 3 * 2  # some step refined a later sweep's systems
+
+
+def newton_directions_of_2d_run(monkeypatch):
+    """Run the slowly ramped 2D junction over 4 steps from equilibrium and
+    return, per Newton direction, the SuperLU factors and triangular
+    solves its ``solve_linear`` call took."""
+    dev = junction_2d(1.0)
+    models = SimulationModels(stats=BB)
+    poisson = assemble_poisson(dev, build_mesh(dev))
+    state = initial_state(dev, models, poisson=poisson)
+    factors, solves = [], []
+    original_spilu = spla.spilu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(1)
+            return self.lu.solve(b)
+
+    def counting_spilu(*args, **kwargs):
+        factors.append(1)
+        return CountingLU(original_spilu(*args, **kwargs))
+
+    directions = []
+    original = nonlinear_poisson.solve_linear
+
+    def recording(op, b, slot=None, **options):
+        f, s = len(factors), len(solves)
+        x = original(op, b, slot, **options)
+        directions.append((len(factors) - f, len(solves) - s))
+        return x
+
+    monkeypatch.setattr(spla, "spilu", counting_spilu)
+    monkeypatch.setattr(nonlinear_poisson, "solve_linear", recording)
+    cfg = TimeStepperConfig(dt_init=0.01, t_end=0.04, growth=1.0)
+    result = run(dev, models, cfg, initial=state)
+    assert result.steps_accepted == 4
+    assert result.steps_rejected == 0
+    assert max(r.balance_residual for r in result.reports) <= 1e-12
+    return directions
+
+
+def test_2d_run_takes_one_jacobian_factor(monkeypatch):
+    # the run holds one Jacobian slot for all its steps: the first Newton
+    # direction factors, and every later step solves from that factor
+    directions = newton_directions_of_2d_run(monkeypatch)
+    assert len(directions) > 4
+    assert sum(factors for factors, _ in directions) == 1
+
+
+def test_2d_newton_direction_costs_one_triangular_solve(monkeypatch):
+    # the held factor meets the forcing term on this run, so each direction
+    # is accepted after its first triangular solve, with no refinement
+    directions = newton_directions_of_2d_run(monkeypatch)
+    assert [solves for _, solves in directions] == [1] * len(directions)
 
 
 def test_run_builds_one_discretization(monkeypatch):
