@@ -11,8 +11,9 @@ vanishes to 1e-12 of the uncorrected one.
 
 import numpy as np
 
-from driftsim import FluxScheme, boltzmann, fermi_dirac_half
-from driftsim.operators import sg_flux
+from driftsim import (DeviceSpec, FluxScheme, MaterialRegion, boltzmann,
+                      build_mesh, fermi_dirac_half)
+from driftsim.operators import Discretization, carrier_face_coefficients
 
 bz = boltzmann()
 fd = fermi_dirac_half()
@@ -28,14 +29,27 @@ s = fd.invert(u)
 print(f"  F^-1({u}) = {s:.6f},  F(F^-1(u)) - u = {fd.eval(s) - u:+.2e}")
 assert abs(fd.eval(s) - u) <= 1e-12 * u
 
-# a face in detailed balance: equal quasi-Fermi levels on both sides
+# a face in detailed balance: two unit cells, one interior face of unit
+# transmissibility, and equal quasi-Fermi levels Phi1 = Phi2 = 0 on both
+# sides, so carrier 1's arguments s = Phi1 - phi rise by dphi across it
 s_lo, dphi = 4.0, 1.5
-s_hi = s_lo + dphi
-u_lo, u_hi = fd.eval(s_lo), fd.eval(s_hi)
+pair = DeviceSpec(dimension=1, extent=(2.0,), resolution=(2,),
+                  regions=(MaterialRegion("bulk", ((0.0, 2.0),)),))
+disc = Discretization(pair, build_mesh(pair))
+phi = np.array([-s_lo, -s_lo - dphi])
+chi = np.vstack([-phi, phi])
 
-plain = sg_flux(FluxScheme(), u_lo, u_hi, s_lo, s_hi, dphi, 1.0, 1.0, 1.0)
-enhanced = sg_flux(FluxScheme(variant="scharfetter_gummel_enhanced"),
-                   u_lo, u_hi, s_lo, s_hi, dphi, 1.0, 1.0, 1.0, stats=fd)
+
+def face_flow(variant):
+    """Carrier 1's mass flow through the face, low to high cell."""
+    electrons, _ = carrier_face_coefficients(
+        disc, (fd, fd), FluxScheme(variant=variant), phi, chi,
+        np.zeros((3, 0)))
+    return float(electrons.flux()[disc.faces[0]])
+
+
+plain = face_flow("scharfetter_gummel")
+enhanced = face_flow("scharfetter_gummel_enhanced")
 
 print("\nspurious equilibrium flux on a degenerate face:")
 print(f"  exponential fitting assuming Boltzmann: {plain:+.4e}")

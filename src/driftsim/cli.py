@@ -24,9 +24,8 @@ import time
 from dataclasses import replace
 from itertools import repeat
 
-import yaml
-
-from .config import build_models, load_yaml, parse_config
+from .config import build_models, config_from_tree, load_yaml, parse_config
+from .device import contact_labels
 from .errors import ConfigError, DriftError
 from .output import format_float, write_outputs, write_report
 from .transient import run, terminal_currents
@@ -115,26 +114,26 @@ def _parse_values(raw: list[str]) -> list[float]:
     return out
 
 
-def _sweep_row(text: str, param: str, value: float, sides: list) -> list:
+def _sweep_row(text: str, param: str, value: float, labels: list) -> list:
     """One independent simulation, as a finished CSV row."""
     started = time.perf_counter()
     try:
         tree = load_yaml(text)
         _set_by_path(tree, param, value)
-        config = parse_config(yaml.safe_dump(tree, sort_keys=False))
         # the sweep table is the only output; per-point sinks would
         # trample each other across values
-        config = replace(config, output=())
+        config = replace(config_from_tree(tree), output=())
         models, result = _execute(config)
     except (DriftError, ValueError) as exc:
-        return [format_float(value)] + ["nan"] * len(sides) + [
+        return [format_float(value)] + ["nan"] * len(labels) + [
             format_float(time.perf_counter() - started), "0",
             f"error: {exc}"]
     currents = terminal_currents(config.device, result.disc, models,
                                  result.final)
     status = "ok" if result.blowup is None else "blow-up"
     iterations = sum(r.gummel_iterations for r in result.reports)
-    return [format_float(value)] + [format_float(currents[s]) for s in sides] \
+    return [format_float(value)] \
+        + [format_float(currents[label]) for label in labels] \
         + [format_float(time.perf_counter() - started), str(iterations), status]
 
 
@@ -155,8 +154,8 @@ def cmd_sweep(args) -> int:
     except (OSError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sides = [c.side for c in base.device.contacts]
-    header = ["value"] + [f"current_{s}" for s in sides] \
+    labels = contact_labels(base.device)
+    header = ["value"] + [f"current_{label}" for label in labels] \
         + ["wall_time", "iterations", "status"]
     # imported here, so that run and verify do not load multiprocessing
     import multiprocessing
@@ -171,7 +170,7 @@ def cmd_sweep(args) -> int:
                 workers, mp_context=multiprocessing.get_context("fork")) \
                 as pool:
             rows = list(pool.map(_sweep_row, repeat(text), repeat(args.param),
-                                 values, repeat(sides)))
+                                 values, repeat(labels)))
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

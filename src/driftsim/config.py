@@ -45,8 +45,8 @@ from .statistics import StatisticsModel
 from .transient import SimulationModels, TimeStepperConfig
 
 __all__ = [
-    "OutputSink", "SimulationConfig", "parse_config", "load_config",
-    "dump_config", "build_models", "load_yaml",
+    "OutputSink", "SimulationConfig", "parse_config", "config_from_tree",
+    "load_config", "dump_config", "build_models", "load_yaml",
 ]
 
 # libyaml's loader builds the same trees as the pure-Python one, several
@@ -444,6 +444,12 @@ def parse_config(text: str) -> SimulationConfig:
         tree = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError([f"syntax: {exc}"]) from None
+    return config_from_tree(tree)
+
+
+def config_from_tree(tree) -> SimulationConfig:
+    """Validate a deck's YAML tree, as ``load_yaml`` returns it; raises
+    ConfigError listing every problem."""
     if tree is None:
         raise ConfigError(["deck is empty"])
     problems: list[str] = []

@@ -26,7 +26,8 @@ __all__ = [
     "MaterialRegion", "Contact", "RobinSegment", "SurfaceSegment",
     "InterfaceSpec", "BoxDoping", "SheetDoping", "DopingProfile",
     "DeviceSpec", "Mesh",
-    "build_mesh", "contact_values", "validate_device", "sample_series",
+    "build_mesh", "contact_labels", "contact_values", "validate_device",
+    "sample_series",
 ]
 
 Span = tuple[float, float]
@@ -104,6 +105,16 @@ def contact_values(device: DeviceSpec, t: float) -> np.ndarray:
     a (3, n_contacts) array, one column per contact."""
     return np.array([c.values(t) for c in device.contacts],
                     dtype=float).reshape(-1, 3).T
+
+
+def contact_labels(device: DeviceSpec) -> list[str]:
+    """One name per contact, in declaration order: its side, or, for
+    contacts that share a side, the side and the contact's place among
+    them counted from 1 (``top_1``, ``top_2``)."""
+    sides = [c.side for c in device.contacts]
+    return [side if sides.count(side) == 1
+            else f"{side}_{sides[:i + 1].count(side)}"
+            for i, side in enumerate(sides)]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ its cell to a ghost, the contact's value at the face center (half-cell
 distance), so it is one more stencil face.  Robin segments add
 ``eps_gamma * area`` masses to the diagonal, Neumann faces nothing.
 The electron/hole continuity operators use Scharfetter-Gummel fitting,
-optionally corrected for degenerate statistics (see ``sg_flux``).
+optionally corrected for degenerate statistics (see ``FluxScheme``).
 
 A ``Discretization`` holds what a run never changes: the stencil, the
 transmissibilities and the one CSC sparsity pattern all matrices share.
@@ -63,7 +63,7 @@ from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 
 __all__ = [
     "Discretization", "SparseOperator", "FluxScheme", "FaceCoefficients",
-    "bernoulli", "sg_flux", "eta_face", "assemble_poisson",
+    "bernoulli", "eta_face", "assemble_poisson",
     "poisson_data_load", "carrier_face_coefficients",
     "assemble_continuity", "continuity_face_flux", "apply_surface_load",
     "face_gradient",
@@ -142,33 +142,6 @@ def _sg_coefficients(scheme: FluxScheme, face_eta, dphi, t):
     eta = face_eta()
     d = dphi / eta
     return t * eta * bernoulli(-d), t * eta * bernoulli(d)
-
-
-def sg_flux(scheme: FluxScheme, u_lo, u_hi, s_lo, s_hi, dphi,
-            mobility, area, distance, stats: StatisticsModel | None = None):
-    """Mass flow through one face, positive from the low to the high side.
-
-    ``dphi`` is the carrier-signed electrostatic drop across the face,
-    i.e. (-1)^k (phi_hi - phi_lo); ``s_lo``/``s_hi`` are the statistics
-    arguments (chi) on both sides, used only by the enhanced variant;
-    ``mobility`` is the edge value, already averaged.  Densities must be
-    positive.
-    """
-    u_lo = np.asarray(u_lo, dtype=float)
-    u_hi = np.asarray(u_hi, dtype=float)
-    if np.any(u_lo <= 0.0) or np.any(u_hi <= 0.0):
-        raise DomainError("sg_flux requires positive densities")
-    if scheme.variant == "scharfetter_gummel_enhanced" and stats is None:
-        raise DomainError("enhanced flux needs the statistics model")
-    t = np.asarray(mobility, dtype=float) * np.asarray(area, dtype=float) \
-        / np.asarray(distance, dtype=float)
-    a, b = _sg_coefficients(scheme, lambda: eta_face(
-        stats, s_lo, s_hi, stats.eval(s_lo), stats.eval(s_hi)),
-        np.asarray(dphi, dtype=float), t)
-    out = a * u_lo - b * u_hi
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 class Discretization:

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .config import SimulationConfig
-from .device import DeviceSpec, Mesh
+from .device import DeviceSpec, Mesh, contact_labels
 from .transient import SimulationModels, SimulationResult, terminal_currents
 
 __all__ = ["format_float", "write_csv", "write_outputs"]
@@ -27,51 +27,43 @@ def format_float(value: float) -> str:
     return _FLOAT % float(value)
 
 
-def _write_table(path: str, header: list[str], body: str) -> None:
-    """The header line, then ``body``: rows that each end in a newline."""
+def write_csv(path: str, header: list[str], table) -> None:
+    """The header line, then a table of floats, one row per line and one
+    column per ``header`` entry, each cell as ``format_float`` writes it;
+    one ``%`` formats the whole table."""
+    table = np.asarray(table, dtype=float).reshape(-1, len(header))
+    row = ",".join([_FLOAT] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n" + body)
-
-
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Rows of numbers, written as ``format_float`` writes them, and of
-    strings, written as they are; one ``%`` formats a whole row."""
-    _write_table(path, header, "".join(
-        ",".join(["%s" if isinstance(cell, str) else _FLOAT for cell in row])
-        % tuple(row) + "\n" for row in rows))
+        handle.write(",".join(header) + "\n"
+                     + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def _field_header(dim: int) -> list[str]:
     return list(_AXES[:dim]) + ["phi", "Phi1", "Phi2", "u1", "u2"]
 
 
-def _field_row(mesh: Mesh, state, cell: int) -> list[float]:
-    coords = [mesh.cell_centers[cell, a] for a in range(mesh.cell_centers.shape[1])]
-    return coords + [state.phi[cell], state.Phi[0, cell], state.Phi[1, cell],
-                     state.u[0, cell], state.u[1, cell]]
+def _field_table(mesh: Mesh, state, cells) -> np.ndarray:
+    """The ``_field_header`` columns of ``cells``, one row per cell."""
+    return np.column_stack([mesh.cell_centers[cells], state.phi[cells],
+                            state.Phi[:, cells].T, state.u[:, cells].T])
 
 
 def _write_snapshot(path: str, mesh: Mesh, state) -> None:
-    """One row per cell, as ``_field_row``; the whole table is formatted
-    by one ``%``."""
-    table = np.column_stack([mesh.cell_centers, state.phi, state.Phi.T,
-                             state.u.T])
-    row = ",".join([_FLOAT] * table.shape[1]) + "\n"
-    _write_table(path, _field_header(mesh.cell_centers.shape[1]),
-                 row * mesh.n_cells % tuple(table.ravel().tolist()))
+    write_csv(path, _field_header(mesh.cell_centers.shape[1]),
+              _field_table(mesh, state, slice(None)))
 
 
 def _write_series(path: str, device: DeviceSpec, models: SimulationModels,
                   result: SimulationResult) -> None:
-    sides = [c.side for c in device.contacts]
+    labels = contact_labels(device)
     header = ["t", "dt", "iterations", "balance", "proxy"] \
-        + [f"current_{s}" for s in sides]
+        + [f"current_{label}" for label in labels]
     rows = []
     for state, report in zip(result.states[1:], result.reports):
         flow = terminal_currents(device, result.disc, models, state)
-        rows.append([report.t, report.dt, float(report.gummel_iterations),
+        rows.append([report.t, report.dt, report.gummel_iterations,
                      report.balance_residual, report.proxy]
-                    + [flow[s] for s in sides])
+                    + [flow[label] for label in labels])
     write_csv(path, header, rows)
 
 
@@ -80,10 +72,10 @@ def _write_probe(path: str, mesh: Mesh, result: SimulationResult,
     dim = mesh.cell_centers.shape[1]
     target = np.asarray(position, dtype=float)[:dim]
     cell = int(np.argmin(np.sum((mesh.cell_centers - target) ** 2, axis=1)))
-    header = ["t"] + _field_header(dim)
-    rows = ([state.t] + _field_row(mesh, state, cell)
-            for state in result.states)
-    write_csv(path, header, rows)
+    write_csv(path, ["t"] + _field_header(dim), np.column_stack([
+        [state.t for state in result.states],
+        np.vstack([_field_table(mesh, state, [cell])
+                   for state in result.states])]))
 
 
 def _report_tree(device: DeviceSpec, models: SimulationModels,

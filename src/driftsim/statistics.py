@@ -21,8 +21,9 @@ Carrier 1 sees the argument Phi1 - phi and carrier 2 sees Phi2 + phi;
 
 ``eval_pair`` returns F and F' from one pass: one exp for Boltzmann, and
 for Fermi-Dirac one piece lookup and one Clenshaw recurrence over both
-tables.  ``eval_carriers`` and ``invert_carriers`` serve the two carriers
-of a device, in one call on all points when they share their statistics.
+tables; ``eval`` and ``eval_derivative`` are its two rows.
+``eval_carriers`` and ``invert_carriers`` serve the two carriers of a
+device, in one call on all points when they share their statistics.
 Every entry is computed independently of the others, so these joint
 evaluations equal the separate ones bit for bit.
 """
@@ -74,15 +75,14 @@ class _FermiDirac:
         self.coef = np.stack([np.array([table["low"], *table["mid"]]).T
                               for table in tables], axis=1)
 
-    def __call__(self, s, orders: slice):
-        """One row per selected order of F_j(s), for a flat array s."""
-        out = np.empty((len(self.power[orders]), s.size))
+    def __call__(self, s):
+        """Rows F_{1/2}(s) and F_{-1/2}(s), for a flat array s."""
+        out = np.empty((2, s.size))
         piece = np.searchsorted(_table.EDGES, s)  # 0 for s <= 0
         tail = piece == len(_table.EDGES)
         if np.any(tail):
             s_tail = s[tail]
-            for row, power, series in zip(out, self.power[orders],
-                                          self.series[orders]):
+            for row, power, series in zip(out, self.power, self.series):
                 # as s^(power-1) * (s * series), so that no intermediate
                 # exceeds F and F stays finite up to the largest float
                 row[tail] = s_tail ** (power - 1.0) * (
@@ -92,7 +92,7 @@ class _FermiDirac:
         low = p == 0
         t = np.exp(np.minimum(s_near, 0.0))
         x = (np.where(low, t, s_near) - self.center[p]) * self.scale[p]
-        value = _clenshaw(x, self.coef[:, orders, p])
+        value = _clenshaw(x, self.coef[:, :, p])
         out[:, near] = np.where(low, t * value, value)
         return out
 
@@ -106,11 +106,10 @@ def _clenshaw(x, coef):
     return coef[0] + x * b1 - b2
 
 
+# rows: F = F_{1/2} and its derivative F' = F_{-1/2}
 _FERMI_DIRAC = _FermiDirac((_table.HALF, _table.MINUS_HALF))
-# rows of _FERMI_DIRAC: F = F_{1/2}, its derivative F' = F_{-1/2}, or both
-_F, _DF, _PAIR = slice(0, 1), slice(1, 2), slice(0, 2)
 # F(0), where the upper inversion bracket changes form
-_F_AT_ZERO = float(_FERMI_DIRAC(np.zeros(1), _F)[0, 0])
+_F_AT_ZERO = float(_FERMI_DIRAC(np.zeros(1))[0, 0])
 _LOG_F_AT_ZERO = float(np.log(_F_AT_ZERO))
 # (3 sqrt(pi) / 4)^(2/3), so that the upper bracket c u^(2/3) does not
 # overflow where u itself is finite
@@ -130,29 +129,27 @@ class StatisticsModel:
     # -- evaluation ------------------------------------------------------
 
     def eval(self, s):
-        """Density F(s).  Accepts scalars or arrays; s must be finite."""
-        return self._evaluate(s, _F)[0]
+        """Density F(s), the first row of ``eval_pair``."""
+        return self.eval_pair(s)[0]
 
     def eval_derivative(self, s):
-        """dF/ds, strictly positive.  Equals the order -1/2 integral for FD."""
-        return self._evaluate(s, _DF)[0]
+        """dF/ds, strictly positive, the second row of ``eval_pair``.
+        Equals the order -1/2 integral for FD."""
+        return self.eval_pair(s)[1]
 
     def eval_pair(self, s):
         """(F(s), F'(s)) in one pass: one exp for Boltzmann statistics, where
-        both are the same array, and one table pass for Fermi-Dirac."""
-        return self._evaluate(s, _PAIR)
-
-    def _evaluate(self, s, orders):
+        both are the same array, and one table pass for Fermi-Dirac.
+        Accepts scalars or arrays; s must be finite."""
         s = np.asarray(s, dtype=float)
         _require_finite(s, "s")
         # overflow to inf is the honest answer for huge arguments and
         # lets line searches reject the trial point without a warning
         with np.errstate(over="ignore"):
             if self.kind == "boltzmann":
-                out = [np.exp(s)] * (orders.stop - orders.start)
+                out = (np.exp(s),) * 2
             else:
-                out = _FERMI_DIRAC(s.reshape(-1), orders).reshape(
-                    (-1, *s.shape))
+                out = _FERMI_DIRAC(s.reshape(-1)).reshape((2, *s.shape))
         return tuple(float(row) if s.ndim == 0 else row for row in out)
 
     def eval_eta(self, s):

@@ -59,7 +59,8 @@ from typing import Callable
 
 import numpy as np
 
-from .device import DeviceSpec, Mesh, build_mesh, contact_values
+from .device import (DeviceSpec, Mesh, build_mesh, contact_labels,
+                     contact_values)
 from .errors import DomainError, SolverError, StepRejected
 from .nonlinear_poisson import (NonlinearPoissonProblem, equilibrium_state,
                                 solve_operator_S)
@@ -381,7 +382,8 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
 def terminal_currents(device: DeviceSpec, disc: Discretization,
                       models: SimulationModels,
                       state: CarrierState) -> dict[str, float]:
-    """Net electric current leaving each contact, keyed by contact side.
+    """Net electric current leaving each contact, keyed by its
+    ``contact_labels`` name.
 
     Counts carrier-1 mass outflow minus carrier-2 outflow (the carriers
     enter the space charge with opposite signs), summed over the
@@ -397,11 +399,11 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     faces = disc.faces[disc.n_interior:]
     outward = np.where(disc.hi[disc.n_interior:] >= disc.n_cells, 1.0, -1.0)
     out = {}
-    for idx, contact in enumerate(device.contacts):
+    for idx, label in enumerate(contact_labels(device)):
         on = disc.contact == idx
         flow1 = float(np.sum(outward[on] * face_flux[0][faces[on]]))
         flow2 = float(np.sum(outward[on] * face_flux[1][faces[on]]))
-        out[contact.side] = flow1 - flow2
+        out[label] = flow1 - flow2
     return out
 
 

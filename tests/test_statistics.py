@@ -204,6 +204,9 @@ def test_eval_pair_equals_separate_evaluations(model):
     pair = model.eval_pair(0.3)
     assert all(isinstance(v, float) for v in pair)
     assert pair == (model.eval(0.3), model.eval_derivative(0.3))
+    # an entry does not depend on the others evaluated with it
+    assert [model.eval_pair(x) for x in _PAIR_GRID.tolist()] \
+        == list(zip(f.tolist(), df.tolist()))
 
 
 @pytest.mark.parametrize("stats", [(FD, FD), (BOLTZ, FD), (FD, BOLTZ)],

@@ -14,13 +14,16 @@ from driftsim.device import (
     MaterialRegion,
     RobinSegment,
     build_mesh,
+    contact_values,
+    validate_device,
 )
 from driftsim.errors import (DomainError, NonConvergenceError, SolverError,
                              StepRejected)
-from driftsim.operators import Discretization, assemble_poisson
+from driftsim.operators import (Discretization, assemble_poisson,
+                                carrier_face_coefficients)
 from driftsim.output import write_outputs
 from driftsim.recombination import MassAction
-from driftsim.statistics import boltzmann
+from driftsim.statistics import boltzmann, carrier_arguments
 from driftsim.transient import (
     SimulationModels,
     TimeStepperConfig,
@@ -176,6 +179,39 @@ def test_terminal_currents_vanish_at_equilibrium():
     assert set(currents) == {"left", "right"}
     assert abs(currents["left"]) <= 1e-10
     assert abs(currents["right"]) <= 1e-10
+
+
+def test_contacts_sharing_a_side_each_report_their_current():
+    # two top contacts with disjoint spans form a valid device; each must
+    # keep its own current, the sum over its own faces
+    dev = DeviceSpec(
+        dimension=2, extent=(8.0, 4.0), resolution=(8, 4),
+        regions=(MaterialRegion("bulk", ((0.0, 8.0), (0.0, 4.0))),),
+        contacts=(Contact(side="top", span=(0.0, 1.0)),
+                  Contact(side="bottom"),
+                  Contact(side="top", span=(3.0, 4.0), bias=0.5)))
+    assert validate_device(dev) == ()
+    disc = Discretization(dev, build_mesh(dev))
+    models = SimulationModels(stats=BB)
+    rng = np.random.default_rng(4)
+    n = disc.n_cells
+    state = transient.CarrierState(t=0.0, phi=rng.normal(size=n),
+                                   Phi=0.1 * rng.normal(size=(2, n)),
+                                   u=np.ones((2, n)))
+    currents = terminal_currents(dev, disc, models, state)
+    assert list(currents) == ["top_1", "bottom", "top_2"]
+    flux = [f.flux() for f in carrier_face_coefficients(
+        disc, BB, models.scheme, state.phi,
+        carrier_arguments(state.Phi, state.phi), contact_values(dev, 0.0))]
+    mesh = disc.mesh
+    for idx, (label, sign) in enumerate(
+            [("top_1", 1.0), ("bottom", -1.0), ("top_2", 1.0)]):
+        # flow runs from a face's low to its high side: outward at the top
+        faces = np.flatnonzero(mesh.face_contact == idx)
+        assert faces.size == (1 if label != "bottom" else 8)
+        own = sign * np.sum(flux[0][faces] - flux[1][faces])
+        assert currents[label] == pytest.approx(own, rel=1e-12, abs=1e-14)
+    assert currents["top_1"] != currents["top_2"]
 
 
 def test_gummel_step_advances_time(monkeypatch):
