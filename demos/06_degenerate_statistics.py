@@ -11,8 +11,8 @@ vanishes to 1e-12 of the uncorrected one.
 
 import numpy as np
 
-from driftsim import (DeviceSpec, FluxScheme, MaterialRegion, boltzmann,
-                      build_mesh, fermi_dirac_half)
+from driftsim import (Contact, DeviceSpec, FluxScheme, MaterialRegion,
+                      boltzmann, build_mesh, fermi_dirac_half)
 from driftsim.operators import Discretization, carrier_face_coefficients
 
 bz = boltzmann()
@@ -31,10 +31,13 @@ assert abs(fd.eval(s) - u) <= 1e-12 * u
 
 # a face in detailed balance: two unit cells, one interior face of unit
 # transmissibility, and equal quasi-Fermi levels Phi1 = Phi2 = 0 on both
-# sides, so carrier 1's arguments s = Phi1 - phi rise by dphi across it
+# sides, so carrier 1's arguments s = Phi1 - phi rise by dphi across it.
+# The grounded left contact makes the pair an admissible device; its
+# boundary face is not the one measured
 s_lo, dphi = 4.0, 1.5
 pair = DeviceSpec(dimension=1, extent=(2.0,), resolution=(2,),
-                  regions=(MaterialRegion("bulk", ((0.0, 2.0),)),))
+                  regions=(MaterialRegion("bulk", ((0.0, 2.0),)),),
+                  contacts=(Contact(side="left"),))
 disc = Discretization(pair, build_mesh(pair))
 phi = np.array([-s_lo, -s_lo - dphi])
 chi = np.vstack([-phi, phi])
@@ -44,7 +47,7 @@ def face_flow(variant):
     """Carrier 1's mass flow through the face, low to high cell."""
     electrons, _ = carrier_face_coefficients(
         disc, (fd, fd), FluxScheme(variant=variant), phi, chi,
-        np.zeros((3, 0)))
+        np.zeros((3, 1)))
     return float(electrons.flux()[disc.faces[0]])
 
 

@@ -25,7 +25,6 @@ from .device import (
     SheetDoping,
     SurfaceSegment,
     build_mesh,
-    validate_device,
 )
 from .statistics import StatisticsModel, boltzmann, fermi_dirac_half
 from .operators import FluxScheme
@@ -100,5 +99,4 @@ __all__ = [
     "run",
     "solve_operator_S",
     "terminal_currents",
-    "validate_device",
 ]

@@ -15,7 +15,10 @@ of its fields: how the field is read from the deck and written back.
 ``_record`` parses any record and ``_record_tree`` dumps it, so the
 dataclass is the single statement of a record's keys.  A field is
 optional exactly when its dataclass gives it a default; a missing field
-without one is reported as ``path.key: required``.
+without one is reported as ``path.key: required``.  Records check their
+own values on construction, so one built in Python gets the same checks
+as one read from a deck; ``_record`` reports each finding construction
+raises under the record's path.
 
 parse_config and dump_config are inverses up to canonicalization:
 dumping a parsed deck and parsing the dump reproduces the same
@@ -36,7 +39,7 @@ import yaml
 
 from .device import (BoxDoping, Contact, DeviceSpec, DopingProfile,
                      InterfaceSpec, MaterialRegion, RobinSegment,
-                     SheetDoping, SurfaceSegment, validate_device)
+                     SheetDoping, SurfaceSegment)
 from .errors import ConfigError, DomainError
 from .operators import FluxScheme
 from .recombination import (Auger, Avalanche, MassAction, ShockleyReadHall,
@@ -78,10 +81,24 @@ class OutputSink:
     probe:    fields at the cell nearest ``position``, one row per step.
     report:   JSON run summary; carries the blow-up record when the
               integration ends early.
+
+    Construction raises ConfigError on an unknown kind, an empty path, or
+    a position on anything but a probe or none on a probe.
     """
     kind: str
     path: str
     position: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        problems = []
+        if self.kind not in _SINK_KINDS:
+            problems.append(f"kind {self.kind!r} is not one of {_SINK_KINDS}")
+        if not self.path:
+            problems.append("path is empty")
+        if (self.position is not None) != (self.kind == "probe"):
+            problems.append("a probe, and only a probe, takes a position")
+        if problems:
+            raise ConfigError(problems)
 
 
 @dataclass(frozen=True)
@@ -360,9 +377,11 @@ def _record(cls, node, path: str, problems: list, dim: int):
         return None
     try:
         return cls(**values)
+    except ConfigError as exc:
+        problems.extend(f"{path}: {finding}" for finding in exc.problems)
     except DomainError as exc:
         problems.append(f"{path}: {exc}")
-        return None
+    return None
 
 
 def _record_tree(record) -> dict:
@@ -419,16 +438,9 @@ def _parse_statistics(node, problems: list) -> tuple[str, str]:
 def _parse_output(node, dim: int, problems: list) -> tuple[OutputSink, ...]:
     sinks = _list(_nested(OutputSink)).parse(node, "output", problems, dim)
     for i, sink in enumerate(sinks):
-        path = f"output[{i}].position"
-        if sink is None:
-            continue
-        if sink.kind != "probe":
-            if sink.position is not None:
-                problems.append(f"{path}: only probe sinks take one")
-        elif sink.position is None:
-            problems.append(f"{path}: required for probes")
-        elif len(sink.position) != dim:
-            problems.append(f"{path}: expected {dim} coordinates")
+        if sink is not None and sink.position is not None \
+                and len(sink.position) != dim:
+            problems.append(f"output[{i}].position: expected {dim} coordinates")
     return sinks
 
 
@@ -468,9 +480,6 @@ def config_from_tree(tree) -> SimulationConfig:
                        problems, dim)
     output = _parse_output(tree.get("output"), dim, problems)
     seed = _int(tree.get("seed", 0), "seed", problems)
-
-    if device is not None:
-        problems.extend(f"device: {v}" for v in validate_device(device))
     if problems:
         raise ConfigError(problems)
     return SimulationConfig(

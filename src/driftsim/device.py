@@ -6,10 +6,13 @@ and (possibly recombining) insulated remainder, plus optional interior
 recombination interfaces and doping (box profiles and sheet densities on
 interior hyperplanes).  All quantities are in scaled units.
 
-``build_mesh`` produces the cell/face geometry used by the assembly
-routines; every layer, interface, and sheet coordinate must land on a
-grid line (within 1e-6 of the extent), otherwise a GeometryError names
-the offending coordinate instead of silently moving it.
+Constructing a ``DeviceSpec`` checks the data the well-posedness result
+assumes and raises a ConfigError listing every finding.  ``build_mesh``
+then produces the cell/face geometry used by the assembly routines and
+checks only the grid: every layer, interface, and sheet coordinate must
+land on a grid line (within 1e-6 of the extent), otherwise a
+GeometryError names the offending coordinate instead of silently moving
+it.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
+from .recombination import SurfaceSRH
 
 __all__ = [
     "MaterialRegion", "Contact", "RobinSegment", "SurfaceSegment",
     "InterfaceSpec", "BoxDoping", "SheetDoping", "DopingProfile",
     "DeviceSpec", "Mesh",
-    "build_mesh", "contact_labels", "contact_values", "validate_device",
-    "sample_series",
+    "build_mesh", "contact_labels", "contact_values", "sample_series",
 ]
 
 Span = tuple[float, float]
@@ -63,10 +66,7 @@ def _series_ok(series) -> bool:
 def _axis_tuple(value, dim) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
         return (float(value),) * dim
-    out = tuple(float(v) for v in value)
-    if len(out) != dim:
-        raise GeometryError(f"per-axis value {value!r} does not match dimension {dim}")
-    return out
+    return tuple(float(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,7 @@ class DopingProfile:
 
 @dataclass(frozen=True)
 class DeviceSpec:
+    """A device; construction raises ConfigError listing every finding."""
     dimension: int
     extent: tuple[float, ...]
     resolution: tuple[int, ...]
@@ -176,6 +177,10 @@ class DeviceSpec:
     surfaces: tuple[SurfaceSegment, ...] = ()
     interfaces: tuple[InterfaceSpec, ...] = ()
     doping: DopingProfile = field(default_factory=DopingProfile)
+
+    def __post_init__(self):
+        if problems := _admissibility_problems(self):
+            raise ConfigError(problems)
 
 
 # face boundary tags
@@ -196,7 +201,6 @@ class Mesh:
     """
     dimension: int
     shape: tuple[int, ...]
-    spacing: tuple[float, ...]
     cell_centers: np.ndarray      # (n_cells, dim)
     cell_volumes: np.ndarray      # (n_cells,)
     cell_region: np.ndarray       # (n_cells,) index into device.regions
@@ -255,20 +259,20 @@ def _span_problems(what: str, span: Span | None, device: DeviceSpec,
     return []
 
 
-def validate_device(device: DeviceSpec) -> tuple[str, ...]:
-    """Static admissibility checks: every finding, empty when the device is
+def _admissibility_problems(device: DeviceSpec) -> list[str]:
+    """Every reason the device is inadmissible, empty when it is
     admissible; raises nothing."""
     out: list[str] = []
     dim = device.dimension
     if dim not in (1, 2):
-        return (f"dimension must be 1 or 2, got {dim}",)
+        return [f"dimension must be 1 or 2, got {dim}"]
     sides = _SIDES_1D if dim == 1 else _SIDES_2D
     if len(device.extent) != dim or any(e <= 0 for e in device.extent):
         out.append(f"extent must be {dim} positive lengths, got {device.extent}")
     if len(device.resolution) != dim or any(n < 1 for n in device.resolution):
         out.append(f"resolution must be {dim} positive cell counts, got {device.resolution}")
     if out:
-        return tuple(out)
+        return out
     volume = float(np.prod(device.extent))
 
     if not device.regions:
@@ -365,8 +369,10 @@ def validate_device(device: DeviceSpec) -> tuple[str, ...]:
             out.append(f"sheet doping at {sheet.position} is not strictly interior")
         if not np.isfinite(sheet.density):
             out.append("sheet doping density is not finite")
-
-    return tuple(out)
+    for seg in (*device.surfaces, *device.interfaces):
+        if seg.model is not None and not isinstance(seg.model, SurfaceSRH):
+            out.append(f"unsupported interfacial model {type(seg.model).__name__}")
+    return out
 
 
 def build_mesh(device: DeviceSpec) -> Mesh:
@@ -387,21 +393,14 @@ def build_mesh(device: DeviceSpec) -> Mesh:
     n_cells = centers.shape[0]
     volumes = np.full(n_cells, math.prod(h))
 
-    # region lookup by cell center; every bound must sit on a grid line
-    for reg in device.regions:
+    # region lookup by cell center; every bound must sit on a grid line,
+    # and admissible regions tile the box, so every cell gets one region
+    region_of = np.full(n_cells, -1, dtype=int)
+    for r, reg in enumerate(device.regions):
         for ax, (lo, hi) in enumerate(reg.bounds):
             _snap(lo, h[ax], shape[ax], extent[ax], f"region {reg.name!r}")
             _snap(hi, h[ax], shape[ax], extent[ax], f"region {reg.name!r}")
-    region_of = np.full(n_cells, -1, dtype=int)
-    for r, reg in enumerate(device.regions):
-        inside = _inside(centers, reg.bounds)
-        if np.any(region_of[inside] >= 0):
-            raise GeometryError(f"region {reg.name!r} overlaps another region")
-        region_of[inside] = r
-    if np.any(region_of < 0):
-        missing = int(np.argwhere(region_of < 0).ravel()[0])
-        raise GeometryError(
-            f"cell at {tuple(np.atleast_1d(centers[missing]))} belongs to no region")
+        region_of[_inside(centers, reg.bounds)] = r
 
     # faces normal to each axis in turn; grid line k of axis a lies between
     # cells k - 1 and k along a
@@ -436,26 +435,21 @@ def build_mesh(device: DeviceSpec) -> Mesh:
             sel &= (face_index[:, tangent] >= lo) & (face_index[:, tangent] < hi)
         return np.flatnonzero(sel)
 
-    segment_faces = []
-    for kind, tag, segments in (("contact", TAG_DIRICHLET, device.contacts),
-                                ("robin segment", TAG_ROBIN, device.robin),
-                                ("surface segment", TAG_NEUMANN, device.surfaces)):
-        found = []
-        for seg in segments:
-            axis, high = _SIDE_AXIS[seg.side]
-            if axis >= dim:
-                raise GeometryError(f"side {seg.side!r} invalid in {dim}D")
-            faces = faces_on(axis, shape[axis] if high else 0, seg.span,
-                             f"segment on {seg.side!r}")
-            if np.any(face_tag[faces] != TAG_NEUMANN):
-                raise GeometryError(f"{kind} on {seg.side!r} overlaps another segment")
-            face_tag[faces] = tag
-            found.append(faces)
-        segment_faces.append(tuple(found))
-    contact_faces, robin_faces, surface_faces = segment_faces
+    def side_faces(seg) -> np.ndarray:
+        """Boundary faces of a segment; admissible segments share none."""
+        axis, high = _SIDE_AXIS[seg.side]
+        return faces_on(axis, shape[axis] if high else 0, seg.span,
+                        f"segment on {seg.side!r}")
+
+    contact_faces = tuple(side_faces(c) for c in device.contacts)
+    robin_faces = tuple(side_faces(r) for r in device.robin)
+    surface_faces = tuple(side_faces(s) for s in device.surfaces)
     face_contact = np.full(n_faces, -1, dtype=int)
     for ci, faces in enumerate(contact_faces):
+        face_tag[faces] = TAG_DIRICHLET
         face_contact[faces] = ci
+    for faces in robin_faces:
+        face_tag[faces] = TAG_ROBIN
 
     def plane_faces(axis: int, position: float, span: Span | None,
                     what: str) -> np.ndarray:
@@ -478,7 +472,7 @@ def build_mesh(device: DeviceSpec) -> Mesh:
     cell_face_hi[face_cells[has_lo, 0], face_axis[has_lo]] = fids[has_lo]
 
     return Mesh(
-        dimension=dim, shape=shape, spacing=h,
+        dimension=dim, shape=shape,
         cell_centers=centers, cell_volumes=volumes, cell_region=region_of,
         face_axis=face_axis, face_area=face_area, face_cells=face_cells,
         face_dl=face_dl, face_dr=face_dr,

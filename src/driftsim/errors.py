@@ -16,7 +16,7 @@ class GeometryError(DriftError, ValueError):
 
 
 class ConfigError(DriftError, ValueError):
-    """A simulation deck failed validation.
+    """A deck or device description failed validation.
 
     Carries the full list of findings so a user sees every problem at once.
     """

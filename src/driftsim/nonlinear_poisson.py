@@ -111,10 +111,8 @@ class NonlinearPoissonProblem:
 
 @dataclass
 class SolveReport:
-    method: str
     iterations: int
     residual: float
-    cutoff_bound: float | None = None
 
 
 def apriori_bound(omega, stats) -> float:
@@ -172,7 +170,7 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     res = problem.dual_norm(r)
     for it in range(_NEWTON_MAX_ITER):
         if res <= tol:
-            return phi, SolveReport("newton", it, res)
+            return phi, SolveReport(it, res)
         J = SparseOperator(problem.poisson.shifted(diagonal),
                            problem.poisson.disc)
         delta = solve_linear(J, r, slot, rtol=_NEWTON_FORCING)
@@ -196,7 +194,7 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
                     "Newton line search stalled", iterations=it, residual=res)
         phi, r, diagonal, res = trial, r_trial, diagonal_trial, res_trial
     if res <= tol:
-        return phi, SolveReport("newton", _NEWTON_MAX_ITER, res)
+        return phi, SolveReport(_NEWTON_MAX_ITER, res)
     raise NonConvergenceError("Newton did not reach tolerance",
                               iterations=_NEWTON_MAX_ITER, residual=res)
 
@@ -269,7 +267,7 @@ def contraction_iterate(problem: NonlinearPoissonProblem, tol: float = 1e-10,
         w = lu.solve(r)
         dual = math.sqrt(max(float(r @ w), 0.0))
         if lam * dual <= tol and dual <= 10.0 * tol:
-            return phi, SolveReport("contraction", it, dual, K)
+            return phi, SolveReport(it, dual)
         phi = phi - lam * w
         window.append(lam * dual)
         # a window with under 1% total progress cannot reach tol within

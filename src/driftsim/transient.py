@@ -68,7 +68,7 @@ from .operators import (Discretization, FactorSlot, FluxScheme,
                         SparseOperator, apply_surface_load, assemble_poisson,
                         carrier_face_coefficients, cell_average_faces,
                         face_gradient, poisson_data_load, solve_linear)
-from .recombination import SurfaceSRH, bulk_production
+from .recombination import bulk_production
 from .statistics import StatisticsModel, carrier_arguments, invert_carriers
 
 __all__ = [
@@ -123,6 +123,9 @@ class TimeStepperConfig:
         for name in ("gummel_tol", "poisson_tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be positive and finite")
+        for name in ("gummel_max_iter", "blowup_window"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DomainError(f"{name} must be an integer")
         if self.gummel_max_iter < 1:
             raise DomainError("gummel_max_iter must be at least 1")
         if self.blowup_window < 2:
@@ -233,9 +236,6 @@ def _surface_loads(device: DeviceSpec, mesh: Mesh, u1: np.ndarray,
         model = segment.model
         if model is None or not faces.size:
             continue
-        if not isinstance(model, SurfaceSRH):
-            raise DomainError(
-                f"unsupported interfacial model {type(model).__name__}")
         rate = model.eval(_face_density(mesh, faces, u1),
                           _face_density(mesh, faces, u2))
         out += apply_surface_load(mesh, faces, -rate)

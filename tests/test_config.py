@@ -232,6 +232,18 @@ def test_probe_sink_requires_position():
     assert cfg.output == (OutputSink("probe", "probe.csv", (1.0,)),)
 
 
+@pytest.mark.parametrize("kwargs, finding", [
+    (dict(kind="bogus", path="x.csv"), "kind 'bogus' is not one of"),
+    (dict(kind="series", path=""), "path is empty"),
+    (dict(kind="probe", path="p.csv"), "only a probe, takes a position"),
+    (dict(kind="report", path="r.json", position=(1.0,)),
+     "only a probe, takes a position"),
+], ids=["kind", "path", "probe-position", "report-position"])
+def test_sink_fails_at_construction(kwargs, finding):
+    with pytest.raises(ConfigError, match=finding):
+        OutputSink(**kwargs)
+
+
 def test_snapshot_sink_rejects_position():
     found = problems_of(MINIMAL + textwrap.dedent("""
         output:

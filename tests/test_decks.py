@@ -7,7 +7,7 @@ import pytest
 
 from driftsim import decks
 from driftsim.config import build_models, dump_config, load_config
-from driftsim.device import validate_device
+from driftsim.device import build_mesh
 
 DECK_DIR = pathlib.Path(__file__).resolve().parent.parent / "decks"
 ALL = sorted(decks.all_decks())
@@ -24,9 +24,9 @@ def test_shipped_yaml_matches_builder(name):
 
 @pytest.mark.parametrize("name", ALL)
 def test_every_deck_validates(name):
-    cfg = decks.all_decks()[name]
-    violations = validate_device(cfg.device)
-    assert not violations, violations
+    # building the device checked its admissibility; the mesh checks that
+    # every coordinate lies on the grid
+    build_mesh(decks.all_decks()[name].device)
 
 
 @pytest.mark.parametrize("name", ALL)

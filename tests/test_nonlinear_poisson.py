@@ -204,8 +204,7 @@ def test_contraction_and_newton_agree():
     rng = np.random.default_rng(1)
     p = grounded_problem(omega=rng.uniform(-2.0, 2.0, size=(2, 24)))
     phi_n, _ = newton_solve(p, tol=1e-13)
-    phi_c, report = contraction_iterate(p, tol=1e-12)
-    assert report.method == "contraction"
+    phi_c, _ = contraction_iterate(p, tol=1e-12)
     assert np.max(np.abs(phi_n - phi_c)) <= 1e-9
 
 
@@ -219,10 +218,13 @@ def test_contraction_iteration_count_pinned():
 
 
 def test_contraction_records_cutoff():
+    # the default cut-off is the a-priori bound, which covers omega
     p = grounded_problem(omega=np.full((2, 24), 0.7))
-    _, report = contraction_iterate(p, tol=1e-10)
-    assert report.cutoff_bound is not None
-    assert report.cutoff_bound >= 0.7
+    bound = apriori_bound(p.omega, p.stats)
+    assert bound >= 0.7
+    phi, _ = contraction_iterate(p, tol=1e-10)
+    phi_bound, _ = contraction_iterate(p, tol=1e-10, cutoff_bound=bound)
+    assert np.array_equal(phi, phi_bound)
 
 
 @pytest.mark.parametrize("stats", [BB, FF])

@@ -38,7 +38,8 @@ def test_write_csv_matches_the_per_cell_format(tmp_path):
 def test_snapshot_matches_the_per_cell_format(tmp_path):
     mesh = build_mesh(DeviceSpec(
         dimension=2, extent=(3.0, 2.0), resolution=(6, 5),
-        regions=(MaterialRegion("bulk", ((0.0, 3.0), (0.0, 2.0))),)))
+        regions=(MaterialRegion("bulk", ((0.0, 3.0), (0.0, 2.0))),),
+        contacts=(Contact(side="left"),)))
     n = mesh.n_cells
     rng = np.random.default_rng(2)
     u = rng.uniform(0.0, 1.0, (2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))

@@ -15,7 +15,6 @@ from driftsim.device import (
     RobinSegment,
     build_mesh,
     contact_values,
-    validate_device,
 )
 from driftsim.errors import (DomainError, NonConvergenceError, SolverError,
                              StepRejected)
@@ -72,6 +71,14 @@ def biased_diode(bias=0.1, cells=32):
 def test_stepper_config_validation(kwargs):
     with pytest.raises(DomainError):
         TimeStepperConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["gummel_max_iter", "blowup_window"])
+def test_stepper_integer_fields_reject_floats(name):
+    # run() would fail later with an untyped TypeError on either
+    stepper = TimeStepperConfig(dt_init=0.1, t_end=1.0)
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        dataclasses.replace(stepper, **{name: 2.5})
 
 
 def test_detect_blowup_needs_full_window():
@@ -190,7 +197,6 @@ def test_contacts_sharing_a_side_each_report_their_current():
         contacts=(Contact(side="top", span=(0.0, 1.0)),
                   Contact(side="bottom"),
                   Contact(side="top", span=(3.0, 4.0), bias=0.5)))
-    assert validate_device(dev) == ()
     disc = Discretization(dev, build_mesh(dev))
     models = SimulationModels(stats=BB)
     rng = np.random.default_rng(4)
