@@ -8,17 +8,20 @@ the dotted path of the offending field.  Unknown keys are hard errors
 and name the nearest valid spelling, so a typo like "mobilty" surfaces
 at parse time instead of silently defaulting the physics.
 
-Every deck record (region, contact, robin segment, surface, interface,
-doping box and sheet, the device and its doping, the stepper, an output
-sink) is a dataclass, and one table, ``_FIELDS``, gives the kind of each
+The deck is one record, ``SimulationConfig``, and so is each of its
+parts (region, contact, robin segment, surface, interface, doping box
+and sheet, the device and its doping, the stepper, an output sink).
+Each is a dataclass, and one table, ``_FIELDS``, gives the kind of each
 of its fields: how the field is read from the deck and written back.
-``_record`` parses any record and ``_record_tree`` dumps it, so the
-dataclass is the single statement of a record's keys.  A field is
-optional exactly when its dataclass gives it a default; a missing field
-without one is reported as ``path.key: required``.  Records check their
-own values on construction, so one built in Python gets the same checks
-as one read from a deck; ``_record`` reports each finding construction
-raises under the record's path.
+``_record`` parses any record, the deck included, and ``_record_tree``
+dumps it, so the dataclass is the single statement of a record's keys
+and no top-level section has a parser of its own.  A field is optional
+exactly when its dataclass gives it a default; a missing field without
+one is reported as ``path.key: required``.  Records check their own
+values on construction, so one built in Python gets the same checks as
+one read from a deck; ``_record`` reports each finding construction
+raises under the record's path.  A ``SimulationConfig`` checks that a
+probe gives one coordinate per device axis.
 
 parse_config and dump_config are inverses up to canonicalization:
 dumping a parsed deck and parsing the dump reproduces the same
@@ -31,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,7 +59,6 @@ __all__ = [
 # times faster; the pure-Python one serves where libyaml is missing
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-_STATISTICS = ("boltzmann", "fermi_dirac_half")
 _BULK_MODELS = {
     "mass_action": MassAction,
     "shockley_read_hall": ShockleyReadHall,
@@ -69,6 +71,7 @@ _SURFACE_MODELS = {
 _MODEL_NAMES = {cls: name for name, cls in
                 {**_BULK_MODELS, **_SURFACE_MODELS}.items()}
 _SINK_KINDS = ("snapshot", "series", "probe", "report")
+_CARRIERS = ("carrier1", "carrier2")
 
 
 @dataclass(frozen=True)
@@ -101,16 +104,26 @@ class OutputSink:
             raise ConfigError(problems)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
+    """A whole deck.  Construction raises ConfigError on a probe whose
+    position does not give one coordinate per device axis."""
     device: DeviceSpec
     statistics: tuple[str, str] = ("boltzmann", "boltzmann")
     flux_scheme: str = "scharfetter_gummel"
     recombination: tuple = ()
-    stepper: TimeStepperConfig = field(
-        default_factory=lambda: TimeStepperConfig(dt_init=0.01, t_end=1.0))
+    stepper: TimeStepperConfig
     output: tuple[OutputSink, ...] = ()
     seed: int = 0
+
+    def __post_init__(self):
+        dim = self.device.dimension
+        problems = [f"output[{i}].position: expected {dim} coordinates"
+                    for i, sink in enumerate(self.output)
+                    if sink.position is not None
+                    and len(sink.position) != dim]
+        if problems:
+            raise ConfigError(problems)
 
 
 def build_models(config: SimulationConfig) -> SimulationModels:
@@ -226,6 +239,16 @@ def _span(node, path: str, problems: list, dim=None):
     return (0.0, 0.0)
 
 
+def _statistics(node, path: str, problems: list, dim=None):
+    """One name for both carriers, or a {carrier1, carrier2} mapping."""
+    if isinstance(node, str):
+        return (_str_choice(node, StatisticsModel.kinds, path, problems),) * 2
+    node = _mapping(node, path, problems)
+    _check_keys(node, _CARRIERS, path, problems)
+    return tuple(_str_choice(node.get(key, "boltzmann"), StatisticsModel.kinds,
+                             f"{path}.{key}", problems) for key in _CARRIERS)
+
+
 def _axis_value(node, path: str, problems: list, dim=None):
     """A per-axis coefficient: scalar or a list of scalars."""
     if _is_number(node):
@@ -253,13 +276,20 @@ _SERIES = _Kind(_series, lambda value: [list(knot) for knot in value]
                 if isinstance(value, tuple) else float(value))
 _AXIS_VALUE = _Kind(_axis_value, lambda value: [float(v) for v in value]
                     if isinstance(value, tuple) else float(value))
-# an explicit `span: null` is no span
-_SPAN = _Kind(lambda node, path, problems, dim:
-              None if node is None else _span(node, path, problems), list)
+_STATISTICS = _Kind(_statistics, lambda pair: dict(zip(_CARRIERS, pair)))
+# YAML has no portable infinity literal: an unbounded step is left out
+_DT_MAX = _Kind(_float, lambda value:
+                None if value == np.inf else float(value))
 # the device section reads its dimension first (_dimension) and hands it in
 _DIMENSION = _Kind(lambda node, path, problems, dim: dim, int)
 # axis 0 when left out; the dataclass field precedes ``position``
 _AXIS = _INTEGER._replace(default=0)
+
+
+def _nullable(kind: _Kind) -> _Kind:
+    """``kind``, where an explicit null is no value."""
+    return kind._replace(parse=lambda node, *rest:
+                         None if node is None else kind.parse(node, *rest))
 
 
 def _choice(options) -> _Kind:
@@ -281,18 +311,16 @@ def _list(item: _Kind, per_axis: bool = False) -> _Kind:
 def _model(registry) -> _Kind:
     """A recombination model: ``type`` names it, the rest are its fields."""
     def parse(node, path, problems, dim):
-        node = _mapping(node, path, problems)
-        if not node:
-            return None
-        kind = node.get("type")
+        tree = _mapping(node, path, problems)
+        kind = tree.get("type")
         if isinstance(kind, str) and kind in registry:
-            fields = {k: v for k, v in node.items() if k != "type"}
+            fields = {k: v for k, v in tree.items() if k != "type"}
             return _record(registry[kind], fields, path, problems, dim)
         known = sorted(registry)
         if isinstance(kind, str):
             problems.append(f"{path}.type: unknown model {kind!r}"
                             f"{_suggest(kind, known)}")
-        else:
+        elif node is None or isinstance(node, dict):  # else _mapping said so
             problems.append(f"{path}.type: required, one of {known}")
         return None
     return _Kind(parse, lambda model: {"type": _MODEL_NAMES[type(model)],
@@ -306,7 +334,9 @@ def _nested(cls) -> _Kind:
 
 
 _BOUNDS = _list(_Kind(_span, list), per_axis=True)
-_SURFACE_MODEL = _model(_SURFACE_MODELS)
+# an explicit `span: null` or `model: null` is none
+_SPAN = _nullable(_Kind(_span, list))
+_SURFACE_MODEL = _nullable(_model(_SURFACE_MODELS))
 _BULK_MODEL = _model(_BULK_MODELS)
 
 _FIELDS: dict[type, dict[str, _Kind]] = {
@@ -333,10 +363,17 @@ _FIELDS: dict[type, dict[str, _Kind]] = {
                  "interfaces": _list(_nested(InterfaceSpec)),
                  "doping": _nested(DopingProfile)},
     OutputSink: {"kind": _choice(_SINK_KINDS), "path": _TEXT,
-                 "position": _list(_NUMBER)},
+                 "position": _list(_NUMBER, per_axis=True)},
     TimeStepperConfig: {
         f.name: _INTEGER if f.type in (int, "int") else _NUMBER
-        for f in dataclasses.fields(TimeStepperConfig)},
+        for f in dataclasses.fields(TimeStepperConfig)} | {"dt_max": _DT_MAX},
+    SimulationConfig: {"device": _nested(DeviceSpec),
+                       "statistics": _STATISTICS,
+                       "flux_scheme": _choice(FluxScheme.variants),
+                       "recombination": _list(_BULK_MODEL),
+                       "stepper": _nested(TimeStepperConfig),
+                       "output": _list(_nested(OutputSink)),
+                       "seed": _INTEGER},
     # recombination models: every field is a number
     **{cls: {f.name: _NUMBER for f in dataclasses.fields(cls)}
        for cls in _MODEL_NAMES},
@@ -359,28 +396,31 @@ def _layout(cls) -> tuple:
 
 
 def _record(cls, node, path: str, problems: list, dim: int):
-    """Parse one record; None when any of its fields has a problem."""
+    """Parse one record; None when any of its fields has a problem.  The
+    deck itself has the path "", and its fields go by their bare keys."""
     start = len(problems)
     node = _mapping(node, path, problems)
     layout = _layout(cls)
-    _check_keys(node, [key for _, key, _, _ in layout], path, problems)
+    _check_keys(node, [key for _, key, _, _ in layout], path or "deck",
+                problems)
     values = {}
     for name, key, kind, required in layout:
+        where = f"{path}.{key}" if path else key
         if key in node:
-            values[name] = kind.parse(node[key], f"{path}.{key}", problems,
-                                      dim)
+            values[name] = kind.parse(node[key], where, problems, dim)
         elif kind.default is not dataclasses.MISSING:
             values[name] = kind.default
         elif required:
-            problems.append(f"{path}.{key}: required")
+            problems.append(f"{where}: required")
     if len(problems) > start:
         return None
+    prefix = f"{path}: " if path else ""
     try:
         return cls(**values)
     except ConfigError as exc:
-        problems.extend(f"{path}: {finding}" for finding in exc.problems)
+        problems.extend(prefix + finding for finding in exc.problems)
     except DomainError as exc:
-        problems.append(f"{path}: {exc}")
+        problems.append(f"{prefix}{exc}")
     return None
 
 
@@ -396,9 +436,6 @@ def _record_tree(record) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# top-level sections
-
 def _dimension(node, problems: list) -> int:
     """The device dimension, which bounds and probe positions need."""
     if not isinstance(node, dict) or "dimension" not in node:
@@ -408,40 +445,6 @@ def _dimension(node, problems: list) -> int:
         return dim
     problems.append(f"device.dimension: must be 1 or 2, got {dim!r}")
     return 1
-
-
-def _section(cls, node, name: str, problems: list, dim: int):
-    """A record the deck must contain."""
-    if not _mapping(node, name, problems):
-        required = [f.name for f in dataclasses.fields(cls) if _required(f)]
-        problems.append(
-            f"{name}: section is required ({', '.join(required)})")
-        return None
-    return _record(cls, node, name, problems, dim)
-
-
-def _parse_statistics(node, problems: list) -> tuple[str, str]:
-    if node is None:
-        return ("boltzmann", "boltzmann")
-    if isinstance(node, str):
-        name = _str_choice(node, _STATISTICS, "statistics", problems)
-        return (name, name)
-    node = _mapping(node, "statistics", problems)
-    _check_keys(node, ("carrier1", "carrier2"), "statistics", problems)
-    return (
-        _str_choice(node.get("carrier1", "boltzmann"), _STATISTICS,
-                    "statistics.carrier1", problems),
-        _str_choice(node.get("carrier2", "boltzmann"), _STATISTICS,
-                    "statistics.carrier2", problems))
-
-
-def _parse_output(node, dim: int, problems: list) -> tuple[OutputSink, ...]:
-    sinks = _list(_nested(OutputSink)).parse(node, "output", problems, dim)
-    for i, sink in enumerate(sinks):
-        if sink is not None and sink.position is not None \
-                and len(sink.position) != dim:
-            problems.append(f"output[{i}].position: expected {dim} coordinates")
-    return sinks
 
 
 def load_yaml(text: str):
@@ -466,26 +469,11 @@ def config_from_tree(tree) -> SimulationConfig:
         raise ConfigError(["deck is empty"])
     problems: list[str] = []
     tree = _mapping(tree, "deck", problems)
-    _check_keys(tree, [f.name for f in dataclasses.fields(SimulationConfig)],
-                "deck", problems)
-
-    dim = _dimension(tree.get("device"), problems)
-    device = _section(DeviceSpec, tree.get("device"), "device", problems, dim)
-    statistics = _parse_statistics(tree.get("statistics"), problems)
-    flux = tree.get("flux_scheme", "scharfetter_gummel")
-    flux = _str_choice(flux, FluxScheme.variants, "flux_scheme", problems)
-    bulk = _list(_BULK_MODEL).parse(tree.get("recombination"),
-                                    "recombination", problems, dim)
-    stepper = _section(TimeStepperConfig, tree.get("stepper"), "stepper",
-                       problems, dim)
-    output = _parse_output(tree.get("output"), dim, problems)
-    seed = _int(tree.get("seed", 0), "seed", problems)
+    config = _record(SimulationConfig, tree, "", problems,
+                     _dimension(tree.get("device"), problems))
     if problems:
         raise ConfigError(problems)
-    return SimulationConfig(
-        device=device, statistics=statistics, flux_scheme=flux,
-        recombination=tuple(m for m in bulk if m is not None),
-        stepper=stepper, output=output, seed=seed)
+    return config
 
 
 def load_config(path) -> SimulationConfig:
@@ -495,17 +483,5 @@ def load_config(path) -> SimulationConfig:
 
 def dump_config(config: SimulationConfig) -> str:
     """Canonical YAML for a config; parse_config(dump_config(c)) == c."""
-    tree: dict = {"device": _record_tree(config.device)}
-    tree["statistics"] = {"carrier1": config.statistics[0],
-                          "carrier2": config.statistics[1]}
-    tree["flux_scheme"] = config.flux_scheme
-    if config.recombination:
-        tree["recombination"] = [_BULK_MODEL.dump(m)
-                                 for m in config.recombination]
-    tree["stepper"] = _record_tree(config.stepper)
-    if tree["stepper"]["dt_max"] == np.inf:
-        del tree["stepper"]["dt_max"]  # YAML has no portable infinity literal
-    if config.output:
-        tree["output"] = [_record_tree(s) for s in config.output]
-    tree["seed"] = config.seed
-    return yaml.safe_dump(tree, sort_keys=False, default_flow_style=None)
+    return yaml.safe_dump(_record_tree(config), sort_keys=False,
+                          default_flow_style=None)

@@ -70,7 +70,7 @@ def _write_series(path: str, device: DeviceSpec, models: SimulationModels,
 def _write_probe(path: str, mesh: Mesh, result: SimulationResult,
                  position) -> None:
     dim = mesh.cell_centers.shape[1]
-    target = np.asarray(position, dtype=float)[:dim]
+    target = np.asarray(position, dtype=float)
     cell = int(np.argmin(np.sum((mesh.cell_centers - target) ** 2, axis=1)))
     write_csv(path, ["t"] + _field_header(dim), np.column_stack([
         [state.t for state in result.states],

@@ -120,10 +120,11 @@ _BRACKET_SCALE = (0.75 * np.sqrt(np.pi)) ** (2.0 / 3.0)
 class StatisticsModel:
     """One carrier's distribution function."""
 
+    kinds = ("boltzmann", "fermi_dirac_half")
     kind: Literal["boltzmann", "fermi_dirac_half"]
 
     def __post_init__(self):
-        if self.kind not in ("boltzmann", "fermi_dirac_half"):
+        if self.kind not in self.kinds:
             raise DomainError(f"unknown statistics kind {self.kind!r}")
 
     # -- evaluation ------------------------------------------------------

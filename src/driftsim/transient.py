@@ -106,8 +106,17 @@ class TimeStepperConfig:
     blowup_window: int = 3
 
     def __post_init__(self):
+        # the type checks come first: np.isnan raises an untyped TypeError
+        # on a string, and a bool would pass as the integer 0 or 1
         for f in fields(self):
-            if np.isnan(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            integral = f.type == "int"
+            types = (int, np.integer) if integral \
+                else (int, float, np.integer, np.floating)
+            if isinstance(value, bool) or not isinstance(value, types):
+                noun = "an integer" if integral else "a real number"
+                raise DomainError(f"{f.name} must be {noun}, got {value!r}")
+            if np.isnan(value):
                 raise DomainError(f"{f.name} must not be NaN")
         if not np.isfinite(self.t_end):
             raise DomainError("t_end must be finite")
@@ -123,9 +132,6 @@ class TimeStepperConfig:
         for name in ("gummel_tol", "poisson_tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be positive and finite")
-        for name in ("gummel_max_iter", "blowup_window"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise DomainError(f"{name} must be an integer")
         if self.gummel_max_iter < 1:
             raise DomainError("gummel_max_iter must be at least 1")
         if self.blowup_window < 2:

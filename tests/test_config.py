@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import re
 import textwrap
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from driftsim import config as config_module
 from driftsim import decks
@@ -258,7 +261,9 @@ def test_snapshot_sink_rejects_position():
 def test_probe_position_needs_one_coordinate_per_axis_2d(position):
     text = FULL_2D.replace("position: [1.0, 0.5]", f"position: {position}")
     found = problems_of(text)
-    assert "output[2].position: expected 2 coordinates" in found, found
+    count = len(yaml.safe_load(position))
+    assert f"output[2].position: expected 2 entries, got {count}" in found, \
+        found
 
 
 def test_probe_position_extra_coordinate_rejected_1d():
@@ -268,7 +273,21 @@ def test_probe_position_extra_coordinate_rejected_1d():
             path: probe.csv
             position: [1.0, 2.0]
         """))
-    assert "output[0].position: expected 1 coordinates" in found, found
+    assert "output[0].position: expected 1 entries, got 2" in found, found
+
+
+@pytest.mark.parametrize("position", [(2.5,), (2.5, 1.5, 9.0)])
+def test_probe_position_checked_at_construction(position):
+    cfg = parse_config(FULL_2D)
+    sink = OutputSink("probe", "p.csv", position)
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(cfg, output=(cfg.output[0], sink))
+    assert err.value.problems == ["output[1].position: expected 2 coordinates"]
+
+
+def test_simulation_config_needs_a_stepper():
+    with pytest.raises(TypeError, match="stepper"):
+        SimulationConfig(device=parse_config(MINIMAL).device)
 
 
 def test_per_axis_coefficient_of_wrong_length_is_a_problem():
@@ -482,6 +501,62 @@ def test_record_problems_carry_their_dotted_path(name, keys, required,
     assert f"{path}.{required}: required" in found, found
     found = _problems_with(keys, lambda r: r.update({typed: bad}))
     assert any(p.startswith(f"{path}.{typed}") for p in found), found
+
+
+# Corrupt FULL_2D: drop a key or a list entry, swap a value for one of
+# another type, or grow or shrink a list.  The one record walk must
+# reject the result with a ConfigError and nothing else, or accept a deck
+# that survives its own dump.
+
+def _paths(node, keys=()):
+    yield keys
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, keys + (key,))
+
+
+FULL_2D_PATHS = list(_paths(yaml.safe_load(FULL_2D)))
+SWAPS = [None, 3, -1.5, float("nan"), float("inf"), True, "x", "probe",
+         [], [1], [[1.0, 2.0]], {}, {"type": "auger"}]
+
+
+def _corrupt(tree, keys, edit, value):
+    parent = tree
+    for key in keys[:-1]:
+        parent = parent[key]
+    node = parent[keys[-1]]
+    if edit == "drop":
+        del parent[keys[-1]]
+    elif edit == "swap":
+        parent[keys[-1]] = copy.deepcopy(value)
+    elif isinstance(node, list) and edit == "grow":
+        node.append(copy.deepcopy(node[-1] if node else value))
+    elif isinstance(node, list) and node:  # shrink
+        node.pop()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(FULL_2D_PATHS[1:]),
+                          st.sampled_from(["drop", "swap", "grow", "shrink"]),
+                          st.sampled_from(SWAPS)),
+                min_size=1, max_size=3))
+@example([(("statistics",), "swap", [1])])
+@example([(("stepper",), "swap", 3)])
+@example([(("device",), "swap", 3)])
+@example([(("output",), "swap", {})])
+def test_corrupt_deck_is_a_config_error_or_round_trips(edits):
+    tree = yaml.safe_load(FULL_2D)
+    for keys, edit, value in edits:
+        try:
+            _corrupt(tree, keys, edit, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced this path
+    try:
+        cfg = parse_config(yaml.safe_dump(tree, sort_keys=False))
+    except ConfigError:
+        return
+    assert parse_config(dump_config(cfg)) == cfg
 
 
 # -- round trip -----------------------------------------------------------

@@ -67,6 +67,8 @@ def biased_diode(bias=0.1, cells=32):
     dict(dt_init=0.1, t_end=1.0, gummel_tol=0.0),
     dict(dt_init=0.1, t_end=1.0, gummel_max_iter=0),
     dict(dt_init=0.1, t_end=1.0, blowup_window=1),
+    dict(dt_init="0.1", t_end=1.0),
+    dict(dt_init=0.1, t_end=1.0, gummel_max_iter=True),
 ])
 def test_stepper_config_validation(kwargs):
     with pytest.raises(DomainError):
