@@ -13,7 +13,7 @@ import numpy as np
 
 from driftsim import (Contact, DeviceSpec, FluxScheme, MaterialRegion,
                       boltzmann, build_mesh, fermi_dirac_half)
-from driftsim.operators import Discretization, carrier_face_coefficients
+from driftsim.operators import Discretization, evaluate_face_coefficients
 
 bz = boltzmann()
 fd = fermi_dirac_half()
@@ -45,7 +45,7 @@ chi = np.vstack([-phi, phi])
 
 def face_flow(variant):
     """Carrier 1's mass flow through the face, low to high cell."""
-    electrons, _ = carrier_face_coefficients(
+    electrons, _ = evaluate_face_coefficients(
         disc, (fd, fd), FluxScheme(variant=variant), phi, chi,
         np.zeros((3, 1)))
     return float(electrons.flux()[disc.faces[0]])

@@ -106,8 +106,11 @@ class OutputSink:
 
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    """A whole deck.  Construction raises ConfigError on a probe whose
-    position does not give one coordinate per device axis."""
+    """A whole deck.  Construction raises ConfigError, naming the field,
+    on a statistics name outside ``StatisticsModel.kinds``, a flux scheme
+    outside ``FluxScheme.variants``, a recombination entry that is not a
+    bulk model, a seed that is not an integer, or a probe whose position
+    does not give one coordinate per device axis."""
     device: DeviceSpec
     statistics: tuple[str, str] = ("boltzmann", "boltzmann")
     flux_scheme: str = "scharfetter_gummel"
@@ -118,10 +121,30 @@ class SimulationConfig:
 
     def __post_init__(self):
         dim = self.device.dimension
-        problems = [f"output[{i}].position: expected {dim} coordinates"
-                    for i, sink in enumerate(self.output)
-                    if sink.position is not None
-                    and len(sink.position) != dim]
+        kinds, variants = StatisticsModel.kinds, FluxScheme.variants
+        problems = []
+        if not (isinstance(self.statistics, (tuple, list))
+                and len(self.statistics) == 2):
+            problems.append(f"statistics: expected one name per carrier, "
+                            f"got {self.statistics!r}")
+        else:
+            problems += [f"statistics[{k}]: {name!r} is not one of {kinds}"
+                         for k, name in enumerate(self.statistics)
+                         if name not in kinds]
+        if self.flux_scheme not in variants:
+            problems.append(f"flux_scheme: {self.flux_scheme!r} is not one "
+                            f"of {variants}")
+        bulk = tuple(_BULK_MODELS.values())
+        problems += [f"recombination[{i}]: {type(model).__name__} is not a "
+                     f"bulk model" for i, model in enumerate(self.recombination)
+                     if not isinstance(model, bulk)]
+        if isinstance(self.seed, bool) \
+                or not isinstance(self.seed, (int, np.integer)):
+            problems.append(f"seed: expected an integer, got {self.seed!r}")
+        problems += [f"output[{i}].position: expected {dim} coordinates"
+                     for i, sink in enumerate(self.output)
+                     if sink.position is not None
+                     and len(sink.position) != dim]
         if problems:
             raise ConfigError(problems)
 

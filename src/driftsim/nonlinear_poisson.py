@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,14 +91,15 @@ class NonlinearPoissonProblem:
     def volumes(self) -> np.ndarray:
         return self.poisson.disc.mesh.cell_volumes
 
-    def linearize(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residual at ``phi`` and the diagonal V (F1' + F2') that the
-        density terms add to P there (always positive), from one
-        statistics evaluation of both carriers."""
+    def linearize(self, phi: np.ndarray):
+        """Residual at ``phi``, the diagonal V (F1' + F2') that the density
+        terms add to P there (always positive), and the densities (F, F')
+        of both carriers there, each (2, n), that they were computed from:
+        one statistics evaluation of both carriers."""
         u, du = eval_carriers(self.stats, carrier_arguments(self.omega, phi))
         residual = self.poisson.matrix @ phi - self.load \
             - self.volumes * (u[0] - u[1])
-        return residual, self.volumes * (du[0] + du[1])
+        return residual, self.volumes * (du[0] + du[1]), (u, du)
 
     def dual_norm(self, r: np.ndarray) -> float:
         """sqrt(r^T P^{-1} r), the discrete dual norm of a residual; inf
@@ -111,8 +112,16 @@ class NonlinearPoissonProblem:
 
 @dataclass
 class SolveReport:
+    """Iterations and final dual residual of a potential solve.
+
+    Newton's report also carries ``densities``: both carriers' (F, F'),
+    each (2, n), at the potential it returns, from the residual
+    evaluation that accepted that potential, so a caller needs no second
+    statistics pass there.  They are not part of the report's equality.
+    """
     iterations: int
     residual: float
+    densities: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def apriori_bound(omega, stats) -> float:
@@ -166,11 +175,11 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     slot = FactorSlot() if slot is None else slot
     n = problem.poisson.dimension
     phi = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r, diagonal = problem.linearize(phi)
+    r, diagonal, densities = problem.linearize(phi)
     res = problem.dual_norm(r)
     for it in range(_NEWTON_MAX_ITER):
         if res <= tol:
-            return phi, SolveReport(it, res)
+            return phi, SolveReport(it, res, densities)
         J = SparseOperator(problem.poisson.shifted(diagonal),
                            problem.poisson.disc)
         delta = solve_linear(J, r, slot, rtol=_NEWTON_FORCING)
@@ -183,7 +192,8 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
         while True:
             trial = phi - step * delta
             with np.errstate(invalid="ignore"):
-                r_trial, diagonal_trial = problem.linearize(trial)
+                r_trial, diagonal_trial, densities_trial = \
+                    problem.linearize(trial)
             res_trial = (problem.dual_norm(r_trial)
                          if np.all(np.isfinite(r_trial)) else math.inf)
             if res_trial < res:
@@ -193,8 +203,9 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
                 raise NonConvergenceError(
                     "Newton line search stalled", iterations=it, residual=res)
         phi, r, diagonal, res = trial, r_trial, diagonal_trial, res_trial
+        densities = densities_trial
     if res <= tol:
-        return phi, SolveReport(_NEWTON_MAX_ITER, res)
+        return phi, SolveReport(_NEWTON_MAX_ITER, res, densities)
     raise NonConvergenceError("Newton did not reach tolerance",
                               iterations=_NEWTON_MAX_ITER, residual=res)
 
@@ -286,8 +297,12 @@ def contraction_iterate(problem: NonlinearPoissonProblem, tol: float = 1e-10,
 
 def solve_operator_S(problem: NonlinearPoissonProblem, tol: float = 1e-12,
                      x0: np.ndarray | None = None,
-                     slot: FactorSlot | None = None) -> np.ndarray:
+                     slot: FactorSlot | None = None):
     """The potential map omega -> phi, by damped Newton.
+
+    Returns phi and both carriers' (F, F') there (``SolveReport.densities``),
+    which the decoupling loop's continuity kernel reads instead of
+    evaluating the statistics again.
 
     ``x0`` warm-starts the iteration and ``slot`` holds the last Jacobian
     factor; callers stepping through a family of nearby omega (the
@@ -296,7 +311,8 @@ def solve_operator_S(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     when Newton ran out; the caller decides whether to retry with a
     smaller step.
     """
-    return newton_solve(problem, tol=tol, x0=x0, slot=slot)[0]
+    phi, report = newton_solve(problem, tol=tol, x0=x0, slot=slot)
+    return phi, report.densities
 
 
 def neutral_potential(stats, doping):
@@ -332,8 +348,8 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
 
     Contacts must agree with equilibrium at the evaluation time (both
     carrier boundary levels zero).  Returns (mesh, phi, (u1, u2)); the
-    densities are evaluated from the same arguments the solve used, so
-    the consistency residual is zero by construction.  A given
+    densities are the ones Newton's last residual evaluation computed at
+    phi, so the consistency residual is zero by construction.  A given
     ``poisson`` operator is reused, with its mesh, not assembled again.
     A Newton failure raises ``SolverError``, a ``NonConvergenceError``
     when Newton ran out.
@@ -348,6 +364,6 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
         poisson=poisson, load=load, stats=tuple(stats),
         omega=np.zeros((2, mesh.n_cells)))
     start = neutral_potential(stats, bulk_doping(device, mesh))
-    phi, _ = newton_solve(problem, tol=_EQUILIBRIUM_TOL, x0=start)
-    u, _ = eval_carriers(stats, carrier_arguments(0.0, phi))
+    phi, report = newton_solve(problem, tol=_EQUILIBRIUM_TOL, x0=start)
+    u, _ = report.densities
     return mesh, phi, (u[0], u[1])

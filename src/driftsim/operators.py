@@ -32,9 +32,13 @@ a final answer keeps the 1e-12 contract, a Newton direction asks only for
 its forcing term.
 
 One kernel, ``carrier_face_coefficients``, computes both carriers'
-coefficients on every stencil face from one joint statistics evaluation;
-each carrier's continuity matrix with its Dirichlet load and its face
-flux ``a u_lo - b u_hi`` are read off that one result.
+coefficients on every stencil face from densities its caller evaluated:
+the decoupling loop hands it the cells' (F, F') from the potential
+solve and the Dirichlet ghosts' from one evaluation per time step, and
+``evaluate_face_coefficients`` serves every other caller with one
+evaluation of cells and ghosts.  Each carrier's continuity matrix with
+its Dirichlet load and its face flux ``a u_lo - b u_hi`` are read off
+that one result.
 
 Sign conventions: the Poisson operator acts so that ``(P phi)_i``
 approximates the cellwise integral of ``-div(eps grad phi)`` plus boundary
@@ -64,7 +68,8 @@ from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 __all__ = [
     "Discretization", "SparseOperator", "FluxScheme", "FaceCoefficients",
     "bernoulli", "eta_face", "assemble_poisson",
-    "poisson_data_load", "carrier_face_coefficients",
+    "poisson_data_load", "ghost_arguments", "with_ghosts",
+    "carrier_face_coefficients", "evaluate_face_coefficients",
     "assemble_continuity", "continuity_face_flux", "apply_surface_load",
     "face_gradient",
     "cell_average_faces", "FactorSlot", "solve_linear",
@@ -376,22 +381,39 @@ class FaceCoefficients:
         return d.matrix(main, -self.b, -self.a), load
 
 
+def ghost_arguments(disc: Discretization, contacts: np.ndarray):
+    """The Dirichlet ghosts' potential (n_ghosts,) and both carriers'
+    statistics arguments (2, n_ghosts), from the (3, n_contacts) contact
+    values (phi_D, Phi1_D, Phi2_D) of ``device.contact_values``: ghost i
+    holds contact ``disc.contact[i]``'s, and carrier k's argument is
+    Phi_k,D + (-1)^k phi_D."""
+    ghost = contacts[:, disc.contact]
+    return ghost[0], carrier_arguments(ghost[1:], ghost[0])
+
+
+def with_ghosts(cells, ghosts) -> list[np.ndarray]:
+    """Each cell field followed by its ghost values (last axis), as the
+    stencil reads it."""
+    return [np.concatenate(pair, axis=-1) for pair in zip(cells, ghosts)]
+
+
 def carrier_face_coefficients(disc: Discretization, stats, scheme: FluxScheme,
-                              phi: np.ndarray, chi: np.ndarray,
-                              contacts: np.ndarray) -> list[FaceCoefficients]:
+                              phi: np.ndarray, chi: np.ndarray, u: np.ndarray,
+                              du: np.ndarray) -> list[FaceCoefficients]:
     """The continuity kernel: both carriers' coefficients on every face.
 
-    ``stats`` holds the two carriers' statistics, ``chi`` (2, n_cells)
-    their arguments and ``contacts`` the (3, n_contacts) contact values
-    (phi_D, Phi1_D, Phi2_D) at the step time (``device.contact_values``);
-    carrier k's Dirichlet ghost argument is Phi_k,D + (-1)^k phi_D.  Both
-    carriers' densities come from one statistics evaluation when they
-    share their statistics.
+    Every field runs over the cells, then the Dirichlet ghosts
+    (``with_ghosts`` and ``ghost_arguments``): the potential ``phi``,
+    and for the two carriers, each a row, the statistics arguments
+    ``chi`` and their densities ``u`` = F(chi) and derivatives
+    ``du`` = F'(chi).  The caller evaluates the statistics: a sweep of
+    ``transient.gummel_step`` takes the cells' (F, F') from the potential
+    solve, which computed them at the potential it returns, and the
+    ghosts', fixed within a step, from one evaluation per step; every
+    other caller goes through ``evaluate_face_coefficients``.  ``stats``
+    serves only the enhanced scheme's eta on faces whose two arguments
+    nearly coincide.
     """
-    ghost = contacts[:, disc.contact]
-    phi = np.concatenate([phi, ghost[0]])
-    chi = np.hstack([chi, carrier_arguments(ghost[1:], ghost[0])])
-    u, du = eval_carriers(stats, chi)
     lo, hi = disc.lo, disc.hi
     drop = carrier_arguments(0.0, phi[hi] - phi[lo])
     out = []
@@ -403,17 +425,31 @@ def carrier_face_coefficients(disc: Discretization, stats, scheme: FluxScheme,
     return out
 
 
+def evaluate_face_coefficients(disc: Discretization, stats,
+                               scheme: FluxScheme, phi: np.ndarray,
+                               chi: np.ndarray, contacts: np.ndarray,
+                               ) -> list[FaceCoefficients]:
+    """``carrier_face_coefficients`` for a one-off caller: ``phi`` and
+    ``chi`` (2, n_cells) run over the cells, ``contacts`` is the
+    (3, n_contacts) array of ``device.contact_values``; the ghosts are
+    appended and cells and ghosts evaluated in one ``eval_carriers``
+    call."""
+    phi, chi = with_ghosts((phi, chi), ghost_arguments(disc, contacts))
+    return carrier_face_coefficients(disc, stats, scheme, phi, chi,
+                                     *eval_carriers(stats, chi))
+
+
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
                         scheme: FluxScheme, k: int, phi: np.ndarray,
                         chi: np.ndarray, contacts: np.ndarray,
                         ) -> tuple[sp.csc_matrix, np.ndarray]:
     """Steady continuity matrix M (net outflow of carrier k) and its load:
-    ``carrier_face_coefficients`` with both carriers at ``stats`` and
+    ``evaluate_face_coefficients`` with both carriers at ``stats`` and
     ``chi``, on a ``Discretization`` of ``mesh``.  The load carries only
     the Dirichlet contributions."""
     if k not in (1, 2):
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
-    return carrier_face_coefficients(
+    return evaluate_face_coefficients(
         Discretization(device, mesh), (stats, stats), scheme, phi,
         np.vstack([chi, chi]), contacts)[k - 1].system(np.zeros(mesh.n_cells))
 
@@ -427,7 +463,7 @@ def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
     flux stencil (insulated, Robin, surface) report zero."""
     if k not in (1, 2):
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
-    return carrier_face_coefficients(
+    return evaluate_face_coefficients(
         Discretization(device, mesh), (stats, stats), scheme, phi,
         np.vstack([chi, chi]), contacts)[k - 1].flux()
 

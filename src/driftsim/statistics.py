@@ -6,26 +6,36 @@ Two statistics are available:
 * ``fermi_dirac_half`` F(s) = (2/sqrt(pi)) * integral_0^inf sqrt(t)/(1+exp(t-s)) dt
 
 The Fermi-Dirac integral F = F_{1/2} and its derivative F' = F_{-1/2}
-are evaluated in closed form, piece by piece: for s <= 0 as exp(s) times
-a Chebyshev series in exp(s), on (0, 4], (4, 12] and (12, 40] as
-Chebyshev series in s, and beyond 40 by the Sommerfeld expansion.  The
+are evaluated in closed form, piece by piece, with short Chebyshev
+series on narrow pieces (Fukushima, Appl. Math. Comput. 259, 2015):
+for s <= 0 as exp(s) times a series in t = exp(s) on t in [0, 1/2] and
+[1/2, 1]; on (0, 2], (2, 4], (4, 8], (8, 12], (12, 24] and (24, 40] as a
+series in s; and beyond 40 by the Sommerfeld expansion.  The
 coefficients live in ``_fermi_dirac_table``, generated from mpmath by
-``tools/fermi_dirac_table.py``; both functions are within a few units in
-the last place of the exact values over the whole range, so they join
-smoothly at the piece edges and need no accuracy controls.  The
-degeneracy factor eta = F/F' equals 1 for Boltzmann statistics and is
->= 1 otherwise.
+``tools/fermi_dirac_table.py``, which keeps for each piece the fewest
+terms (15 to 21) whose dropped tail sums to less than 3e-18 of the
+leading coefficient.  Both functions are within a few units in the last
+place of the exact values over the whole range, so they join smoothly
+at the piece edges and need no accuracy controls.  The degeneracy
+factor eta = F/F' equals 1 for Boltzmann statistics and is >= 1
+otherwise.
 
 Carrier 1 sees the argument Phi1 - phi and carrier 2 sees Phi2 + phi;
 ``carrier_arguments`` is the one place that spells out these signs.
 
 ``eval_pair`` returns F and F' from one pass: one exp for Boltzmann, and
-for Fermi-Dirac one piece lookup and one Clenshaw recurrence over both
-tables; ``eval`` and ``eval_derivative`` are its two rows.
+for Fermi-Dirac one piece lookup, one gather of both tables'
+coefficients and one Clenshaw recurrence, run in place on preallocated
+buffers.  The pieces' series are padded with zeros to one width, the
+longest series', and every call runs the whole recurrence; the
+Sommerfeld split is skipped when no entry lies past the last edge.
+``eval`` and ``eval_derivative`` are its two rows.
 ``eval_carriers`` and ``invert_carriers`` serve the two carriers of a
 device, in one call on all points when they share their statistics.
-Every entry is computed independently of the others, so these joint
-evaluations equal the separate ones bit for bit.
+Every entry is computed independently of the others, with the same
+operations whatever else the call holds, so joint evaluations equal
+the separate ones bit for bit, and a caller may reuse densities
+evaluated in another call.
 """
 
 from __future__ import annotations
@@ -58,51 +68,74 @@ _INVERT_RTOL = 1e-12
 class _FermiDirac:
     """F_{1/2} and F_{-1/2}, evaluated from their generated tables.
 
-    The two tables share ``EDGES``, so one piece lookup, one gather and
-    one Clenshaw pass serve both orders at once.
+    The two tables share their pieces, so one piece lookup, one gather
+    and one Clenshaw pass serve both orders at once.
     """
 
     def __init__(self, tables):
         self.power = [table["order"] + 1.0 for table in tables]
         self.series = [np.array(table["series"]) for table in tables]
-        # Chebyshev piece i lives on bounds[i]: the first in t = exp(s)
-        # over [0, 1], the others in s itself
-        edges = _table.EDGES
-        bounds = np.array([(0.0, 1.0), *zip(edges[:-1], edges[1:])])
+        self.edges = np.array(_table.EDGES)
+        bounds = np.array(_table.BOUNDS)
         self.center = bounds.mean(axis=1)
         self.scale = 2.0 / (bounds[:, 1] - bounds[:, 0])
-        # (term, order, piece)
-        self.coef = np.stack([np.array([table["low"], *table["mid"]]).T
-                              for table in tables], axis=1)
+        # (term, order, piece), each series padded with zeros to the
+        # longest
+        pieces = [table["pieces"] for table in tables]
+        width = max(len(coef) for table in pieces for coef in table)
+        self.coef = np.zeros((width, len(tables), len(bounds)))
+        for order, table in enumerate(pieces):
+            for i, coef in enumerate(table):
+                self.coef[:len(coef), order, i] = coef
 
     def __call__(self, s):
         """Rows F_{1/2}(s) and F_{-1/2}(s), for a flat array s."""
+        last = self.edges[-1]
+        if s.max(initial=-np.inf) <= last:
+            return self._chebyshev(s)
         out = np.empty((2, s.size))
-        piece = np.searchsorted(_table.EDGES, s)  # 0 for s <= 0
-        tail = piece == len(_table.EDGES)
-        if np.any(tail):
-            s_tail = s[tail]
-            for row, power, series in zip(out, self.power, self.series):
-                # as s^(power-1) * (s * series), so that no intermediate
-                # exceeds F and F stays finite up to the largest float
-                row[tail] = s_tail ** (power - 1.0) * (
-                    s_tail * polyval(s_tail ** -2.0, series))
+        tail = s > last
+        s_tail = s[tail]
+        for row, power, series in zip(out, self.power, self.series):
+            # as s^(power-1) * (s * series), so that no intermediate
+            # exceeds F and F stays finite up to the largest float
+            row[tail] = s_tail ** (power - 1.0) * (
+                s_tail * polyval(s_tail ** -2.0, series))
         near = ~tail
-        p, s_near = piece[near], s[near]
-        low = p == 0
-        t = np.exp(np.minimum(s_near, 0.0))
-        x = (np.where(low, t, s_near) - self.center[p]) * self.scale[p]
-        value = _clenshaw(x, self.coef[:, :, p])
-        out[:, near] = np.where(low, t * value, value)
+        out[:, near] = self._chebyshev(s[near])
         return out
+
+    def _chebyshev(self, s):
+        """Both rows at arguments s <= EDGES[-1], from the piece series."""
+        piece = np.searchsorted(self.edges, s)
+        in_t = piece < _table.T_PIECES
+        t = np.exp(np.minimum(s, 0.0))
+        x = (np.where(in_t, t, s) - self.center[piece]) * self.scale[piece]
+        # take, unlike an index array, gathers into (term, order, entry)
+        # order, so the recurrence reads contiguous rows
+        value = _clenshaw(x, np.take(self.coef, piece, axis=2))
+        return np.where(in_t, t * value, value)
 
 
 def _clenshaw(x, coef):
-    """sum_k coef[k] T_k(x), with one coefficient column per entry of x."""
-    b1 = b2 = 0.0
-    x2 = 2.0 * x
+    """sum_k coef[k] T_k(x), with one coefficient column per entry of x.
+
+    The recurrence b_k = coef[k] + 2x b_(k+1) - b_(k+2) runs in place on
+    three rotating buffers, with the same operations in the same order
+    as its plain form, so it rounds alike.
+    """
+    # 2x spread over every coefficient row, so no product in the loop
+    # broadcasts
+    x2 = np.empty(coef.shape[1:])
+    np.multiply(2.0, x, out=x2)
+    b1 = np.zeros_like(x2)
+    b2 = np.zeros_like(x2)
+    scratch = np.empty_like(x2)
     for c in coef[:0:-1]:
-        b1, b2 = c + x2 * b1 - b2, b1
+        np.multiply(x2, b1, out=scratch)
+        scratch += c
+        scratch -= b2
+        b1, b2, scratch = scratch, b1, b2
     return coef[0] + x * b1 - b2
 
 

@@ -67,9 +67,12 @@ from .nonlinear_poisson import (NonlinearPoissonProblem, equilibrium_state,
 from .operators import (Discretization, FactorSlot, FluxScheme,
                         SparseOperator, apply_surface_load, assemble_poisson,
                         carrier_face_coefficients, cell_average_faces,
-                        face_gradient, poisson_data_load, solve_linear)
+                        evaluate_face_coefficients, face_gradient,
+                        ghost_arguments, poisson_data_load, solve_linear,
+                        with_ghosts)
 from .recombination import bulk_production
-from .statistics import StatisticsModel, carrier_arguments, invert_carriers
+from .statistics import (StatisticsModel, carrier_arguments, eval_carriers,
+                         invert_carriers)
 
 __all__ = [
     "CarrierState", "TimeStepperConfig", "SimulationModels", "StepReport",
@@ -284,6 +287,10 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     t_next = state.t + dt
     contacts = contact_values(device, t_next)
     load = poisson_data_load(device, poisson, t_next)
+    # the Dirichlet ghosts' potential, arguments and (F, F') are fixed for
+    # the step, so their statistics are evaluated once, here
+    ghost_phi, ghost_chi = ghost_arguments(poisson.disc, contacts)
+    ghosts = (ghost_phi, ghost_chi, *eval_carriers(models.stats, ghost_chi))
     V = mesh.cell_volumes
 
     phi = state.phi
@@ -299,24 +306,24 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     def advance(Phi):
         """One sweep image of the quasi-Fermi iterate.
 
-        Solves the potential for the iterate, evaluates the densities and
-        the reaction loads there, solves the two density systems, and reads
-        the quasi-Fermi levels back.
+        Solves the potential for the iterate, takes the densities there
+        from the solve, evaluates the reaction loads, solves the two
+        density systems, and reads the quasi-Fermi levels back.
         """
         nonlocal phi
         problem = NonlinearPoissonProblem(poisson=poisson, load=load,
                                           stats=models.stats, omega=Phi)
         try:
-            phi = solve_operator_S(problem, tol=config.poisson_tol, x0=phi,
-                                   slot=jacobians)
+            phi, (u_eval, du_eval) = solve_operator_S(
+                problem, tol=config.poisson_tol, x0=phi, slot=jacobians)
         except SolverError as exc:
             raise StepRejected(f"potential solve failed: {exc}") from exc
 
+        # the solve's arguments, Phi + (-1)^k phi, spelled the same way
         chi = carrier_arguments(Phi, phi)
-        faces = carrier_face_coefficients(poisson.disc, models.stats,
-                                          models.scheme, phi, chi, contacts)
-        u_eval = np.vstack([f.u[:mesh.n_cells] for f in faces])
-        du_eval = np.vstack([f.du[:mesh.n_cells] for f in faces])
+        faces = carrier_face_coefficients(
+            poisson.disc, models.stats, models.scheme,
+            *with_ghosts((phi, chi, u_eval, du_eval), ghosts))
         e, j = _cell_currents(poisson.disc, phi, contacts,
                               np.vstack([f.flux() for f in faces]))
         r_bulk = bulk_production(models.bulk, u_eval[0], u_eval[1], Phi[0],
@@ -397,7 +404,7 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     contact up to sign, recombination notwithstanding.  ``disc`` is the
     run's ``Discretization``, ``SimulationResult.disc``.
     """
-    face_flux = [f.flux() for f in carrier_face_coefficients(
+    face_flux = [f.flux() for f in evaluate_face_coefficients(
         disc, models.stats, models.scheme, state.phi,
         carrier_arguments(state.Phi, state.phi),
         contact_values(device, state.t))]

@@ -214,8 +214,8 @@ def suite_nonexpansive(seed: int) -> list[PropertyResult]:
     for label, base, pairs in _omega_problems(seed):
         worst = -math.inf
         for om_a, om_b in pairs:
-            phi_a = solve_operator_S(replace(base, omega=om_a), tol=1e-12)
-            phi_b = solve_operator_S(replace(base, omega=om_b), tol=1e-12)
+            phi_a, _ = solve_operator_S(replace(base, omega=om_a), tol=1e-12)
+            phi_b, _ = solve_operator_S(replace(base, omega=om_b), tol=1e-12)
             excess = float(np.max(np.abs(phi_a - phi_b))
                            - np.max(np.abs(om_a - om_b)))
             worst = max(worst, excess)
@@ -244,7 +244,7 @@ def suite_flat(seed: int) -> list[PropertyResult]:
                                np.full(mesh.n_cells, k2)])
             problem = NonlinearPoissonProblem(
                 poisson=op, load=zero, stats=(s1, s2), omega=omega)
-            phi = solve_operator_S(problem, tol=1e-13)
+            phi, _ = solve_operator_S(problem, tol=1e-13)
             worst = max(worst, float(np.max(np.abs(phi))))
         out.append(_leq("poisson-flat", f"zero-{tag}", worst, 1e-12))
     return out
@@ -319,7 +319,7 @@ def _mms_poisson_error(cells: int, piecewise: bool) -> float:
     problem = NonlinearPoissonProblem(
         poisson=op, load=load, stats=(boltzmann(), boltzmann()),
         omega=np.zeros((2, mesh.n_cells)))
-    phi = solve_operator_S(problem, tol=1e-13)
+    phi, _ = solve_operator_S(problem, tol=1e-13)
     return float(np.max(np.abs(phi - exact(x))))
 
 

@@ -27,6 +27,7 @@ from driftsim.device import (
     build_mesh,
 )
 from driftsim.errors import ConfigError
+from driftsim.recombination import SurfaceSRH
 
 MINIMAL = textwrap.dedent("""
     device:
@@ -283,6 +284,31 @@ def test_probe_position_checked_at_construction(position):
     with pytest.raises(ConfigError) as err:
         dataclasses.replace(cfg, output=(cfg.output[0], sink))
     assert err.value.problems == ["output[1].position: expected 2 coordinates"]
+
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("recombination", (SurfaceSRH(),),
+     "recombination[0]: SurfaceSRH is not a bulk model"),
+    ("statistics", ("bogus", "bogus"),
+     "statistics[0]: 'bogus' is not one of ('boltzmann', 'fermi_dirac_half')"),
+    ("flux_scheme", "central",
+     "flux_scheme: 'central' is not one of ('scharfetter_gummel', "
+     "'scharfetter_gummel_enhanced')"),
+    ("seed", "7", "seed: expected an integer, got '7'"),
+], ids=["surface_model_in_bulk", "statistics", "flux_scheme", "seed"])
+def test_simulation_config_checks_its_own_fields(field, value, problem):
+    # a deck built in Python fails at construction, naming the field, not
+    # in build_models or mid-run after the equilibrium solve
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(decks.diode(), **{field: value})
+    assert err.value.problems[0] == problem
+
+
+@pytest.mark.parametrize("seed", [True, 7.0, None])
+def test_simulation_config_seed_is_an_integer(seed):
+    with pytest.raises(ConfigError, match="seed: expected an integer"):
+        dataclasses.replace(decks.diode(), seed=seed)
+    assert dataclasses.replace(decks.diode(), seed=np.int64(7)).seed == 7
 
 
 def test_simulation_config_needs_a_stepper():

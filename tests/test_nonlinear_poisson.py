@@ -25,7 +25,8 @@ from driftsim.nonlinear_poisson import (
     solve_operator_S,
 )
 from driftsim.operators import assemble_poisson, poisson_data_load
-from driftsim.statistics import boltzmann, carrier_arguments, fermi_dirac_half
+from driftsim.statistics import (boltzmann, carrier_arguments, eval_carriers,
+                                 fermi_dirac_half)
 
 BB = (boltzmann(), boltzmann())
 FF = (fermi_dirac_half(), fermi_dirac_half())
@@ -185,11 +186,33 @@ def test_linearize_matches_carrierwise_evaluation(stats):
                          omega=rng.uniform(-3.0, 3.0, size=(2, 24)))
     phi = rng.uniform(-1.0, 1.0, 24)
     s1, s2 = p.omega[0] - phi, p.omega[1] + phi
-    r, diagonal = p.linearize(phi)
+    r, diagonal, (u, du) = p.linearize(phi)
     assert np.array_equal(r, p.poisson.matrix @ phi - p.load - p.volumes
                           * (stats[0].eval(s1) - stats[1].eval(s2)))
     assert np.array_equal(diagonal, p.volumes * (
         stats[0].eval_derivative(s1) + stats[1].eval_derivative(s2)))
+    # the densities it hands on are those the residual was built from
+    for k, s_k in enumerate((s1, s2)):
+        assert np.array_equal(u[k], stats[k].eval(s_k))
+        assert np.array_equal(du[k], stats[k].eval_derivative(s_k))
+
+
+@pytest.mark.parametrize("stats", [BB, FF, BF], ids=["bb", "ff", "bf"])
+def test_newton_hands_on_the_densities_at_its_answer(stats):
+    # the report's (F, F') are a fresh evaluation at the returned potential,
+    # bit for bit, whether Newton stepped or accepted its start
+    rng = np.random.default_rng(6)
+    p = grounded_problem(stats=stats, load=rng.normal(size=24),
+                         omega=rng.uniform(-3.0, 3.0, size=(2, 24)))
+    phi, report = newton_solve(p, tol=1e-12)
+    again, still = newton_solve(p, tol=1e-12, x0=phi)
+    assert report.iterations >= 2 and still.iterations == 0
+    for x, densities in ((phi, report.densities), (again, still.densities)):
+        fresh = eval_carriers(stats, carrier_arguments(p.omega, x))
+        for got, want in zip(densities, fresh):
+            assert np.array_equal(got, want)
+    assert np.array_equal(solve_operator_S(p, tol=1e-12)[1][0],
+                          report.densities[0])
 
 
 def test_newton_reaches_tolerance():
@@ -230,7 +253,7 @@ def test_contraction_records_cutoff():
 @pytest.mark.parametrize("stats", [BB, FF])
 def test_operator_flat_for_balanced_omega(stats):
     p = grounded_problem(stats=stats)
-    phi = solve_operator_S(p, tol=1e-13)
+    phi, _ = solve_operator_S(p, tol=1e-13)
     assert np.max(np.abs(phi)) <= 1e-12
 
 
@@ -240,8 +263,8 @@ def test_operator_nonexpansive_single_pair():
     om_b = om_a + rng.uniform(-0.1, 0.1, size=(2, 24))
     pa = grounded_problem(omega=om_a)
     pb = grounded_problem(omega=om_b)
-    sa = solve_operator_S(pa, tol=1e-13)
-    sb = solve_operator_S(pb, tol=1e-13)
+    sa, _ = solve_operator_S(pa, tol=1e-13)
+    sb, _ = solve_operator_S(pb, tol=1e-13)
     gap = np.max(np.abs(sa - sb))
     assert gap <= np.max(np.abs(om_a - om_b)) + 1e-10
 

@@ -30,10 +30,10 @@ from driftsim.operators import (
     assemble_continuity,
     assemble_poisson,
     bernoulli,
-    carrier_face_coefficients,
     cell_average_faces,
     continuity_face_flux,
     eta_face,
+    evaluate_face_coefficients,
     face_gradient,
     poisson_data_load,
     solve_linear,
@@ -368,9 +368,9 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
     assert np.max(np.abs(outflow - (M @ u - load))) <= 1e-13 * scale
     # the cell densities the coefficients carry are F(chi) bit for bit:
     # F of chi extended by its ghosts equals F of chi alone, elementwise
-    f = carrier_face_coefficients(Discretization(dev, mesh), (stats, stats),
-                                  scheme, phi, np.vstack([chi, chi]),
-                                  contacts)[k - 1]
+    f = evaluate_face_coefficients(Discretization(dev, mesh), (stats, stats),
+                                   scheme, phi, np.vstack([chi, chi]),
+                                   contacts)[k - 1]
     assert np.array_equal(f.u[:mesh.n_cells], u)
 
 
@@ -386,8 +386,8 @@ def test_continuity_shims_equal_the_kernel(dimension, k):
     chi = rng.uniform(-1.0, 3.0, (2, mesh.n_cells))
     contacts = rng.uniform(0.0, 1.0, (3, len(dev.contacts)))
     stats = (fermi_dirac_half(), boltzmann())
-    f = carrier_face_coefficients(Discretization(dev, mesh), stats, ENHANCED,
-                                  phi, chi, contacts)[k - 1]
+    f = evaluate_face_coefficients(Discretization(dev, mesh), stats, ENHANCED,
+                                   phi, chi, contacts)[k - 1]
     # carrier k's contact level, in both rows the shims read it from
     own = contacts[[0, k, k]]
     M, load = assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, k, phi,
@@ -421,11 +421,11 @@ def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
     phi = rng.uniform(0.0, 2.0, n)
     chi = rng.uniform(-1.0, 3.0, (2, n))
     contacts = rng.uniform(0.0, 1.0, (len(dev.contacts), 3)).T
-    both = carrier_face_coefficients(disc, stats, ENHANCED, phi, chi,
-                                     contacts)
+    both = evaluate_face_coefficients(disc, stats, ENHANCED, phi, chi,
+                                      contacts)
     for k in (1, 2):
-        one = carrier_face_coefficients(disc, (stats[k - 1],) * 2, ENHANCED,
-                                        phi, chi, contacts)[k - 1]
+        one = evaluate_face_coefficients(disc, (stats[k - 1],) * 2,
+                                         ENHANCED, phi, chi, contacts)[k - 1]
         for name in ("a", "b", "u", "du"):
             assert np.array_equal(getattr(both[k - 1], name),
                                   getattr(one, name))
@@ -467,9 +467,9 @@ def test_system_fill_matches_coordinate_build(dimension, k, scheme, stats):
     chi = rng.uniform(-1.0, 3.0, n)
     contacts = _one_carrier_contacts(rng, dev)
     mass = mesh.cell_volumes / 0.0137
-    f = carrier_face_coefficients(Discretization(dev, mesh), (stats, stats),
-                                  scheme, phi, np.vstack([chi, chi]),
-                                  contacts)[k - 1]
+    f = evaluate_face_coefficients(Discretization(dev, mesh), (stats, stats),
+                                   scheme, phi, np.vstack([chi, chi]),
+                                   contacts)[k - 1]
     M, load = f.system(mass)
 
     # the stencil lists the interior faces first, then the contact faces
@@ -554,7 +554,7 @@ def test_superlu_factor_matches_splu(system):
     rng = np.random.default_rng(11)
     if system == "sg":
         chi = rng.uniform(-1.0, 3.0, n)
-        f = carrier_face_coefficients(
+        f = evaluate_face_coefficients(
             op.disc, (boltzmann(), boltzmann()), SG, rng.uniform(0.0, 2.0, n),
             np.vstack([chi, chi]), _one_carrier_contacts(rng, dev))[0]
         op = SparseOperator(f.system(mesh.cell_volumes / 0.01)[0], op.disc)

@@ -182,6 +182,25 @@ def test_invert_converged_entries_stay_put(monkeypatch, s_min):
     assert np.max(np.abs(FD.eval(s) / u - 1.0)) <= 1e-12
 
 
+def test_clenshaw_rounds_like_the_plain_recurrence():
+    # the in-place recurrence on rotating buffers does the plain loop's
+    # operations in its order: every bit agrees, signed zeros included
+    def plain(x, coef):
+        b1 = b2 = 0.0
+        for c in coef[:0:-1]:
+            b1, b2 = c + 2.0 * x * b1 - b2, b1
+        return coef[0] + x * b1 - b2
+
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 200), [0.0, -0.0, 1.0, -1.0]])
+    coef = rng.normal(size=(21, 2, x.size)) \
+        * np.logspace(0.0, -17.0, 21)[:, None, None]
+    coef[15:, :, :50] = 0.0  # zero padding above a shorter series
+    coef[:, :, -6:] = -0.0
+    got = statistics._clenshaw(x, coef)
+    assert np.array_equal(got.view(np.int64), plain(x, coef).view(np.int64))
+
+
 # every piece edge from both sides, the Sommerfeld tail beyond the last
 # edge, and arguments at and below the eta floor, where F and F' underflow
 _PAIR_GRID = np.concatenate([

@@ -18,11 +18,14 @@ from driftsim.device import (
 )
 from driftsim.errors import (DomainError, NonConvergenceError, SolverError,
                              StepRejected)
-from driftsim.operators import (Discretization, assemble_poisson,
-                                carrier_face_coefficients)
+from driftsim.operators import (Discretization, FluxScheme, assemble_poisson,
+                                carrier_face_coefficients,
+                                evaluate_face_coefficients)
 from driftsim.output import write_outputs
 from driftsim.recombination import MassAction
-from driftsim.statistics import boltzmann, carrier_arguments
+from driftsim.statistics import (StatisticsModel, boltzmann,
+                                 carrier_arguments, eval_carriers,
+                                 fermi_dirac_half)
 from driftsim.transient import (
     SimulationModels,
     TimeStepperConfig,
@@ -34,6 +37,7 @@ from driftsim.transient import (
 )
 
 BB = (boltzmann(), boltzmann())
+FF = (fermi_dirac_half(), fermi_dirac_half())
 
 
 def insulated_box(cells=8):
@@ -208,7 +212,7 @@ def test_contacts_sharing_a_side_each_report_their_current():
                                    u=np.ones((2, n)))
     currents = terminal_currents(dev, disc, models, state)
     assert list(currents) == ["top_1", "bottom", "top_2"]
-    flux = [f.flux() for f in carrier_face_coefficients(
+    flux = [f.flux() for f in evaluate_face_coefficients(
         disc, BB, models.scheme, state.phi,
         carrier_arguments(state.Phi, state.phi), contact_values(dev, 0.0))]
     mesh = disc.mesh
@@ -244,6 +248,76 @@ def test_gummel_step_advances_time(monkeypatch):
     # the accepted state is the last sweep's image: two density solves per
     # sweep, and no further pass after the increment test
     assert len(solves) == 2 * report.gummel_iterations
+
+
+def test_sweeps_reuse_the_potential_solves_statistics(monkeypatch):
+    # a Fermi-Dirac run asks the statistics for the cells' (F, F') in its
+    # steps only through the potential solve's residuals and the inversion:
+    # the kernel evaluates no point itself, and each step evaluates its
+    # Dirichlet ghosts once, whatever its sweep count
+    device = biased_diode(bias=0.2, cells=24)
+    models = SimulationModels(
+        stats=FF, scheme=FluxScheme(variant="scharfetter_gummel_enhanced"))
+    config = TimeStepperConfig(dt_init=0.05, t_end=0.15)
+    mesh = build_mesh(device)
+    n_cells, n_ghosts = mesh.n_cells, len(Discretization(device, mesh).contact)
+    asked = []  # (innermost traced caller, points) of every eval_pair call
+    caller = ["equilibrium"]
+    kernel_calls, step_calls = [], []
+
+    def within(name, fn, record=None):
+        def wrapped(*args, **kwargs):
+            outer, caller[0] = caller[0], name
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                caller[0] = outer
+            if record is not None:
+                # with the index of the step it ran in
+                record.append((len(step_calls), args, out))
+            return out
+        return wrapped
+
+    def counted(self, s):
+        asked.append((caller[0], np.size(s)))
+        return pair(self, s)
+
+    pair = StatisticsModel.eval_pair
+    monkeypatch.setattr(StatisticsModel, "eval_pair", counted)
+    monkeypatch.setattr(StatisticsModel, "invert", within(
+        "invert", StatisticsModel.invert))
+    monkeypatch.setattr(nonlinear_poisson.NonlinearPoissonProblem,
+                        "linearize", within(
+                            "residual",
+                            nonlinear_poisson.NonlinearPoissonProblem.linearize))
+    monkeypatch.setattr(transient, "carrier_face_coefficients", within(
+        "kernel", carrier_face_coefficients, kernel_calls))
+    monkeypatch.setattr(transient, "eval_carriers", within(
+        "ghosts", eval_carriers))
+    monkeypatch.setattr(transient, "gummel_step", within(
+        "step", transient.gummel_step, step_calls))
+    result = run(device, models, config)
+    monkeypatch.undo()
+
+    sweeps = sum(r.gummel_iterations for r in result.reports)
+    assert result.steps_accepted == len(step_calls) == 3
+    assert len(kernel_calls) == sweeps > len(step_calls)
+    callers = {who for who, _ in asked}
+    assert callers == {"equilibrium", "residual", "invert", "ghosts"}
+    assert [points for who, points in asked if who == "ghosts"] \
+        == [2 * n_ghosts] * len(step_calls)
+    assert all(points == 2 * n_cells for who, points in asked
+               if who in ("residual", "invert"))
+    # the kernel's result equals a fresh evaluation of the cells and of the
+    # ghosts at the step's contact values, bit for bit
+    for step, (disc, stats, scheme, phi, chi, u, du), faces in kernel_calls:
+        new_state, _ = step_calls[step][2]
+        fresh = evaluate_face_coefficients(
+            disc, stats, scheme, phi[:n_cells], chi[:, :n_cells],
+            contact_values(device, new_state.t))
+        for got, want in zip(faces, fresh):
+            for name in ("a", "b", "u", "du"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def diode_first_step():

@@ -5,21 +5,34 @@ the two orders the package needs: F = F_{1/2} and F' = F_{-1/2}.  Every
 coefficient is computed in mpmath arithmetic and rounded to the nearest
 double only when it is written, so the table is reproduced bit for bit.
 
-For each order j the table describes F_j(s) in five pieces:
+For each order j the table describes F_j(s) in nine pieces:
 
-  s <= 0         F_j = t * sum_k low[k] T_k(2t - 1),  t = exp(s)
-  a < s <= b     F_j = sum_k mid[i][k] T_k((2s - a - b) / (b - a))
-                 for (a, b) = (0, 4), (4, 12), (12, 40)
+  s <= 0         F_j = t * sum_k c[k] T_k(x),  t = exp(s), x the image of t
+                 in [-1, 1], on the t-intervals [0, 1/2] and [1/2, 1]
+                 (s <= log 1/2 and log 1/2 < s <= 0)
+  a < s <= b     F_j = sum_k c[k] T_k((2s - a - b) / (b - a))
+                 for (a, b) = (0, 2), (2, 4), (4, 8), (8, 12), (12, 24), (24, 40)
   s > 40         F_j = sum_k series[k] s**(j + 1 - 2k)
 
-The Chebyshev coefficients are those of the 64-node interpolant at the
-Chebyshev-Gauss points, cut to 30 terms; the dropped ones sum to less
-than 3e-18 of the leading one.  The last piece is the Sommerfeld
-expansion with coefficients 2 eta(2k) / Gamma(j + 2 - 2k), eta the
-Dirichlet eta function.  For j = +-1/2 the expansion has no exponentially small
-correction, since that term carries the factor cos(pi j) = 0.
+Narrow pieces need short series, and a Chebyshev series that is cut
+where its coefficients have decayed is good to the last place on its
+piece (Fukushima, Appl. Math. Comput. 259, 2015).  The coefficients are
+those of the 64-node interpolant at the Chebyshev-Gauss points, and
+each piece keeps the fewest terms whose dropped tail sums to less than
+TAIL = 3e-18 of the leading coefficient: 15 to 21 terms.  The
+statistics module pads every piece's coefficients with zeros to the
+longest series' width and runs that whole recurrence for every entry;
+a zero coefficient above an entry's own series leaves its recurrence at
+exactly zero, so the padding does not change its value, and each value
+is computed with the same operations whatever else is evaluated with
+it.
 
-Usage (needs mpmath; takes about 15 s):
+The last piece is the Sommerfeld expansion with coefficients
+2 eta(2k) / Gamma(j + 2 - 2k), eta the Dirichlet eta function.  For
+j = +-1/2 the expansion has no exponentially small correction, since
+that term carries the factor cos(pi j) = 0.
+
+Usage (needs mpmath; takes about 30 s):
 
   python3 tools/fermi_dirac_table.py          rewrite the table
   python3 tools/fermi_dirac_table.py --check  regenerate it and exit 1
@@ -39,9 +52,12 @@ TABLE = (Path(__file__).resolve().parent.parent
 
 DIGITS = 30
 ORDERS = (("HALF", mp.mpf(1) / 2), ("MINUS_HALF", -mp.mpf(1) / 2))
-EDGES = (0, 4, 12, 40)
+HALF_T = mp.mpf(1) / 2
+# piece intervals: in t = exp(s) below s = 0, in s above it
+T_PIECES = ((0, HALF_T), (HALF_T, 1))
+S_EDGES = (0, 2, 4, 8, 12, 24, 40)
 NODES = 64
-TERMS = 30
+TAIL = mp.mpf("3e-18")
 SERIES_TERMS = 12
 
 
@@ -50,27 +66,36 @@ def fermi_dirac(j, s):
 
 
 def chebyshev(f):
-    """First TERMS coefficients of f's interpolant on [-1, 1]."""
+    """f's interpolant on [-1, 1], cut to the fewest terms whose dropped
+    coefficients sum to less than TAIL of the leading one."""
     theta = [mp.pi * (i + mp.mpf(1) / 2) / NODES for i in range(NODES)]
     values = [f(mp.cos(th)) for th in theta]
     coef = [2 * mp.fsum(v * mp.cos(k * th) for v, th in zip(values, theta))
-            / NODES for k in range(TERMS)]
+            / NODES for k in range(NODES)]
     coef[0] /= 2
-    return coef
+    terms = next(n for n in range(1, NODES + 1)
+                 if mp.fsum(abs(c) for c in coef[n:]) < TAIL * abs(coef[0]))
+    return coef[:terms]
+
+
+def bounds():
+    """Each piece's interval, in t for the first len(T_PIECES), else in s."""
+    return list(T_PIECES) + list(zip(S_EDGES[:-1], S_EDGES[1:]))
 
 
 def order_table(j):
-    def low(x):
-        t = (x + 1) / 2
-        return fermi_dirac(j, mp.log(t)) / t
+    def piece(i, a, b):
+        a, b = mp.mpf(a), mp.mpf(b)
 
-    def mid(a, b):
-        return lambda x: fermi_dirac(j, (a + b + (b - a) * x) / 2)
+        def f(x):
+            v = (a + b + (b - a) * x) / 2
+            if i < len(T_PIECES):  # F_j / t as a function of t
+                return fermi_dirac(j, mp.log(v)) / v
+            return fermi_dirac(j, v)
+        return chebyshev(f)
 
     return {
-        "low": chebyshev(low),
-        "mid": [chebyshev(mid(mp.mpf(a), mp.mpf(b)))
-                for a, b in zip(EDGES[:-1], EDGES[1:])],
+        "pieces": [piece(i, a, b) for i, (a, b) in enumerate(bounds())],
         "series": [2 * mp.altzeta(2 * k) / mp.gamma(j + 2 - 2 * k)
                    for k in range(SERIES_TERMS)],
     }
@@ -85,6 +110,9 @@ def _floats(values, indent):
 
 def render() -> str:
     mp.mp.dps = DIGITS
+    # piece i covers EDGES[i - 1] < s <= EDGES[i]; the edge between the
+    # two t-pieces is log 1/2
+    edges = [mp.log(HALF_T)] + list(S_EDGES)
     out = [
         '"""Coefficients of F_{1/2} and F_{-1/2} for driftsim.statistics.',
         "",
@@ -92,14 +120,21 @@ def render() -> str:
         "and their accuracy; do not edit by hand.",
         '"""',
         "",
-        f"EDGES = {tuple(float(e) for e in EDGES)!r}",
+        "# piece i covers EDGES[i - 1] < s <= EDGES[i] (piece 0: s <= EDGES[0]);",
+        "# beyond the last edge the Sommerfeld series takes over",
+        f"EDGES = {tuple(float(e) for e in edges)!r}",
+        "# the first T_PIECES pieces are series in t = exp(s), the others in s",
+        f"T_PIECES = {len(T_PIECES)}",
+        "# each piece's interval in its own variable",
+        "BOUNDS = (",
+        *(f"    {(float(a), float(b))!r}," for a, b in bounds()),
+        ")",
     ]
     for name, j in ORDERS:
         table = order_table(j)
         out += ["", f"{name} = {{", f'    "order": {float(j)!r},',
-                '    "low": (', _floats(table["low"], 8), "    ),",
-                '    "mid": (']
-        for coef in table["mid"]:
+                '    "pieces": (']
+        for coef in table["pieces"]:
             out += ["        (", _floats(coef, 12), "        ),"]
         out += ["    ),", '    "series": (', _floats(table["series"], 8),
                 "    ),", "}"]
