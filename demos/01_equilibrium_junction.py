@@ -26,8 +26,8 @@ device = DeviceSpec(
     regions=(MaterialRegion("bulk", ((0.0, 20.0),)),),
     contacts=(Contact(side="left", phi=-phi_n),
               Contact(side="right", phi=phi_n)),
-    doping=DopingProfile(bulk=(BoxDoping(((0.0, 10.0),), -1.0),
-                               BoxDoping(((10.0, 20.0),), 1.0))),
+    doping=DopingProfile(boxes=(BoxDoping(((0.0, 10.0),), -1.0),
+                                BoxDoping(((10.0, 20.0),), 1.0))),
 )
 
 mesh, phi, (u1, u2) = equilibrium_state(device, (boltzmann(), boltzmann()))

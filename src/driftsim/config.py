@@ -14,14 +14,14 @@ and sheet, the device and its doping, the stepper, an output sink).
 Each is a dataclass, and one table, ``_FIELDS``, gives the kind of each
 of its fields: how the field is read from the deck and written back.
 ``_record`` parses any record, the deck included, and ``_record_tree``
-dumps it, so the dataclass is the single statement of a record's keys
-and no top-level section has a parser of its own.  A field is optional
-exactly when its dataclass gives it a default; a missing field without
-one is reported as ``path.key: required``.  Records check their own
-values on construction, so one built in Python gets the same checks as
-one read from a deck; ``_record`` reports each finding construction
-raises under the record's path.  A ``SimulationConfig`` checks that a
-probe gives one coordinate per device axis.
+dumps it, so the dataclass is a record's whole deck format: a deck key
+is a field name, and a field is optional exactly when its dataclass
+gives it a default; a missing one is reported as ``path.key: required``.
+Records check their own values on construction, so one built in Python
+gets the same checks as one read from a deck; ``_record`` reports each
+finding construction raises under the record's path.  A deck whose
+dimension is 1 or 2 also has each per-axis list's length checked, so a
+bad extent is reported alongside every other problem.
 
 parse_config and dump_config are inverses up to canonicalization:
 dumping a parsed deck and parsing the dump reproduces the same
@@ -288,8 +288,6 @@ def _axis_value(node, path: str, problems: list, dim=None):
 class _Kind(NamedTuple):
     parse: Callable        # (node, path, problems, dim) -> value
     dump: Callable         # value -> YAML tree
-    # a parse default for a field whose dataclass cannot give one
-    default: object = dataclasses.MISSING
 
 
 _NUMBER = _Kind(_float, float)
@@ -303,10 +301,6 @@ _STATISTICS = _Kind(_statistics, lambda pair: dict(zip(_CARRIERS, pair)))
 # YAML has no portable infinity literal: an unbounded step is left out
 _DT_MAX = _Kind(_float, lambda value:
                 None if value == np.inf else float(value))
-# the device section reads its dimension first (_dimension) and hands it in
-_DIMENSION = _Kind(lambda node, path, problems, dim: dim, int)
-# axis 0 when left out; the dataclass field precedes ``position``
-_AXIS = _INTEGER._replace(default=0)
 
 
 def _nullable(kind: _Kind) -> _Kind:
@@ -321,11 +315,12 @@ def _choice(options) -> _Kind:
 
 
 def _list(item: _Kind, per_axis: bool = False) -> _Kind:
-    """A list of items; a per-axis list has one entry per device axis."""
+    """A list of items; a per-axis list has one entry per device axis
+    when ``dim`` is given."""
     def parse(node, path, problems, dim):
         out = tuple(item.parse(x, f"{path}[{i}]", problems, dim)
                     for i, x in enumerate(_sequence(node, path, problems)))
-        if per_axis and len(out) != dim:
+        if per_axis and dim is not None and len(out) != dim:
             problems.append(f"{path}: expected {dim} entries, got {len(out)}")
         return out
     return _Kind(parse, lambda value: [item.dump(v) for v in value])
@@ -370,13 +365,13 @@ _FIELDS: dict[type, dict[str, _Kind]] = {
     RobinSegment: {"side": _TEXT, "eps_gamma": _NUMBER,
                    "phi_gamma": _SERIES, "span": _SPAN},
     SurfaceSegment: {"side": _TEXT, "model": _SURFACE_MODEL, "span": _SPAN},
-    InterfaceSpec: {"axis": _AXIS, "position": _NUMBER,
+    InterfaceSpec: {"axis": _INTEGER, "position": _NUMBER,
                     "model": _SURFACE_MODEL, "span": _SPAN},
     BoxDoping: {"bounds": _BOUNDS, "value": _NUMBER},
-    SheetDoping: {"axis": _AXIS, "position": _NUMBER, "density": _NUMBER},
-    DopingProfile: {"bulk": _list(_nested(BoxDoping)),
+    SheetDoping: {"axis": _INTEGER, "position": _NUMBER, "density": _NUMBER},
+    DopingProfile: {"boxes": _list(_nested(BoxDoping)),
                     "sheets": _list(_nested(SheetDoping))},
-    DeviceSpec: {"dimension": _DIMENSION,
+    DeviceSpec: {"dimension": _INTEGER,
                  "extent": _list(_NUMBER, per_axis=True),
                  "resolution": _list(_INTEGER, per_axis=True),
                  "regions": _list(_nested(MaterialRegion)),
@@ -401,8 +396,6 @@ _FIELDS: dict[type, dict[str, _Kind]] = {
     **{cls: {f.name: _NUMBER for f in dataclasses.fields(cls)}
        for cls in _MODEL_NAMES},
 }
-# decks say `boxes` for DopingProfile.bulk, a field its callers name
-_DECK_KEYS = {(DopingProfile, "bulk"): "boxes"}
 
 
 def _required(f: dataclasses.Field) -> bool:
@@ -412,27 +405,24 @@ def _required(f: dataclasses.Field) -> bool:
 
 @functools.cache
 def _layout(cls) -> tuple:
-    """(field, deck key, kind, required) per field, in declaration order."""
-    return tuple((f.name, _DECK_KEYS.get((cls, f.name), f.name),
-                  _FIELDS[cls][f.name], _required(f))
+    """(field, kind, required) per field, in declaration order."""
+    return tuple((f.name, _FIELDS[cls][f.name], _required(f))
                  for f in dataclasses.fields(cls))
 
 
-def _record(cls, node, path: str, problems: list, dim: int):
+def _record(cls, node, path: str, problems: list, dim: int | None):
     """Parse one record; None when any of its fields has a problem.  The
     deck itself has the path "", and its fields go by their bare keys."""
     start = len(problems)
     node = _mapping(node, path, problems)
     layout = _layout(cls)
-    _check_keys(node, [key for _, key, _, _ in layout], path or "deck",
+    _check_keys(node, [name for name, _, _ in layout], path or "deck",
                 problems)
     values = {}
-    for name, key, kind, required in layout:
-        where = f"{path}.{key}" if path else key
-        if key in node:
-            values[name] = kind.parse(node[key], where, problems, dim)
-        elif kind.default is not dataclasses.MISSING:
-            values[name] = kind.default
+    for name, kind, required in layout:
+        where = f"{path}.{name}" if path else name
+        if name in node:
+            values[name] = kind.parse(node[name], where, problems, dim)
         elif required:
             problems.append(f"{where}: required")
     if len(problems) > start:
@@ -450,24 +440,20 @@ def _record(cls, node, path: str, problems: list, dim: int):
 def _record_tree(record) -> dict:
     """Dump one record in field order, leaving out None and empty lists."""
     out = {}
-    for name, key, kind, _ in _layout(type(record)):
+    for name, kind, _ in _layout(type(record)):
         value = getattr(record, name)
         tree = None if value is None else kind.dump(value)
         if tree is not None and not (isinstance(tree, (list, dict))
                                      and not tree):
-            out[key] = tree
+            out[name] = tree
     return out
 
 
-def _dimension(node, problems: list) -> int:
-    """The device dimension, which bounds and probe positions need."""
-    if not isinstance(node, dict) or "dimension" not in node:
-        return 1  # _record reports a missing dimension
-    dim = node["dimension"]
-    if isinstance(dim, int) and not isinstance(dim, bool) and dim in (1, 2):
-        return dim
-    problems.append(f"device.dimension: must be 1 or 2, got {dim!r}")
-    return 1
+def _dimension(device) -> int | None:
+    """The deck's device dimension when it is 1 or 2, else None and no
+    per-axis length checks; ``DeviceSpec`` judges the value itself."""
+    dim = device.get("dimension") if isinstance(device, dict) else None
+    return dim if type(dim) is int and dim in (1, 2) else None
 
 
 def load_yaml(text: str):
@@ -493,7 +479,7 @@ def config_from_tree(tree) -> SimulationConfig:
     problems: list[str] = []
     tree = _mapping(tree, "deck", problems)
     config = _record(SimulationConfig, tree, "", problems,
-                     _dimension(tree.get("device"), problems))
+                     _dimension(tree.get("device")))
     if problems:
         raise ConfigError(problems)
     return config

@@ -40,7 +40,7 @@ def _pn_device(extent: float, cells: int, bias=0.0) -> DeviceSpec:
         contacts=(
             Contact(side="left", phi=-_PHI_N),
             Contact(side="right", phi=_PHI_N, bias=bias)),
-        doping=DopingProfile(bulk=(
+        doping=DopingProfile(boxes=(
             BoxDoping(bounds=((0.0, half),), value=-1.0),
             BoxDoping(bounds=((half, extent),), value=1.0))))
 
@@ -85,7 +85,7 @@ def two_layer() -> SimulationConfig:
             Contact(side="right", phi=_PHI_N, bias=ramp)),
         interfaces=(InterfaceSpec(axis=0, position=4.0,
                                   model=SurfaceSRH(v1=0.5, v2=0.5)),),
-        doping=DopingProfile(bulk=(
+        doping=DopingProfile(boxes=(
             BoxDoping(bounds=((0.0, 4.0),), value=-1.0),
             BoxDoping(bounds=((4.0, 8.0),), value=1.0))))
     return SimulationConfig(
@@ -105,7 +105,7 @@ def insulated() -> SimulationConfig:
         regions=(MaterialRegion(name="bulk", bounds=((0.0, 4.0),)),),
         robin=(RobinSegment(side="left", eps_gamma=1.0),
                RobinSegment(side="right", eps_gamma=1.0)),
-        doping=DopingProfile(bulk=(
+        doping=DopingProfile(boxes=(
             BoxDoping(bounds=((1.0, 3.0),), value=0.5),)))
     return SimulationConfig(
         device=device,
@@ -145,7 +145,7 @@ def srh_two_cell() -> SimulationConfig:
             Contact(side="left", phi=-_PHI_N),
             Contact(side="right", phi=_PHI_N,
                     bias=((0.0, 0.0), (0.05, 0.05), (1.0, 0.05)))),
-        doping=DopingProfile(bulk=(
+        doping=DopingProfile(boxes=(
             BoxDoping(bounds=((0.0, 0.5),), value=-1.0),
             BoxDoping(bounds=((0.5, 1.0),), value=1.0))))
     return SimulationConfig(

@@ -18,6 +18,7 @@ it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -45,14 +46,14 @@ _SIDE_AXIS = {"left": (0, False), "right": (0, True),
 
 def sample_series(series: TimeSeries, t: float) -> float:
     """Evaluate a constant or piecewise-linear time series, clamped at the ends."""
-    if isinstance(series, (int, float)):
+    if isinstance(series, numbers.Real):
         return float(series)
     knots = np.asarray(series, dtype=float)
     return float(np.interp(t, knots[:, 0], knots[:, 1]))
 
 
 def _series_ok(series) -> bool:
-    if isinstance(series, (int, float)):
+    if isinstance(series, numbers.Real):
         return np.isfinite(series)
     try:
         knots = np.asarray(series, dtype=float)
@@ -64,7 +65,7 @@ def _series_ok(series) -> bool:
 
 
 def _axis_tuple(value, dim) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         return (float(value),) * dim
     return tuple(float(v) for v in value)
 
@@ -137,10 +138,10 @@ class SurfaceSegment:
     span: Span | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class InterfaceSpec:
     """Interior hyperplane x_axis = position carrying interfacial recombination."""
-    axis: int
+    axis: int = 0
     position: float
     model: object | None = None
     span: Span | None = None
@@ -152,16 +153,16 @@ class BoxDoping:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SheetDoping:
-    axis: int
+    axis: int = 0
     position: float
     density: float
 
 
 @dataclass(frozen=True)
 class DopingProfile:
-    bulk: tuple[BoxDoping, ...] = ()
+    boxes: tuple[BoxDoping, ...] = ()
     sheets: tuple[SheetDoping, ...] = ()
 
 
@@ -264,7 +265,7 @@ def _admissibility_problems(device: DeviceSpec) -> list[str]:
     admissible; raises nothing."""
     out: list[str] = []
     dim = device.dimension
-    if dim not in (1, 2):
+    if not isinstance(dim, numbers.Integral) or dim not in (1, 2):
         return [f"dimension must be 1 or 2, got {dim}"]
     sides = _SIDES_1D if dim == 1 else _SIDES_2D
     if len(device.extent) != dim or any(e <= 0 for e in device.extent):
@@ -291,7 +292,7 @@ def _admissibility_problems(device: DeviceSpec) -> list[str]:
         covered += v
         for coeff_name in ("eps", "mu1", "mu2"):
             value = getattr(reg, coeff_name)
-            if not isinstance(value, (int, float)) and len(value) != dim:
+            if not isinstance(value, numbers.Real) and len(value) != dim:
                 out.append(f"region {reg.name!r} has {len(value)} {coeff_name} "
                            f"values, expected {dim}")
                 continue
@@ -354,7 +355,7 @@ def _admissibility_problems(device: DeviceSpec) -> list[str]:
             out.append(f"interface at {itf.position} on axis {itf.axis} "
                        f"is not strictly interior")
         out += _span_problems(f"interface at {itf.position}", itf.span, device, itf.axis)
-    for box in device.doping.bulk:
+    for box in device.doping.boxes:
         if len(box.bounds) != dim:
             out.append(f"doping box bounds {box.bounds} do not match dimension")
         for ax, (lo, hi) in enumerate(box.bounds):
@@ -495,6 +496,6 @@ def cell_tensor(device: DeviceSpec, mesh: Mesh, name: str) -> np.ndarray:
 def bulk_doping(device: DeviceSpec, mesh: Mesh) -> np.ndarray:
     """Cellwise volume doping d evaluated at cell centers (boxes add up)."""
     d = np.zeros(mesh.n_cells)
-    for box in device.doping.bulk:
+    for box in device.doping.boxes:
         d[_inside(mesh.cell_centers, box.bounds)] += box.value
     return d

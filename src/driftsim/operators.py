@@ -33,7 +33,7 @@ its forcing term.
 
 One kernel, ``carrier_face_coefficients``, computes both carriers'
 coefficients on every stencil face from densities its caller evaluated:
-the decoupling loop hands it the cells' (F, F') from the potential
+the decoupling loop hands it the cells' densities from the potential
 solve and the Dirichlet ghosts' from one evaluation per time step, and
 ``evaluate_face_coefficients`` serves every other caller with one
 evaluation of cells and ghosts.  Each carrier's continuity matrix with
@@ -349,17 +349,15 @@ def poisson_data_load(device: DeviceSpec, op: SparseOperator,
 class FaceCoefficients:
     """Scharfetter-Gummel coefficients of one carrier on every stencil face.
 
-    ``u`` holds the densities F(chi) the coefficients were evaluated at,
-    and ``du`` the derivatives F'(chi) there: the cells, then the ghosts
-    at the Dirichlet face centers.  The mass flow through stencil face j
-    of ``disc``, positive from its low to its high side, is
-    ``a[j] * u[lo[j]] - b[j] * u[hi[j]]``.
+    ``u`` holds the densities F(chi) the coefficients were evaluated at:
+    the cells, then the ghosts at the Dirichlet face centers.  The mass
+    flow through stencil face j of ``disc``, positive from its low to its
+    high side, is ``a[j] * u[lo[j]] - b[j] * u[hi[j]]``.
     """
     disc: Discretization
     a: np.ndarray
     b: np.ndarray
     u: np.ndarray
-    du: np.ndarray
 
     def flux(self) -> np.ndarray:
         """Facewise mass flow of the densities ``u``; zero off the stencil."""
@@ -399,20 +397,19 @@ def with_ghosts(cells, ghosts) -> list[np.ndarray]:
 
 def carrier_face_coefficients(disc: Discretization, stats, scheme: FluxScheme,
                               phi: np.ndarray, chi: np.ndarray, u: np.ndarray,
-                              du: np.ndarray) -> list[FaceCoefficients]:
+                              ) -> list[FaceCoefficients]:
     """The continuity kernel: both carriers' coefficients on every face.
 
     Every field runs over the cells, then the Dirichlet ghosts
     (``with_ghosts`` and ``ghost_arguments``): the potential ``phi``,
     and for the two carriers, each a row, the statistics arguments
-    ``chi`` and their densities ``u`` = F(chi) and derivatives
-    ``du`` = F'(chi).  The caller evaluates the statistics: a sweep of
-    ``transient.gummel_step`` takes the cells' (F, F') from the potential
-    solve, which computed them at the potential it returns, and the
-    ghosts', fixed within a step, from one evaluation per step; every
-    other caller goes through ``evaluate_face_coefficients``.  ``stats``
-    serves only the enhanced scheme's eta on faces whose two arguments
-    nearly coincide.
+    ``chi`` and their densities ``u`` = F(chi).  The caller evaluates the
+    statistics: a sweep of ``transient.gummel_step`` takes the cells' F
+    from the potential solve, which computed it at the potential it
+    returns, and the ghosts', fixed within a step, from one evaluation
+    per step; every other caller goes through
+    ``evaluate_face_coefficients``.  ``stats`` serves only the enhanced
+    scheme's eta on faces whose two arguments nearly coincide.
     """
     lo, hi = disc.lo, disc.hi
     drop = carrier_arguments(0.0, phi[hi] - phi[lo])
@@ -421,7 +418,7 @@ def carrier_face_coefficients(disc: Discretization, stats, scheme: FluxScheme,
         a, b = _sg_coefficients(scheme, lambda: eta_face(
             stats[k], chi[k, lo], chi[k, hi], u[k, lo], u[k, hi]), drop[k],
             disc.transmissibility[mobility])
-        out.append(FaceCoefficients(disc=disc, a=a, b=b, u=u[k], du=du[k]))
+        out.append(FaceCoefficients(disc=disc, a=a, b=b, u=u[k]))
     return out
 
 
@@ -436,7 +433,7 @@ def evaluate_face_coefficients(disc: Discretization, stats,
     call."""
     phi, chi = with_ghosts((phi, chi), ghost_arguments(disc, contacts))
     return carrier_face_coefficients(disc, stats, scheme, phi, chi,
-                                     *eval_carriers(stats, chi))
+                                     eval_carriers(stats, chi)[0])
 
 
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,

@@ -287,10 +287,10 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     t_next = state.t + dt
     contacts = contact_values(device, t_next)
     load = poisson_data_load(device, poisson, t_next)
-    # the Dirichlet ghosts' potential, arguments and (F, F') are fixed for
-    # the step, so their statistics are evaluated once, here
+    # the Dirichlet ghosts' potential, arguments and densities are fixed
+    # for the step, so their statistics are evaluated once, here
     ghost_phi, ghost_chi = ghost_arguments(poisson.disc, contacts)
-    ghosts = (ghost_phi, ghost_chi, *eval_carriers(models.stats, ghost_chi))
+    ghosts = (ghost_phi, ghost_chi, eval_carriers(models.stats, ghost_chi)[0])
     V = mesh.cell_volumes
 
     phi = state.phi
@@ -323,7 +323,7 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         chi = carrier_arguments(Phi, phi)
         faces = carrier_face_coefficients(
             poisson.disc, models.stats, models.scheme,
-            *with_ghosts((phi, chi, u_eval, du_eval), ghosts))
+            *with_ghosts((phi, chi, u_eval), ghosts))
         e, j = _cell_currents(poisson.disc, phi, contacts,
                               np.vstack([f.flux() for f in faces]))
         r_bulk = bulk_production(models.bulk, u_eval[0], u_eval[1], Phi[0],

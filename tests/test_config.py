@@ -20,6 +20,9 @@ from driftsim.config import (
     parse_config,
 )
 from driftsim.device import (
+    Contact,
+    DeviceSpec,
+    MaterialRegion,
     TAG_DIRICHLET,
     TAG_INTERIOR,
     TAG_NEUMANN,
@@ -28,6 +31,7 @@ from driftsim.device import (
 )
 from driftsim.errors import ConfigError
 from driftsim.recombination import SurfaceSRH
+from driftsim.transient import TimeStepperConfig
 
 MINIMAL = textwrap.dedent("""
     device:
@@ -527,6 +531,90 @@ def test_record_problems_carry_their_dotted_path(name, keys, required,
     assert f"{path}.{required}: required" in found, found
     found = _problems_with(keys, lambda r: r.update({typed: bad}))
     assert any(p.startswith(f"{path}.{typed}") for p in found), found
+
+
+# -- the dataclass is the schema -------------------------------------------
+
+# a deck tree and the Python value it parses to, per required field name
+_REGION = MaterialRegion(name="bulk", bounds=((0.0, 2.0),))
+_REQUIRED_VALUES = {
+    "name": ("bulk", "bulk"),
+    "bounds": ([[0.0, 2.0]], ((0.0, 2.0),)),
+    "side": ("left", "left"),
+    "eps_gamma": (0.5, 0.5),
+    "position": (1.0, 1.0),
+    "value": (-1.0, -1.0),
+    "density": (0.25, 0.25),
+    "dimension": (1, 1),
+    "extent": ([2.0], (2.0,)),
+    "resolution": ([4], (4,)),
+    "regions": ([{"name": "bulk", "bounds": [[0.0, 2.0]]}], (_REGION,)),
+    "kind": ("snapshot", "snapshot"),
+    "path": ("final.csv", "final.csv"),
+    "dt_init": (0.1, 0.1),
+    "t_end": (1.0, 1.0),
+    "device": ({"dimension": 1, "extent": [2.0], "resolution": [4],
+                "regions": [{"name": "bulk", "bounds": [[0.0, 2.0]]}],
+                "contacts": [{"side": "left"}]},
+               DeviceSpec(dimension=1, extent=(2.0,), resolution=(4,),
+                          regions=(_REGION,),
+                          contacts=(Contact(side="left"),))),
+    "stepper": ({"dt_init": 0.1, "t_end": 1.0},
+                TimeStepperConfig(dt_init=0.1, t_end=1.0)),
+}
+
+
+def _parsed(cls, tree):
+    """The record ``tree`` parses to, or the findings without their path."""
+    problems = []
+    record = config_module._record(cls, tree, "rec", problems, 1)
+    return record if record is not None else \
+        [p.removeprefix("rec: ") for p in problems]
+
+
+@pytest.mark.parametrize("cls", list(config_module._FIELDS),
+                         ids=lambda cls: cls.__name__)
+def test_a_record_parses_like_its_dataclass_builds(cls):
+    # a deck key is a field name, a key may be left out exactly when its
+    # field has a default, and the deck holding only the required keys
+    # parses to the record built in Python from the same keywords
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    assert _parsed(cls, {}) == (
+        [f"rec.{name}: required" for name in required] if required
+        else cls())
+    found = []
+    config_module._record(cls, dict.fromkeys(f.name for f in fields), "rec",
+                          found, 1)
+    assert not [p for p in found if "unknown key" in p], found
+    deck = {name: _REQUIRED_VALUES[name][0] for name in required}
+    try:
+        built = cls(**{name: _REQUIRED_VALUES[name][1] for name in required})
+    except ConfigError as exc:
+        assert _parsed(cls, deck) == exc.problems
+        return
+    assert _parsed(cls, deck) == built
+    tree = config_module._record_tree(built)
+    assert set(tree) <= {f.name for f in fields}
+    assert _parsed(cls, tree) == built
+
+
+@pytest.mark.parametrize("dimension, finding", [
+    (3, "device: dimension must be 1 or 2, got 3"),
+    ("two", "device.dimension: expected an integer, got 'two'"),
+    (None, "device.dimension: required"),
+], ids=["three", "text", "missing"])
+def test_a_bad_dimension_is_the_one_finding(dimension, finding):
+    # the dimension is an ordinary field: a bad one is reported once, and
+    # the per-axis lists are not measured against a guess
+    tree = yaml.safe_load((ROOT / "perfbench/decks/pn_junction_2d.yaml")
+                          .read_text())
+    if dimension is None:
+        del tree["device"]["dimension"]
+    else:
+        tree["device"]["dimension"] = dimension
+    assert problems_of(yaml.safe_dump(tree, sort_keys=False)) == [finding]
 
 
 # Corrupt FULL_2D: drop a key or a list entry, swap a value for one of

@@ -86,9 +86,27 @@ def test_valid_slab_passes():
 
 
 def test_dimension_must_be_low():
-    with pytest.raises(ConfigError) as err:
-        slab_1d(dimension=3)
-    assert "dimension" in err.value.problems[0]
+    # a float dimension is refused too, not left to fail untyped
+    for dimension in (3, 1.0):
+        with pytest.raises(ConfigError) as err:
+            slab_1d(dimension=dimension)
+        assert err.value.problems == [
+            f"dimension must be 1 or 2, got {dimension}"]
+
+
+@pytest.mark.parametrize("scalar", [np.float32(2), np.int64(2)],
+                         ids=["float32", "int64"])
+def test_device_records_take_numpy_scalars(scalar):
+    # any real scalar is a per-axis coefficient or a constant contact
+    # value, as a Python float is, and gets the same checks
+    dev = slab_1d(regions=(MaterialRegion("bulk", ((0.0, 2.0),), eps=scalar),),
+                  contacts=(Contact(side="left", phi=scalar),
+                            Contact(side="right")))
+    assert np.all(cell_tensor(dev, build_mesh(dev), "eps") == 2.0)
+    assert dev.contacts[0].values(0.0) == (2.0, 0.0, 0.0)
+    with pytest.raises(ConfigError, match="non-elliptic eps"):
+        slab_1d(regions=(MaterialRegion("bulk", ((0.0, 2.0),),
+                                        eps=-scalar),))
 
 
 def test_extent_resolution_mismatch():
@@ -172,15 +190,16 @@ def test_interface_span_checked(dim, span, expected):
 def test_empty_doping_box_rejected():
     with pytest.raises(ConfigError, match="doping box.*empty"):
         slab_1d(cells=4, extent=2.0,
-                doping=DopingProfile(bulk=(BoxDoping(((1.5, 0.5),), 1.0),)))
+                doping=DopingProfile(boxes=(BoxDoping(((1.5, 0.5),), 1.0),)))
     # a box reaching past the domain only covers fewer cells
     slab_1d(cells=4, extent=2.0,
-            doping=DopingProfile(bulk=(BoxDoping(((1.0, 3.0),), 1.0),)))
+            doping=DopingProfile(boxes=(BoxDoping(((1.0, 3.0),), 1.0),)))
 
 
 def test_sheet_doping_checks():
     with pytest.raises(ConfigError, match="sheet"):
-        slab_1d(doping=DopingProfile(sheets=(SheetDoping(1, 0.5, 1.0),)))
+        slab_1d(doping=DopingProfile(
+            sheets=(SheetDoping(axis=1, position=0.5, density=1.0),)))
 
 
 def test_validation_collects_everything():
@@ -209,7 +228,7 @@ def test_bulk_model_on_an_interface_fails_at_construction(where):
             slab_1d(contacts=(Contact(side="left"),),
                     surfaces=(SurfaceSegment("right", model=model),))
         else:
-            slab_1d(interfaces=(InterfaceSpec(0, 1.0, model=model),))
+            slab_1d(interfaces=(InterfaceSpec(position=1.0, model=model),))
 
 
 # -- mesh geometry --------------------------------------------------------
@@ -409,10 +428,11 @@ def grid_devices(draw):
         surfaces=tuple(SurfaceSegment(side, draw(models), span=sp)
                        for side, sp in placed[2]),
         interfaces=tuple(
-            InterfaceSpec(axis, position(axis), draw(models), span(axis))
+            InterfaceSpec(axis=axis, position=position(axis),
+                          model=draw(models), span=span(axis))
             for axis in draw(st.lists(st.integers(0, dim - 1), max_size=2))),
         doping=DopingProfile(sheets=tuple(
-            SheetDoping(axis, position(axis), 1.0)
+            SheetDoping(axis=axis, position=position(axis), density=1.0)
             for axis in draw(st.lists(st.integers(0, dim - 1),
                                       max_size=1))))), off_grid
 
@@ -458,9 +478,9 @@ def test_admissible_devices_mesh_unless_off_grid(case):
 
 def test_box_doping_sums():
     dev = slab_1d(cells=4, extent=2.0,
-                  doping=DopingProfile(bulk=(BoxDoping(((0.0, 1.0),), -1.0),
-                                             BoxDoping(((1.0, 2.0),), 1.0),
-                                             BoxDoping(((0.0, 2.0),), 0.5))))
+                  doping=DopingProfile(boxes=(BoxDoping(((0.0, 1.0),), -1.0),
+                                              BoxDoping(((1.0, 2.0),), 1.0),
+                                              BoxDoping(((0.0, 2.0),), 0.5))))
     mesh = build_mesh(dev)
     d = bulk_doping(dev, mesh)
     assert d.tolist() == [-0.5, -0.5, 1.5, 1.5]
@@ -469,6 +489,6 @@ def test_box_doping_sums():
 def test_doping_box_respects_cell_centers():
     # a box covering no cell center contributes nothing
     dev = slab_1d(cells=4, extent=2.0,
-                  doping=DopingProfile(bulk=(BoxDoping(((0.4, 0.6),), 3.0),)))
+                  doping=DopingProfile(boxes=(BoxDoping(((0.4, 0.6),), 3.0),)))
     mesh = build_mesh(dev)
     assert np.all(bulk_doping(dev, mesh) == 0.0)

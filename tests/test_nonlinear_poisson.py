@@ -59,8 +59,8 @@ def pn_junction(cells=64, bias_right=0.0, extent=2.0):
         regions=(MaterialRegion("bulk", ((0.0, extent),)),),
         contacts=(Contact(side="left", phi=-phi_n),
                   Contact(side="right", phi=phi_n, bias=bias_right)),
-        doping=DopingProfile(bulk=(BoxDoping(((0.0, half),), -1.0),
-                                   BoxDoping(((half, extent),), 1.0))))
+        doping=DopingProfile(boxes=(BoxDoping(((0.0, half),), -1.0),
+                                    BoxDoping(((half, extent),), 1.0))))
 
 
 def test_cutoff_clamps():

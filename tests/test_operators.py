@@ -411,8 +411,8 @@ def test_continuity_shims_equal_the_kernel(dimension, k):
 ], ids=["fd", "boltzmann", "mixed"])
 def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
     # both carriers evaluated in one statistics call give each carrier's
-    # own coefficients, densities and derivatives bit for bit: row k of a
-    # call equals row k of the call with both carriers at s_k
+    # own coefficients and densities bit for bit: row k of a call equals
+    # row k of the call with both carriers at s_k
     dev = _device(dimension)
     mesh = build_mesh(dev)
     disc = Discretization(dev, mesh)
@@ -426,11 +426,10 @@ def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
     for k in (1, 2):
         one = evaluate_face_coefficients(disc, (stats[k - 1],) * 2,
                                          ENHANCED, phi, chi, contacts)[k - 1]
-        for name in ("a", "b", "u", "du"):
+        for name in ("a", "b", "u"):
             assert np.array_equal(getattr(both[k - 1], name),
                                   getattr(one, name))
-        assert np.array_equal(one.du[:n],
-                              stats[k - 1].eval_derivative(chi[k - 1]))
+        assert np.array_equal(one.u[:n], stats[k - 1].eval(chi[k - 1]))
 
 
 # -- fill into the fixed pattern ------------------------------------------
@@ -727,8 +726,8 @@ def test_1d_run_never_calls_splu(monkeypatch):
         contacts=(Contact(side="left", phi=-0.5),
                   Contact(side="right", phi=0.5,
                           bias=((0.0, 0.0), (0.5, 0.1)))),
-        doping=DopingProfile(bulk=(BoxDoping(((0.0, 1.0),), -1.0),
-                                   BoxDoping(((1.0, 2.0),), 1.0))))
+        doping=DopingProfile(boxes=(BoxDoping(((0.0, 1.0),), -1.0),
+                                    BoxDoping(((1.0, 2.0),), 1.0))))
     result = run(dev, SimulationModels(stats=(boltzmann(), boltzmann())),
                  TimeStepperConfig(dt_init=0.05, t_end=0.1, dt_min=0.01))
     assert result.completed

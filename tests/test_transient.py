@@ -56,8 +56,8 @@ def biased_diode(bias=0.1, cells=32):
         regions=(MaterialRegion("bulk", ((0.0, 2.0),)),),
         contacts=(Contact(side="left", phi=-phi_n),
                   Contact(side="right", phi=phi_n, bias=ramp)),
-        doping=DopingProfile(bulk=(BoxDoping(((0.0, 1.0),), -1.0),
-                                   BoxDoping(((1.0, 2.0),), 1.0))))
+        doping=DopingProfile(boxes=(BoxDoping(((0.0, 1.0),), -1.0),
+                                    BoxDoping(((1.0, 2.0),), 1.0))))
 
 
 # -- stepper configuration ------------------------------------------------
@@ -310,13 +310,13 @@ def test_sweeps_reuse_the_potential_solves_statistics(monkeypatch):
                if who in ("residual", "invert"))
     # the kernel's result equals a fresh evaluation of the cells and of the
     # ghosts at the step's contact values, bit for bit
-    for step, (disc, stats, scheme, phi, chi, u, du), faces in kernel_calls:
+    for step, (disc, stats, scheme, phi, chi, u), faces in kernel_calls:
         new_state, _ = step_calls[step][2]
         fresh = evaluate_face_coefficients(
             disc, stats, scheme, phi[:n_cells], chi[:, :n_cells],
             contact_values(device, new_state.t))
         for got, want in zip(faces, fresh):
-            for name in ("a", "b", "u", "du"):
+            for name in ("a", "b", "u"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
@@ -395,7 +395,7 @@ def test_mixing_keeps_a_reacting_insulated_box_unrejected():
     config = decks.insulated()
     doping = config.device.doping
     device = dataclasses.replace(config.device, doping=dataclasses.replace(
-        doping, bulk=(dataclasses.replace(doping.bulk[0], value=40.0),)))
+        doping, boxes=(dataclasses.replace(doping.boxes[0], value=40.0),)))
     config = dataclasses.replace(
         config, device=device,
         recombination=(MassAction(rate=1.0, generation=30.0),))
@@ -414,8 +414,8 @@ def junction_2d(ramp_end):
         contacts=(Contact(side="left", phi=-phi_n),
                   Contact(side="right", phi=phi_n,
                           bias=((0.0, 0.0), (ramp_end, 0.25)))),
-        doping=DopingProfile(bulk=(BoxDoping(((0.0, 2.0), (0.0, 2.0)), -1.0),
-                                   BoxDoping(((2.0, 4.0), (0.0, 2.0)), 1.0))))
+        doping=DopingProfile(boxes=(BoxDoping(((0.0, 2.0), (0.0, 2.0)), -1.0),
+                                    BoxDoping(((2.0, 4.0), (0.0, 2.0)), 1.0))))
 
 
 def test_2d_step_factors_each_system_once(monkeypatch):
