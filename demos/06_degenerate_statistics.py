@@ -45,10 +45,10 @@ chi = np.vstack([-phi, phi])
 
 def face_flow(variant):
     """Carrier 1's mass flow through the face, low to high cell."""
-    electrons, _ = evaluate_face_coefficients(
+    faces = evaluate_face_coefficients(
         disc, (fd, fd), FluxScheme(variant=variant), phi, chi,
         np.zeros((3, 1)))
-    return float(electrons.flux()[disc.faces[0]])
+    return float(faces.flux()[0, disc.faces[0]])
 
 
 plain = face_flow("scharfetter_gummel")

@@ -263,13 +263,16 @@ def _span(node, path: str, problems: list, dim=None):
 
 
 def _statistics(node, path: str, problems: list, dim=None):
-    """One name for both carriers, or a {carrier1, carrier2} mapping."""
+    """One name for both carriers, or a mapping naming each of them."""
+    kinds = StatisticsModel.kinds
     if isinstance(node, str):
-        return (_str_choice(node, StatisticsModel.kinds, path, problems),) * 2
+        return (_str_choice(node, kinds, path, problems),) * 2
     node = _mapping(node, path, problems)
     _check_keys(node, _CARRIERS, path, problems)
-    return tuple(_str_choice(node.get(key, "boltzmann"), StatisticsModel.kinds,
-                             f"{path}.{key}", problems) for key in _CARRIERS)
+    problems += [f"{path}.{key}: required" for key in _CARRIERS
+                 if key not in node]
+    return tuple(_str_choice(node.get(key, kinds[0]), kinds, f"{path}.{key}",
+                             problems) for key in _CARRIERS)
 
 
 def _axis_value(node, path: str, problems: list, dim=None):

@@ -347,9 +347,9 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
     """Thermal equilibrium: zero quasi-Fermi levels, self-consistent phi.
 
     Contacts must agree with equilibrium at the evaluation time (both
-    carrier boundary levels zero).  Returns (mesh, phi, (u1, u2)); the
-    densities are the ones Newton's last residual evaluation computed at
-    phi, so the consistency residual is zero by construction.  A given
+    carrier boundary levels zero).  Returns (mesh, phi, u); the densities
+    u (2, n_cells) are the ones Newton's last residual evaluation computed
+    at phi, so the consistency residual is zero by construction.  A given
     ``poisson`` operator is reused, with its mesh, not assembled again.
     A Newton failure raises ``SolverError``, a ``NonConvergenceError``
     when Newton ran out.
@@ -365,5 +365,4 @@ def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
         omega=np.zeros((2, mesh.n_cells)))
     start = neutral_potential(stats, bulk_doping(device, mesh))
     phi, report = newton_solve(problem, tol=_EQUILIBRIUM_TOL, x0=start)
-    u, _ = report.densities
-    return mesh, phi, (u[0], u[1])
+    return mesh, phi, report.densities[0]

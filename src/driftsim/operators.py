@@ -37,8 +37,8 @@ the decoupling loop hands it the cells' densities from the potential
 solve and the Dirichlet ghosts' from one evaluation per time step, and
 ``evaluate_face_coefficients`` serves every other caller with one
 evaluation of cells and ghosts.  Each carrier's continuity matrix with
-its Dirichlet load and its face flux ``a u_lo - b u_hi`` are read off
-that one result.
+its Dirichlet load, and both face fluxes ``a u_lo - b u_hi`` as one
+(2, n_faces) array, are read off that one result.
 
 Sign conventions: the Poisson operator acts so that ``(P phi)_i``
 approximates the cellwise integral of ``-div(eps grad phi)`` plus boundary
@@ -139,16 +139,6 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
     return eta
 
 
-def _sg_coefficients(scheme: FluxScheme, face_eta, dphi, t):
-    """Per-face coefficients (a, b) with flux = a*u_lo - b*u_hi; only the
-    enhanced variant calls ``face_eta()`` for its degeneracy factors."""
-    if scheme.variant == "scharfetter_gummel":
-        return t * bernoulli(-dphi), t * bernoulli(dphi)
-    eta = face_eta()
-    d = dphi / eta
-    return t * eta * bernoulli(-d), t * eta * bernoulli(d)
-
-
 class Discretization:
     """Flux stencil, transmissibilities and sparsity pattern of one mesh.
 
@@ -157,7 +147,7 @@ class Discretization:
     Dirichlet faces, whose outer side is ghost ``n_cells + i`` for the i-th,
     holding contact ``contact[i]``'s value at the face center; so a cell
     field extended by its ghost values is read alike on every face, with
-    ``transmissibility[name]`` (eps, mu1, mu2).  Robin faces add
+    the rows (eps, mu1, mu2) of ``transmissibility``.  Robin faces add
     ``robin_coeff`` to the diagonal of ``robin_cell``, loaded by segment
     ``robin_segment``.  The CSC pattern, structurally symmetric, holds the
     full diagonal (at ``diagonal_slots`` of the data) and the (lo, hi) and
@@ -190,14 +180,13 @@ class Discretization:
             mesh.face_dl, mesh.face_dr, mesh.face_axis, mesh.face_area))
         self.span = dl + dr
         lo, hi, cell = self.lo[:m], self.hi[:m], cells[m:].max(axis=1)
-        self.transmissibility = {}
-        for name in ("eps", "mu1", "mu2"):
+        self.transmissibility = np.empty((3, faces.size))
+        for t, name in zip(self.transmissibility, ("eps", "mu1", "mu2")):
             k = cell_tensor(device, mesh, name)
             with np.errstate(divide="ignore"):
-                t = area[:m] / (dl[:m] / k[lo, axis[:m]]
-                                + dr[:m] / k[hi, axis[:m]])
-            self.transmissibility[name] = np.concatenate(
-                [t, area[m:] * k[cell, axis[m:]] / self.span[m:]])
+                t[:m] = area[:m] / (dl[:m] / k[lo, axis[:m]]
+                                    + dr[:m] / k[hi, axis[:m]])
+            t[m:] = area[m:] * k[cell, axis[m:]] / self.span[m:]
 
         # term j of concatenate([a, b]) is a_j, weight of face j's lo value,
         # and term faces.size + j is b_j.  Diagonals sum interior a's, interior
@@ -322,7 +311,7 @@ class SparseOperator:
 def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
     """Robin-Poisson operator: diffusion in eps + Robin masses + Dirichlet closure."""
     disc = Discretization(device, mesh)
-    t = disc.transmissibility["eps"]
+    t = disc.transmissibility[0]
     diagonal = disc.diagonal(t, t, disc.robin_cell, disc.robin_coeff)
     return SparseOperator(matrix=disc.matrix(diagonal, -t, -t), disc=disc)
 
@@ -336,7 +325,7 @@ def poisson_data_load(device: DeviceSpec, op: SparseOperator,
     load = mesh.cell_volumes * bulk_doping(device, mesh)
     for sheet, faces in zip(device.doping.sheets, mesh.sheet_faces):
         load += apply_surface_load(mesh, faces, sheet.density)
-    eps = disc.transmissibility["eps"]
+    eps = disc.transmissibility[0]
     disc.ghost_load(eps, eps, contact_values(device, t)[0, disc.contact],
                     load)
     phi_g = np.array([sample_series(r.phi_gamma, t) for r in device.robin])
@@ -347,12 +336,13 @@ def poisson_data_load(device: DeviceSpec, op: SparseOperator,
 
 @dataclass(frozen=True)
 class FaceCoefficients:
-    """Scharfetter-Gummel coefficients of one carrier on every stencil face.
+    """Scharfetter-Gummel coefficients on every stencil face, row k - 1
+    of each array for carrier k.
 
     ``u`` holds the densities F(chi) the coefficients were evaluated at:
     the cells, then the ghosts at the Dirichlet face centers.  The mass
     flow through stencil face j of ``disc``, positive from its low to its
-    high side, is ``a[j] * u[lo[j]] - b[j] * u[hi[j]]``.
+    high side, is ``a[:, j] * u[:, lo[j]] - b[:, j] * u[:, hi[j]]``.
     """
     disc: Discretization
     a: np.ndarray
@@ -360,23 +350,25 @@ class FaceCoefficients:
     u: np.ndarray
 
     def flux(self) -> np.ndarray:
-        """Facewise mass flow of the densities ``u``; zero off the stencil."""
+        """Facewise mass flow (2, n_faces) of the densities ``u``; zero off
+        the stencil."""
         d = self.disc
-        out = np.zeros(d.mesh.n_faces)
-        out[d.faces] = self.a * self.u[d.lo] - self.b * self.u[d.hi]
+        out = np.zeros((2, d.mesh.n_faces))
+        out[:, d.faces] = self.a * self.u[:, d.lo] - self.b * self.u[:, d.hi]
         return out
 
-    def system(self, diagonal) -> tuple[sp.csc_matrix, np.ndarray]:
-        """Net-outflow matrix M plus ``diagonal``, and the Dirichlet load.
-
-        ``M u[:n_cells] - load`` is the cellwise divergence of ``flux()``.
-        The ``diagonal`` (a time-derivative mass, say, or zeros) is summed
-        into each diagonal entry after the face contributions.
+    def system(self, k: int, diagonal) -> tuple[sp.csc_matrix, np.ndarray]:
+        """Carrier k's net-outflow matrix M plus ``diagonal``, and its
+        Dirichlet load; ``M u[k-1, :n_cells] - load`` is the cellwise
+        divergence of ``flux()[k-1]``.  The ``diagonal`` (a time-derivative
+        mass, say, or zeros) is summed into each diagonal entry after the
+        face contributions.
         """
         d, n = self.disc, self.disc.n_cells
-        main = d.diagonal(self.a, self.b, np.arange(n), diagonal)
-        load = d.ghost_load(self.a, self.b, self.u[n:], np.zeros(n))
-        return d.matrix(main, -self.b, -self.a), load
+        a, b = self.a[k - 1], self.b[k - 1]
+        main = d.diagonal(a, b, np.arange(n), diagonal)
+        load = d.ghost_load(a, b, self.u[k - 1, n:], np.zeros(n))
+        return d.matrix(main, -b, -a), load
 
 
 def ghost_arguments(disc: Discretization, contacts: np.ndarray):
@@ -397,7 +389,7 @@ def with_ghosts(cells, ghosts) -> list[np.ndarray]:
 
 def carrier_face_coefficients(disc: Discretization, stats, scheme: FluxScheme,
                               phi: np.ndarray, chi: np.ndarray, u: np.ndarray,
-                              ) -> list[FaceCoefficients]:
+                              ) -> FaceCoefficients:
     """The continuity kernel: both carriers' coefficients on every face.
 
     Every field runs over the cells, then the Dirichlet ghosts
@@ -408,24 +400,25 @@ def carrier_face_coefficients(disc: Discretization, stats, scheme: FluxScheme,
     from the potential solve, which computed it at the potential it
     returns, and the ghosts', fixed within a step, from one evaluation
     per step; every other caller goes through
-    ``evaluate_face_coefficients``.  ``stats`` serves only the enhanced
-    scheme's eta on faces whose two arguments nearly coincide.
+    ``evaluate_face_coefficients``.  Both carriers and schemes take
+    a, b = t eta B(-+drop/eta) from one ``bernoulli`` call: plain fitting
+    with eta = 1.0, which leaves t and drop exactly as they are, the
+    enhanced scheme with each carrier's ``eta_face`` of ``stats``.
     """
     lo, hi = disc.lo, disc.hi
     drop = carrier_arguments(0.0, phi[hi] - phi[lo])
-    out = []
-    for k, mobility in enumerate(("mu1", "mu2")):
-        a, b = _sg_coefficients(scheme, lambda: eta_face(
-            stats[k], chi[k, lo], chi[k, hi], u[k, lo], u[k, hi]), drop[k],
-            disc.transmissibility[mobility])
-        out.append(FaceCoefficients(disc=disc, a=a, b=b, u=u[k]))
-    return out
+    eta = 1.0 if scheme.variant == "scharfetter_gummel" else np.stack([
+        eta_face(model, s[lo], s[hi], v[lo], v[hi])
+        for model, s, v in zip(stats, chi, u)])
+    x = drop / eta
+    a, b = disc.transmissibility[1:] * eta * bernoulli(np.stack([-x, x]))
+    return FaceCoefficients(disc=disc, a=a, b=b, u=u)
 
 
 def evaluate_face_coefficients(disc: Discretization, stats,
                                scheme: FluxScheme, phi: np.ndarray,
                                chi: np.ndarray, contacts: np.ndarray,
-                               ) -> list[FaceCoefficients]:
+                               ) -> FaceCoefficients:
     """``carrier_face_coefficients`` for a one-off caller: ``phi`` and
     ``chi`` (2, n_cells) run over the cells, ``contacts`` is the
     (3, n_contacts) array of ``device.contact_values``; the ghosts are
@@ -448,7 +441,7 @@ def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
     return evaluate_face_coefficients(
         Discretization(device, mesh), (stats, stats), scheme, phi,
-        np.vstack([chi, chi]), contacts)[k - 1].system(np.zeros(mesh.n_cells))
+        np.vstack([chi, chi]), contacts).system(k, np.zeros(mesh.n_cells))
 
 
 def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
@@ -462,7 +455,7 @@ def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
     return evaluate_face_coefficients(
         Discretization(device, mesh), (stats, stats), scheme, phi,
-        np.vstack([chi, chi]), contacts)[k - 1].flux()
+        np.vstack([chi, chi]), contacts).flux()[k - 1]
 
 
 def apply_surface_load(mesh: Mesh, faces: np.ndarray, rate) -> np.ndarray:
@@ -493,20 +486,23 @@ def face_gradient(disc: Discretization, values: np.ndarray,
     Stencil faces difference ``values``, extended by the ghost values
     (``on_contacts`` indexed by contact id), over their ``span``.  Other
     boundary faces report zero, which is the consistent value for insulated
-    segments and a deliberate approximation for Robin ones.
+    segments and a deliberate approximation for Robin ones.  Leading axes
+    of ``values`` and ``on_contacts`` (the carriers, say) are kept.
     """
-    values = np.concatenate([values, np.asarray(on_contacts,
-                                                dtype=float)[disc.contact]])
-    g = np.zeros(disc.mesh.n_faces)
-    g[disc.faces] = (values[disc.hi] - values[disc.lo]) / disc.span
+    values = np.concatenate([values, np.asarray(
+        on_contacts, dtype=float)[..., disc.contact]], axis=-1)
+    g = np.zeros((*values.shape[:-1], disc.mesh.n_faces))
+    g[..., disc.faces] = (values[..., disc.hi]
+                          - values[..., disc.lo]) / disc.span
     return g
 
 
 def cell_average_faces(mesh: Mesh, face_values: np.ndarray) -> np.ndarray:
-    """Average a per-face quantity to cells, one column per axis."""
+    """Average a per-face quantity (last axis) to cells, one column per
+    axis."""
     face_values = np.asarray(face_values, dtype=float)
-    return 0.5 * (face_values[mesh.cell_face_lo]
-                  + face_values[mesh.cell_face_hi])
+    return 0.5 * (face_values[..., mesh.cell_face_lo]
+                  + face_values[..., mesh.cell_face_hi])
 
 
 _SOLVE_RTOL = 1e-12  # residual contract of solve_linear, relative to ||b||

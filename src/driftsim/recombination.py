@@ -180,21 +180,23 @@ class SurfaceSRH:
 _RECOMBINATION_KINDS = (ShockleyReadHall, Auger)
 
 
-def bulk_production(models, u1, u2, Phi1, Phi2, e, j1, j2) -> np.ndarray:
+def bulk_production(models, u, Phi, e, j) -> np.ndarray:
     """Signed volumetric production rate entering both continuity equations.
 
+    Row k - 1 of the densities ``u``, levels ``Phi`` (2, n) and currents
+    ``j`` (2, n, dim) is carrier k's; ``e`` is the field (n, dim).
     Recombination channels enter with a minus sign, generation channels as
     written; carriers are created and destroyed in pairs, so one field
     serves both equations.
     """
-    r = np.zeros_like(np.asarray(u1, dtype=float))
+    r = np.zeros_like(np.asarray(u[0], dtype=float))
     for m in models:
         if isinstance(m, MassAction):
-            r = r + m.eval(Phi1, Phi2)
+            r = r + m.eval(*Phi)
         elif isinstance(m, Avalanche):
-            r = r + m.eval(e, j1, j2)
+            r = r + m.eval(e, *j)
         elif isinstance(m, _RECOMBINATION_KINDS):
-            r = r - m.eval(u1, u2)
+            r = r - m.eval(*u)
         else:
             raise DomainError(f"unknown bulk model {type(m).__name__}")
     return r

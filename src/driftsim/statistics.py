@@ -208,9 +208,10 @@ class StatisticsModel:
         u = np.asarray(u, dtype=float)
         _require_finite(u, "u")
         if np.any(u <= 0.0):
-            bad = np.argwhere(np.atleast_1d(u <= 0.0)).ravel()[0]
+            # the full index of the first nonpositive entry, () for a scalar
+            bad = tuple(int(i) for i in np.argwhere(u <= 0.0)[0])
             raise DomainError(f"invert requires positive density, got "
-                              f"{np.atleast_1d(u)[bad]!r} at index {bad}")
+                              f"{float(u[bad])!r} at index {bad}")
         if self.kind == "boltzmann":
             return _match_shape(np.log(u), u)
         if start is not None:

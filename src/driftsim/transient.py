@@ -200,18 +200,18 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
                   poisson: SparseOperator | None = None) -> CarrierState:
     """Thermal equilibrium start; contacts must be unbiased at ``t``.  A
     given ``poisson`` operator is reused, not assembled again."""
-    mesh_out, phi, (u1, u2) = equilibrium_state(device, models.stats, t=t,
-                                                mesh=mesh, poisson=poisson)
+    mesh_out, phi, u = equilibrium_state(device, models.stats, t=t,
+                                         mesh=mesh, poisson=poisson)
     return CarrierState(t=t, phi=phi, Phi=np.zeros((2, mesh_out.n_cells)),
-                        u=np.vstack([u1, u2]))
+                        u=u)
 
 
 def _cell_currents(disc: Discretization, phi: np.ndarray,
                    contacts: np.ndarray,
                    face_flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cellwise potential gradient (n_cells, dim) and current density
-    vectors (2, n_cells, dim) of given (2, n_faces) carrier face fluxes;
-    ``contacts`` is the (3, n_contacts) ``contact_values`` array.
+    vectors (2, n_cells, dim) of ``FaceCoefficients.flux()``; ``contacts``
+    is the (3, n_contacts) ``contact_values`` array.
 
     The axis current density at a face is the mass flow over the face
     area with a sign flip (the flux convention counts mass moving from
@@ -220,24 +220,23 @@ def _cell_currents(disc: Discretization, phi: np.ndarray,
     """
     mesh = disc.mesh
     cell_e = cell_average_faces(mesh, face_gradient(disc, phi, contacts[0]))
-    cell_current = np.stack([cell_average_faces(mesh, -flux / mesh.face_area)
-                             for flux in face_flux])
-    return cell_e, cell_current
+    return cell_e, cell_average_faces(mesh, -face_flux / mesh.face_area)
 
 
 def _face_density(mesh: Mesh, faces: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Density at faces: adjacent cell value, or the mean across interior ones."""
-    lo = mesh.face_cells[faces, 0]
-    hi = mesh.face_cells[faces, 1]
-    vlo = np.where(lo >= 0, u[np.maximum(lo, 0)], 0.0)
-    vhi = np.where(hi >= 0, u[np.maximum(hi, 0)], 0.0)
+    """Densities (2, faces) from cell densities (2, n_cells): the adjacent
+    cell value, or the mean across interior ones."""
+    lo, hi = mesh.face_cells[faces].T
+    vlo = np.where(lo >= 0, u[:, lo], 0.0)
+    vhi = np.where(hi >= 0, u[:, hi], 0.0)
     both = (lo >= 0) & (hi >= 0)
     return np.where(both, 0.5 * (vlo + vhi), vlo + vhi)
 
 
-def _surface_loads(device: DeviceSpec, mesh: Mesh, u1: np.ndarray,
-                   u2: np.ndarray) -> np.ndarray:
-    """Interfacial recombination deposited into cells (recombination < 0)."""
+def _surface_loads(device: DeviceSpec, mesh: Mesh,
+                   u: np.ndarray) -> np.ndarray:
+    """Interfacial recombination at densities u (2, n_cells) deposited
+    into cells (recombination < 0)."""
     out = np.zeros(mesh.n_cells)
     pairs = list(zip(device.surfaces, mesh.surface_faces)) \
         + list(zip(device.interfaces, mesh.interface_faces))
@@ -245,8 +244,7 @@ def _surface_loads(device: DeviceSpec, mesh: Mesh, u1: np.ndarray,
         model = segment.model
         if model is None or not faces.size:
             continue
-        rate = model.eval(_face_density(mesh, faces, u1),
-                          _face_density(mesh, faces, u2))
+        rate = model.eval(*_face_density(mesh, faces, u))
         out += apply_surface_load(mesh, faces, -rate)
     return out
 
@@ -254,12 +252,9 @@ def _surface_loads(device: DeviceSpec, mesh: Mesh, u1: np.ndarray,
 def _quasi_fermi_norm(disc: Discretization, Phi: np.ndarray,
                       contacts: np.ndarray) -> float:
     """Blow-up proxy: max over carriers of sup|grad Phi_k| + sup|Phi_k|."""
-    worst = 0.0
-    for k in (1, 2):
-        g = face_gradient(disc, Phi[k - 1], contacts[k])
-        worst = max(worst, float(np.max(np.abs(g))
-                                 + np.max(np.abs(Phi[k - 1]))))
-    return worst
+    g = face_gradient(disc, Phi, contacts[1:])
+    return float(np.max(np.max(np.abs(g), axis=1)
+                        + np.max(np.abs(Phi), axis=1)))
 
 
 _MIX_WINDOW = 5  # residual-history depth of the decoupling loop
@@ -324,16 +319,14 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         faces = carrier_face_coefficients(
             poisson.disc, models.stats, models.scheme,
             *with_ghosts((phi, chi, u_eval), ghosts))
-        e, j = _cell_currents(poisson.disc, phi, contacts,
-                              np.vstack([f.flux() for f in faces]))
-        r_bulk = bulk_production(models.bulk, u_eval[0], u_eval[1], Phi[0],
-                                 Phi[1], e, j[0], j[1])
-        shared = V * r_bulk + _surface_loads(device, mesh, *u_eval)
+        e, j = _cell_currents(poisson.disc, phi, contacts, faces.flux())
+        r_bulk = bulk_production(models.bulk, u_eval, Phi, e, j)
+        shared = V * r_bulk + _surface_loads(device, mesh, u_eval)
 
         u_new = np.empty_like(state.u)
         balance = 0.0
         for k in (1, 2):
-            system, dirichlet_load = faces[k - 1].system(V / dt)
+            system, dirichlet_load = faces.system(k, V / dt)
             rhs = V * state.u[k - 1] / dt + shared + dirichlet_load
             if source is not None:
                 rhs = rhs + V * source[k - 1]
@@ -404,19 +397,17 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     contact up to sign, recombination notwithstanding.  ``disc`` is the
     run's ``Discretization``, ``SimulationResult.disc``.
     """
-    face_flux = [f.flux() for f in evaluate_face_coefficients(
+    # a contact face's flow runs from lo to hi: outward where hi is its ghost
+    m = disc.n_interior
+    outward = np.where(disc.hi[m:] >= disc.n_cells, 1.0, -1.0)
+    flows = outward * evaluate_face_coefficients(
         disc, models.stats, models.scheme, state.phi,
         carrier_arguments(state.Phi, state.phi),
-        contact_values(device, state.t))]
-    # a contact face's flow runs from lo to hi: outward where hi is its ghost
-    faces = disc.faces[disc.n_interior:]
-    outward = np.where(disc.hi[disc.n_interior:] >= disc.n_cells, 1.0, -1.0)
+        contact_values(device, state.t)).flux()[:, disc.faces[m:]]
     out = {}
     for idx, label in enumerate(contact_labels(device)):
-        on = disc.contact == idx
-        flow1 = float(np.sum(outward[on] * face_flux[0][faces[on]]))
-        flow2 = float(np.sum(outward[on] * face_flux[1][faces[on]]))
-        out[label] = flow1 - flow2
+        flow1, flow2 = np.sum(flows[:, disc.contact == idx], axis=1)
+        out[label] = float(flow1 - flow2)
     return out
 
 

@@ -177,6 +177,18 @@ def test_statistics_string_and_mapping_forms():
     assert cfg.statistics == ("boltzmann", "fermi_dirac_half")
 
 
+def test_a_statistics_mapping_names_both_carriers():
+    # a mapping that leaves one carrier out gives it no statistics of its
+    # own choosing: the missing key is a finding, as for any record
+    for named, missing in (("carrier1", "carrier2"),
+                           ("carrier2", "carrier1")):
+        found = problems_of(MINIMAL + f"statistics: {{{named}: "
+                                      f"fermi_dirac_half}}\n")
+        assert found == [f"statistics.{missing}: required"]
+    assert problems_of(MINIMAL + "statistics: {}\n") == [
+        "statistics.carrier1: required", "statistics.carrier2: required"]
+
+
 def test_central_flux_scheme_rejected():
     found = problems_of(MINIMAL + "flux_scheme: central\n")
     assert found == ["flux_scheme: unknown value 'central' (valid keys: "

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
+from driftsim import operators
 from driftsim.device import (
     TAG_DIRICHLET,
     TAG_INTERIOR,
@@ -25,11 +26,11 @@ from driftsim.operators import (
     FactorSlot,
     FluxScheme,
     SparseOperator,
-    _sg_coefficients,
     apply_surface_load,
     assemble_continuity,
     assemble_poisson,
     bernoulli,
+    carrier_face_coefficients,
     cell_average_faces,
     continuity_face_flux,
     eta_face,
@@ -137,12 +138,25 @@ def test_flux_scheme_validation():
 
 
 def face_flux(scheme, u_lo, u_hi, s_lo, s_hi, dphi, t, stats=None):
-    """One face's mass flow a u_lo - b u_hi at transmissibility ``t``, from
-    the kernel's ``_sg_coefficients``; the enhanced variant takes eta from
-    ``eta_face`` of ``stats`` at the side arguments ``s_lo``, ``s_hi``."""
-    a, b = _sg_coefficients(scheme, lambda: _eta_face(stats, s_lo, s_hi),
-                            dphi, t)
-    return a * u_lo - b * u_hi
+    """One face's mass flow a u_lo - b u_hi from the kernel, as demo 06
+    measures it: two unit cells of mobility ``t``, so that their one
+    interior face has transmissibility ``t``, carrier 1 with the
+    carrier-signed drop ``dphi``, side arguments ``s_lo``, ``s_hi`` and
+    densities ``u_lo``, ``u_hi``; the enhanced variant takes eta from
+    ``eta_face`` of ``stats``.  The grounded left contact makes the pair
+    an admissible device; its face is not the one measured."""
+    pair = DeviceSpec(dimension=1, extent=(2.0,), resolution=(2,),
+                      regions=(MaterialRegion("bulk", ((0.0, 2.0),),
+                                              mu1=t),),
+                      contacts=(Contact(side="left"),))
+    disc = Discretization(pair, build_mesh(pair))
+    # cells, then the ghost; carrier 1's drop is phi_lo - phi_hi
+    phi = np.array([0.0, -dphi, 0.0])
+    chi = np.array([[s_lo, s_hi, s_lo]] * 2)
+    u = np.array([[u_lo, u_hi, u_lo]] * 2)
+    faces = carrier_face_coefficients(disc, (stats, stats), scheme, phi, chi,
+                                      u)
+    return faces.flux()[0, disc.faces[0]]
 
 
 def test_pure_diffusion_limit():
@@ -370,8 +384,8 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
     # F of chi extended by its ghosts equals F of chi alone, elementwise
     f = evaluate_face_coefficients(Discretization(dev, mesh), (stats, stats),
                                    scheme, phi, np.vstack([chi, chi]),
-                                   contacts)[k - 1]
-    assert np.array_equal(f.u[:mesh.n_cells], u)
+                                   contacts)
+    assert np.array_equal(f.u[k - 1, :mesh.n_cells], u)
 
 
 @DIMENSIONS
@@ -387,17 +401,17 @@ def test_continuity_shims_equal_the_kernel(dimension, k):
     contacts = rng.uniform(0.0, 1.0, (3, len(dev.contacts)))
     stats = (fermi_dirac_half(), boltzmann())
     f = evaluate_face_coefficients(Discretization(dev, mesh), stats, ENHANCED,
-                                   phi, chi, contacts)[k - 1]
+                                   phi, chi, contacts)
     # carrier k's contact level, in both rows the shims read it from
     own = contacts[[0, k, k]]
     M, load = assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, k, phi,
                                   chi[k - 1], own)
-    M_ref, load_ref = f.system(np.zeros(mesh.n_cells))
+    M_ref, load_ref = f.system(k, np.zeros(mesh.n_cells))
     assert np.array_equal(M.data, M_ref.data)
     assert np.array_equal(load, load_ref)
     flux = continuity_face_flux(dev, mesh, stats[k - 1], ENHANCED, k, phi,
                                 chi[k - 1], own)
-    assert np.array_equal(flux, f.flux())
+    assert np.array_equal(flux, f.flux()[k - 1])
     with pytest.raises(DomainError, match="carrier index"):
         assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, 0, phi,
                             chi[k - 1], own)
@@ -410,9 +424,10 @@ def test_continuity_shims_equal_the_kernel(dimension, k):
     (boltzmann(), fermi_dirac_half()),
 ], ids=["fd", "boltzmann", "mixed"])
 def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
-    # both carriers evaluated in one statistics call give each carrier's
-    # own coefficients and densities bit for bit: row k of a call equals
-    # row k of the call with both carriers at s_k
+    # both carriers evaluated in one statistics call and one kernel pass
+    # give each carrier's own coefficients and densities bit for bit: row
+    # k - 1 of a call equals row k - 1 of the call with both carriers at
+    # carrier k's statistics, whatever the other row holds
     dev = _device(dimension)
     mesh = build_mesh(dev)
     disc = Discretization(dev, mesh)
@@ -425,11 +440,37 @@ def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
                                       contacts)
     for k in (1, 2):
         one = evaluate_face_coefficients(disc, (stats[k - 1],) * 2,
-                                         ENHANCED, phi, chi, contacts)[k - 1]
+                                         ENHANCED, phi, chi, contacts)
         for name in ("a", "b", "u"):
-            assert np.array_equal(getattr(both[k - 1], name),
-                                  getattr(one, name))
-        assert np.array_equal(one.u[:n], stats[k - 1].eval(chi[k - 1]))
+            assert np.array_equal(getattr(both, name)[k - 1],
+                                  getattr(one, name)[k - 1])
+        assert np.array_equal(one.u[k - 1, :n], stats[k - 1].eval(chi[k - 1]))
+
+
+@pytest.mark.parametrize("scheme,stats", [
+    (SG, (boltzmann(), boltzmann())),
+    (ENHANCED, (boltzmann(), fermi_dirac_half())),
+], ids=["sg", "enhanced_mixed"])
+def test_one_kernel_call_is_one_bernoulli_pass(monkeypatch, scheme, stats):
+    # both carriers' coefficients, a and b alike, come from one bernoulli
+    # call on the stacked (2, 2, n_faces) arguments
+    dev = _device(2)
+    mesh = build_mesh(dev)
+    disc = Discretization(dev, mesh)
+    rng = np.random.default_rng(8)
+    phi = rng.uniform(0.0, 2.0, mesh.n_cells)
+    chi = rng.uniform(-1.0, 3.0, (2, mesh.n_cells))
+    contacts = rng.uniform(0.0, 1.0, (3, len(dev.contacts)))
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return bernoulli(x)
+
+    monkeypatch.setattr(operators, "bernoulli", counted)
+    f = evaluate_face_coefficients(disc, stats, scheme, phi, chi, contacts)
+    assert shapes == [(2, 2, disc.faces.size)]
+    assert f.a.shape == f.b.shape == (2, disc.faces.size)
 
 
 # -- fill into the fixed pattern ------------------------------------------
@@ -468,21 +509,22 @@ def test_system_fill_matches_coordinate_build(dimension, k, scheme, stats):
     mass = mesh.cell_volumes / 0.0137
     f = evaluate_face_coefficients(Discretization(dev, mesh), (stats, stats),
                                    scheme, phi, np.vstack([chi, chi]),
-                                   contacts)[k - 1]
-    M, load = f.system(mass)
+                                   contacts)
+    M, load = f.system(k, mass)
 
     # the stencil lists the interior faces first, then the contact faces
     lo, hi, cell, on_lo_side = _reference_faces(mesh)
     m = lo.size
-    a, b = f.a[:m], f.b[:m]
-    inner = np.where(on_lo_side, f.a[m:], f.b[m:])
+    fa, fb, fu = f.a[k - 1], f.b[k - 1], f.u[k - 1]
+    a, b = fa[:m], fb[:m]
+    inner = np.where(on_lo_side, fa[m:], fb[m:])
     every = np.arange(n)
     ref = _coo(n, [lo, lo, hi, hi, cell, every],
                [lo, hi, hi, lo, cell, every],
                [a, -b, b, -a, inner, mass])
     ref_load = np.zeros(n)
     np.add.at(ref_load, cell,
-              np.where(on_lo_side, f.b[m:], f.a[m:]) * f.u[n:])
+              np.where(on_lo_side, fb[m:], fa[m:]) * fu[n:])
     assert np.array_equal(M.toarray(), ref.toarray())
     assert np.array_equal(load, ref_load)
 
@@ -495,7 +537,7 @@ def test_newton_jacobian_fill_matches_sparse_sum(dimension):
     op = assemble_poisson(dev, mesh)
 
     lo, hi, cell, _ = _reference_faces(mesh)
-    t, tb = np.split(op.disc.transmissibility["eps"], [lo.size])
+    t, tb = np.split(op.disc.transmissibility[0], [lo.size])
     eps_gamma = np.zeros(mesh.n_faces)
     for segment, faces in zip(dev.robin, mesh.robin_faces):
         eps_gamma[faces] = segment.eps_gamma
@@ -555,8 +597,8 @@ def test_superlu_factor_matches_splu(system):
         chi = rng.uniform(-1.0, 3.0, n)
         f = evaluate_face_coefficients(
             op.disc, (boltzmann(), boltzmann()), SG, rng.uniform(0.0, 2.0, n),
-            np.vstack([chi, chi]), _one_carrier_contacts(rng, dev))[0]
-        op = SparseOperator(f.system(mesh.cell_volumes / 0.01)[0], op.disc)
+            np.vstack([chi, chi]), _one_carrier_contacts(rng, dev))
+        op = SparseOperator(f.system(1, mesh.cell_volumes / 0.01)[0], op.disc)
     lu = op.factor()
     reference = spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
     assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
@@ -845,6 +887,29 @@ def test_face_gradient_of_affine_field(dimension):
     assert np.max(np.abs(grad[stencil] - slope[mesh.face_axis[stencil]])) \
         <= 1e-12
     assert np.all(grad[~stencil] == 0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, "2d_every_side"],
+                         ids=["1d", "2d_every_side"])
+def test_face_readers_keep_a_leading_axis(dimension):
+    # a (2, .) field is read row by row, bit for bit
+    dev = dirichlet_slab(cells=10, extent=2.0) if dimension == 1 \
+        else _every_side_device_2d()
+    mesh = build_mesh(dev)
+    disc = Discretization(dev, mesh)
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=(2, mesh.n_cells))
+    contacts = rng.normal(size=(2, len(dev.contacts)))
+    grad = face_gradient(disc, values, contacts)
+    assert grad.shape == (2, mesh.n_faces)
+    face_values = rng.normal(size=(2, mesh.n_faces))
+    avg = cell_average_faces(mesh, face_values)
+    assert avg.shape == (2, *mesh.cell_face_lo.shape)
+    for row in range(2):
+        assert np.array_equal(grad[row], face_gradient(disc, values[row],
+                                                       contacts[row]))
+        assert np.array_equal(avg[row],
+                              cell_average_faces(mesh, face_values[row]))
 
 
 def test_cell_average_faces_of_constant():

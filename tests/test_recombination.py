@@ -171,13 +171,31 @@ def test_bulk_production_signs():
     j = np.zeros((n, 1))
     srh = ShockleyReadHall()
     gen = MassAction(rate=1.0, generation=5.0)
-    r = bulk_production((srh, gen), u1, u2, Phi, Phi, e, j, j)
+    r = bulk_production((srh, gen), np.stack([u1, u2]), np.stack([Phi, Phi]),
+                        e, np.stack([j, j]))
     expected = -srh.eval(u1, u2) + gen.eval(Phi, Phi)
     assert np.allclose(r, expected, rtol=1e-15)
 
 
+def test_bulk_production_reads_each_carrier_from_its_row():
+    # row k - 1 of u, Phi and j is carrier k's: the asymmetric models see
+    # the rows in order, and the sum is each model's rate as written
+    rng = np.random.default_rng(9)
+    n = 5
+    u = rng.uniform(0.5, 3.0, (2, n))
+    Phi = rng.uniform(-1.0, 1.0, (2, n))
+    e = rng.normal(size=(n, 2))
+    j = rng.normal(size=(2, n, 2))
+    srh = ShockleyReadHall(tau1=0.3, tau2=2.0, n1=0.1, n2=4.0)
+    gen = MassAction(rate=0.7, generation=2.0)
+    ava = Avalanche(c1=1.0, c2=0.0, a1=0.5)
+    r = bulk_production((srh, gen, ava), u, Phi, e, j)
+    expected = -srh.eval(u[0], u[1]) + gen.eval(Phi[0], Phi[1]) \
+        + ava.eval(e, j[0], j[1])
+    assert np.array_equal(r, expected)
+
+
 def test_bulk_production_rejects_unknown_model():
     with pytest.raises(DomainError):
-        bulk_production((object(),), np.ones(1), np.ones(1),
-                        np.zeros(1), np.zeros(1),
-                        np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        bulk_production((object(),), np.ones((2, 1)), np.zeros((2, 1)),
+                        np.zeros((1, 1)), np.zeros((2, 1, 1)))

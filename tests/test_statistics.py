@@ -275,3 +275,18 @@ class TestErrors:
             FD.invert(0.0)
         with pytest.raises(DomainError):
             BOLTZ.invert(np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("model", [FD, BOLTZ], ids=["fd", "boltzmann"])
+    def test_invert_names_the_first_nonpositive_entry(self, model):
+        # a (2, n) carrier pair, as invert_carriers passes it: the message
+        # carries the entry's value and its full index
+        for u, where in [(np.array([[1.0, 2.0], [3.0, -1.0]]),
+                          "-1.0 at index (1, 1)"),
+                         (np.array([[1.0, 0.0], [-3.0, 2.0]]),
+                          "0.0 at index (0, 1)"),
+                         (np.array([1.0, -2.0]), "-2.0 at index (1,)"),
+                         (-4.0, "-4.0 at index ()")]:
+            with pytest.raises(DomainError) as err:
+                model.invert(u)
+            assert str(err.value) == \
+                f"invert requires positive density, got {where}"
