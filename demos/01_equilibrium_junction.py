@@ -14,9 +14,11 @@ from driftsim import (
     DeviceSpec,
     MaterialRegion,
     boltzmann,
+    build_mesh,
     equilibrium_state,
 )
 from driftsim.device import DopingProfile
+from driftsim.operators import assemble_poisson
 
 phi_n = float(np.arcsinh(0.5))
 device = DeviceSpec(
@@ -30,7 +32,9 @@ device = DeviceSpec(
                                 BoxDoping(((10.0, 20.0),), 1.0))),
 )
 
-mesh, phi, (u1, u2) = equilibrium_state(device, (boltzmann(), boltzmann()))
+mesh = build_mesh(device)
+phi, (u1, u2) = equilibrium_state(assemble_poisson(device, mesh),
+                                  (boltzmann(), boltzmann()))
 
 built_in = phi[-1] - phi[0]
 print(f"built-in potential : {built_in:.6f}")

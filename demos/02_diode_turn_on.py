@@ -27,11 +27,11 @@ print(f"final time     : {result.final.t:.3f}")
 print("\n   t        dt     iters   balance     I(right)")
 for state, report in zip(result.states[1:], result.reports):
     if report.t in {r.t for r in result.reports[::6]} or report is result.reports[-1]:
-        current = terminal_currents(config.device, result.disc, models, state)
+        current = terminal_currents(result.disc, models, state)
         print(f"{report.t:7.3f} {report.dt:8.4f} {report.gummel_iterations:5d}"
               f"   {report.balance_residual:.1e}  {current['right']:+.5e}")
 
-final = terminal_currents(config.device, result.disc, models, result.final)
+final = terminal_currents(result.disc, models, result.final)
 print(f"\nsteady forward current at both terminals: "
       f"left {final['left']:+.5e}, right {final['right']:+.5e}")
 assert final["right"] > 0.0 > final["left"]

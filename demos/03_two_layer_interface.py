@@ -22,8 +22,7 @@ def final_current(cfg):
     models = build_models(cfg)
     result = run(cfg.device, models, cfg.stepper)
     assert result.completed
-    return terminal_currents(cfg.device, result.disc, models,
-                             result.final), result
+    return terminal_currents(result.disc, models, result.final), result
 
 
 with_sheet, result = final_current(config)

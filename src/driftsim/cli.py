@@ -53,7 +53,7 @@ def cmd_run(args) -> int:
                 and not any(s.kind == "report" for s in config.output):
             stem = os.path.splitext(os.path.basename(args.deck))[0]
             fallback = os.path.join(args.outdir, f"{stem}_report.json")
-            write_report(fallback, config.device, models, result)
+            write_report(fallback, models, result)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -128,8 +128,7 @@ def _sweep_row(text: str, param: str, value: float, labels: list) -> list:
         return [format_float(value)] + ["nan"] * len(labels) + [
             format_float(time.perf_counter() - started), "0",
             f"error: {exc}"]
-    currents = terminal_currents(config.device, result.disc, models,
-                                 result.final)
+    currents = terminal_currents(result.disc, models, result.final)
     status = "ok" if result.blowup is None else "blow-up"
     iterations = sum(r.gummel_iterations for r in result.reports)
     return [format_float(value)] \

@@ -163,12 +163,12 @@ def build_models(config: SimulationConfig) -> SimulationModels:
 # validation helpers: every check appends "path: message" and returns a
 # safe fallback so the walk can continue and report everything at once
 
-def _suggest(key: str, allowed) -> str:
+def _suggest(key: str, allowed, noun: str = "keys") -> str:
     names = sorted(str(a) for a in allowed)
     close = difflib.get_close_matches(key, names, n=1, cutoff=0.4)
     if close:
         return f" (did you mean {close[0]!r}?)"
-    return f" (valid keys: {', '.join(names)})"
+    return f" (valid {noun}: {', '.join(names)})"
 
 
 def _check_keys(node: dict, allowed, path: str, problems: list) -> None:
@@ -226,7 +226,7 @@ def _str_choice(node, choices, path: str, problems: list) -> str:
         return node
     if isinstance(node, str):
         problems.append(f"{path}: unknown value {node!r}"
-                        f"{_suggest(node, choices)}")
+                        f"{_suggest(node, choices, 'values')}")
     else:
         problems.append(f"{path}: expected one of {sorted(choices)}")
     return next(iter(choices))
@@ -267,7 +267,10 @@ def _statistics(node, path: str, problems: list, dim=None):
     kinds = StatisticsModel.kinds
     if isinstance(node, str):
         return (_str_choice(node, kinds, path, problems),) * 2
+    start = len(problems)
     node = _mapping(node, path, problems)
+    if len(problems) > start:  # not a mapping: its keys are not missing
+        return (kinds[0],) * 2
     _check_keys(node, _CARRIERS, path, problems)
     problems += [f"{path}.{key}: required" for key in _CARRIERS
                  if key not in node]
@@ -340,7 +343,7 @@ def _model(registry) -> _Kind:
         known = sorted(registry)
         if isinstance(kind, str):
             problems.append(f"{path}.type: unknown model {kind!r}"
-                            f"{_suggest(kind, known)}")
+                            f"{_suggest(kind, known, 'values')}")
         elif node is None or isinstance(node, dict):  # else _mapping said so
             problems.append(f"{path}.type: required, one of {known}")
         return None
@@ -418,6 +421,8 @@ def _record(cls, node, path: str, problems: list, dim: int | None):
     deck itself has the path "", and its fields go by their bare keys."""
     start = len(problems)
     node = _mapping(node, path, problems)
+    if len(problems) > start:  # not a mapping: its fields are not missing
+        return None
     layout = _layout(cls)
     _check_keys(node, [name for name, _, _ in layout], path or "deck",
                 problems)

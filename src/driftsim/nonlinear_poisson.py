@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import DeviceSpec, Mesh, build_mesh, bulk_doping, contact_values
+from .device import bulk_doping, contact_values
 from .errors import DomainError, NonConvergenceError
-from .operators import (FactorSlot, SparseOperator, assemble_poisson,
-                        poisson_data_load, solve_linear)
+from .operators import (FactorSlot, SparseOperator, poisson_data_load,
+                        solve_linear)
 from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 
 __all__ = [
@@ -341,28 +341,23 @@ def neutral_potential(stats, doping):
     return float(out) if d.ndim == 0 else out
 
 
-def equilibrium_state(device: DeviceSpec, stats, t: float = 0.0,
-                      mesh: Mesh | None = None,
-                      poisson: SparseOperator | None = None):
-    """Thermal equilibrium: zero quasi-Fermi levels, self-consistent phi.
+def equilibrium_state(poisson: SparseOperator, stats):
+    """Thermal equilibrium on ``poisson``'s device and mesh: zero
+    quasi-Fermi levels, self-consistent phi, at t = 0.
 
-    Contacts must agree with equilibrium at the evaluation time (both
-    carrier boundary levels zero).  Returns (mesh, phi, u); the densities
-    u (2, n_cells) are the ones Newton's last residual evaluation computed
-    at phi, so the consistency residual is zero by construction.  A given
-    ``poisson`` operator is reused, with its mesh, not assembled again.
-    A Newton failure raises ``SolverError``, a ``NonConvergenceError``
-    when Newton ran out.
+    Contacts must agree with equilibrium at t = 0 (both carrier boundary
+    levels zero).  Returns (phi, u); the densities u (2, n_cells) are the
+    ones Newton's last residual evaluation computed at phi, so the
+    consistency residual is zero by construction.  A Newton failure
+    raises ``SolverError``, a ``NonConvergenceError`` when Newton ran out.
     """
-    if np.any(np.abs(contact_values(device, t)[1:]) > 1e-14):
+    device, mesh = poisson.disc.device, poisson.disc.mesh
+    if np.any(np.abs(contact_values(device, 0.0)[1:]) > 1e-14):
         raise DomainError(
             "equilibrium requires zero carrier levels on every contact")
-    poisson = poisson or assemble_poisson(device, mesh or build_mesh(device))
-    mesh = poisson.disc.mesh
-    load = poisson_data_load(device, poisson, t)
     problem = NonlinearPoissonProblem(
-        poisson=poisson, load=load, stats=tuple(stats),
-        omega=np.zeros((2, mesh.n_cells)))
+        poisson=poisson, load=poisson_data_load(poisson, 0.0),
+        stats=tuple(stats), omega=np.zeros((2, mesh.n_cells)))
     start = neutral_potential(stats, bulk_doping(device, mesh))
     phi, report = newton_solve(problem, tol=_EQUILIBRIUM_TOL, x0=start)
-    return mesh, phi, report.densities[0]
+    return phi, report.densities[0]

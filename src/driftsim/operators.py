@@ -8,12 +8,12 @@ distance), so it is one more stencil face.  Robin segments add
 The electron/hole continuity operators use Scharfetter-Gummel fitting,
 optionally corrected for degenerate statistics (see ``FluxScheme``).
 
-A ``Discretization`` holds what a run never changes: the stencil, the
-transmissibilities and the one CSC sparsity pattern all matrices share.
-A run builds it once, with its Poisson operator, and carries it on
-``SimulationResult.disc``, so currents and outputs read it from there.
-Matrices are filled straight into that pattern, so no sweep builds a
-coordinate list or converts a format.
+A ``Discretization`` holds what a run never changes: the device, the
+stencil, the transmissibilities and the one CSC sparsity pattern all
+matrices share.  A run builds it once, with its Poisson operator, and
+carries it on ``SimulationResult.disc``, so currents and outputs read it
+from there.  Matrices are filled straight into that pattern, so no sweep
+builds a coordinate list or converts a format.
 
 ``SparseOperator.factor`` is the one place that factors.  A pattern that
 is tridiagonal in cell order (every 1D mesh of n >= 3 cells) goes to LAPACK
@@ -140,7 +140,9 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
 
 
 class Discretization:
-    """Flux stencil, transmissibilities and sparsity pattern of one mesh.
+    """Flux stencil, transmissibilities and sparsity pattern of ``mesh``,
+    and the ``device`` it was built from, whose boundary and reaction data
+    every call that holds the discretization reads from here.
 
     Stencil face j (mesh face ``faces[j]``) joins ``lo[j]`` to ``hi[j]`` at
     distance ``span[j]``: first the ``n_interior`` interior faces, then the
@@ -157,6 +159,7 @@ class Discretization:
     """
 
     def __init__(self, device: DeviceSpec, mesh: Mesh):
+        self.device = device
         self.mesh = mesh
         n = self.n_cells = mesh.n_cells
         inner = np.flatnonzero(mesh.face_tag == TAG_INTERIOR)
@@ -316,12 +319,11 @@ def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
     return SparseOperator(matrix=disc.matrix(diagonal, -t, -t), disc=disc)
 
 
-def poisson_data_load(device: DeviceSpec, op: SparseOperator,
-                      t: float) -> np.ndarray:
+def poisson_data_load(op: SparseOperator, t: float) -> np.ndarray:
     """Right-hand side carrying doping, Dirichlet lifts, and Robin loads at
-    time t, on the mesh of ``op``."""
+    time t, on the device and mesh of ``op``."""
     disc = op.disc
-    mesh = disc.mesh
+    device, mesh = disc.device, disc.mesh
     load = mesh.cell_volumes * bulk_doping(device, mesh)
     for sheet, faces in zip(device.doping.sheets, mesh.sheet_faces):
         load += apply_surface_load(mesh, faces, sheet.density)

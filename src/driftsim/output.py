@@ -53,14 +53,14 @@ def _write_snapshot(path: str, mesh: Mesh, state) -> None:
               _field_table(mesh, state, slice(None)))
 
 
-def _write_series(path: str, device: DeviceSpec, models: SimulationModels,
+def _write_series(path: str, models: SimulationModels,
                   result: SimulationResult) -> None:
-    labels = contact_labels(device)
+    labels = contact_labels(result.disc.device)
     header = ["t", "dt", "iterations", "balance", "proxy"] \
         + [f"current_{label}" for label in labels]
     rows = []
     for state, report in zip(result.states[1:], result.reports):
-        flow = terminal_currents(device, result.disc, models, state)
+        flow = terminal_currents(result.disc, models, state)
         rows.append([report.t, report.dt, report.gummel_iterations,
                      report.balance_residual, report.proxy]
                     + [flow[label] for label in labels])
@@ -78,8 +78,7 @@ def _write_probe(path: str, mesh: Mesh, result: SimulationResult,
                    for state in result.states])]))
 
 
-def _report_tree(device: DeviceSpec, models: SimulationModels,
-                 result: SimulationResult) -> dict:
+def _report_tree(models: SimulationModels, result: SimulationResult) -> dict:
     tree = {
         "completed": result.completed,
         "steps_accepted": result.steps_accepted,
@@ -89,7 +88,7 @@ def _report_tree(device: DeviceSpec, models: SimulationModels,
                                     for r in result.reports)),
         "max_balance_residual": max(
             (r.balance_residual for r in result.reports), default=0.0),
-        "terminal_currents": terminal_currents(device, result.disc, models,
+        "terminal_currents": terminal_currents(result.disc, models,
                                                result.final),
         "blowup": None,
     }
@@ -103,11 +102,11 @@ def _report_tree(device: DeviceSpec, models: SimulationModels,
     return tree
 
 
-def write_report(path: str, device: DeviceSpec, models: SimulationModels,
+def write_report(path: str, models: SimulationModels,
                  result: SimulationResult) -> None:
     """The run's JSON summary: step counts, balance, terminal currents at
     the final state (on ``result.disc``) and the blow-up report, if any."""
-    tree = _report_tree(device, models, result)
+    tree = _report_tree(models, result)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(tree, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -121,8 +120,9 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
     Relative sink paths land in ``directory`` (default: the current
     working directory), and a sink's missing parent directories are made.
     Writes happen sequentially in declaration order, so two sinks may
-    safely share a path prefix.  ``mesh`` places the snapshot and probe
-    rows; currents are computed on ``result.disc``.
+    safely share a path prefix.  Sinks read ``result.disc``; ``device``
+    and ``mesh`` are its own and stay only because ``perfbench/workloads.py``
+    passes them.
     """
     written = []
     for sink in config.output:
@@ -130,12 +130,12 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
             else os.path.join(directory, sink.path)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         if sink.kind == "snapshot":
-            _write_snapshot(path, mesh, result.final)
+            _write_snapshot(path, result.disc.mesh, result.final)
         elif sink.kind == "series":
-            _write_series(path, device, models, result)
+            _write_series(path, models, result)
         elif sink.kind == "probe":
-            _write_probe(path, mesh, result, sink.position)
+            _write_probe(path, result.disc.mesh, result, sink.position)
         else:
-            write_report(path, device, models, result)
+            write_report(path, models, result)
         written.append(path)
     return written

@@ -174,8 +174,8 @@ class BlowUpReport:
 
 @dataclass
 class SimulationResult:
-    """A run's accepted states and step reports, and the ``disc`` (mesh,
-    face sets, sparsity) they live on, for computing currents from them."""
+    """A run's accepted states and step reports, and the ``disc`` (device,
+    mesh, face sets, sparsity) they live on, for currents and outputs."""
     states: list
     reports: list
     blowup: BlowUpReport | None
@@ -196,14 +196,15 @@ class SimulationResult:
 
 
 def initial_state(device: DeviceSpec, models: SimulationModels,
-                  mesh: Mesh | None = None, t: float = 0.0,
+                  mesh: Mesh | None = None,
                   poisson: SparseOperator | None = None) -> CarrierState:
-    """Thermal equilibrium start; contacts must be unbiased at ``t``.  A
-    given ``poisson`` operator is reused, not assembled again."""
-    mesh_out, phi, u = equilibrium_state(device, models.stats, t=t,
-                                         mesh=mesh, poisson=poisson)
-    return CarrierState(t=t, phi=phi, Phi=np.zeros((2, mesh_out.n_cells)),
-                        u=u)
+    """Thermal equilibrium start at t = 0, where contacts must be unbiased,
+    on ``poisson`` when given, else on an operator assembled here on
+    ``mesh`` (built from ``device`` when None)."""
+    if poisson is None:
+        poisson = assemble_poisson(device, mesh or build_mesh(device))
+    phi, u = equilibrium_state(poisson, models.stats)
+    return CarrierState(t=0.0, phi=phi, Phi=np.zeros_like(u), u=u)
 
 
 def _cell_currents(disc: Discretization, phi: np.ndarray,
@@ -233,10 +234,10 @@ def _face_density(mesh: Mesh, faces: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(both, 0.5 * (vlo + vhi), vlo + vhi)
 
 
-def _surface_loads(device: DeviceSpec, mesh: Mesh,
-                   u: np.ndarray) -> np.ndarray:
+def _surface_loads(disc: Discretization, u: np.ndarray) -> np.ndarray:
     """Interfacial recombination at densities u (2, n_cells) deposited
     into cells (recombination < 0)."""
+    device, mesh = disc.device, disc.mesh
     out = np.zeros(mesh.n_cells)
     pairs = list(zip(device.surfaces, mesh.surface_faces)) \
         + list(zip(device.interfaces, mesh.interface_faces))
@@ -260,15 +261,14 @@ def _quasi_fermi_norm(disc: Discretization, Phi: np.ndarray,
 _MIX_WINDOW = 5  # residual-history depth of the decoupling loop
 
 
-def gummel_step(device: DeviceSpec, poisson: SparseOperator,
-                models: SimulationModels, state: CarrierState, dt: float,
-                config: TimeStepperConfig,
+def gummel_step(poisson: SparseOperator, models: SimulationModels,
+                state: CarrierState, dt: float, config: TimeStepperConfig,
                 jacobians: FactorSlot | None = None,
                 ) -> tuple[CarrierState, StepReport]:
     """One backward-Euler step by decoupled, screening-corrected sweeps.
 
     ``poisson`` is the run's Poisson operator; its ``disc`` supplies the
-    mesh, the face sets and the sparsity pattern of every system solved.
+    device, mesh, face sets and sparsity pattern of every system solved.
     ``jacobians`` holds the last potential Newton Jacobian factor across
     calls (``run`` passes one slot to every step); without it the step
     starts from an empty slot of its own.
@@ -278,13 +278,14 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
     of the discrete balance identity, evaluated with the exact loads the
     final linear solves used.
     """
-    mesh = poisson.disc.mesh
+    disc = poisson.disc
+    mesh = disc.mesh
     t_next = state.t + dt
-    contacts = contact_values(device, t_next)
-    load = poisson_data_load(device, poisson, t_next)
+    contacts = contact_values(disc.device, t_next)
+    load = poisson_data_load(poisson, t_next)
     # the Dirichlet ghosts' potential, arguments and densities are fixed
     # for the step, so their statistics are evaluated once, here
-    ghost_phi, ghost_chi = ghost_arguments(poisson.disc, contacts)
+    ghost_phi, ghost_chi = ghost_arguments(disc, contacts)
     ghosts = (ghost_phi, ghost_chi, eval_carriers(models.stats, ghost_chi)[0])
     V = mesh.cell_volumes
 
@@ -317,11 +318,11 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         # the solve's arguments, Phi + (-1)^k phi, spelled the same way
         chi = carrier_arguments(Phi, phi)
         faces = carrier_face_coefficients(
-            poisson.disc, models.stats, models.scheme,
+            disc, models.stats, models.scheme,
             *with_ghosts((phi, chi, u_eval), ghosts))
-        e, j = _cell_currents(poisson.disc, phi, contacts, faces.flux())
+        e, j = _cell_currents(disc, phi, contacts, faces.flux())
         r_bulk = bulk_production(models.bulk, u_eval, Phi, e, j)
-        shared = V * r_bulk + _surface_loads(device, mesh, u_eval)
+        shared = V * r_bulk + _surface_loads(disc, u_eval)
 
         u_new = np.empty_like(state.u)
         balance = 0.0
@@ -331,7 +332,7 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
             if source is not None:
                 rhs = rhs + V * source[k - 1]
             try:
-                u_k = solve_linear(SparseOperator(system, poisson.disc), rhs,
+                u_k = solve_linear(SparseOperator(system, disc), rhs,
                                    continuity[k - 1])
             except SolverError as exc:
                 raise StepRejected(f"continuity solve failed: {exc}") from exc
@@ -360,7 +361,7 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         residual = Phi_new - Phi
         increment = float(np.max(np.abs(residual)))
         if increment <= config.gummel_tol:
-            proxy = _quasi_fermi_norm(poisson.disc, Phi_new, contacts)
+            proxy = _quasi_fermi_norm(disc, Phi_new, contacts)
             return (CarrierState(t=t_next, phi=phi, Phi=Phi_new, u=u_new),
                     StepReport(t=t_next, dt=dt, gummel_iterations=sweep + 1,
                                balance_residual=balance, proxy=proxy))
@@ -385,8 +386,7 @@ def gummel_step(device: DeviceSpec, poisson: SparseOperator,
         f"(last increment {increment:.3e})")
 
 
-def terminal_currents(device: DeviceSpec, disc: Discretization,
-                      models: SimulationModels,
+def terminal_currents(disc: Discretization, models: SimulationModels,
                       state: CarrierState) -> dict[str, float]:
     """Net electric current leaving each contact, keyed by its
     ``contact_labels`` name.
@@ -403,9 +403,9 @@ def terminal_currents(device: DeviceSpec, disc: Discretization,
     flows = outward * evaluate_face_coefficients(
         disc, models.stats, models.scheme, state.phi,
         carrier_arguments(state.Phi, state.phi),
-        contact_values(device, state.t)).flux()[:, disc.faces[m:]]
+        contact_values(disc.device, state.t)).flux()[:, disc.faces[m:]]
     out = {}
-    for idx, label in enumerate(contact_labels(device)):
+    for idx, label in enumerate(contact_labels(disc.device)):
         flow1, flow2 = np.sum(flows[:, disc.contact == idx], axis=1)
         out[label] = float(flow1 - flow2)
     return out
@@ -424,9 +424,8 @@ def run(device: DeviceSpec, models: SimulationModels,
         config: TimeStepperConfig, observer: Callable | None = None,
         initial: CarrierState | None = None) -> SimulationResult:
     """Integrate from equilibrium (or ``initial``) to t_end with adaptive steps."""
-    mesh = build_mesh(device)
-    poisson = assemble_poisson(device, mesh)
-    state = initial_state(device, models, mesh, poisson=poisson) \
+    poisson = assemble_poisson(device, build_mesh(device))
+    state = initial_state(device, models, poisson=poisson) \
         if initial is None else initial.copy()
     states = [state]
     reports: list[StepReport] = []
@@ -438,8 +437,8 @@ def run(device: DeviceSpec, models: SimulationModels,
     while state.t < horizon:
         dt_step = min(dt, config.t_end - state.t)
         try:
-            state, report = gummel_step(device, poisson, models, state,
-                                        dt_step, config, jacobians)
+            state, report = gummel_step(poisson, models, state, dt_step,
+                                        config, jacobians)
         except StepRejected as exc:
             rejected += 1
             dt = dt_step * config.shrink

@@ -314,7 +314,7 @@ def _mms_poisson_error(cells: int, piecewise: bool) -> float:
     x = mesh.cell_centers[:, 0]
     # Boltzmann pair with omega = 0 contributes -2 sinh(phi) of space
     # charge, so the manufactured volumetric load carries +2 sinh(phi*)
-    load = poisson_data_load(device, op, 0.0) \
+    load = poisson_data_load(op, 0.0) \
         + mesh.cell_volumes * (forcing(x) + 2.0 * np.sinh(exact(x)))
     problem = NonlinearPoissonProblem(
         poisson=op, load=load, stats=(boltzmann(), boltzmann()),
@@ -533,8 +533,7 @@ def suite_gummel_monolithic(seed: int) -> list[PropertyResult]:
     poisson = assemble_poisson(config.device, build_mesh(config.device))
     state = initial_state(config.device, models, poisson=poisson)
     dt = config.stepper.dt_init
-    new_state, _ = gummel_step(config.device, poisson, models, state, dt,
-                               config.stepper)
+    new_state, _ = gummel_step(poisson, models, state, dt, config.stepper)
     ref = _monolithic_two_cell(config, dt)
     got = np.concatenate([new_state.phi, new_state.Phi[0], new_state.Phi[1]])
     return [_leq("gummel-monolithic", "state-agreement",

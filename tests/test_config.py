@@ -166,6 +166,17 @@ def test_readme_deck_examples_parse():
         parse_config(block)
 
 
+def test_readme_library_example_runs(monkeypatch):
+    # from the repository root, where its deck path points
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (root / "README.md").read_text(), re.DOTALL)
+    assert blocks
+    monkeypatch.chdir(root)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_statistics_string_and_mapping_forms():
     cfg = parse_config(MINIMAL + "statistics: fermi_dirac_half\n")
     assert cfg.statistics == ("fermi_dirac_half", "fermi_dirac_half")
@@ -191,8 +202,25 @@ def test_a_statistics_mapping_names_both_carriers():
 
 def test_central_flux_scheme_rejected():
     found = problems_of(MINIMAL + "flux_scheme: central\n")
-    assert found == ["flux_scheme: unknown value 'central' (valid keys: "
+    assert found == ["flux_scheme: unknown value 'central' (valid values: "
                      "scharfetter_gummel, scharfetter_gummel_enhanced)"]
+
+
+def test_unknown_model_type_lists_valid_values():
+    found = problems_of(MINIMAL + "recombination:\n  - {type: xyz}\n")
+    assert found == ["recombination[0].type: unknown model 'xyz' (valid "
+                     "values: auger, avalanche, mass_action, "
+                     "shockley_read_hall)"]
+
+
+@pytest.mark.parametrize("key, value", [("stepper", 5), ("statistics", 5),
+                                        ("device", 3)])
+def test_section_that_is_not_a_mapping_is_one_finding(key, value):
+    # its fields are not reported missing on top of the type finding
+    tree = yaml.safe_load(MINIMAL)
+    tree[key] = value
+    assert problems_of(yaml.safe_dump(tree)) \
+        == [f"{key}: expected a mapping, got int"]
 
 
 def test_unknown_statistics_rejected():

@@ -286,9 +286,13 @@ def test_problem_shape_validation():
 
 # -- equilibrium ----------------------------------------------------------
 
+def equilibrium(dev):
+    return equilibrium_state(assemble_poisson(dev, build_mesh(dev)), BB)
+
+
 def test_equilibrium_pn_antisymmetry():
     dev = pn_junction(cells=64)
-    mesh, phi, (u1, u2) = equilibrium_state(dev, BB)
+    phi, (u1, u2) = equilibrium(dev)
     assert np.max(np.abs(phi + phi[::-1])) <= 1e-9
     # carrier roles swap across the junction
     assert np.max(np.abs(u1 - u2[::-1])) <= 1e-9
@@ -298,7 +302,7 @@ def test_equilibrium_built_in_potential():
     # long device: the end cells sit in quasi-neutral material, so the
     # cross-device potential difference reads off the built-in value
     dev = pn_junction(cells=256, extent=20.0)
-    _, phi, _ = equilibrium_state(dev, BB)
+    phi, _ = equilibrium(dev)
     target = 2.0 * np.arcsinh(0.5)
     assert abs((phi[-1] - phi[0]) - target) <= 1e-3
 
@@ -314,12 +318,12 @@ def test_equilibrium_newton_failure_is_not_hidden(monkeypatch):
     monkeypatch.setattr(nonlinear_poisson, "newton_solve", failing_newton)
     monkeypatch.setattr(nonlinear_poisson, "contraction_iterate", no_fallback)
     with pytest.raises(NonConvergenceError):
-        equilibrium_state(pn_junction(cells=32), BB)
+        equilibrium(pn_junction(cells=32))
 
 
 def test_equilibrium_consistent_densities():
     dev = pn_junction(cells=32)
-    mesh, phi, (u1, u2) = equilibrium_state(dev, BB)
+    phi, (u1, u2) = equilibrium(dev)
     assert np.allclose(u1, np.exp(-phi), rtol=1e-14)
     assert np.allclose(u2, np.exp(phi), rtol=1e-14)
 
@@ -327,4 +331,4 @@ def test_equilibrium_consistent_densities():
 def test_equilibrium_rejects_biased_contacts():
     dev = pn_junction(cells=16, bias_right=0.2)
     with pytest.raises(DomainError, match="zero carrier levels"):
-        equilibrium_state(dev, BB)
+        equilibrium(dev)

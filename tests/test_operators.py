@@ -265,7 +265,7 @@ def test_linear_profile_reproduced_exactly():
     dev = dirichlet_slab(cells=8, extent=2.0, phi_left=1.0, phi_right=3.0)
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
-    load = poisson_data_load(dev, op, t=0.0)
+    load = poisson_data_load(op, t=0.0)
     phi = solve_linear(op, load)
     exact = 1.0 + mesh.cell_centers[:, 0]
     assert np.max(np.abs(phi - exact)) <= 1e-13
@@ -278,7 +278,7 @@ def test_constant_lift_2d():
         contacts=(Contact(side="left", phi=4.0), Contact(side="right", phi=4.0)))
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
-    phi = solve_linear(op, poisson_data_load(dev, op, t=0.0))
+    phi = solve_linear(op, poisson_data_load(op, t=0.0))
     assert np.max(np.abs(phi - 4.0)) <= 1e-12
 
 
@@ -291,7 +291,7 @@ def test_robin_wall_follows_gate_value():
                RobinSegment("right", eps_gamma=0.5, phi_gamma=1.5)))
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
-    load = poisson_data_load(dev, op, t=0.0)
+    load = poisson_data_load(op, t=0.0)
     phi = solve_linear(op, load)
     assert np.max(np.abs(phi - 1.5)) <= 1e-12
 
@@ -671,7 +671,7 @@ def test_tridiagonal_solve_meeting_the_contract_solves_once(monkeypatch):
         return original(b)
 
     monkeypatch.setattr(lu, "solve", counting)
-    b = poisson_data_load(dev, op, t=0.0)
+    b = poisson_data_load(op, t=0.0)
     x = solve_linear(op, b)
     assert calls == [(16,)]
     assert np.linalg.norm(op.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -743,7 +743,7 @@ def test_factor_path_follows_the_pattern_in_1d(monkeypatch, cells,
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
     assert (op.disc.bands is None) == (cells < 3)
-    phi = solve_linear(op, poisson_data_load(dev, op, t=0.0))
+    phi = solve_linear(op, poisson_data_load(op, t=0.0))
     assert len(calls) == splu_calls
     exact = 1.0 + 2.0 * mesh.cell_centers[:, 0]
     assert np.max(np.abs(phi - exact)) <= 1e-13

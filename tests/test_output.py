@@ -69,13 +69,13 @@ def shared_side_run():
 
 
 def test_series_matches_the_per_cell_format(tmp_path, shared_side_run):
-    device, models, result = shared_side_run
-    output._write_series(tmp_path / "series.csv", device, models, result)
+    _, models, result = shared_side_run
+    output._write_series(tmp_path / "series.csv", models, result)
     header = ["t", "dt", "iterations", "balance", "proxy", "current_top_1",
               "current_bottom", "current_top_2"]
     rows = []
     for state, report in zip(result.states[1:], result.reports):
-        flow = terminal_currents(device, result.disc, models, state)
+        flow = terminal_currents(result.disc, models, state)
         rows.append([report.t, report.dt, report.gummel_iterations,
                      report.balance_residual, report.proxy,
                      flow["top_1"], flow["bottom"], flow["top_2"]])

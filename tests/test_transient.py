@@ -164,11 +164,14 @@ def test_dt_respects_cap_and_horizon():
 
 def test_initial_state_rejects_bias_at_start():
     dev = biased_diode(bias=0.1)
-    # the ramp starts at zero, so t = 0 is fine; t = 0.5 is not
+    # the ramp starts at zero, so this device starts; biased at t = 0, not
     models = SimulationModels(stats=BB)
-    initial_state(dev, models, t=0.0)
+    initial_state(dev, models)
+    left, right = dev.contacts
+    biased = dataclasses.replace(dev, contacts=(
+        left, dataclasses.replace(right, bias=0.1)))
     with pytest.raises(DomainError):
-        initial_state(dev, models, t=0.5)
+        initial_state(biased, models)
 
 
 def test_run_runs_its_own_equilibrium():
@@ -188,7 +191,7 @@ def test_terminal_currents_vanish_at_equilibrium():
     poisson = assemble_poisson(dev, build_mesh(dev))
     models = SimulationModels(stats=BB)
     state = initial_state(dev, models, poisson=poisson)
-    currents = terminal_currents(dev, poisson.disc, models, state)
+    currents = terminal_currents(poisson.disc, models, state)
     assert set(currents) == {"left", "right"}
     assert abs(currents["left"]) <= 1e-10
     assert abs(currents["right"]) <= 1e-10
@@ -210,7 +213,7 @@ def test_contacts_sharing_a_side_each_report_their_current():
     state = transient.CarrierState(t=0.0, phi=rng.normal(size=n),
                                    Phi=0.1 * rng.normal(size=(2, n)),
                                    u=np.ones((2, n)))
-    currents = terminal_currents(dev, disc, models, state)
+    currents = terminal_currents(disc, models, state)
     assert list(currents) == ["top_1", "bottom", "top_2"]
     flux = evaluate_face_coefficients(
         disc, BB, models.scheme, state.phi,
@@ -241,7 +244,7 @@ def test_gummel_step_advances_time(monkeypatch):
     models = SimulationModels(stats=BB)
     cfg = TimeStepperConfig(dt_init=0.05, t_end=1.0)
     state = initial_state(dev, models, poisson=poisson)
-    new, report = gummel_step(dev, poisson, models, state, 0.05, cfg)
+    new, report = gummel_step(poisson, models, state, 0.05, cfg)
     assert new.t == pytest.approx(0.05)
     assert state.t == 0.0  # input state untouched
     assert report.gummel_iterations >= 1
@@ -327,8 +330,7 @@ def diode_first_step():
     models = build_models(config)
     poisson = assemble_poisson(config.device, build_mesh(config.device))
     state = initial_state(config.device, models, poisson=poisson)
-    return (config.device, poisson, models, state, config.stepper.dt_init,
-            config.stepper)
+    return poisson, models, state, config.stepper.dt_init, config.stepper
 
 
 def test_failed_sweep_rejects_the_step(monkeypatch):
@@ -440,7 +442,7 @@ def test_2d_step_factors_each_system_once(monkeypatch):
     sweeps = 0
     for _ in range(3):
         factors.clear()
-        state, report = gummel_step(dev, poisson, models, state, 0.01, cfg)
+        state, report = gummel_step(poisson, models, state, 0.01, cfg)
         assert len(factors) <= 3
         assert report.balance_residual <= 1e-12
         sweeps += report.gummel_iterations
@@ -521,11 +523,12 @@ def test_run_builds_one_discretization(monkeypatch):
     assert result.steps_accepted == 5
     assert len(built) == 1
     assert isinstance(result.disc, Discretization)
+    assert result.disc.device is dev
 
     poisson = assemble_poisson(dev, build_mesh(dev))
     state = initial_state(dev, models, poisson=poisson)
     built.clear()
-    gummel_step(dev, poisson, models, state, 0.05, cfg)
+    gummel_step(poisson, models, state, 0.05, cfg)
     assert built == []
 
 
