@@ -58,8 +58,11 @@ _NEUTRAL_RTOL = 1e-12  # relative residual of the neutral-potential iteration
 # transient directions met 1e-3 on its first triangular solve from the
 # run's held factor (worst 1.7e-4), where the 1e-12 contract took 4-5
 # solves each: 80 direction solves instead of 210, for 56 directions
-# instead of 51, and outputs within 1.5e-15 of their scale.  A 1D
-# (gttrs) direction meets 1e-12 on its first solve, so 1D is unchanged.
+# instead of 51, and outputs within 1.5e-15 of their scale.  A direction
+# from a drifted factor stops refining once it meets the forcing term: the
+# 64x64 equilibrium takes 2 factors and 15 triangular solves, against 33
+# with refinement to the rounding floor.  A 1D (gttrs) direction meets
+# 1e-12 on its first solve, so 1D is unchanged.
 _NEWTON_FORCING = 1e-3
 
 

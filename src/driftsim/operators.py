@@ -20,16 +20,18 @@ is tridiagonal in cell order (every 1D mesh of n >= 3 cells) goes to LAPACK
 gttrf/gttrs, a few microseconds where SuperLU spends 100 us on set-up.  Any
 other (2D, and n <= 2, which scipy's gttrf rejects) goes to SuperLU, with
 columns in minimum-degree order of A^T + A, as the pattern is symmetric.
-SuperLU factors through its ILU driver with nothing dropped: the same
-exact LU as ``splu``, on a workspace sized to the fill instead of one
-reserved for a worst case.  On that path ``solve_linear`` can solve a
-system by iterative refinement from the factor of a nearby one held in a
-``FactorSlot``, and factors afresh only when refinement misses the
-residual target; a solve sequence of slowly changing systems (one time
-step's sweeps, a run's potential Newton Jacobians) then takes one factor
-per family instead of one per solve.  The target belongs to the caller:
-a final answer keeps the 1e-12 contract, a Newton direction asks only for
-its forcing term.
+SuperLU factors through its ILU driver with nothing dropped and with
+unrelaxed supernodes: the same exact LU as ``splu``, on a workspace sized
+to the fill instead of one reserved for a worst case.  On that path
+``solve_linear`` can solve a system by iterative refinement from the
+factor of a nearby one held in a ``FactorSlot``, and factors afresh only
+when refinement misses the residual target; a solve sequence of slowly
+changing systems (one time step's sweeps, a run's potential Newton
+Jacobians) then takes one factor per family instead of one per solve.
+The target belongs to the caller, and one rule stops the refinement: a
+target looser than the 1e-12 contract (a Newton direction's forcing
+term) ends it as soon as it is met, while a final answer at the contract
+is refined to the rounding floor.
 
 One kernel, ``carrier_face_coefficients``, computes both carriers'
 coefficients on every stencil face from densities its caller evaluated:
@@ -216,6 +218,17 @@ class Discretization:
             if n >= 3 and np.array_equal(lo, np.arange(n - 1)) \
             and np.array_equal(hi, lo + 1) else None
 
+    def check_matches(self, device: DeviceSpec, mesh: Mesh | None = None):
+        """Raise DomainError unless ``device`` equals this discretization's
+        and ``mesh``, when given, has its mesh's shape and cell centers,
+        compared by value, so an equal mesh built apart passes."""
+        if device != self.device:
+            raise DomainError("device differs from the discretization's")
+        if mesh is not None and not (
+                mesh.shape == self.mesh.shape
+                and np.array_equal(mesh.cell_centers, self.mesh.cell_centers)):
+            raise DomainError("mesh differs from the discretization's")
+
     def diagonal(self, a, b, cells, values) -> np.ndarray:
         """Diagonal of a stencil operator with face coefficients ``a``/``b``,
         plus ``values`` summed into ``cells`` after the face terms."""
@@ -251,7 +264,13 @@ class Discretization:
 # splu (2 vCPUs, scipy 1.17.1): F = 2 took 1.24x splu's time (the growth
 # reallocs), F = 3-5 1.02-1.05x, F = 7 and 10 1.07x and 1.12x; a live
 # factor held 2.1 MB of heap at F = 4, 3.5 MB at 7 and 5.0 MB at 10,
-# where an splu factor holds 14.7 MB for the same fill.
+# where an splu factor holds 14.7 MB for the same fill.  Supernodes are
+# left unrelaxed (relax = panel_size = 1): on the junction's Jacobian
+# and continuity matrices, interleaved against this driver's defaults
+# (median of 40 samples, 10 on 128x128), a factor took 0.76x the time on
+# 32x32, 0.81x on 64x64 and 0.68x on 128x128; (relax, panel_size) =
+# (2, 2), (1, 4) and (4, 4) took 0.71-0.88x.  The fill (6.26 nnz(A) on
+# 64x64) and a solve's residual stayed the same on every mesh.
 _FILL_FACTOR = 4
 
 
@@ -297,7 +316,7 @@ class SparseOperator:
                     self._lu = spla.spilu(
                         self.matrix, drop_tol=0.0, drop_rule="basic",
                         diag_pivot_thresh=1.0, fill_factor=_FILL_FACTOR,
-                        permc_spec="MMD_AT_PLUS_A")
+                        permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
                 else:
                     self._lu = _TridiagonalLU(self.matrix.data, bands)
             except RuntimeError as exc:
@@ -531,13 +550,16 @@ def _norm(v: np.ndarray) -> float:
     return norm
 
 
-def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float):
+def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float,
+            to_floor: bool):
     """Solve ``matrix x = b`` from the factor ``lu`` of ``matrix`` or of a
     nearby matrix.  Returns the first solve x = LU^{-1} b when its residual
     meets ``target``; otherwise refines, x <- x + LU^{-1} (b - matrix x),
-    while each step at least halves the residual, so it runs down to the
-    rounding floor when the factor is close, and stops early when it is
-    not; at most _REFINE_MAX steps.  Returns x and ||b - matrix x||."""
+    while each step at least halves the residual, at most _REFINE_MAX
+    steps.  A residual that meets ``target`` ends the refinement, unless
+    ``to_floor`` (a final answer at the contract), which runs it down to
+    the rounding floor while the factor is close.  Returns x and
+    ||b - matrix x||."""
     x = lu.solve(b)
     r = b - matrix @ x
     res = _norm(r)
@@ -551,7 +573,7 @@ def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float):
             break
         halved = res_next <= 0.5 * res
         x, r, res = x_next, r_next, res_next
-        if not halved:
+        if not halved or (res <= target and not to_floor):
             break
     return x, res
 
@@ -569,7 +591,9 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
     _SOLVE_RTOL, the contract of a solve whose answer is final; a caller
     that checks the answer itself (a Newton direction) may pass a looser
     one.  Every solve goes through ``_refine``: it returns the first solve
-    when ||Ax-b|| <= rtol * ||b||, and refines otherwise.  On the
+    when ||Ax-b|| <= rtol * ||b||, and refines otherwise; a target looser
+    than _SOLVE_RTOL ends the refinement as soon as it is met, while a
+    solve at the contract refines to the rounding floor.  On the
     SuperLU path the factor held in ``slot``, if any, is tried first and
     accepted if it meets the contract.  Otherwise the slot is emptied, so
     the stale factor is freed before the new one is allocated, and ``op``
@@ -581,18 +605,20 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
     """
     b = np.asarray(b, dtype=float)
     target = rtol * max(float(_norm(b)), np.finfo(float).tiny)
+    to_floor = rtol <= _SOLVE_RTOL
     if op.disc.bands is not None:
         slot = None
     if slot is not None:
         if slot.op is not None:
-            x, res = _refine(op.matrix, slot.op.factor(), b, target)
+            x, res = _refine(op.matrix, slot.op.factor(), b, target,
+                             to_floor)
             if res <= target:
                 return x
         slot.op = None
     lu = op.factor()
     if slot is not None:
         slot.op = op
-    x, res = _refine(op.matrix, lu, b, target)
+    x, res = _refine(op.matrix, lu, b, target, to_floor)
     if not res <= target:
         raise SolverError(f"linear solve residual {res:.3e} exceeds "
                           f"{rtol:.1e} * ||b||")

@@ -121,9 +121,10 @@ def write_outputs(config: SimulationConfig, device: DeviceSpec, mesh: Mesh,
     working directory), and a sink's missing parent directories are made.
     Writes happen sequentially in declaration order, so two sinks may
     safely share a path prefix.  Sinks read ``result.disc``; ``device``
-    and ``mesh`` are its own and stay only because ``perfbench/workloads.py``
-    passes them.
+    and ``mesh`` must be its own, else DomainError, and stay only because
+    ``perfbench/workloads.py`` passes them.
     """
+    result.disc.check_matches(device, mesh)
     written = []
     for sink in config.output:
         path = sink.path if directory is None \

@@ -35,12 +35,12 @@ refinement cannot bring within its residual target is factored afresh
 and replaces the held factor.  The potential Newton Jacobian
 P + V diag(F1' + F2') moves only through the densities, so ``run`` holds
 its factor for the whole run, and a Newton direction, which needs only
-the forcing term, mostly takes one triangular solve from it.  Each
-carrier's continuity factor is held for one step and dropped when the
-step returns or raises: dt, and the V/dt on the continuity diagonal
-with it, changes between steps by more than refinement can bridge.  A
-tridiagonal (1D) system is factored each time, as that costs a few
-microseconds.
+the forcing term, mostly takes one triangular solve from it and stops
+refining as soon as it meets that term.  Each carrier's continuity
+factor is held for one step and dropped when the step returns or
+raises: dt, and the V/dt on the continuity diagonal with it, changes
+between steps by more than refinement can bridge.  A tridiagonal (1D)
+system is factored each time, as that costs a few microseconds.
 
 A step that produces a nonpositive density or fails to converge raises
 StepRejected; the driver halves the step and retries, growing it again
@@ -200,9 +200,12 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
                   poisson: SparseOperator | None = None) -> CarrierState:
     """Thermal equilibrium start at t = 0, where contacts must be unbiased,
     on ``poisson`` when given, else on an operator assembled here on
-    ``mesh`` (built from ``device`` when None)."""
+    ``mesh`` (built from ``device`` when None).  A ``poisson`` of another
+    device, or of a mesh unlike ``mesh``, raises DomainError."""
     if poisson is None:
         poisson = assemble_poisson(device, mesh or build_mesh(device))
+    else:
+        poisson.disc.check_matches(device, mesh)
     phi, u = equilibrium_state(poisson, models.stats)
     return CarrierState(t=0.0, phi=phi, Phi=np.zeros_like(u), u=u)
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from driftsim.device import (
     BoxDoping,
@@ -296,6 +297,39 @@ def test_equilibrium_pn_antisymmetry():
     assert np.max(np.abs(phi + phi[::-1])) <= 1e-9
     # carrier roles swap across the junction
     assert np.max(np.abs(u1 - u2[::-1])) <= 1e-9
+
+
+def test_2d_equilibrium_stops_its_directions_at_the_forcing_term(
+        monkeypatch):
+    # the 64x64 junction's equilibrium Newton holds one Jacobian factor;
+    # once that drifts, a direction stops at the first refinement step
+    # that meets the forcing term instead of going on to the rounding
+    # floor: 15 triangular solves here, 33 with floor refinement
+    phi_n = float(np.arcsinh(0.5))
+    dev = DeviceSpec(
+        dimension=2, extent=(20.0, 20.0), resolution=(64, 64),
+        regions=(MaterialRegion("bulk", ((0.0, 20.0), (0.0, 20.0))),),
+        contacts=(Contact(side="left", phi=-phi_n),
+                  Contact(side="right", phi=phi_n)),
+        doping=DopingProfile(boxes=(
+            BoxDoping(((0.0, 10.0), (0.0, 20.0)), -1.0),
+            BoxDoping(((10.0, 20.0), (0.0, 20.0)), 1.0))))
+    solves = []
+    spilu = spla.spilu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(b.shape)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(spla, "spilu",
+                        lambda *args, **kwargs: Counted(spilu(*args, **kwargs)))
+    phi, _ = equilibrium(dev)
+    assert 0 < len(solves) <= 16
+    assert np.max(np.abs(phi + phi.reshape(64, 64)[:, ::-1].ravel())) <= 1e-9
 
 
 def test_equilibrium_built_in_potential():

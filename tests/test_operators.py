@@ -634,6 +634,93 @@ def test_solve_linear_refines_from_the_held_factor(monkeypatch):
     assert len(calls) == 2 and slot.op is far
 
 
+class _CountingFactor:
+    """A factor whose triangular solves are counted."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def _stale_jacobian(height):
+    """The 24x24 junction's Newton Jacobian P + V (e^phi + e^-phi) at a
+    potential ramp of ``height`` across the device, and a slot holding the
+    counted factor of the Jacobian at phi = 0."""
+    dev = _junction_2d(cells=24)
+    mesh = build_mesh(dev)
+    poisson = assemble_poisson(dev, mesh)
+    held = SparseOperator(poisson.shifted(2.0 * mesh.cell_volumes),
+                          poisson.disc)
+    held._lu = _CountingFactor(held.factor())
+    slot = FactorSlot()
+    slot.op = held
+    phi = height * (mesh.cell_centers[:, 0] / 10.0 - 1.0)
+    jacobian = SparseOperator(poisson.shifted(
+        2.0 * mesh.cell_volumes * np.cosh(phi)), poisson.disc)
+    return jacobian, slot
+
+
+def test_loose_target_stops_at_the_first_step_that_meets_it():
+    # a Newton direction from a held factor of a drifted Jacobian: the
+    # refinement iterates, replayed here, first meet 1e-3 at iterate k >= 2,
+    # and solve_linear returns that iterate after k + 1 solves, no factor
+    jacobian, slot = _stale_jacobian(0.8)
+    held, counted = slot.op, slot.op._lu
+    b = np.random.default_rng(3).normal(size=jacobian.dimension)
+    target = 1e-3 * np.linalg.norm(b)
+    iterates = [counted.lu.solve(b)]
+    while np.linalg.norm(b - jacobian.matrix @ iterates[-1]) > target:
+        assert len(iterates) <= 8
+        iterates.append(iterates[-1] + counted.lu.solve(
+            b - jacobian.matrix @ iterates[-1]))
+    assert len(iterates) >= 3
+    x = solve_linear(jacobian, b, slot, rtol=1e-3)
+    assert counted.solves == len(iterates)
+    assert np.array_equal(x, iterates[-1])
+    assert slot.op is held and jacobian._lu is None
+
+
+def _floor_refinement(matrix, lu, b):
+    """Refinement to the rounding floor: the first solve, then steps while
+    each at least halves the residual, at most 8 of them; (x, solves)."""
+    x = lu.solve(b)
+    res = np.linalg.norm(b - matrix @ x)
+    solves = 1
+    for _ in range(8):
+        x_next = x + lu.solve(b - matrix @ x)
+        solves += 1
+        res_next = np.linalg.norm(b - matrix @ x_next)
+        if not res_next < res:
+            break
+        halved = res_next <= 0.5 * res
+        x, res = x_next, res_next
+        if not halved:
+            break
+    return x, solves
+
+
+def test_contract_solve_refines_to_the_floor():
+    # at the 1e-12 contract a solve that needs refining is refined to the
+    # rounding floor, not to the contract: the same solves and the same
+    # bits as floor refinement, and more solves than a loose target takes
+    jacobian, slot = _stale_jacobian(0.3)
+    counted = slot.op._lu
+    b = np.random.default_rng(4).normal(size=jacobian.dimension)
+    want, solves = _floor_refinement(jacobian.matrix, counted.lu, b)
+    x = solve_linear(jacobian, b, slot)
+    assert counted.solves == solves >= 4
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
+    assert np.linalg.norm(jacobian.matrix @ x - b) \
+        <= 1e-14 * np.linalg.norm(b)
+    assert jacobian._lu is None
+    counted.solves = 0
+    solve_linear(jacobian, b, slot, rtol=1e-3)
+    assert counted.solves < solves
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_singular_system_in_solve_linear_is_a_solver_error(dimension):
     # a zero first column makes the matrix exactly singular, on the gttrf

@@ -174,6 +174,23 @@ def test_initial_state_rejects_bias_at_start():
         initial_state(biased, models)
 
 
+def test_initial_state_rejects_another_device_or_mesh_beside_poisson():
+    # the operator carries the device and mesh it solves on; a device or a
+    # mesh passed beside it must be equal to them, and an equal mesh built
+    # apart is
+    dev = biased_diode(cells=16)
+    models = SimulationModels(stats=BB)
+    poisson = assemble_poisson(dev, build_mesh(dev))
+    start = initial_state(dev, models, build_mesh(dev), poisson)
+    assert start.phi.shape == (16,)
+    with pytest.raises(DomainError, match="device differs"):
+        initial_state(biased_diode(bias=0.2, cells=16), models,
+                      poisson=poisson)
+    for other in (biased_diode(cells=32), insulated_box(cells=16)):
+        with pytest.raises(DomainError, match="mesh differs"):
+            initial_state(dev, models, build_mesh(other), poisson)
+
+
 def test_run_runs_its_own_equilibrium():
     dev = biased_diode(bias=0.05)
     models = SimulationModels(stats=BB)
@@ -556,3 +573,23 @@ def test_write_outputs_builds_no_discretization(monkeypatch, tmp_path):
     assert built == []
     rows = (tmp_path / "series.csv").read_text().splitlines()
     assert len(rows) == 1 + 5
+
+
+def test_write_outputs_rejects_another_device_or_mesh(tmp_path):
+    # the sinks read the result's own Discretization, so a device or mesh
+    # unlike it is an error, not silently another run's outputs
+    dev = biased_diode(cells=16)
+    models = SimulationModels(stats=BB)
+    cfg = TimeStepperConfig(dt_init=0.05, t_end=0.1)
+    result = run(dev, models, cfg)
+    config = SimulationConfig(device=dev, stepper=cfg, output=(
+        OutputSink("report", "report.json"),))
+    with pytest.raises(DomainError, match="device differs"):
+        write_outputs(config, biased_diode(bias=0.2, cells=16),
+                      build_mesh(dev), models, result,
+                      directory=str(tmp_path))
+    for other in (biased_diode(cells=32), insulated_box(cells=16)):
+        with pytest.raises(DomainError, match="mesh differs"):
+            write_outputs(config, dev, build_mesh(other), models, result,
+                          directory=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
