@@ -185,8 +185,8 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
             return phi, SolveReport(it, res, densities)
         J = SparseOperator(problem.poisson.shifted(diagonal),
                            problem.poisson.disc)
-        delta = solve_linear(J, r, slot, rtol=_NEWTON_FORCING)
-        if not np.all(np.isfinite(delta)):
+        delta, _ = solve_linear(J, r, slot, rtol=_NEWTON_FORCING)
+        if not np.isfinite(delta).all():
             # an overflowed Jacobian diagonal poisons the direction; no
             # amount of damping recovers from a non-finite step
             raise NonConvergenceError("Newton direction is not finite",
@@ -198,7 +198,7 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
                 r_trial, diagonal_trial, densities_trial = \
                     problem.linearize(trial)
             res_trial = (problem.dual_norm(r_trial)
-                         if np.all(np.isfinite(r_trial)) else math.inf)
+                         if np.isfinite(r_trial).all() else math.inf)
             if res_trial < res:
                 break
             step *= 0.5

@@ -9,17 +9,23 @@ The electron/hole continuity operators use Scharfetter-Gummel fitting,
 optionally corrected for degenerate statistics (see ``FluxScheme``).
 
 A ``Discretization`` holds what a run never changes: the device, the
-stencil, the transmissibilities and the one CSC sparsity pattern all
-matrices share.  A run builds it once, with its Poisson operator, and
-carries it on ``SimulationResult.disc``, so currents and outputs read it
-from there.  Matrices are filled straight into that pattern, so no sweep
+stencil, the transmissibilities and the sparsity pattern all matrices
+share.  A run builds it once, with its Poisson operator, and carries it
+on ``SimulationResult.disc``, so currents and outputs read it from
+there.  Matrices are filled straight into that pattern, so no sweep
 builds a coordinate list or converts a format.
 
-``SparseOperator.factor`` is the one place that factors.  A pattern that
-is tridiagonal in cell order (every 1D mesh of n >= 3 cells) goes to LAPACK
-gttrf/gttrs, a few microseconds where SuperLU spends 100 us on set-up.  Any
-other (2D, and n <= 2, which scipy's gttrf rejects) goes to SuperLU, with
-columns in minimum-degree order of A^T + A, as the pattern is symmetric.
+A pattern that is tridiagonal in cell order (every 1D mesh of n >= 3
+cells, flagged by ``Discretization.bands``) holds each matrix as its
+three bands, a ``Tridiagonal``: its product is band arithmetic in the
+summation order of scipy's CSC product, so bit for bit the same, and
+LAPACK gttrf/gttrs factors and solves it straight from the bands, a few
+microseconds where SuperLU spends 100 us on set-up.  A 1D sweep is bound
+by call overhead, not arithmetic, so it builds no scipy.sparse matrix.
+Any other pattern (2D, and n <= 2, which scipy's gttrf rejects) holds a
+CSC matrix that shares the ``Discretization``'s index arrays and goes to
+SuperLU, with columns in minimum-degree order of A^T + A, as the pattern
+is symmetric.  ``SparseOperator.factor`` is the one place that factors.
 SuperLU factors through its ILU driver with nothing dropped and with
 unrelaxed supernodes: the same exact LU as ``splu``, on a workspace sized
 to the fill instead of one reserved for a worst case.  On that path
@@ -31,7 +37,8 @@ Jacobians) then takes one factor per family instead of one per solve.
 The target belongs to the caller, and one rule stops the refinement: a
 target looser than the 1e-12 contract (a Newton direction's forcing
 term) ends it as soon as it is met, while a final answer at the contract
-is refined to the rounding floor.
+is refined to the rounding floor.  Every solve returns its residual
+with the answer, so a caller that reports it forms it once.
 
 One kernel, ``carrier_face_coefficients``, computes both carriers'
 coefficients on every stencil face from densities its caller evaluated:
@@ -68,8 +75,8 @@ from .errors import DomainError, SolverError
 from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 
 __all__ = [
-    "Discretization", "SparseOperator", "FluxScheme", "FaceCoefficients",
-    "bernoulli", "eta_face", "assemble_poisson",
+    "Discretization", "Tridiagonal", "SparseOperator", "FluxScheme",
+    "FaceCoefficients", "bernoulli", "eta_face", "assemble_poisson",
     "poisson_data_load", "ghost_arguments", "with_ghosts",
     "carrier_face_coefficients", "evaluate_face_coefficients",
     "assemble_continuity", "continuity_face_flux", "apply_surface_load",
@@ -141,6 +148,46 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
     return eta
 
 
+class Tridiagonal:
+    """A tridiagonal matrix held as its three bands: ``lower`` (the
+    (i + 1, i) entries), ``diagonal`` and ``upper`` (the (i, i + 1)
+    entries).  Bands are never written in place, so a shifted matrix
+    shares its off-diagonal bands with the one it came from.
+
+    ``@`` sums each row's sub-, main and super-diagonal products onto
+    +0.0, the order of scipy's CSC product of the same entries (column by
+    column, into a zeroed result), so the two agree bit for bit, signed
+    zeros included.
+    """
+    __slots__ = ("lower", "diagonal", "upper")
+
+    def __init__(self, lower: np.ndarray, diagonal: np.ndarray,
+                 upper: np.ndarray):
+        self.lower, self.diagonal, self.upper = lower, diagonal, upper
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.diagonal.size, self.diagonal.size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.diagonal.size)
+        y[1:] += self.lower * x[:-1]
+        y += self.diagonal * x
+        y[:-1] += self.upper * x[1:]
+        return y
+
+    def tocsc(self) -> sp.csc_matrix:
+        """The same entries as a CSC matrix, explicit zeros kept."""
+        i = np.arange(self.diagonal.size)
+        return sp.csc_matrix(
+            (np.concatenate([self.lower, self.diagonal, self.upper]),
+             (np.concatenate([i[1:], i, i[:-1]]),
+              np.concatenate([i[:-1], i, i[1:]]))), shape=self.shape)
+
+    def toarray(self) -> np.ndarray:
+        return self.tocsc().toarray()
+
+
 class Discretization:
     """Flux stencil, transmissibilities and sparsity pattern of ``mesh``,
     and the ``device`` it was built from, whose boundary and reaction data
@@ -153,11 +200,12 @@ class Discretization:
     field extended by its ghost values is read alike on every face, with
     the rows (eps, mu1, mu2) of ``transmissibility``.  Robin faces add
     ``robin_coeff`` to the diagonal of ``robin_cell``, loaded by segment
-    ``robin_segment``.  The CSC pattern, structurally symmetric, holds the
-    full diagonal (at ``diagonal_slots`` of the data) and the (lo, hi) and
-    (hi, lo) entries of every interior face.  If it is tridiagonal (n >= 3,
-    interior face j joins cells j and j + 1), ``bands`` holds the data
-    slots of the sub-, main and super-diagonal, else None.
+    ``robin_segment``.  The pattern, structurally symmetric, holds the
+    full diagonal and the (lo, hi) and (hi, lo) entries of every interior
+    face.  ``bands`` is True when it is tridiagonal (n >= 3, interior face
+    j joins cells j and j + 1): every matrix on it is then a
+    ``Tridiagonal``.  Otherwise every matrix is CSC, sharing one set of
+    index arrays, with the diagonal at ``diagonal_slots`` of its data.
     """
 
     def __init__(self, device: DeviceSpec, mesh: Mesh):
@@ -203,20 +251,20 @@ class Discretization:
         self._diagonal = (np.concatenate([lo, hi, cell]), terms)
         self._ghost_load = (cell, j + faces.size * (self.hi[j] >= n))
 
-        # entries in fill order: the diagonal, then (lo, hi) and (hi, lo)
-        # of each interior face; sorted by column, then row, they are CSC
-        rows = np.concatenate([np.arange(n), lo, hi])
-        cols = np.concatenate([np.arange(n), hi, lo])
-        self._order = np.lexsort((rows, cols))
-        self._template = sp.csc_matrix((np.zeros(rows.size), (rows, cols)),
-                                       shape=(n, n))
-        for index in (self._template.indices, self._template.indptr):
-            index.flags.writeable = False  # every matrix here shares them
-        slots = np.argsort(self._order)
-        self.diagonal_slots = slots[:n]
-        self.bands = (slots[2 * n - 1:], slots[:n], slots[n:2 * n - 1]) \
-            if n >= 3 and np.array_equal(lo, np.arange(n - 1)) \
-            and np.array_equal(hi, lo + 1) else None
+        self.bands = n >= 3 and np.array_equal(lo, np.arange(n - 1)) \
+            and np.array_equal(hi, lo + 1)
+        if not self.bands:
+            # entries in fill order: the diagonal, then (lo, hi) and
+            # (hi, lo) of each interior face; sorted by column, then row,
+            # they are CSC
+            rows = np.concatenate([np.arange(n), lo, hi])
+            cols = np.concatenate([np.arange(n), hi, lo])
+            self._order = np.lexsort((rows, cols))
+            self._template = sp.csc_matrix(
+                (np.zeros(rows.size), (rows, cols)), shape=(n, n))
+            for index in (self._template.indices, self._template.indptr):
+                index.flags.writeable = False  # every matrix shares them
+            self.diagonal_slots = np.argsort(self._order)[:n]
 
     def check_matches(self, device: DeviceSpec, mesh: Mesh | None = None):
         """Raise DomainError unless ``device`` equals this discretization's
@@ -243,15 +291,18 @@ class Discretization:
         np.add.at(out, cells, np.concatenate([a, b])[terms] * ghost)
         return out
 
-    def matrix(self, diagonal, upper, lower) -> sp.csc_matrix:
+    def matrix(self, diagonal, upper, lower) -> sp.csc_matrix | Tridiagonal:
         """The matrix with ``diagonal``, ``upper[j]`` at the (lo, hi) entry
         and ``lower[j]`` at the (hi, lo) entry of each interior face j."""
         m = self.n_interior
+        if self.bands:
+            return Tridiagonal(lower[:m], diagonal, upper[:m])
         return self.csc(np.concatenate([diagonal, upper[:m],
                                         lower[:m]])[self._order])
 
     def csc(self, data: np.ndarray) -> sp.csc_matrix:
-        """The matrix whose data array, in pattern order, is ``data``."""
+        """The CSC matrix whose data array, in pattern order, is ``data``
+        (not on a tridiagonal pattern, which holds no CSC template)."""
         # a shallow copy shares the pattern, and its canonical flag, which
         # scipy set once, instead of having its constructor check it again
         out = copy.copy(self._template)
@@ -275,10 +326,11 @@ _FILL_FACTOR = 4
 
 
 class _TridiagonalLU:
-    """LAPACK gttrf factors of CSC ``data`` on ``bands``, solved by gttrs."""
+    """LAPACK gttrf factors of a ``Tridiagonal``, solved by gttrs."""
 
-    def __init__(self, data: np.ndarray, bands):
-        *self._factors, info = lapack.dgttrf(*(data[s] for s in bands))
+    def __init__(self, matrix: Tridiagonal):
+        *self._factors, info = lapack.dgttrf(matrix.lower, matrix.diagonal,
+                                             matrix.upper)
         if info > 0:
             raise RuntimeError(f"Factor is exactly singular (row {info - 1})")
 
@@ -288,8 +340,9 @@ class _TridiagonalLU:
 
 @dataclass
 class SparseOperator:
-    """A matrix on its ``Discretization``'s pattern and its cached factors."""
-    matrix: sp.csc_matrix
+    """A matrix on its ``Discretization``'s pattern and its cached factors:
+    a ``Tridiagonal`` when the pattern has ``bands``, else CSC."""
+    matrix: sp.csc_matrix | Tridiagonal
     disc: Discretization
 
     _lu: object = field(default=None, repr=False, compare=False)
@@ -310,21 +363,24 @@ class SparseOperator:
         longer an LU).
         """
         if self._lu is None:
-            bands = self.disc.bands
             try:
-                if bands is None:
+                if self.disc.bands:
+                    self._lu = _TridiagonalLU(self.matrix)
+                else:
                     self._lu = spla.spilu(
                         self.matrix, drop_tol=0.0, drop_rule="basic",
                         diag_pivot_thresh=1.0, fill_factor=_FILL_FACTOR,
                         permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-                else:
-                    self._lu = _TridiagonalLU(self.matrix.data, bands)
             except RuntimeError as exc:
                 raise SolverError(f"factorization failed: {exc}") from exc
         return self._lu
 
-    def shifted(self, diagonal: np.ndarray) -> sp.csc_matrix:
+    def shifted(self, diagonal: np.ndarray) -> sp.csc_matrix | Tridiagonal:
         """The matrix plus ``diag(diagonal)``, on the same pattern."""
+        if self.disc.bands:
+            return Tridiagonal(self.matrix.lower,
+                               self.matrix.diagonal + diagonal,
+                               self.matrix.upper)
         data = self.matrix.data.copy()
         data[self.disc.diagonal_slots] += diagonal
         return self.disc.csc(data)
@@ -378,7 +434,8 @@ class FaceCoefficients:
         out[:, d.faces] = self.a * self.u[:, d.lo] - self.b * self.u[:, d.hi]
         return out
 
-    def system(self, k: int, diagonal) -> tuple[sp.csc_matrix, np.ndarray]:
+    def system(self, k: int, diagonal,
+               ) -> tuple[sp.csc_matrix | Tridiagonal, np.ndarray]:
         """Carrier k's net-outflow matrix M plus ``diagonal``, and its
         Dirichlet load; ``M u[k-1, :n_cells] - load`` is the cellwise
         divergence of ``flux()[k-1]``.  The ``diagonal`` (a time-derivative
@@ -453,7 +510,7 @@ def evaluate_face_coefficients(disc: Discretization, stats,
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
                         scheme: FluxScheme, k: int, phi: np.ndarray,
                         chi: np.ndarray, contacts: np.ndarray,
-                        ) -> tuple[sp.csc_matrix, np.ndarray]:
+                        ) -> tuple[sp.csc_matrix | Tridiagonal, np.ndarray]:
     """Steady continuity matrix M (net outflow of carrier k) and its load:
     ``evaluate_face_coefficients`` with both carriers at ``stats`` and
     ``chi``, on a ``Discretization`` of ``mesh``.  The load carries only
@@ -541,30 +598,36 @@ class FactorSlot:
 
 
 def _norm(v: np.ndarray) -> float:
-    """The 2-norm of ``v``, rescaled by max|v| only when the plain norm
-    overflows, so every finite case is the plain norm bit for bit."""
-    norm = np.linalg.norm(v)
-    if math.isinf(norm):
-        scale = np.max(np.abs(v))
-        norm = scale * np.linalg.norm(v / scale)
+    """The 2-norm of the float vector ``v``, sqrt(v . v) as
+    ``np.linalg.norm`` computes it, so every finite case is that norm bit
+    for bit.  When v . v overflows and max|v| is finite, the norm is
+    rescaled by max|v|; a vector with an infinite entry reads inf, and
+    one with a NaN reads NaN.  The overflow of the plain try is the
+    caller's to silence."""
+    norm = math.sqrt(v.dot(v))
+    if norm == math.inf:
+        scale = np.abs(v).max()
+        if scale < math.inf:
+            w = v / scale
+            norm = float(scale) * math.sqrt(w.dot(w))
     return norm
 
 
-def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float,
-            to_floor: bool):
+def _refine(matrix: sp.csc_matrix | Tridiagonal, lu, b: np.ndarray,
+            target: float, to_floor: bool):
     """Solve ``matrix x = b`` from the factor ``lu`` of ``matrix`` or of a
     nearby matrix.  Returns the first solve x = LU^{-1} b when its residual
     meets ``target``; otherwise refines, x <- x + LU^{-1} (b - matrix x),
     while each step at least halves the residual, at most _REFINE_MAX
     steps.  A residual that meets ``target`` ends the refinement, unless
     ``to_floor`` (a final answer at the contract), which runs it down to
-    the rounding floor while the factor is close.  Returns x and
-    ||b - matrix x||."""
+    the rounding floor while the factor is close.  Returns x, its residual
+    r = b - matrix x and ||r||."""
     x = lu.solve(b)
     r = b - matrix @ x
     res = _norm(r)
     if res <= target:
-        return x, res
+        return x, r, res
     for _ in range(_REFINE_MAX):
         x_next = x + lu.solve(r)
         r_next = b - matrix @ x_next
@@ -575,16 +638,18 @@ def _refine(matrix: sp.csc_matrix, lu, b: np.ndarray, target: float,
         x, r, res = x_next, r_next, res_next
         if not halved or (res <= target and not to_floor):
             break
-    return x, res
+    return x, r, res
 
 
-# _norm's first try and the residual matvec may overflow: _norm rescales
-# the first, so the target is finite whenever ||b|| is a finite float,
-# and a residual that reads inf meets no contract
-@np.errstate(over="ignore")
+# the residual matvec may overflow, and _norm's first try with it: _norm
+# rescales the try, so the target is finite whenever b is.  A non-finite
+# b or x makes inf - inf or 0 * inf in the matvec; either way a target or
+# residual that is not finite meets no contract, so the solve raises a
+# SolverError and no warning
+@np.errstate(over="ignore", invalid="ignore")
 def solve_linear(op: SparseOperator, b: np.ndarray,
                  slot: FactorSlot | None = None,
-                 rtol: float = _SOLVE_RTOL) -> np.ndarray:
+                 rtol: float = _SOLVE_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Direct solve with an explicit residual contract.
 
     The caller owns the target: ``rtol`` relative to ||b||, by default
@@ -599,27 +664,28 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
     the stale factor is freed before the new one is allocated, and ``op``
     is factored (cached on the operator) and kept in the slot.  The
     tridiagonal path ignores the slot, as its factor costs a few
-    microseconds.  Raises SolverError when the fresh factor misses the
-    contract, when the residual is not finite, or when the matrix is
-    singular.
+    microseconds.  Returns x and its residual b - Ax, which the refinement
+    formed anyway.  Raises SolverError when the fresh factor misses the
+    contract, when the target or the residual is not finite, or when the
+    matrix is singular.
     """
     b = np.asarray(b, dtype=float)
-    target = rtol * max(float(_norm(b)), np.finfo(float).tiny)
+    target = rtol * max(_norm(b), np.finfo(float).tiny)
     to_floor = rtol <= _SOLVE_RTOL
-    if op.disc.bands is not None:
+    if op.disc.bands:
         slot = None
     if slot is not None:
         if slot.op is not None:
-            x, res = _refine(op.matrix, slot.op.factor(), b, target,
-                             to_floor)
-            if res <= target:
-                return x
+            x, r, res = _refine(op.matrix, slot.op.factor(), b, target,
+                                to_floor)
+            if res <= target < math.inf:
+                return x, r
         slot.op = None
     lu = op.factor()
     if slot is not None:
         slot.op = op
-    x, res = _refine(op.matrix, lu, b, target, to_floor)
-    if not res <= target:
+    x, r, res = _refine(op.matrix, lu, b, target, to_floor)
+    if not res <= target < math.inf:
         raise SolverError(f"linear solve residual {res:.3e} exceeds "
-                          f"{rtol:.1e} * ||b||")
-    return x
+                          f"{rtol:.1e} * ||b|| = {target:.3e}")
+    return x, r

@@ -201,13 +201,37 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
     """Thermal equilibrium start at t = 0, where contacts must be unbiased,
     on ``poisson`` when given, else on an operator assembled here on
     ``mesh`` (built from ``device`` when None).  A ``poisson`` of another
-    device, or of a mesh unlike ``mesh``, raises DomainError."""
+    device, or of a mesh unlike ``mesh``, raises DomainError, and so does
+    a ``mesh`` that is not ``device``'s: another cell count per axis, or
+    cell centers that do not run from half a cell inside 0 to half a
+    cell inside the extent."""
     if poisson is None:
-        poisson = assemble_poisson(device, mesh or build_mesh(device))
+        if mesh is None:
+            mesh = build_mesh(device)
+        elif not _mesh_fits(device, mesh):
+            raise DomainError(
+                f"mesh of shape {mesh.shape} does not fit the device "
+                f"(resolution {tuple(device.resolution)}, extent "
+                f"{tuple(device.extent)})")
+        poisson = assemble_poisson(device, mesh)
     else:
         poisson.disc.check_matches(device, mesh)
     phi, u = equilibrium_state(poisson, models.stats)
     return CarrierState(t=0.0, phi=phi, Phi=np.zeros_like(u), u=u)
+
+
+def _mesh_fits(device: DeviceSpec, mesh: Mesh) -> bool:
+    """Whether ``mesh`` has ``device``'s cells: its resolution, and first
+    and last cell centers half a cell inside each end of its extent,
+    without building the device's mesh again."""
+    shape = tuple(int(n) for n in device.resolution)
+    if mesh.shape != shape:
+        return False
+    extent = np.array(device.extent, dtype=float)
+    h = extent / shape
+    gap = np.abs([mesh.cell_centers.min(axis=0) - 0.5 * h,
+                  mesh.cell_centers.max(axis=0) - (extent - 0.5 * h)])
+    return bool((gap <= 1e-12 * extent).all())
 
 
 def _cell_currents(disc: Discretization, phi: np.ndarray,
@@ -335,16 +359,17 @@ def gummel_step(poisson: SparseOperator, models: SimulationModels,
             if source is not None:
                 rhs = rhs + V * source[k - 1]
             try:
-                u_k = solve_linear(SparseOperator(system, disc), rhs,
-                                   continuity[k - 1])
+                u_k, defect = solve_linear(SparseOperator(system, disc), rhs,
+                                           continuity[k - 1])
             except SolverError as exc:
                 raise StepRejected(f"continuity solve failed: {exc}") from exc
-            if np.any(u_k <= 0.0) or not np.all(np.isfinite(u_k)):
+            if (u_k <= 0.0).any() or not np.isfinite(u_k).all():
                 raise StepRejected(
                     f"nonpositive density for carrier {k} at t={t_next:.6g}")
-            defect = system @ u_k - rhs
-            scale = max(float(np.max(np.abs(rhs))), np.finfo(float).tiny)
-            balance = max(balance, float(np.max(np.abs(defect))) / scale)
+            # the solve's residual rhs - system u_k is exactly minus the
+            # defect system u_k - rhs, so its largest magnitude is the same
+            scale = max(float(np.abs(rhs).max()), np.finfo(float).tiny)
+            balance = max(balance, float(np.abs(defect).max()) / scale)
             u_new[k - 1] = u_k
         # the inversion starts one log-space Newton step from chi, where
         # ln F(s) ~ ln F(chi) + (s - chi) / eta(chi); a start that the
@@ -357,12 +382,16 @@ def gummel_step(poisson: SparseOperator, models: SimulationModels,
         return Phi_new, u_new, balance, V * du_eval
 
     Phi = state.Phi.copy()
-    iterates = deque(maxlen=_MIX_WINDOW + 1)
-    directions = deque(maxlen=_MIX_WINDOW + 1)
+    # Anderson's difference columns, oldest first, taken as the iterates
+    # arrive: dD of the directions and dX + dD, for the last _MIX_WINDOW
+    # pairs of consecutive sweeps
+    last = None
+    d_directions = deque(maxlen=_MIX_WINDOW)
+    d_steps = deque(maxlen=_MIX_WINDOW)
     for sweep in range(config.gummel_max_iter):
         Phi_new, u_new, balance, screen = advance(Phi)
         residual = Phi_new - Phi
-        increment = float(np.max(np.abs(residual)))
+        increment = float(np.abs(residual).max())
         if increment <= config.gummel_tol:
             proxy = _quasi_fermi_norm(disc, Phi_new, contacts)
             return (CarrierState(t=t_next, phi=phi, Phi=Phi_new, u=u_new),
@@ -372,16 +401,18 @@ def gummel_step(poisson: SparseOperator, models: SimulationModels,
                                    - screen[1] * residual[1])
         direction = np.concatenate([residual[0] + w, residual[1] - w])
         x = Phi.ravel()
-        iterates.append(x)
-        directions.append(direction)
-        if len(iterates) >= 2:
-            dX = np.diff(np.stack(iterates, axis=1), axis=1)
-            dD = np.diff(np.stack(directions, axis=1), axis=1)
-            gamma, *_ = np.linalg.lstsq(dD, direction, rcond=None)
-            mixed = x + direction - (dX + dD) @ gamma
+        if last is not None:
+            d_direction = direction - last[1]
+            d_directions.append(d_direction)
+            d_steps.append((x - last[0]) + d_direction)
+        last = x, direction
+        if d_directions:
+            gamma, *_ = np.linalg.lstsq(np.stack(d_directions, axis=1),
+                                        direction, rcond=None)
+            mixed = x + direction - np.stack(d_steps, axis=1) @ gamma
         else:
             mixed = x + direction
-        if not np.all(np.isfinite(mixed)):
+        if not np.isfinite(mixed).all():
             raise StepRejected(f"mixed iterate is not finite at t={t_next:.6g}")
         Phi = mixed.reshape(Phi.shape)
     raise StepRejected(

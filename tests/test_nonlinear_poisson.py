@@ -135,7 +135,7 @@ def test_newton_solves_each_direction_through_solve_linear(monkeypatch):
     rng = np.random.default_rng(3)
     p = grounded_problem(load=rng.normal(size=24),
                          omega=rng.uniform(-2.0, 2.0, size=(2, 24)))
-    assert p.poisson.disc.bands is not None
+    assert p.poisson.disc.bands
     _, report = newton_solve(p, tol=1e-12)
     assert report.iterations >= 2
     assert calls == [24] * report.iterations

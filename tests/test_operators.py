@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
@@ -256,7 +257,7 @@ def test_eta_face_midpoint_only_where_the_sides_coincide():
 def test_poisson_operator_is_symmetric():
     dev = dirichlet_slab(cells=16)
     op = assemble_poisson(dev, build_mesh(dev))
-    A = op.matrix
+    A = op.matrix.tocsc()
     assert abs(A - A.T).max() <= 1e-14
 
 
@@ -266,7 +267,7 @@ def test_linear_profile_reproduced_exactly():
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
     load = poisson_data_load(op, t=0.0)
-    phi = solve_linear(op, load)
+    phi, _ = solve_linear(op, load)
     exact = 1.0 + mesh.cell_centers[:, 0]
     assert np.max(np.abs(phi - exact)) <= 1e-13
 
@@ -278,7 +279,7 @@ def test_constant_lift_2d():
         contacts=(Contact(side="left", phi=4.0), Contact(side="right", phi=4.0)))
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
-    phi = solve_linear(op, poisson_data_load(op, t=0.0))
+    phi, _ = solve_linear(op, poisson_data_load(op, t=0.0))
     assert np.max(np.abs(phi - 4.0)) <= 1e-12
 
 
@@ -292,7 +293,7 @@ def test_robin_wall_follows_gate_value():
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
     load = poisson_data_load(op, t=0.0)
-    phi = solve_linear(op, load)
+    phi, _ = solve_linear(op, load)
     assert np.max(np.abs(phi - 1.5)) <= 1e-12
 
 
@@ -372,6 +373,7 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
                                 contacts)
     M, load = assemble_continuity(dev, mesh, stats, scheme, k, phi, chi,
                                   contacts)
+    M = M.tocsc()
     u = stats.eval(chi)
     lo, hi = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
     outflow = np.zeros(mesh.n_cells)
@@ -407,7 +409,7 @@ def test_continuity_shims_equal_the_kernel(dimension, k):
     M, load = assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, k, phi,
                                   chi[k - 1], own)
     M_ref, load_ref = f.system(k, np.zeros(mesh.n_cells))
-    assert np.array_equal(M.data, M_ref.data)
+    assert np.array_equal(M.tocsc().data, M_ref.tocsc().data)
     assert np.array_equal(load, load_ref)
     flux = continuity_face_flux(dev, mesh, stats[k - 1], ENHANCED, k, phi,
                                 chi[k - 1], own)
@@ -551,7 +553,8 @@ def test_newton_jacobian_fill_matches_sparse_sum(dimension):
 
     d = np.random.default_rng(2).uniform(0.1, 5.0, n)
     J = op.shifted(d)
-    assert np.array_equal(J.toarray(), (op.matrix + sp.diags(d)).toarray())
+    assert np.array_equal(J.toarray(),
+                          (op.matrix.tocsc() + sp.diags(d)).toarray())
     assert np.array_equal(J.toarray(), (P + sp.diags(d)).toarray())
 
 
@@ -622,7 +625,7 @@ def test_solve_linear_refines_from_the_held_factor(monkeypatch):
     def solve(c):
         op = SparseOperator(poisson.shifted(c * mesh.cell_volumes),
                             poisson.disc)
-        x = solve_linear(op, b, slot)
+        x, _ = solve_linear(op, b, slot)
         assert np.linalg.norm(op.matrix @ x - b) <= 1e-14 * np.linalg.norm(b)
         return op
 
@@ -677,7 +680,7 @@ def test_loose_target_stops_at_the_first_step_that_meets_it():
         iterates.append(iterates[-1] + counted.lu.solve(
             b - jacobian.matrix @ iterates[-1]))
     assert len(iterates) >= 3
-    x = solve_linear(jacobian, b, slot, rtol=1e-3)
+    x, _ = solve_linear(jacobian, b, slot, rtol=1e-3)
     assert counted.solves == len(iterates)
     assert np.array_equal(x, iterates[-1])
     assert slot.op is held and jacobian._lu is None
@@ -710,7 +713,7 @@ def test_contract_solve_refines_to_the_floor():
     counted = slot.op._lu
     b = np.random.default_rng(4).normal(size=jacobian.dimension)
     want, solves = _floor_refinement(jacobian.matrix, counted.lu, b)
-    x = solve_linear(jacobian, b, slot)
+    x, _ = solve_linear(jacobian, b, slot)
     assert counted.solves == solves >= 4
     assert np.array_equal(x.view(np.int64), want.view(np.int64))
     assert np.linalg.norm(jacobian.matrix @ x - b) \
@@ -721,6 +724,15 @@ def test_contract_solve_refines_to_the_floor():
     assert counted.solves < solves
 
 
+def _on_pattern(disc, dense):
+    """The operator on ``disc``'s pattern holding the entries of the dense
+    matrix ``dense`` there."""
+    m = disc.n_interior
+    lo, hi = disc.lo[:m], disc.hi[:m]
+    return SparseOperator(disc.matrix(np.diag(dense), dense[lo, hi],
+                                      dense[hi, lo]), disc)
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_singular_system_in_solve_linear_is_a_solver_error(dimension):
     # a zero first column makes the matrix exactly singular, on the gttrf
@@ -729,9 +741,10 @@ def test_singular_system_in_solve_linear_is_a_solver_error(dimension):
     # factor is not kept
     dev = dirichlet_slab(cells=6) if dimension == 1 else _device(2)
     op = assemble_poisson(dev, build_mesh(dev))
-    data = op.matrix.data.copy()
-    data[:op.matrix.indptr[1]] = 0.0
-    singular = SparseOperator(op.disc.csc(data), op.disc)
+    dense = op.matrix.toarray()
+    dense[:, 0] = 0.0
+    singular = _on_pattern(op.disc, dense)
+    assert np.array_equal(singular.matrix.toarray(), dense)
     b = np.ones(op.dimension)
     slot = FactorSlot()
     solve_linear(op, b, slot)
@@ -759,9 +772,11 @@ def test_tridiagonal_solve_meeting_the_contract_solves_once(monkeypatch):
 
     monkeypatch.setattr(lu, "solve", counting)
     b = poisson_data_load(op, t=0.0)
-    x = solve_linear(op, b)
+    x, r = solve_linear(op, b)
     assert calls == [(16,)]
     assert np.linalg.norm(op.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+    # the residual comes back with x, formed once
+    assert np.array_equal(r, b - op.matrix @ x)
 
 
 def test_overflowing_right_hand_side_norm_is_not_a_warning():
@@ -772,7 +787,7 @@ def test_overflowing_right_hand_side_norm_is_not_a_warning():
     b = np.full(6, 1e160)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = solve_linear(op, b)
+        x, _ = solve_linear(op, b)
     assert np.array_equal(x, op.factor().solve(b))
 
 
@@ -782,8 +797,7 @@ def test_huge_right_hand_side_still_meets_the_contract():
     # infinite target would accept that x
     dev = dirichlet_slab(cells=6)
     op = assemble_poisson(dev, build_mesh(dev))
-    op._lu = SparseOperator(op.disc.csc(2.0 * op.matrix.data),
-                            op.disc).factor()
+    op._lu = _on_pattern(op.disc, 2.0 * op.matrix.toarray()).factor()
     with pytest.raises(SolverError, match="exceeds"):
         solve_linear(op, np.full(6, 1e200))
 
@@ -793,11 +807,49 @@ def test_non_finite_residual_in_solve_linear_is_a_solver_error():
     # the contract must reject: no comparison with a bound is true for NaN
     dev = dirichlet_slab(cells=6)
     op = assemble_poisson(dev, build_mesh(dev))
-    data = op.matrix.data.copy()
-    data[op.disc.diagonal_slots[2]] = np.inf
-    poisoned = SparseOperator(op.disc.csc(data), op.disc)
+    dense = op.matrix.toarray()
+    dense[2, 2] = np.inf
+    poisoned = _on_pattern(op.disc, dense)
     with pytest.raises(SolverError, match="residual nan"):
         solve_linear(poisoned, np.ones(6))
+
+
+def test_norm_of_a_non_finite_vector_is_not_a_warning():
+    # an infinite entry reads inf and a NaN entry NaN, with no rescaling
+    # by an infinite max|v| (inf / inf would be NaN, and a warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert operators._norm(np.array([np.inf, 1.0])) == np.inf
+        assert operators._norm(np.array([1.0, -np.inf])) == np.inf
+        assert np.isnan(operators._norm(np.array([np.nan, 1.0])))
+        assert np.isnan(operators._norm(np.array([np.inf, np.nan])))
+        with np.errstate(over="ignore"):
+            # the plain try overflows, so the norm is rescaled
+            assert operators._norm(np.array([3e200, 4e200])) \
+                == pytest.approx(5e200, rel=1e-15)
+    # a finite vector's norm is np.linalg.norm's bit for bit
+    for v in np.random.default_rng(5).normal(size=(20, 37)) * 1e3:
+        assert operators._norm(v) == np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_right_hand_side_is_a_solver_error(dimension, bad):
+    # a right-hand side with an infinite or NaN entry has no finite
+    # target, so it meets no contract: SolverError on both factor paths,
+    # from a held factor too, and no RuntimeWarning on the way
+    dev = dirichlet_slab(cells=6) if dimension == 1 else _device(2)
+    op = assemble_poisson(dev, build_mesh(dev))
+    b = np.ones(op.dimension)
+    slot = FactorSlot()
+    solve_linear(op, b, slot)
+    b[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="exceeds"):
+            solve_linear(op, b, slot)
+        with pytest.raises(SolverError, match="exceeds"):
+            solve_linear(op, b)
 
 
 # -- tridiagonal factor ---------------------------------------------------
@@ -829,8 +881,8 @@ def test_factor_path_follows_the_pattern_in_1d(monkeypatch, cells,
     dev = dirichlet_slab(cells=cells, phi_left=1.0, phi_right=3.0)
     mesh = build_mesh(dev)
     op = assemble_poisson(dev, mesh)
-    assert (op.disc.bands is None) == (cells < 3)
-    phi = solve_linear(op, poisson_data_load(op, t=0.0))
+    assert op.disc.bands == (cells >= 3)
+    phi, _ = solve_linear(op, poisson_data_load(op, t=0.0))
     assert len(calls) == splu_calls
     exact = 1.0 + 2.0 * mesh.cell_centers[:, 0]
     assert np.max(np.abs(phi - exact)) <= 1e-13
@@ -840,7 +892,7 @@ def test_factor_path_is_splu_in_2d(monkeypatch):
     calls = _count_superlu(monkeypatch)
     dev = _two_contact_device_2d()
     op = assemble_poisson(dev, build_mesh(dev))
-    assert op.disc.bands is None
+    assert not op.disc.bands
     op.factor()
     assert calls == [op.matrix.shape]
 
@@ -880,13 +932,110 @@ def test_tridiagonal_solves_agree_with_splu(seed):
     pivots = lapack.dgttrf(lower, diagonal, upper)[4]
     assert np.array_equal(pivots, np.arange(1, n + 1)) == (seed % 2 == 0)
     op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
-    reference = spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
+    reference = spla.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     dense = np.diag(diagonal) + np.diag(upper, 1) + np.diag(lower, -1)
     assert np.array_equal(op.matrix.toarray(), dense)
     for b in rng.normal(size=(3, n)):
         x = op.factor().solve(b)
         ref = reference.solve(b)
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# an entry: a signed zero, or +-m 10^e with m in [1, 10) and |e| <= 300
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, m, e: sign * m * 10.0 ** e,
+              st.sampled_from([1.0, -1.0]),
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 300)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_bands_agree_with_the_csc_matrix_bit_for_bit(data):
+    # the same entries held as bands and as a CSC matrix built by scipy:
+    # the band product is the CSC product, the band shift the shift of
+    # the CSC data at its diagonal slots, and gttrf on the bands solves
+    # as gttrf on the bands gathered from the CSC data did, bit for bit,
+    # signed zeros, overflow and NaN included
+    n = data.draw(st.integers(3, 40))
+
+    def draw(size):
+        return np.array(data.draw(st.lists(_ENTRIES, min_size=size,
+                                           max_size=size)))
+
+    lower, diagonal, upper, x, shift = (draw(n - 1), draw(n), draw(n - 1),
+                                        draw(n), draw(n))
+    dev = dirichlet_slab(cells=n)
+    disc = Discretization(dev, build_mesh(dev))
+    op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
+    assert isinstance(op.matrix, operators.Tridiagonal)
+    i = np.arange(n)
+    A = sp.coo_matrix((np.concatenate([lower, diagonal, upper]),
+                       (np.concatenate([i[1:], i, i[:-1]]),
+                        np.concatenate([i[:-1], i, i[1:]]))),
+                      shape=(n, n)).tocsc()
+    rows, cols = A.indices, np.repeat(i, np.diff(A.indptr))
+    slots = [np.flatnonzero(rows == cols + 1), np.flatnonzero(rows == cols),
+             np.flatnonzero(rows + 1 == cols)]
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(op.matrix @ x), _bits(A @ x))
+        shifted = A.data.copy()
+        shifted[slots[1]] += shift
+        J = op.shifted(shift)
+        for band, s in zip((J.lower, J.diagonal, J.upper), slots):
+            assert np.array_equal(_bits(band), _bits(shifted[s]))
+        *factors, info = lapack.dgttrf(*(A.data[s] for s in slots))
+        if info > 0:
+            with pytest.raises(SolverError, match="singular"):
+                op.factor()
+        else:
+            assert np.array_equal(_bits(op.factor().solve(x)),
+                                  _bits(lapack.dgttrs(*factors, x)[0]))
+    assert np.array_equal(_bits(op.matrix.tocsc().toarray()),
+                          _bits(A.toarray()))
+
+
+def test_1d_run_makes_no_sparse_product_and_no_csc_matrix(monkeypatch):
+    # every matrix of a 1D run is held as its bands, so the run multiplies
+    # by no scipy.sparse matrix and builds no CSC matrix; counted at
+    # scipy's own entry points and at the pattern's CSC copies, which a
+    # 2D assembly and product do reach
+    counts = {"product": 0, "csc": 0}
+
+    def counting(key, original):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return call
+
+    owner = next(c for c in sp.csc_matrix.__mro__
+                 if "_matmul_dispatch" in vars(c))
+    monkeypatch.setattr(owner, "_matmul_dispatch",
+                        counting("product", owner._matmul_dispatch))
+    for cls in (sp.csc_matrix, sp.csc_array):
+        monkeypatch.setattr(cls, "__init__", counting("csc", cls.__init__))
+    monkeypatch.setattr(Discretization, "csc",
+                        counting("csc", Discretization.csc))
+    dev = DeviceSpec(
+        dimension=1, extent=(2.0,), resolution=(16,),
+        regions=(MaterialRegion("bulk", ((0.0, 2.0),)),),
+        contacts=(Contact(side="left", phi=-0.5),
+                  Contact(side="right", phi=0.5,
+                          bias=((0.0, 0.0), (0.5, 0.1)))),
+        doping=DopingProfile(boxes=(BoxDoping(((0.0, 1.0),), -1.0),
+                                    BoxDoping(((1.0, 2.0),), 1.0))))
+    result = run(dev, SimulationModels(stats=(boltzmann(), boltzmann())),
+                 TimeStepperConfig(dt_init=0.05, t_end=0.1, dt_min=0.01))
+    assert result.completed and result.steps_accepted >= 2
+    assert counts == {"product": 0, "csc": 0}
+    dev = _device(2)
+    op = assemble_poisson(dev, build_mesh(dev))
+    op.matrix @ np.ones(op.dimension)
+    assert counts["product"] == 1 and counts["csc"] >= 2
 
 
 def _singular_first_column(n, volumes):
@@ -908,11 +1057,11 @@ def test_singular_tridiagonal_factor_raises():
     diagonal, upper, lower = _singular_first_column(6, mesh.cell_volumes)
     diagonal[0] = 0.0
     op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
-    assert disc.bands is not None
+    assert disc.bands
     with pytest.raises(SolverError, match="singular"):
         op.factor()
     with pytest.raises(RuntimeError, match="singular"):
-        spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
+        spla.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def test_singular_newton_jacobian_is_a_solver_error():

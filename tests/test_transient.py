@@ -191,6 +191,19 @@ def test_initial_state_rejects_another_device_or_mesh_beside_poisson():
             initial_state(dev, models, build_mesh(other), poisson)
 
 
+def test_initial_state_rejects_a_mesh_of_another_device():
+    # without an operator, initial_state assembles one on the mesh it is
+    # given, which must be the device's: a 16-cell diode with an 8-cell
+    # mesh, or with a mesh of its cell count over another extent, raises
+    # instead of returning another device's equilibrium
+    dev = biased_diode(cells=16)
+    models = SimulationModels(stats=BB)
+    assert initial_state(dev, models, build_mesh(dev)).phi.shape == (16,)
+    for other in (biased_diode(cells=8), insulated_box(cells=16)):
+        with pytest.raises(DomainError, match="does not fit the device"):
+            initial_state(dev, models, build_mesh(other))
+
+
 def test_run_runs_its_own_equilibrium():
     dev = biased_diode(bias=0.05)
     models = SimulationModels(stats=BB)
@@ -451,7 +464,7 @@ def test_2d_step_factors_each_system_once(monkeypatch):
 
     dev = junction_2d(0.1)
     poisson = assemble_poisson(dev, build_mesh(dev))
-    assert poisson.disc.bands is None
+    assert not poisson.disc.bands
     models = SimulationModels(stats=BB)
     cfg = TimeStepperConfig(dt_init=0.01, t_end=1.0)
     state = initial_state(dev, models, poisson=poisson)
