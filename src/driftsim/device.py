@@ -199,7 +199,10 @@ class Mesh:
     x-normal (axis-0) faces first, and x fastest within an axis; so the
     1D face j lies between cells j - 1 and j.  ``Discretization.bands``
     depends on this order to find a 1D operator's three diagonals.
+    ``device`` is the device the mesh was built from, so a mesh can be
+    checked against a device by equality.
     """
+    device: DeviceSpec
     dimension: int
     shape: tuple[int, ...]
     cell_centers: np.ndarray      # (n_cells, dim)
@@ -473,7 +476,7 @@ def build_mesh(device: DeviceSpec) -> Mesh:
     cell_face_hi[face_cells[has_lo, 0], face_axis[has_lo]] = fids[has_lo]
 
     return Mesh(
-        dimension=dim, shape=shape,
+        device=device, dimension=dim, shape=shape,
         cell_centers=centers, cell_volumes=volumes, cell_region=region_of,
         face_axis=face_axis, face_area=face_area, face_cells=face_cells,
         face_dl=face_dl, face_dr=face_dr,

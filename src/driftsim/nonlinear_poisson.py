@@ -100,7 +100,7 @@ class NonlinearPoissonProblem:
         of both carriers there, each (2, n), that they were computed from:
         one statistics evaluation of both carriers."""
         u, du = eval_carriers(self.stats, carrier_arguments(self.omega, phi))
-        residual = self.poisson.matrix @ phi - self.load \
+        residual = self.poisson @ phi - self.load \
             - self.volumes * (u[0] - u[1])
         return residual, self.volumes * (du[0] + du[1]), (u, du)
 
@@ -183,9 +183,8 @@ def newton_solve(problem: NonlinearPoissonProblem, tol: float = 1e-12,
     for it in range(_NEWTON_MAX_ITER):
         if res <= tol:
             return phi, SolveReport(it, res, densities)
-        J = SparseOperator(problem.poisson.shifted(diagonal),
-                           problem.poisson.disc)
-        delta, _ = solve_linear(J, r, slot, rtol=_NEWTON_FORCING)
+        delta, _ = solve_linear(problem.poisson.shifted(diagonal), r, slot,
+                                rtol=_NEWTON_FORCING)
         if not np.isfinite(delta).all():
             # an overflowed Jacobian diagonal poisons the direction; no
             # amount of damping recovers from a non-finite step
@@ -276,7 +275,7 @@ def contraction_iterate(problem: NonlinearPoissonProblem, tol: float = 1e-10,
         args = carrier_arguments(problem.omega, cutoff(phi, K))
         u1 = problem.stats[0].eval(args[0])
         u2 = problem.stats[1].eval(args[1])
-        r = problem.poisson.matrix @ phi - problem.load \
+        r = problem.poisson @ phi - problem.load \
             - problem.volumes * (u1 - u2)
         w = lu.solve(r)
         dual = math.sqrt(max(float(r @ w), 0.0))

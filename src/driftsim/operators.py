@@ -12,20 +12,22 @@ A ``Discretization`` holds what a run never changes: the device, the
 stencil, the transmissibilities and the sparsity pattern all matrices
 share.  A run builds it once, with its Poisson operator, and carries it
 on ``SimulationResult.disc``, so currents and outputs read it from
-there.  Matrices are filled straight into that pattern, so no sweep
-builds a coordinate list or converts a format.
+there.
 
-A pattern that is tridiagonal in cell order (every 1D mesh of n >= 3
-cells, flagged by ``Discretization.bands``) holds each matrix as its
-three bands, a ``Tridiagonal``: its product is band arithmetic in the
-summation order of scipy's CSC product, so bit for bit the same, and
-LAPACK gttrf/gttrs factors and solves it straight from the bands, a few
-microseconds where SuperLU spends 100 us on set-up.  A 1D sweep is bound
-by call overhead, not arithmetic, so it builds no scipy.sparse matrix.
-Any other pattern (2D, and n <= 2, which scipy's gttrf rejects) holds a
-CSC matrix that shares the ``Discretization``'s index arrays and goes to
-SuperLU, with columns in minimum-degree order of A^T + A, as the pattern
-is symmetric.  ``SparseOperator.factor`` is the one place that factors.
+Every matrix is a ``SparseOperator``: its stencil values, one diagonal
+and one coefficient for each side of every interior face, so no sweep
+builds a coordinate list or converts a format.  On a pattern that is
+tridiagonal in cell order (every 1D mesh of n >= 3 cells, flagged by
+``Discretization.bands``) those values are the three bands: the product
+is band arithmetic in the summation order of scipy's CSC product, so bit
+for bit the same, and LAPACK gttrf/gttrs factors and solves straight
+from the bands, a few microseconds where SuperLU spends 100 us on
+set-up.  A 1D sweep is bound by call overhead, not arithmetic, so it
+builds no scipy.sparse matrix.  Any other pattern (2D, and n <= 2,
+which scipy's gttrf rejects) gathers the values into a CSC matrix that
+shares the ``Discretization``'s index arrays and goes to SuperLU, with
+columns in minimum-degree order of A^T + A, as the pattern is symmetric.
+``SparseOperator.factor`` is the one place that factors.
 SuperLU factors through its ILU driver with nothing dropped and with
 unrelaxed supernodes: the same exact LU as ``splu``, on a workspace sized
 to the fill instead of one reserved for a worst case.  On that path
@@ -59,8 +61,9 @@ integrated over cells (production terms belong on the right-hand side).
 from __future__ import annotations
 
 import copy
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -75,7 +78,7 @@ from .errors import DomainError, SolverError
 from .statistics import StatisticsModel, carrier_arguments, eval_carriers
 
 __all__ = [
-    "Discretization", "Tridiagonal", "SparseOperator", "FluxScheme",
+    "Discretization", "SparseOperator", "FluxScheme",
     "FaceCoefficients", "bernoulli", "eta_face", "assemble_poisson",
     "poisson_data_load", "ghost_arguments", "with_ghosts",
     "carrier_face_coefficients", "evaluate_face_coefficients",
@@ -148,46 +151,6 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
     return eta
 
 
-class Tridiagonal:
-    """A tridiagonal matrix held as its three bands: ``lower`` (the
-    (i + 1, i) entries), ``diagonal`` and ``upper`` (the (i, i + 1)
-    entries).  Bands are never written in place, so a shifted matrix
-    shares its off-diagonal bands with the one it came from.
-
-    ``@`` sums each row's sub-, main and super-diagonal products onto
-    +0.0, the order of scipy's CSC product of the same entries (column by
-    column, into a zeroed result), so the two agree bit for bit, signed
-    zeros included.
-    """
-    __slots__ = ("lower", "diagonal", "upper")
-
-    def __init__(self, lower: np.ndarray, diagonal: np.ndarray,
-                 upper: np.ndarray):
-        self.lower, self.diagonal, self.upper = lower, diagonal, upper
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.diagonal.size, self.diagonal.size
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.diagonal.size)
-        y[1:] += self.lower * x[:-1]
-        y += self.diagonal * x
-        y[:-1] += self.upper * x[1:]
-        return y
-
-    def tocsc(self) -> sp.csc_matrix:
-        """The same entries as a CSC matrix, explicit zeros kept."""
-        i = np.arange(self.diagonal.size)
-        return sp.csc_matrix(
-            (np.concatenate([self.lower, self.diagonal, self.upper]),
-             (np.concatenate([i[1:], i, i[:-1]]),
-              np.concatenate([i[:-1], i, i[1:]]))), shape=self.shape)
-
-    def toarray(self) -> np.ndarray:
-        return self.tocsc().toarray()
-
-
 class Discretization:
     """Flux stencil, transmissibilities and sparsity pattern of ``mesh``,
     and the ``device`` it was built from, whose boundary and reaction data
@@ -202,10 +165,11 @@ class Discretization:
     ``robin_coeff`` to the diagonal of ``robin_cell``, loaded by segment
     ``robin_segment``.  The pattern, structurally symmetric, holds the
     full diagonal and the (lo, hi) and (hi, lo) entries of every interior
-    face.  ``bands`` is True when it is tridiagonal (n >= 3, interior face
-    j joins cells j and j + 1): every matrix on it is then a
-    ``Tridiagonal``.  Otherwise every matrix is CSC, sharing one set of
-    index arrays, with the diagonal at ``diagonal_slots`` of its data.
+    face, and every matrix on it is a ``SparseOperator`` of those values.
+    ``bands`` is True when the pattern is tridiagonal (n >= 3, interior
+    face j joins cells j and j + 1), so the values are the three bands;
+    ``csc`` gathers them into a CSC matrix, and every CSC matrix of the
+    pattern shares one set of read-only index arrays.
     """
 
     def __init__(self, device: DeviceSpec, mesh: Mesh):
@@ -253,28 +217,13 @@ class Discretization:
 
         self.bands = n >= 3 and np.array_equal(lo, np.arange(n - 1)) \
             and np.array_equal(hi, lo + 1)
-        if not self.bands:
-            # entries in fill order: the diagonal, then (lo, hi) and
-            # (hi, lo) of each interior face; sorted by column, then row,
-            # they are CSC
-            rows = np.concatenate([np.arange(n), lo, hi])
-            cols = np.concatenate([np.arange(n), hi, lo])
-            self._order = np.lexsort((rows, cols))
-            self._template = sp.csc_matrix(
-                (np.zeros(rows.size), (rows, cols)), shape=(n, n))
-            for index in (self._template.indices, self._template.indptr):
-                index.flags.writeable = False  # every matrix shares them
-            self.diagonal_slots = np.argsort(self._order)[:n]
 
     def check_matches(self, device: DeviceSpec, mesh: Mesh | None = None):
         """Raise DomainError unless ``device`` equals this discretization's
-        and ``mesh``, when given, has its mesh's shape and cell centers,
-        compared by value, so an equal mesh built apart passes."""
+        and ``mesh``, when given, was built from an equal device."""
         if device != self.device:
             raise DomainError("device differs from the discretization's")
-        if mesh is not None and not (
-                mesh.shape == self.mesh.shape
-                and np.array_equal(mesh.cell_centers, self.mesh.cell_centers)):
+        if mesh is not None and mesh.device != device:
             raise DomainError("mesh differs from the discretization's")
 
     def diagonal(self, a, b, cells, values) -> np.ndarray:
@@ -291,23 +240,32 @@ class Discretization:
         np.add.at(out, cells, np.concatenate([a, b])[terms] * ghost)
         return out
 
-    def matrix(self, diagonal, upper, lower) -> sp.csc_matrix | Tridiagonal:
-        """The matrix with ``diagonal``, ``upper[j]`` at the (lo, hi) entry
-        and ``lower[j]`` at the (hi, lo) entry of each interior face j."""
-        m = self.n_interior
-        if self.bands:
-            return Tridiagonal(lower[:m], diagonal, upper[:m])
-        return self.csc(np.concatenate([diagonal, upper[:m],
-                                        lower[:m]])[self._order])
-
-    def csc(self, data: np.ndarray) -> sp.csc_matrix:
-        """The CSC matrix whose data array, in pattern order, is ``data``
-        (not on a tridiagonal pattern, which holds no CSC template)."""
+    def csc(self, diagonal, upper, lower) -> sp.csc_matrix:
+        """The CSC matrix with ``diagonal``, ``upper[j]`` at the (lo, hi)
+        entry and ``lower[j]`` at the (hi, lo) entry of interior face j."""
+        order, template = self._csc_layout
         # a shallow copy shares the pattern, and its canonical flag, which
         # scipy set once, instead of having its constructor check it again
-        out = copy.copy(self._template)
-        out.data = data
+        out = copy.copy(template)
+        out.data = np.concatenate([diagonal, upper, lower])[order]
         return out
+
+    @functools.cached_property
+    def _csc_layout(self) -> tuple[np.ndarray, sp.csc_matrix]:
+        """The gather from ``csc``'s fill order to CSC order, and a zero
+        matrix on the pattern whose read-only index arrays every CSC
+        matrix shares; built on first use, so a run on ``bands`` makes
+        none."""
+        # entries in fill order: the diagonal, then (lo, hi) and (hi, lo)
+        # of each interior face; sorted by column, then row, they are CSC
+        n, m = self.n_cells, self.n_interior
+        rows = np.concatenate([np.arange(n), self.lo[:m], self.hi[:m]])
+        cols = np.concatenate([np.arange(n), self.hi[:m], self.lo[:m]])
+        template = sp.csc_matrix((np.zeros(rows.size), (rows, cols)),
+                                 shape=(n, n))
+        for index in (template.indices, template.indptr):
+            index.flags.writeable = False  # every matrix shares them
+        return np.lexsort((rows, cols)), template
 
 
 # SuperLU's ILU driver grows its L and U workspace by realloc from
@@ -326,11 +284,10 @@ _FILL_FACTOR = 4
 
 
 class _TridiagonalLU:
-    """LAPACK gttrf factors of a ``Tridiagonal``, solved by gttrs."""
+    """LAPACK gttrf factors of an operator's bands, solved by gttrs."""
 
-    def __init__(self, matrix: Tridiagonal):
-        *self._factors, info = lapack.dgttrf(matrix.lower, matrix.diagonal,
-                                             matrix.upper)
+    def __init__(self, op: SparseOperator):
+        *self._factors, info = lapack.dgttrf(op.lower, op.diagonal, op.upper)
         if info > 0:
             raise RuntimeError(f"Factor is exactly singular (row {info - 1})")
 
@@ -338,52 +295,72 @@ class _TridiagonalLU:
         return lapack.dgttrs(*self._factors, b)[0]
 
 
-@dataclass
 class SparseOperator:
-    """A matrix on its ``Discretization``'s pattern and its cached factors:
-    a ``Tridiagonal`` when the pattern has ``bands``, else CSC."""
-    matrix: sp.csc_matrix | Tridiagonal
-    disc: Discretization
+    """A matrix on the pattern of ``disc``: ``diagonal``, and ``upper[j]``
+    at the (lo, hi) entry and ``lower[j]`` at the (hi, lo) entry of
+    interior face j, with its LU factors and CSC copy, each built on first
+    use and cached.  Values are never written in place, so a shifted
+    operator shares ``upper`` and ``lower`` with the one it came from.
 
-    _lu: object = field(default=None, repr=False, compare=False)
+    On a pattern with ``bands``, ``lower``, ``diagonal`` and ``upper`` are
+    the matrix's sub-, main and super-diagonal: ``@`` sums each row's
+    three products onto +0.0, the order of scipy's CSC product of the same
+    entries (column by column, into a zeroed result), so the two agree bit
+    for bit, signed zeros included, and ``factor`` runs gttrf on them.
+    Any other pattern multiplies and factors the CSC copy.
+    """
+    __slots__ = ("disc", "diagonal", "upper", "lower", "_lu", "_csc")
+
+    def __init__(self, disc: Discretization, diagonal: np.ndarray,
+                 upper: np.ndarray, lower: np.ndarray):
+        self.disc, self.diagonal = disc, diagonal
+        self.upper, self.lower = upper, lower
+        self._lu = self._csc = None
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.size
+
+    def csc(self) -> sp.csc_matrix:
+        """The matrix in CSC form, sharing the pattern's index arrays."""
+        if self._csc is None:
+            self._csc = self.disc.csc(self.diagonal, self.upper, self.lower)
+        return self._csc
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if not self.disc.bands:
+            return self.csc() @ x
+        y = np.zeros(self.diagonal.size)
+        y[1:] += self.lower * x[:-1]
+        y += self.diagonal * x
+        y[:-1] += self.upper * x[1:]
+        return y
 
     def factor(self):
         """LU factors with a ``solve(b)``, cached on the operator.
 
         This is the one place a failed factorization (an exactly singular
         matrix, on either backend) becomes a ``SolverError``, so callers
-        need no handler of their own.  Off the tridiagonal path, SuperLU's
-        ILU driver with drop tolerance 0 under the "basic" rule drops
-        nothing, so the factors are exact (the default rule also drops by
-        area, to hold the fill at ``fill_factor * nnz(A)``, which is no
-        longer an LU).
+        need no handler of their own.  Off ``bands``, SuperLU's ILU driver
+        with drop tolerance 0 under the "basic" rule drops nothing, so the
+        factors are exact (the default rule also drops by area, to hold
+        the fill at ``fill_factor * nnz(A)``, which is no longer an LU).
         """
         if self._lu is None:
             try:
-                if self.disc.bands:
-                    self._lu = _TridiagonalLU(self.matrix)
-                else:
-                    self._lu = spla.spilu(
-                        self.matrix, drop_tol=0.0, drop_rule="basic",
+                self._lu = _TridiagonalLU(self) if self.disc.bands \
+                    else spla.spilu(
+                        self.csc(), drop_tol=0.0, drop_rule="basic",
                         diag_pivot_thresh=1.0, fill_factor=_FILL_FACTOR,
                         permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
             except RuntimeError as exc:
                 raise SolverError(f"factorization failed: {exc}") from exc
         return self._lu
 
-    def shifted(self, diagonal: np.ndarray) -> sp.csc_matrix | Tridiagonal:
-        """The matrix plus ``diag(diagonal)``, on the same pattern."""
-        if self.disc.bands:
-            return Tridiagonal(self.matrix.lower,
-                               self.matrix.diagonal + diagonal,
-                               self.matrix.upper)
-        data = self.matrix.data.copy()
-        data[self.disc.diagonal_slots] += diagonal
-        return self.disc.csc(data)
+    def shifted(self, diagonal: np.ndarray) -> SparseOperator:
+        """The operator plus ``diag(diagonal)``, on the same pattern."""
+        return SparseOperator(self.disc, self.diagonal + diagonal,
+                              self.upper, self.lower)
 
 
 def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
@@ -391,7 +368,8 @@ def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
     disc = Discretization(device, mesh)
     t = disc.transmissibility[0]
     diagonal = disc.diagonal(t, t, disc.robin_cell, disc.robin_coeff)
-    return SparseOperator(matrix=disc.matrix(diagonal, -t, -t), disc=disc)
+    off = -t[:disc.n_interior]
+    return SparseOperator(disc, diagonal, off, off)
 
 
 def poisson_data_load(op: SparseOperator, t: float) -> np.ndarray:
@@ -434,19 +412,19 @@ class FaceCoefficients:
         out[:, d.faces] = self.a * self.u[:, d.lo] - self.b * self.u[:, d.hi]
         return out
 
-    def system(self, k: int, diagonal,
-               ) -> tuple[sp.csc_matrix | Tridiagonal, np.ndarray]:
-        """Carrier k's net-outflow matrix M plus ``diagonal``, and its
-        Dirichlet load; ``M u[k-1, :n_cells] - load`` is the cellwise
-        divergence of ``flux()[k-1]``.  The ``diagonal`` (a time-derivative
-        mass, say, or zeros) is summed into each diagonal entry after the
-        face contributions.
+    def system(self, k: int, diagonal) -> tuple[SparseOperator, np.ndarray]:
+        """Carrier k's net-outflow matrix M plus ``diagonal``, as a
+        ``SparseOperator`` on ``disc``, and its Dirichlet load;
+        ``M @ u[k-1, :n_cells] - load`` is the cellwise divergence of
+        ``flux()[k-1]``.  The ``diagonal`` (a time-derivative mass, say,
+        or zeros) is summed into each diagonal entry after the face
+        contributions.
         """
-        d, n = self.disc, self.disc.n_cells
+        d, n, m = self.disc, self.disc.n_cells, self.disc.n_interior
         a, b = self.a[k - 1], self.b[k - 1]
         main = d.diagonal(a, b, np.arange(n), diagonal)
         load = d.ghost_load(a, b, self.u[k - 1, n:], np.zeros(n))
-        return d.matrix(main, -b, -a), load
+        return SparseOperator(d, main, -b[:m], -a[:m]), load
 
 
 def ghost_arguments(disc: Discretization, contacts: np.ndarray):
@@ -510,7 +488,7 @@ def evaluate_face_coefficients(disc: Discretization, stats,
 def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
                         scheme: FluxScheme, k: int, phi: np.ndarray,
                         chi: np.ndarray, contacts: np.ndarray,
-                        ) -> tuple[sp.csc_matrix | Tridiagonal, np.ndarray]:
+                        ) -> tuple[SparseOperator, np.ndarray]:
     """Steady continuity matrix M (net outflow of carrier k) and its load:
     ``evaluate_face_coefficients`` with both carriers at ``stats`` and
     ``chi``, on a ``Discretization`` of ``mesh``.  The load carries only
@@ -563,9 +541,13 @@ def face_gradient(disc: Discretization, values: np.ndarray,
 
     Stencil faces difference ``values``, extended by the ghost values
     (``on_contacts`` indexed by contact id), over their ``span``.  Other
-    boundary faces report zero, which is the consistent value for insulated
-    segments and a deliberate approximation for Robin ones.  Leading axes
-    of ``values`` and ``on_contacts`` (the carriers, say) are kept.
+    boundary faces report zero.  That is right on insulated faces and, for
+    the quasi-Fermi levels, on Robin faces too, but not for the potential
+    on a Robin face, where the normal derivative is
+    -(eps_gamma/eps)(phi - phi_gamma): the boundary cell's field comes out
+    44 % low on the ``insulated`` deck, at every resolution (ROADMAP item
+    15).  Leading axes of ``values`` and ``on_contacts`` (the carriers,
+    say) are kept.
     """
     values = np.concatenate([values, np.asarray(
         on_contacts, dtype=float)[..., disc.contact]], axis=-1)
@@ -613,24 +595,24 @@ def _norm(v: np.ndarray) -> float:
     return norm
 
 
-def _refine(matrix: sp.csc_matrix | Tridiagonal, lu, b: np.ndarray,
-            target: float, to_floor: bool):
-    """Solve ``matrix x = b`` from the factor ``lu`` of ``matrix`` or of a
-    nearby matrix.  Returns the first solve x = LU^{-1} b when its residual
-    meets ``target``; otherwise refines, x <- x + LU^{-1} (b - matrix x),
-    while each step at least halves the residual, at most _REFINE_MAX
-    steps.  A residual that meets ``target`` ends the refinement, unless
+def _refine(op: SparseOperator, lu, b: np.ndarray, target: float,
+            to_floor: bool):
+    """Solve ``op x = b`` from the factor ``lu`` of ``op`` or of a nearby
+    operator.  Returns the first solve x = LU^{-1} b when its residual
+    meets ``target``; otherwise refines, x <- x + LU^{-1} (b - op x), while
+    each step at least halves the residual, at most _REFINE_MAX steps.  A
+    residual that meets ``target`` ends the refinement, unless
     ``to_floor`` (a final answer at the contract), which runs it down to
     the rounding floor while the factor is close.  Returns x, its residual
-    r = b - matrix x and ||r||."""
+    r = b - op x and ||r||."""
     x = lu.solve(b)
-    r = b - matrix @ x
+    r = b - op @ x
     res = _norm(r)
     if res <= target:
         return x, r, res
     for _ in range(_REFINE_MAX):
         x_next = x + lu.solve(r)
-        r_next = b - matrix @ x_next
+        r_next = b - op @ x_next
         res_next = _norm(r_next)
         if not res_next < res:
             break
@@ -676,15 +658,14 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
         slot = None
     if slot is not None:
         if slot.op is not None:
-            x, r, res = _refine(op.matrix, slot.op.factor(), b, target,
-                                to_floor)
+            x, r, res = _refine(op, slot.op.factor(), b, target, to_floor)
             if res <= target < math.inf:
                 return x, r
         slot.op = None
     lu = op.factor()
     if slot is not None:
         slot.op = op
-    x, r, res = _refine(op.matrix, lu, b, target, to_floor)
+    x, r, res = _refine(op, lu, b, target, to_floor)
     if not res <= target < math.inf:
         raise SolverError(f"linear solve residual {res:.3e} exceeds "
                           f"{rtol:.1e} * ||b|| = {target:.3e}")

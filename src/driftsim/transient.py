@@ -201,37 +201,19 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
     """Thermal equilibrium start at t = 0, where contacts must be unbiased,
     on ``poisson`` when given, else on an operator assembled here on
     ``mesh`` (built from ``device`` when None).  A ``poisson`` of another
-    device, or of a mesh unlike ``mesh``, raises DomainError, and so does
-    a ``mesh`` that is not ``device``'s: another cell count per axis, or
-    cell centers that do not run from half a cell inside 0 to half a
-    cell inside the extent."""
+    device, or a ``mesh`` built from a device unequal to ``device``,
+    raises DomainError."""
     if poisson is None:
         if mesh is None:
             mesh = build_mesh(device)
-        elif not _mesh_fits(device, mesh):
-            raise DomainError(
-                f"mesh of shape {mesh.shape} does not fit the device "
-                f"(resolution {tuple(device.resolution)}, extent "
-                f"{tuple(device.extent)})")
+        elif mesh.device != device:
+            raise DomainError("mesh does not fit the device: it was built "
+                              "from another one")
         poisson = assemble_poisson(device, mesh)
     else:
         poisson.disc.check_matches(device, mesh)
     phi, u = equilibrium_state(poisson, models.stats)
     return CarrierState(t=0.0, phi=phi, Phi=np.zeros_like(u), u=u)
-
-
-def _mesh_fits(device: DeviceSpec, mesh: Mesh) -> bool:
-    """Whether ``mesh`` has ``device``'s cells: its resolution, and first
-    and last cell centers half a cell inside each end of its extent,
-    without building the device's mesh again."""
-    shape = tuple(int(n) for n in device.resolution)
-    if mesh.shape != shape:
-        return False
-    extent = np.array(device.extent, dtype=float)
-    h = extent / shape
-    gap = np.abs([mesh.cell_centers.min(axis=0) - 0.5 * h,
-                  mesh.cell_centers.max(axis=0) - (extent - 0.5 * h)])
-    return bool((gap <= 1e-12 * extent).all())
 
 
 def _cell_currents(disc: Discretization, phi: np.ndarray,
@@ -359,8 +341,7 @@ def gummel_step(poisson: SparseOperator, models: SimulationModels,
             if source is not None:
                 rhs = rhs + V * source[k - 1]
             try:
-                u_k, defect = solve_linear(SparseOperator(system, disc), rhs,
-                                           continuity[k - 1])
+                u_k, defect = solve_linear(system, rhs, continuity[k - 1])
             except SolverError as exc:
                 raise StepRejected(f"continuity solve failed: {exc}") from exc
             if (u_k <= 0.0).any() or not np.isfinite(u_k).all():

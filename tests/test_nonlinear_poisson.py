@@ -188,7 +188,7 @@ def test_linearize_matches_carrierwise_evaluation(stats):
     phi = rng.uniform(-1.0, 1.0, 24)
     s1, s2 = p.omega[0] - phi, p.omega[1] + phi
     r, diagonal, (u, du) = p.linearize(phi)
-    assert np.array_equal(r, p.poisson.matrix @ phi - p.load - p.volumes
+    assert np.array_equal(r, p.poisson @ phi - p.load - p.volumes
                           * (stats[0].eval(s1) - stats[1].eval(s2)))
     assert np.array_equal(diagonal, p.volumes * (
         stats[0].eval_derivative(s1) + stats[1].eval_derivative(s2)))

@@ -257,7 +257,7 @@ def test_eta_face_midpoint_only_where_the_sides_coincide():
 def test_poisson_operator_is_symmetric():
     dev = dirichlet_slab(cells=16)
     op = assemble_poisson(dev, build_mesh(dev))
-    A = op.matrix.tocsc()
+    A = op.csc()
     assert abs(A - A.T).max() <= 1e-14
 
 
@@ -373,7 +373,7 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
                                 contacts)
     M, load = assemble_continuity(dev, mesh, stats, scheme, k, phi, chi,
                                   contacts)
-    M = M.tocsc()
+    M = M.csc()
     u = stats.eval(chi)
     lo, hi = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
     outflow = np.zeros(mesh.n_cells)
@@ -409,7 +409,7 @@ def test_continuity_shims_equal_the_kernel(dimension, k):
     M, load = assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, k, phi,
                                   chi[k - 1], own)
     M_ref, load_ref = f.system(k, np.zeros(mesh.n_cells))
-    assert np.array_equal(M.tocsc().data, M_ref.tocsc().data)
+    assert np.array_equal(M.csc().data, M_ref.csc().data)
     assert np.array_equal(load, load_ref)
     flux = continuity_face_flux(dev, mesh, stats[k - 1], ENHANCED, k, phi,
                                 chi[k - 1], own)
@@ -527,7 +527,7 @@ def test_system_fill_matches_coordinate_build(dimension, k, scheme, stats):
     ref_load = np.zeros(n)
     np.add.at(ref_load, cell,
               np.where(on_lo_side, fb[m:], fa[m:]) * fu[n:])
-    assert np.array_equal(M.toarray(), ref.toarray())
+    assert np.array_equal(M.csc().toarray(), ref.toarray())
     assert np.array_equal(load, ref_load)
 
 
@@ -549,12 +549,11 @@ def test_newton_jacobian_fill_matches_sparse_sum(dimension):
     r_cell = np.where(r_lo >= 0, r_lo, r_hi)
     P = _coo(n, [lo, hi, lo, hi, cell, r_cell], [lo, hi, hi, lo, cell, r_cell],
              [t, t, -t, -t, tb, eps_gamma[robin] * mesh.face_area[robin]])
-    assert np.array_equal(op.matrix.toarray(), P.toarray())
+    assert np.array_equal(op.csc().toarray(), P.toarray())
 
     d = np.random.default_rng(2).uniform(0.1, 5.0, n)
-    J = op.shifted(d)
-    assert np.array_equal(J.toarray(),
-                          (op.matrix.tocsc() + sp.diags(d)).toarray())
+    J = op.shifted(d).csc()
+    assert np.array_equal(J.toarray(), (op.csc() + sp.diags(d)).toarray())
     assert np.array_equal(J.toarray(), (P + sp.diags(d)).toarray())
 
 
@@ -564,9 +563,9 @@ def test_matrices_cannot_change_the_shared_pattern():
     dev = _device(2)
     op = assemble_poisson(dev, build_mesh(dev))
     with pytest.raises(ValueError):
-        op.matrix.eliminate_zeros()
+        op.csc().eliminate_zeros()
     with pytest.raises(ValueError):
-        op.shifted(np.ones(op.dimension)).indices[0] = 1
+        op.shifted(np.ones(op.dimension)).csc().indices[0] = 1
 
 
 def _junction_2d(cells=64):
@@ -584,7 +583,7 @@ def test_poisson_factor_fill_on_the_2d_junction():
     dev = _junction_2d()
     op = assemble_poisson(dev, build_mesh(dev))
     lu = op.factor()
-    assert (lu.L.nnz + lu.U.nnz) / op.matrix.nnz <= 7.0
+    assert (lu.L.nnz + lu.U.nnz) / op.csc().nnz <= 7.0
 
 
 @pytest.mark.parametrize("system", ["poisson", "sg"])
@@ -601,9 +600,9 @@ def test_superlu_factor_matches_splu(system):
         f = evaluate_face_coefficients(
             op.disc, (boltzmann(), boltzmann()), SG, rng.uniform(0.0, 2.0, n),
             np.vstack([chi, chi]), _one_carrier_contacts(rng, dev))
-        op = SparseOperator(f.system(1, mesh.cell_volumes / 0.01)[0], op.disc)
+        op = f.system(1, mesh.cell_volumes / 0.01)[0]
     lu = op.factor()
-    reference = spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
+    reference = spla.splu(op.csc(), permc_spec="MMD_AT_PLUS_A")
     assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
     for b in rng.normal(size=(3, n)):
         ref = reference.solve(b)
@@ -623,10 +622,9 @@ def test_solve_linear_refines_from_the_held_factor(monkeypatch):
     slot = FactorSlot()
 
     def solve(c):
-        op = SparseOperator(poisson.shifted(c * mesh.cell_volumes),
-                            poisson.disc)
+        op = poisson.shifted(c * mesh.cell_volumes)
         x, _ = solve_linear(op, b, slot)
-        assert np.linalg.norm(op.matrix @ x - b) <= 1e-14 * np.linalg.norm(b)
+        assert np.linalg.norm(op @ x - b) <= 1e-14 * np.linalg.norm(b)
         return op
 
     first = solve(1.0)
@@ -655,14 +653,12 @@ def _stale_jacobian(height):
     dev = _junction_2d(cells=24)
     mesh = build_mesh(dev)
     poisson = assemble_poisson(dev, mesh)
-    held = SparseOperator(poisson.shifted(2.0 * mesh.cell_volumes),
-                          poisson.disc)
+    held = poisson.shifted(2.0 * mesh.cell_volumes)
     held._lu = _CountingFactor(held.factor())
     slot = FactorSlot()
     slot.op = held
     phi = height * (mesh.cell_centers[:, 0] / 10.0 - 1.0)
-    jacobian = SparseOperator(poisson.shifted(
-        2.0 * mesh.cell_volumes * np.cosh(phi)), poisson.disc)
+    jacobian = poisson.shifted(2.0 * mesh.cell_volumes * np.cosh(phi))
     return jacobian, slot
 
 
@@ -675,10 +671,10 @@ def test_loose_target_stops_at_the_first_step_that_meets_it():
     b = np.random.default_rng(3).normal(size=jacobian.dimension)
     target = 1e-3 * np.linalg.norm(b)
     iterates = [counted.lu.solve(b)]
-    while np.linalg.norm(b - jacobian.matrix @ iterates[-1]) > target:
+    while np.linalg.norm(b - jacobian @ iterates[-1]) > target:
         assert len(iterates) <= 8
         iterates.append(iterates[-1] + counted.lu.solve(
-            b - jacobian.matrix @ iterates[-1]))
+            b - jacobian @ iterates[-1]))
     assert len(iterates) >= 3
     x, _ = solve_linear(jacobian, b, slot, rtol=1e-3)
     assert counted.solves == len(iterates)
@@ -686,16 +682,16 @@ def test_loose_target_stops_at_the_first_step_that_meets_it():
     assert slot.op is held and jacobian._lu is None
 
 
-def _floor_refinement(matrix, lu, b):
+def _floor_refinement(op, lu, b):
     """Refinement to the rounding floor: the first solve, then steps while
     each at least halves the residual, at most 8 of them; (x, solves)."""
     x = lu.solve(b)
-    res = np.linalg.norm(b - matrix @ x)
+    res = np.linalg.norm(b - op @ x)
     solves = 1
     for _ in range(8):
-        x_next = x + lu.solve(b - matrix @ x)
+        x_next = x + lu.solve(b - op @ x)
         solves += 1
-        res_next = np.linalg.norm(b - matrix @ x_next)
+        res_next = np.linalg.norm(b - op @ x_next)
         if not res_next < res:
             break
         halved = res_next <= 0.5 * res
@@ -712,12 +708,11 @@ def test_contract_solve_refines_to_the_floor():
     jacobian, slot = _stale_jacobian(0.3)
     counted = slot.op._lu
     b = np.random.default_rng(4).normal(size=jacobian.dimension)
-    want, solves = _floor_refinement(jacobian.matrix, counted.lu, b)
+    want, solves = _floor_refinement(jacobian, counted.lu, b)
     x, _ = solve_linear(jacobian, b, slot)
     assert counted.solves == solves >= 4
     assert np.array_equal(x.view(np.int64), want.view(np.int64))
-    assert np.linalg.norm(jacobian.matrix @ x - b) \
-        <= 1e-14 * np.linalg.norm(b)
+    assert np.linalg.norm(jacobian @ x - b) <= 1e-14 * np.linalg.norm(b)
     assert jacobian._lu is None
     counted.solves = 0
     solve_linear(jacobian, b, slot, rtol=1e-3)
@@ -729,8 +724,7 @@ def _on_pattern(disc, dense):
     matrix ``dense`` there."""
     m = disc.n_interior
     lo, hi = disc.lo[:m], disc.hi[:m]
-    return SparseOperator(disc.matrix(np.diag(dense), dense[lo, hi],
-                                      dense[hi, lo]), disc)
+    return SparseOperator(disc, np.diag(dense), dense[lo, hi], dense[hi, lo])
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -741,10 +735,10 @@ def test_singular_system_in_solve_linear_is_a_solver_error(dimension):
     # factor is not kept
     dev = dirichlet_slab(cells=6) if dimension == 1 else _device(2)
     op = assemble_poisson(dev, build_mesh(dev))
-    dense = op.matrix.toarray()
+    dense = op.csc().toarray()
     dense[:, 0] = 0.0
     singular = _on_pattern(op.disc, dense)
-    assert np.array_equal(singular.matrix.toarray(), dense)
+    assert np.array_equal(singular.csc().toarray(), dense)
     b = np.ones(op.dimension)
     slot = FactorSlot()
     solve_linear(op, b, slot)
@@ -774,9 +768,9 @@ def test_tridiagonal_solve_meeting_the_contract_solves_once(monkeypatch):
     b = poisson_data_load(op, t=0.0)
     x, r = solve_linear(op, b)
     assert calls == [(16,)]
-    assert np.linalg.norm(op.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b)
     # the residual comes back with x, formed once
-    assert np.array_equal(r, b - op.matrix @ x)
+    assert np.array_equal(r, b - op @ x)
 
 
 def test_overflowing_right_hand_side_norm_is_not_a_warning():
@@ -797,7 +791,7 @@ def test_huge_right_hand_side_still_meets_the_contract():
     # infinite target would accept that x
     dev = dirichlet_slab(cells=6)
     op = assemble_poisson(dev, build_mesh(dev))
-    op._lu = _on_pattern(op.disc, 2.0 * op.matrix.toarray()).factor()
+    op._lu = _on_pattern(op.disc, 2.0 * op.csc().toarray()).factor()
     with pytest.raises(SolverError, match="exceeds"):
         solve_linear(op, np.full(6, 1e200))
 
@@ -807,7 +801,7 @@ def test_non_finite_residual_in_solve_linear_is_a_solver_error():
     # the contract must reject: no comparison with a bound is true for NaN
     dev = dirichlet_slab(cells=6)
     op = assemble_poisson(dev, build_mesh(dev))
-    dense = op.matrix.toarray()
+    dense = op.csc().toarray()
     dense[2, 2] = np.inf
     poisoned = _on_pattern(op.disc, dense)
     with pytest.raises(SolverError, match="residual nan"):
@@ -894,7 +888,7 @@ def test_factor_path_is_splu_in_2d(monkeypatch):
     op = assemble_poisson(dev, build_mesh(dev))
     assert not op.disc.bands
     op.factor()
-    assert calls == [op.matrix.shape]
+    assert calls == [op.csc().shape]
 
 
 def test_1d_run_never_calls_splu(monkeypatch):
@@ -931,10 +925,10 @@ def test_tridiagonal_solves_agree_with_splu(seed):
         diagonal *= 0.1
     pivots = lapack.dgttrf(lower, diagonal, upper)[4]
     assert np.array_equal(pivots, np.arange(1, n + 1)) == (seed % 2 == 0)
-    op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
-    reference = spla.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    op = SparseOperator(disc, diagonal, upper, lower)
+    reference = spla.splu(op.csc(), permc_spec="MMD_AT_PLUS_A")
     dense = np.diag(diagonal) + np.diag(upper, 1) + np.diag(lower, -1)
-    assert np.array_equal(op.matrix.toarray(), dense)
+    assert np.array_equal(op.csc().toarray(), dense)
     for b in rng.normal(size=(3, n)):
         x = op.factor().solve(b)
         ref = reference.solve(b)
@@ -953,57 +947,79 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _box_2d(nx, ny):
+    return DeviceSpec(
+        dimension=2, extent=(1.0, 1.0), resolution=(nx, ny),
+        regions=(MaterialRegion("bulk", ((0.0, 1.0), (0.0, 1.0))),),
+        contacts=(Contact(side="left"), Contact(side="right")))
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_bands_agree_with_the_csc_matrix_bit_for_bit(data):
-    # the same entries held as bands and as a CSC matrix built by scipy:
-    # the band product is the CSC product, the band shift the shift of
-    # the CSC data at its diagonal slots, and gttrf on the bands solves
-    # as gttrf on the bands gathered from the CSC data did, bit for bit,
-    # signed zeros, overflow and NaN included
-    n = data.draw(st.integers(3, 40))
+    # the same stencil values held by an operator and gathered into a CSC
+    # matrix by scipy, on a tridiagonal (1D) or a 2D pattern: the
+    # operator's CSC copy is scipy's matrix, its product scipy's product,
+    # and a shift adds to the CSC data at its diagonal slots, shares the
+    # off-diagonal values and leaves the parent as it was.  On the bands,
+    # the band shift is the shift of the CSC data at its band slots, and
+    # gttrf on the bands solves as gttrf on the bands gathered from the CSC
+    # data did, bit for bit, signed zeros, overflow and NaN included
+    if data.draw(st.booleans(), label="2d"):
+        dev = _box_2d(*(data.draw(st.integers(2, 6)) for _ in range(2)))
+    else:
+        dev = dirichlet_slab(cells=data.draw(st.integers(3, 40)))
+    disc = Discretization(dev, build_mesh(dev))
+    n, m = disc.n_cells, disc.n_interior
+    assert disc.bands == (dev.dimension == 1)
 
     def draw(size):
         return np.array(data.draw(st.lists(_ENTRIES, min_size=size,
                                            max_size=size)))
 
-    lower, diagonal, upper, x, shift = (draw(n - 1), draw(n), draw(n - 1),
-                                        draw(n), draw(n))
-    dev = dirichlet_slab(cells=n)
-    disc = Discretization(dev, build_mesh(dev))
-    op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
-    assert isinstance(op.matrix, operators.Tridiagonal)
-    i = np.arange(n)
+    diagonal, upper, lower, x, shift = (draw(n), draw(m), draw(m), draw(n),
+                                        draw(n))
+    op = SparseOperator(disc, diagonal, upper, lower)
+    kept = diagonal.copy()
+    i, lo, hi = np.arange(n), disc.lo[:m], disc.hi[:m]
     A = sp.coo_matrix((np.concatenate([lower, diagonal, upper]),
-                       (np.concatenate([i[1:], i, i[:-1]]),
-                        np.concatenate([i[:-1], i, i[1:]]))),
+                       (np.concatenate([hi, i, lo]),
+                        np.concatenate([lo, i, hi]))),
                       shape=(n, n)).tocsc()
     rows, cols = A.indices, np.repeat(i, np.diff(A.indptr))
-    slots = [np.flatnonzero(rows == cols + 1), np.flatnonzero(rows == cols),
-             np.flatnonzero(rows + 1 == cols)]
+    on_diagonal = np.flatnonzero(rows == cols)
+    C = op.csc()
+    assert np.array_equal(C.indptr, A.indptr)
+    assert np.array_equal(C.indices, A.indices)
+    assert np.array_equal(_bits(C.data), _bits(A.data))
     with np.errstate(all="ignore"):
-        assert np.array_equal(_bits(op.matrix @ x), _bits(A @ x))
+        assert np.array_equal(_bits(op @ x), _bits(A @ x))
         shifted = A.data.copy()
-        shifted[slots[1]] += shift
+        shifted[on_diagonal] += shift
         J = op.shifted(shift)
-        for band, s in zip((J.lower, J.diagonal, J.upper), slots):
-            assert np.array_equal(_bits(band), _bits(shifted[s]))
-        *factors, info = lapack.dgttrf(*(A.data[s] for s in slots))
-        if info > 0:
-            with pytest.raises(SolverError, match="singular"):
-                op.factor()
-        else:
-            assert np.array_equal(_bits(op.factor().solve(x)),
-                                  _bits(lapack.dgttrs(*factors, x)[0]))
-    assert np.array_equal(_bits(op.matrix.tocsc().toarray()),
-                          _bits(A.toarray()))
+        assert np.array_equal(_bits(J.csc().data), _bits(shifted))
+        assert J.upper is op.upper and J.lower is op.lower
+        assert np.array_equal(_bits(op.diagonal), _bits(kept))
+        if disc.bands:
+            slots = [np.flatnonzero(rows == cols + 1), on_diagonal,
+                     np.flatnonzero(rows + 1 == cols)]
+            for band, s in zip((J.lower, J.diagonal, J.upper), slots):
+                assert np.array_equal(_bits(band), _bits(shifted[s]))
+            *factors, info = lapack.dgttrf(*(A.data[s] for s in slots))
+            if info > 0:
+                with pytest.raises(SolverError, match="singular"):
+                    op.factor()
+            else:
+                assert np.array_equal(_bits(op.factor().solve(x)),
+                                      _bits(lapack.dgttrs(*factors, x)[0]))
+    assert np.array_equal(_bits(op.csc().toarray()), _bits(A.toarray()))
 
 
 def test_1d_run_makes_no_sparse_product_and_no_csc_matrix(monkeypatch):
-    # every matrix of a 1D run is held as its bands, so the run multiplies
-    # by no scipy.sparse matrix and builds no CSC matrix; counted at
-    # scipy's own entry points and at the pattern's CSC copies, which a
-    # 2D assembly and product do reach
+    # every operator of a 1D run multiplies and factors its bands, so the
+    # run multiplies by no scipy.sparse matrix and builds no CSC matrix;
+    # counted at scipy's own entry points and at Discretization.csc, the
+    # one place an operator's CSC copy is made, which a 2D product reaches
     counts = {"product": 0, "csc": 0}
 
     def counting(key, original):
@@ -1034,7 +1050,7 @@ def test_1d_run_makes_no_sparse_product_and_no_csc_matrix(monkeypatch):
     assert counts == {"product": 0, "csc": 0}
     dev = _device(2)
     op = assemble_poisson(dev, build_mesh(dev))
-    op.matrix @ np.ones(op.dimension)
+    op @ np.ones(op.dimension)
     assert counts["product"] == 1 and counts["csc"] >= 2
 
 
@@ -1056,12 +1072,12 @@ def test_singular_tridiagonal_factor_raises():
     disc = Discretization(dev, mesh)
     diagonal, upper, lower = _singular_first_column(6, mesh.cell_volumes)
     diagonal[0] = 0.0
-    op = SparseOperator(disc.matrix(diagonal, upper, lower), disc)
+    op = SparseOperator(disc, diagonal, upper, lower)
     assert disc.bands
     with pytest.raises(SolverError, match="singular"):
         op.factor()
     with pytest.raises(RuntimeError, match="singular"):
-        spla.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        spla.splu(op.csc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def test_singular_newton_jacobian_is_a_solver_error():
@@ -1072,8 +1088,7 @@ def test_singular_newton_jacobian_is_a_solver_error():
     mesh = build_mesh(dev)
     disc = Discretization(dev, mesh)
     volumes = mesh.cell_volumes
-    poisson = SparseOperator(disc.matrix(*_singular_first_column(n, volumes)),
-                             disc)
+    poisson = SparseOperator(disc, *_singular_first_column(n, volumes))
     problem = NonlinearPoissonProblem(
         poisson=poisson,
         load=np.concatenate([[0.0], -np.ones(n - 1)]),

@@ -48,6 +48,19 @@ def insulated_box(cells=8):
                RobinSegment("right", eps_gamma=1.0)))
 
 
+def _same_shape_devices(dev):
+    """Two devices with ``dev``'s resolution and extent, so their meshes
+    have its cells: one with a second region of eps 5 over the right
+    half, one with a Robin segment in place of its left contact."""
+    left, right = dev.contacts
+    two_region = dataclasses.replace(dev, regions=(
+        MaterialRegion("bulk", ((0.0, 1.0),)),
+        MaterialRegion("right", ((1.0, 2.0),), eps=5.0)))
+    robin = dataclasses.replace(dev, contacts=(right,), robin=(
+        RobinSegment("left", eps_gamma=1.0),))
+    return two_region, robin
+
+
 def biased_diode(bias=0.1, cells=32):
     phi_n = float(np.arcsinh(0.5))
     ramp = ((0.0, 0.0), (0.5, bias))
@@ -186,7 +199,8 @@ def test_initial_state_rejects_another_device_or_mesh_beside_poisson():
     with pytest.raises(DomainError, match="device differs"):
         initial_state(biased_diode(bias=0.2, cells=16), models,
                       poisson=poisson)
-    for other in (biased_diode(cells=32), insulated_box(cells=16)):
+    for other in (biased_diode(cells=32), insulated_box(cells=16),
+                  *_same_shape_devices(dev)):
         with pytest.raises(DomainError, match="mesh differs"):
             initial_state(dev, models, build_mesh(other), poisson)
 
@@ -195,11 +209,13 @@ def test_initial_state_rejects_a_mesh_of_another_device():
     # without an operator, initial_state assembles one on the mesh it is
     # given, which must be the device's: a 16-cell diode with an 8-cell
     # mesh, or with a mesh of its cell count over another extent, raises
-    # instead of returning another device's equilibrium
+    # instead of returning another device's equilibrium, and so does a
+    # mesh with the diode's cells but another region or boundary layout
     dev = biased_diode(cells=16)
     models = SimulationModels(stats=BB)
     assert initial_state(dev, models, build_mesh(dev)).phi.shape == (16,)
-    for other in (biased_diode(cells=8), insulated_box(cells=16)):
+    for other in (biased_diode(cells=8), insulated_box(cells=16),
+                  *_same_shape_devices(dev)):
         with pytest.raises(DomainError, match="does not fit the device"):
             initial_state(dev, models, build_mesh(other))
 
@@ -601,7 +617,8 @@ def test_write_outputs_rejects_another_device_or_mesh(tmp_path):
         write_outputs(config, biased_diode(bias=0.2, cells=16),
                       build_mesh(dev), models, result,
                       directory=str(tmp_path))
-    for other in (biased_diode(cells=32), insulated_box(cells=16)):
+    for other in (biased_diode(cells=32), insulated_box(cells=16),
+                  *_same_shape_devices(dev)):
         with pytest.raises(DomainError, match="mesh differs"):
             write_outputs(config, dev, build_mesh(other), models, result,
                           directory=str(tmp_path))
