@@ -59,17 +59,14 @@ __all__ = [
 # times faster; the pure-Python one serves where libyaml is missing
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-_BULK_MODELS = {
+_MODELS = {
     "mass_action": MassAction,
     "shockley_read_hall": ShockleyReadHall,
     "auger": Auger,
     "avalanche": Avalanche,
-}
-_SURFACE_MODELS = {
     "surface_srh": SurfaceSRH,
 }
-_MODEL_NAMES = {cls: name for name, cls in
-                {**_BULK_MODELS, **_SURFACE_MODELS}.items()}
+_MODEL_NAMES = {cls: name for name, cls in _MODELS.items()}
 _SINK_KINDS = ("snapshot", "series", "probe", "report")
 _CARRIERS = ("carrier1", "carrier2")
 
@@ -108,9 +105,8 @@ class OutputSink:
 class SimulationConfig:
     """A whole deck.  Construction raises ConfigError, naming the field,
     on a statistics name outside ``StatisticsModel.kinds``, a flux scheme
-    outside ``FluxScheme.variants``, a recombination entry that is not a
-    bulk model, a seed that is not an integer, or a probe whose position
-    does not give one coordinate per device axis."""
+    outside ``FluxScheme.variants``, a seed that is not an integer, or a
+    probe whose position does not give one coordinate per device axis."""
     device: DeviceSpec
     statistics: tuple[str, str] = ("boltzmann", "boltzmann")
     flux_scheme: str = "scharfetter_gummel"
@@ -134,10 +130,6 @@ class SimulationConfig:
         if self.flux_scheme not in variants:
             problems.append(f"flux_scheme: {self.flux_scheme!r} is not one "
                             f"of {variants}")
-        bulk = tuple(_BULK_MODELS.values())
-        problems += [f"recombination[{i}]: {type(model).__name__} is not a "
-                     f"bulk model" for i, model in enumerate(self.recombination)
-                     if not isinstance(model, bulk)]
         if isinstance(self.seed, bool) \
                 or not isinstance(self.seed, (int, np.integer)):
             problems.append(f"seed: expected an integer, got {self.seed!r}")
@@ -332,23 +324,20 @@ def _list(item: _Kind, per_axis: bool = False) -> _Kind:
     return _Kind(parse, lambda value: [item.dump(v) for v in value])
 
 
-def _model(registry) -> _Kind:
-    """A recombination model: ``type`` names it, the rest are its fields."""
-    def parse(node, path, problems, dim):
-        tree = _mapping(node, path, problems)
-        kind = tree.get("type")
-        if isinstance(kind, str) and kind in registry:
-            fields = {k: v for k, v in tree.items() if k != "type"}
-            return _record(registry[kind], fields, path, problems, dim)
-        known = sorted(registry)
-        if isinstance(kind, str):
-            problems.append(f"{path}.type: unknown model {kind!r}"
-                            f"{_suggest(kind, known, 'values')}")
-        elif node is None or isinstance(node, dict):  # else _mapping said so
-            problems.append(f"{path}.type: required, one of {known}")
-        return None
-    return _Kind(parse, lambda model: {"type": _MODEL_NAMES[type(model)],
-                                       **_record_tree(model)})
+def _model(node, path: str, problems: list, dim=None):
+    """A reaction model: ``type`` names it, the rest are its fields."""
+    tree = _mapping(node, path, problems)
+    kind = tree.get("type")
+    if isinstance(kind, str) and kind in _MODELS:
+        fields = {k: v for k, v in tree.items() if k != "type"}
+        return _record(_MODELS[kind], fields, path, problems, dim)
+    known = sorted(_MODELS)
+    if isinstance(kind, str):
+        problems.append(f"{path}.type: unknown model {kind!r}"
+                        f"{_suggest(kind, known, 'values')}")
+    elif node is None or isinstance(node, dict):  # else _mapping said so
+        problems.append(f"{path}.type: required, one of {known}")
+    return None
 
 
 def _nested(cls) -> _Kind:
@@ -360,8 +349,8 @@ def _nested(cls) -> _Kind:
 _BOUNDS = _list(_Kind(_span, list), per_axis=True)
 # an explicit `span: null` or `model: null` is none
 _SPAN = _nullable(_Kind(_span, list))
-_SURFACE_MODEL = _nullable(_model(_SURFACE_MODELS))
-_BULK_MODEL = _model(_BULK_MODELS)
+_MODEL = _Kind(_model, lambda model: {"type": _MODEL_NAMES[type(model)],
+                                      **_record_tree(model)})
 
 _FIELDS: dict[type, dict[str, _Kind]] = {
     MaterialRegion: {"name": _TEXT, "bounds": _BOUNDS, "eps": _AXIS_VALUE,
@@ -370,9 +359,9 @@ _FIELDS: dict[type, dict[str, _Kind]] = {
               "Phi2": _SERIES, "bias": _SERIES, "span": _SPAN},
     RobinSegment: {"side": _TEXT, "eps_gamma": _NUMBER,
                    "phi_gamma": _SERIES, "span": _SPAN},
-    SurfaceSegment: {"side": _TEXT, "model": _SURFACE_MODEL, "span": _SPAN},
+    SurfaceSegment: {"side": _TEXT, "model": _nullable(_MODEL), "span": _SPAN},
     InterfaceSpec: {"axis": _INTEGER, "position": _NUMBER,
-                    "model": _SURFACE_MODEL, "span": _SPAN},
+                    "model": _nullable(_MODEL), "span": _SPAN},
     BoxDoping: {"bounds": _BOUNDS, "value": _NUMBER},
     SheetDoping: {"axis": _INTEGER, "position": _NUMBER, "density": _NUMBER},
     DopingProfile: {"boxes": _list(_nested(BoxDoping)),
@@ -394,11 +383,11 @@ _FIELDS: dict[type, dict[str, _Kind]] = {
     SimulationConfig: {"device": _nested(DeviceSpec),
                        "statistics": _STATISTICS,
                        "flux_scheme": _choice(FluxScheme.variants),
-                       "recombination": _list(_BULK_MODEL),
+                       "recombination": _list(_MODEL),
                        "stepper": _nested(TimeStepperConfig),
                        "output": _list(_nested(OutputSink)),
                        "seed": _INTEGER},
-    # recombination models: every field is a number
+    # reaction models: every field is a number
     **{cls: {f.name: _NUMBER for f in dataclasses.fields(cls)}
        for cls in _MODEL_NAMES},
 }

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .recombination import SurfaceSRH
+from .recombination import FACE_INPUTS, cannot_read
 
 __all__ = [
     "MaterialRegion", "Contact", "RobinSegment", "SurfaceSegment",
@@ -130,8 +130,8 @@ class RobinSegment:
 class SurfaceSegment:
     """Insulated boundary piece, optionally recombination-active.
 
-    ``model`` is a surface recombination model instance (None leaves the
-    stretch a plain zero-flux wall).
+    ``model`` is a reaction model that reads only what a face holds (None
+    leaves the stretch a plain zero-flux wall).
     """
     side: str
     model: object | None = None
@@ -140,7 +140,7 @@ class SurfaceSegment:
 
 @dataclass(frozen=True, kw_only=True)
 class InterfaceSpec:
-    """Interior hyperplane x_axis = position carrying interfacial recombination."""
+    """Interior hyperplane x_axis = position; ``model`` as on a surface."""
     axis: int = 0
     position: float
     model: object | None = None
@@ -191,7 +191,7 @@ TAG_ROBIN = 2
 TAG_NEUMANN = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Cells and faces of a uniform tensor-product mesh.
 
@@ -200,7 +200,7 @@ class Mesh:
     1D face j lies between cells j - 1 and j.  ``Discretization.bands``
     depends on this order to find a 1D operator's three diagonals.
     ``device`` is the device the mesh was built from, so a mesh can be
-    checked against a device by equality.
+    checked against a device by equality; a mesh equals only itself.
     """
     device: DeviceSpec
     dimension: int
@@ -373,10 +373,11 @@ def _admissibility_problems(device: DeviceSpec) -> list[str]:
             out.append(f"sheet doping at {sheet.position} is not strictly interior")
         if not np.isfinite(sheet.density):
             out.append("sheet doping density is not finite")
-    for seg in (*device.surfaces, *device.interfaces):
-        if seg.model is not None and not isinstance(seg.model, SurfaceSRH):
-            out.append(f"unsupported interfacial model {type(seg.model).__name__}")
-    return out
+    faced = ([(f"surface on side {s.side!r}", s) for s in device.surfaces]
+             + [(f"interface at {i.position}", i) for i in device.interfaces])
+    return out + [f"{what}: {problem}" for what, seg in faced
+                  if seg.model is not None and (problem := cannot_read(
+                      seg.model, FACE_INPUTS, "a face"))]
 
 
 def build_mesh(device: DeviceSpec) -> Mesh:

@@ -1,17 +1,18 @@
 """Bulk and interfacial reaction models for the carrier system.
 
-Every model's ``eval`` returns the rate expression exactly as written
-below, without presuming a sign convention; the time stepper decides how
-each one enters the continuity right-hand sides (mass action and impact
-ionization count as production as written, the trap-assisted and Auger
-channels as recombination).  All evaluators are vectorized over cells or
-faces.
+Every model names the inputs it reads in ``reads``, out of the fields of
+one record, ``ReactionInputs``, and its ``production`` returns its signed
+pair production there: mass action and impact ionization their rate as
+written below, the trap-assisted and Auger channels minus theirs.  A
+sweep builds the record on the cells, with every input, and on each
+surface's and interface's faces, with the densities only (``FACE_INPUTS``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,34 @@ from .errors import DomainError
 
 __all__ = [
     "MassAction", "ShockleyReadHall", "Auger", "Avalanche", "SurfaceSRH",
+    "ReactionInputs", "FACE_INPUTS", "cannot_read",
     "kappa", "kappa_lipschitz_bound", "bulk_production",
 ]
+
+
+class ReactionInputs(NamedTuple):
+    """What a model may read at n cells or faces: row k - 1 of the
+    densities ``u``, levels ``Phi`` (2, n) and reconstructed current
+    vectors ``j`` (2, n, dim) is carrier k's, and ``e`` (n, dim) is the
+    cellwise gradient of the electrostatic potential."""
+    u: np.ndarray | None = None
+    Phi: np.ndarray | None = None
+    e: np.ndarray | None = None
+    j: np.ndarray | None = None
+
+
+FACE_INPUTS = ("u",)  # what a surface or interface record holds
+
+
+def cannot_read(model, available, where: str) -> str | None:
+    """Why ``model`` cannot read a record of ``where`` holding the
+    ``available`` inputs, naming those it lacks; None when it can."""
+    name, reads = type(model).__name__, getattr(model, "reads", None)
+    if reads is None:
+        return f"{name} is not a reaction model"
+    lacking = [key for key in reads if key not in available]
+    return f"{name} reads {', '.join(lacking)}, which {where} lacks" \
+        if lacking else None
 
 
 def kappa(e, j, a: float):
@@ -71,6 +98,7 @@ def kappa_lipschitz_bound(a: float, norm_e1: float, norm_j2: float,
 @dataclass(frozen=True)
 class MassAction:
     """Net pair production rate_hat * (generation - exp(Phi1 + Phi2))."""
+    reads = ("Phi",)
     rate: float = 1.0
     generation: float = 1.0
 
@@ -80,14 +108,14 @@ class MassAction:
         if not (self.generation >= 0.0 and np.isfinite(self.generation)):
             raise DomainError("mass action generation level must be nonnegative")
 
-    def eval(self, Phi1, Phi2):
-        return self.rate * (self.generation
-                            - np.exp(np.asarray(Phi1) + np.asarray(Phi2)))
+    def production(self, x: ReactionInputs):
+        return self.rate * (self.generation - np.exp(x.Phi[0] + x.Phi[1]))
 
 
 @dataclass(frozen=True)
 class ShockleyReadHall:
     """Trap-assisted rate (u1 u2 - ni^2) / (tau2 (u1+n1) + tau1 (u2+n2))."""
+    reads = ("u",)
     tau1: float = 1.0
     tau2: float = 1.0
     n1: float = 1.0
@@ -102,16 +130,16 @@ class ShockleyReadHall:
         if self.ni <= 0.0:
             raise DomainError("intrinsic density must be positive")
 
-    def eval(self, u1, u2):
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        return (u1 * u2 - self.ni ** 2) / (self.tau2 * (u1 + self.n1)
-                                           + self.tau1 * (u2 + self.n2))
+    def production(self, x: ReactionInputs):
+        u1, u2 = x.u
+        return -(u1 * u2 - self.ni ** 2) / (self.tau2 * (u1 + self.n1)
+                                            + self.tau1 * (u2 + self.n2))
 
 
 @dataclass(frozen=True)
 class Auger:
     """Three-particle rate (u1 u2 - ni^2) (c1 u1 + c2 u2)."""
+    reads = ("u",)
     c1: float = 1.0
     c2: float = 1.0
     ni: float = 1.0
@@ -122,19 +150,15 @@ class Auger:
         if self.ni <= 0.0:
             raise DomainError("intrinsic density must be positive")
 
-    def eval(self, u1, u2):
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        return (u1 * u2 - self.ni ** 2) * (self.c1 * u1 + self.c2 * u2)
+    def production(self, x: ReactionInputs):
+        u1, u2 = x.u
+        return -(u1 * u2 - self.ni ** 2) * (self.c1 * u1 + self.c2 * u2)
 
 
 @dataclass(frozen=True)
 class Avalanche:
-    """Impact ionization c1 kappa(e, j1, a1) + c2 kappa(e, j2, a2).
-
-    ``e`` is the cellwise gradient of the electrostatic potential and
-    ``j1``/``j2`` the reconstructed carrier current vectors.
-    """
+    """Impact ionization c1 kappa(e, j1, a1) + c2 kappa(e, j2, a2)."""
+    reads = ("e", "j")
     c1: float = 1.0
     c2: float = 1.0
     a1: float = 1.0
@@ -146,14 +170,15 @@ class Avalanche:
         if self.a1 <= 0.0 or self.a2 <= 0.0:
             raise DomainError("avalanche thresholds must be positive")
 
-    def eval(self, e, j1, j2):
-        return (self.c1 * kappa(e, j1, self.a1)
-                + self.c2 * kappa(e, j2, self.a2))
+    def production(self, x: ReactionInputs):
+        return (self.c1 * kappa(x.e, x.j[0], self.a1)
+                + self.c2 * kappa(x.e, x.j[1], self.a2))
 
 
 @dataclass(frozen=True)
 class SurfaceSRH:
     """Interfacial trap rate (u1 u2 - ni^2) / (v2 (u1+n1) + v1 (u2+n2))."""
+    reads = ("u",)
     v1: float = 1.0
     v2: float = 1.0
     n1: float = 1.0
@@ -170,33 +195,14 @@ class SurfaceSRH:
         if self.ni <= 0.0:
             raise DomainError("intrinsic density must be positive")
 
-    def eval(self, u1, u2):
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        return (u1 * u2 - self.ni ** 2) / (self.v2 * (u1 + self.n1)
-                                           + self.v1 * (u2 + self.n2))
+    def production(self, x: ReactionInputs):
+        u1, u2 = x.u
+        return -(u1 * u2 - self.ni ** 2) / (self.v2 * (u1 + self.n1)
+                                            + self.v1 * (u2 + self.n2))
 
 
-_RECOMBINATION_KINDS = (ShockleyReadHall, Auger)
-
-
-def bulk_production(models, u, Phi, e, j) -> np.ndarray:
-    """Signed volumetric production rate entering both continuity equations.
-
-    Row k - 1 of the densities ``u``, levels ``Phi`` (2, n) and currents
-    ``j`` (2, n, dim) is carrier k's; ``e`` is the field (n, dim).
-    Recombination channels enter with a minus sign, generation channels as
-    written; carriers are created and destroyed in pairs, so one field
-    serves both equations.
-    """
-    r = np.zeros_like(np.asarray(u[0], dtype=float))
-    for m in models:
-        if isinstance(m, MassAction):
-            r = r + m.eval(*Phi)
-        elif isinstance(m, Avalanche):
-            r = r + m.eval(e, *j)
-        elif isinstance(m, _RECOMBINATION_KINDS):
-            r = r - m.eval(*u)
-        else:
-            raise DomainError(f"unknown bulk model {type(m).__name__}")
-    return r
+def bulk_production(models, x: ReactionInputs) -> np.ndarray:
+    """The models' summed production on the cell record ``x``; carriers
+    are made and lost in pairs, so it enters both continuity equations."""
+    return sum((m.production(x) for m in models),
+               np.zeros_like(x.u[0], dtype=float))

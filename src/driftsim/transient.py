@@ -70,7 +70,7 @@ from .operators import (Discretization, FactorSlot, FluxScheme,
                         evaluate_face_coefficients, face_gradient,
                         ghost_arguments, poisson_data_load, solve_linear,
                         with_ghosts)
-from .recombination import bulk_production
+from .recombination import ReactionInputs, bulk_production, cannot_read
 from .statistics import (StatisticsModel, carrier_arguments, eval_carriers,
                          invert_carriers)
 
@@ -147,12 +147,18 @@ class SimulationModels:
 
     ``source(t, mesh) -> (2, n_cells)`` is an additive volumetric
     production, the hook manufactured-solution tests drive the stepper
-    with; production for both carriers, applied as given.
+    with; production for both carriers, applied as given.  A ``bulk``
+    entry that is not a reaction model raises DomainError.
     """
     stats: tuple[StatisticsModel, StatisticsModel]
     scheme: FluxScheme = field(default_factory=FluxScheme)
     bulk: tuple = ()
     source: Callable | None = None
+
+    def __post_init__(self):
+        for model in self.bulk:
+            if problem := cannot_read(model, ReactionInputs._fields, "a cell"):
+                raise DomainError(problem)
 
 
 @dataclass
@@ -233,29 +239,29 @@ def _cell_currents(disc: Discretization, phi: np.ndarray,
     return cell_e, cell_average_faces(mesh, -face_flux / mesh.face_area)
 
 
-def _face_density(mesh: Mesh, faces: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Densities (2, faces) from cell densities (2, n_cells): the adjacent
-    cell value, or the mean across interior ones."""
+def face_inputs(mesh: Mesh, faces: np.ndarray,
+                u: np.ndarray) -> ReactionInputs:
+    """The reaction record on ``faces`` at cell densities u (2, n_cells):
+    the adjacent cell's densities, or the mean across an interior face."""
     lo, hi = mesh.face_cells[faces].T
     vlo = np.where(lo >= 0, u[:, lo], 0.0)
     vhi = np.where(hi >= 0, u[:, hi], 0.0)
     both = (lo >= 0) & (hi >= 0)
-    return np.where(both, 0.5 * (vlo + vhi), vlo + vhi)
+    return ReactionInputs(u=np.where(both, 0.5 * (vlo + vhi), vlo + vhi))
 
 
 def _surface_loads(disc: Discretization, u: np.ndarray) -> np.ndarray:
-    """Interfacial recombination at densities u (2, n_cells) deposited
-    into cells (recombination < 0)."""
+    """Signed production of the surface and interface models at densities
+    u (2, n_cells), deposited into cells."""
     device, mesh = disc.device, disc.mesh
     out = np.zeros(mesh.n_cells)
-    pairs = list(zip(device.surfaces, mesh.surface_faces)) \
-        + list(zip(device.interfaces, mesh.interface_faces))
-    for segment, faces in pairs:
+    for segment, faces in zip((*device.surfaces, *device.interfaces),
+                              (*mesh.surface_faces, *mesh.interface_faces)):
         model = segment.model
         if model is None or not faces.size:
             continue
-        rate = model.eval(*_face_density(mesh, faces, u))
-        out += apply_surface_load(mesh, faces, -rate)
+        out += apply_surface_load(
+            mesh, faces, model.production(face_inputs(mesh, faces, u)))
     return out
 
 
@@ -330,8 +336,8 @@ def gummel_step(poisson: SparseOperator, models: SimulationModels,
             disc, models.stats, models.scheme,
             *with_ghosts((phi, chi, u_eval), ghosts))
         e, j = _cell_currents(disc, phi, contacts, faces.flux())
-        r_bulk = bulk_production(models.bulk, u_eval, Phi, e, j)
-        shared = V * r_bulk + _surface_loads(disc, u_eval)
+        shared = V * bulk_production(models.bulk, ReactionInputs(
+            u_eval, Phi, e, j)) + _surface_loads(disc, u_eval)
 
         u_new = np.empty_like(state.u)
         balance = 0.0

@@ -34,7 +34,7 @@ from .output import format_float, write_outputs
 from .recombination import kappa, kappa_lipschitz_bound
 from .statistics import boltzmann, fermi_dirac_half
 from .transient import (CarrierState, SimulationModels, TimeStepperConfig,
-                        gummel_step, initial_state, run)
+                        face_inputs, gummel_step, initial_state, run)
 
 __all__ = ["PropertyResult", "run_suite", "run_all", "render_report"]
 
@@ -391,18 +391,15 @@ def suite_conservation(seed: int) -> list[PropertyResult]:
         _, _, result = _run_deck(name)
         worst = max(r.balance_residual for r in result.reports)
         out.append(_leq("conservation", f"balance-{name}", worst, 1e-12))
-    # interfacial load: distributing rate * area into cells must re-sum
-    # to the face total exactly (same additions, reassociated)
+    # interfacial load: distributing production * area into cells must
+    # re-sum to the face total exactly (same additions, reassociated)
     config, _, result = _run_deck("two_layer")
     mesh = result.disc.mesh
     faces = mesh.interface_faces[0]
     model = config.device.interfaces[0].model
-    state = result.final
-    lo, hi = mesh.face_cells[faces, 0], mesh.face_cells[faces, 1]
-    rate = model.eval(0.5 * (state.u[0, lo] + state.u[0, hi]),
-                      0.5 * (state.u[1, lo] + state.u[1, hi]))
-    load = apply_surface_load(mesh, faces, -rate)
-    direct = float(np.sum(-rate * mesh.face_area[faces]))
+    rate = model.production(face_inputs(mesh, faces, result.final.u))
+    load = apply_surface_load(mesh, faces, rate)
+    direct = float(np.sum(rate * mesh.face_area[faces]))
     out.append(_leq("conservation", "interfacial-resummation",
                     abs(float(np.sum(load)) - direct)
                     / max(1.0, abs(direct)), 1e-15))

@@ -210,7 +210,57 @@ def test_unknown_model_type_lists_valid_values():
     found = problems_of(MINIMAL + "recombination:\n  - {type: xyz}\n")
     assert found == ["recombination[0].type: unknown model 'xyz' (valid "
                      "values: auger, avalanche, mass_action, "
-                     "shockley_read_hall)"]
+                     "shockley_read_hall, surface_srh)"]
+
+
+FACED = textwrap.dedent("""
+    device:
+      dimension: 1
+      extent: [2.0]
+      resolution: [8]
+      regions:
+        - name: bulk
+          bounds: [[0.0, 2.0]]
+      contacts:
+        - side: left
+      surfaces:
+        - side: right
+          model: {type: MODEL}
+      interfaces:
+        - position: 1.0
+          model: {type: MODEL}
+    recombination:
+      - {type: surface_srh, v1: 0.5}
+    stepper:
+      dt_init: 0.1
+      t_end: 1.0
+    """)
+
+
+def test_any_model_reading_only_densities_parses_anywhere():
+    # one registry: trap and Auger models on a face, and the surface trap
+    # model in the bulk list, parse and round-trip
+    for name in ("shockley_read_hall", "auger", "surface_srh"):
+        cfg = parse_config(FACED.replace("MODEL", name))
+        assert cfg.recombination == (SurfaceSRH(v1=0.5),)
+        assert type(cfg.device.surfaces[0].model).__name__ == \
+            type(cfg.device.interfaces[0].model).__name__
+        assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name, model, lacking", [
+    ("avalanche", "Avalanche", "e, j"), ("mass_action", "MassAction", "Phi")],
+    ids=["avalanche", "mass_action"])
+def test_a_face_model_reading_more_than_densities_is_refused(name, model,
+                                                              lacking):
+    # a face record holds only the densities; the finding names the
+    # segment, the model and the inputs the face lacks
+    found = problems_of(FACED.replace("MODEL", name))
+    assert found == [
+        f"device: surface on side 'right': {model} reads {lacking}, which a "
+        f"face lacks",
+        f"device: interface at 1.0: {model} reads {lacking}, which a face "
+        f"lacks"]
 
 
 @pytest.mark.parametrize("key, value", [("stepper", 5), ("statistics", 5),
@@ -331,15 +381,13 @@ def test_probe_position_checked_at_construction(position):
 
 
 @pytest.mark.parametrize("field,value,problem", [
-    ("recombination", (SurfaceSRH(),),
-     "recombination[0]: SurfaceSRH is not a bulk model"),
     ("statistics", ("bogus", "bogus"),
      "statistics[0]: 'bogus' is not one of ('boltzmann', 'fermi_dirac_half')"),
     ("flux_scheme", "central",
      "flux_scheme: 'central' is not one of ('scharfetter_gummel', "
      "'scharfetter_gummel_enhanced')"),
     ("seed", "7", "seed: expected an integer, got '7'"),
-], ids=["surface_model_in_bulk", "statistics", "flux_scheme", "seed"])
+], ids=["statistics", "flux_scheme", "seed"])
 def test_simulation_config_checks_its_own_fields(field, value, problem):
     # a deck built in Python fails at construction, naming the field, not
     # in build_models or mid-run after the equilibrium solve

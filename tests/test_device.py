@@ -26,7 +26,7 @@ from driftsim.device import (
     sample_series,
 )
 from driftsim.errors import ConfigError, GeometryError
-from driftsim.recombination import ShockleyReadHall, SurfaceSRH
+from driftsim.recombination import Avalanche, MassAction, SurfaceSRH
 
 
 def slab_1d(cells=8, extent=2.0, **kwargs):
@@ -219,19 +219,42 @@ def test_non_elliptic_diode_fails_at_construction(coefficient, value):
         replace(device, regions=(region, *device.regions[1:]))
 
 
+def _faced_slab(where, model):
+    """A 1D slab with ``model`` on its right surface or mid-plane."""
+    if where == "surface":
+        return slab_1d(contacts=(Contact(side="left"),),
+                       surfaces=(SurfaceSegment("right", model=model),))
+    return slab_1d(interfaces=(InterfaceSpec(position=1.0, model=model),))
+
+
 @pytest.mark.parametrize("where", ["surface", "interface"])
-def test_bulk_model_on_an_interface_fails_at_construction(where):
-    model = ShockleyReadHall()
-    with pytest.raises(ConfigError,
-                       match="unsupported interfacial model ShockleyReadHall"):
-        if where == "surface":
-            slab_1d(contacts=(Contact(side="left"),),
-                    surfaces=(SurfaceSegment("right", model=model),))
-        else:
-            slab_1d(interfaces=(InterfaceSpec(position=1.0, model=model),))
+def test_face_model_reading_more_than_densities_fails_at_construction(where):
+    # a face record holds only the densities: a model reading the field
+    # and currents, or the quasi-Fermi levels, is refused, and the finding
+    # names the inputs the face lacks
+    segment = "surface on side 'right'" if where == "surface" \
+        else "interface at 1.0"
+    for model, lacking in ((Avalanche(), "e, j"), (MassAction(), "Phi")):
+        with pytest.raises(ConfigError) as err:
+            _faced_slab(where, model)
+        assert err.value.problems == [
+            f"{segment}: {type(model).__name__} reads {lacking}, which a "
+            f"face lacks"]
+    with pytest.raises(ConfigError, match="object is not a reaction model"):
+        _faced_slab(where, object())
 
 
 # -- mesh geometry --------------------------------------------------------
+
+def test_meshes_compare_by_identity():
+    # two builds hold equal arrays but are two meshes; comparing them
+    # answers instead of raising on the arrays' truth value
+    device = slab_2d()
+    a, b = build_mesh(device), build_mesh(device)
+    assert a == a
+    assert not a == b
+    assert a != b
+    assert a.device == b.device
 
 def test_mesh_1d_counts_and_volumes():
     dev = slab_1d(cells=8, extent=2.0)
@@ -419,7 +442,7 @@ def grid_devices(draw):
         axis = 1 if side in ("bottom", "top") else 0
         placed[kind].append((side, span(axis)))
     models = st.sampled_from([None, SurfaceSRH(), SurfaceSRH(),
-                              ShockleyReadHall()])
+                              Avalanche()])
     return dict(
         dimension=dim, extent=extent, resolution=shape, regions=regions,
         contacts=tuple(Contact(side, span=sp) for side, sp in placed[0]),

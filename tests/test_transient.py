@@ -13,6 +13,7 @@ from driftsim.device import (
     DopingProfile,
     MaterialRegion,
     RobinSegment,
+    SurfaceSegment,
     build_mesh,
     contact_values,
 )
@@ -22,7 +23,8 @@ from driftsim.operators import (Discretization, FluxScheme, assemble_poisson,
                                 carrier_face_coefficients,
                                 evaluate_face_coefficients)
 from driftsim.output import write_outputs
-from driftsim.recombination import MassAction
+from driftsim.recombination import (MassAction, ReactionInputs,
+                                    ShockleyReadHall, SurfaceSRH)
 from driftsim.statistics import (StatisticsModel, boltzmann,
                                  carrier_arguments, eval_carriers,
                                  fermi_dirac_half)
@@ -623,3 +625,73 @@ def test_write_outputs_rejects_another_device_or_mesh(tmp_path):
             write_outputs(config, dev, build_mesh(other), models, result,
                           directory=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+# -- reactions on surfaces and interfaces ---------------------------------
+
+def test_srh_on_the_interface_runs_like_surface_srh():
+    # SurfaceSRH(v1, v2) and ShockleyReadHall(tau1=v1, tau2=v2) produce
+    # the same bits, so the two_layer deck runs identically with either
+    config = decks.two_layer()
+    assert config.device.interfaces[0].model == SurfaceSRH(v1=0.5, v2=0.5)
+    device = dataclasses.replace(config.device, interfaces=(
+        dataclasses.replace(config.device.interfaces[0],
+                            model=ShockleyReadHall(tau1=0.5, tau2=0.5)),))
+    models = build_models(config)
+    shipped = run(config.device, models, config.stepper)
+    swapped = run(device, models, config.stepper)
+    assert shipped.completed and swapped.completed
+    assert len(shipped.states) == len(swapped.states)
+    for a, b in zip(shipped.states, swapped.states):
+        assert a.t == b.t
+        for name in ("phi", "Phi", "u"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert terminal_currents(shipped.disc, models, a) \
+            == terminal_currents(swapped.disc, models, b)
+    assert [r.balance_residual for r in shipped.reports] \
+        == [r.balance_residual for r in swapped.reports]
+
+
+def surface_junction_2d():
+    """``junction_2d`` with a recombining top surface."""
+    return dataclasses.replace(junction_2d(0.1), surfaces=(
+        SurfaceSegment("top", model=SurfaceSRH(v1=0.5, v2=0.5)),))
+
+
+@pytest.mark.parametrize("device", [
+    surface_junction_2d(),
+    DeviceSpec(dimension=1, extent=(2.0,), resolution=(8,),
+               regions=(MaterialRegion("bulk", ((0.0, 2.0),)),),
+               contacts=(Contact(side="left"),),
+               surfaces=(SurfaceSegment("right", model=SurfaceSRH()),))],
+    ids=["2d-top", "1d-right"])
+def test_surface_load_lands_in_the_adjacent_cell(device):
+    # a boundary face deposits production * area into its one cell, with
+    # no halving, bit for bit
+    mesh = build_mesh(device)
+    disc = Discretization(device, mesh)
+    u = np.random.default_rng(6).uniform(1.5, 3.0, (2, mesh.n_cells))
+    faces = mesh.surface_faces[0]
+    lo, hi = mesh.face_cells[faces].T
+    cells = np.where(lo >= 0, lo, hi)
+    x = ReactionInputs(u=u[:, cells])
+    expected = np.zeros(mesh.n_cells)
+    expected[cells] = device.surfaces[0].model.production(x) \
+        * mesh.face_area[faces]
+    assert len(set(cells)) == faces.size > 0
+    assert np.array_equal(transient._surface_loads(disc, u), expected)
+    # above the intrinsic product ni^2 = 1 a trap surface is a loss
+    assert (expected[cells] < 0.0).all()
+
+
+def test_run_with_a_recombining_surface_balances():
+    # the surface half of the reaction loads in a whole 2D run: it
+    # completes, balances every step, and the surface changes the answer
+    device = surface_junction_2d()
+    models = SimulationModels(stats=BB)
+    cfg = TimeStepperConfig(dt_init=0.01, t_end=0.2)
+    result = run(device, models, cfg)
+    assert result.completed
+    assert max(r.balance_residual for r in result.reports) <= 1e-12
+    plain = run(junction_2d(0.1), models, cfg)
+    assert not np.array_equal(result.final.u, plain.final.u)
