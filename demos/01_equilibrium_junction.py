@@ -33,7 +33,7 @@ device = DeviceSpec(
 )
 
 mesh = build_mesh(device)
-phi, (u1, u2) = equilibrium_state(assemble_poisson(device, mesh),
+phi, (u1, u2) = equilibrium_state(assemble_poisson(mesh),
                                   (boltzmann(), boltzmann()))
 
 built_in = phi[-1] - phi[0]
@@ -50,6 +50,6 @@ for i in range(0, mesh.n_cells, 32):
 # the space charge d + u1 - u2 vanishes away from the junction
 from driftsim.device import bulk_doping
 
-charge = bulk_doping(device, mesh) + u1 - u2
+charge = bulk_doping(mesh) + u1 - u2
 print(f"\nmax |space charge| in the outer quarters: "
       f"{np.max(np.abs(charge[x < 5.0])):.2e}")

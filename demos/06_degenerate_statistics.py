@@ -38,7 +38,7 @@ s_lo, dphi = 4.0, 1.5
 pair = DeviceSpec(dimension=1, extent=(2.0,), resolution=(2,),
                   regions=(MaterialRegion("bulk", ((0.0, 2.0),)),),
                   contacts=(Contact(side="left"),))
-disc = Discretization(pair, build_mesh(pair))
+disc = Discretization(build_mesh(pair))
 phi = np.array([-s_lo, -s_lo - dphi])
 chi = np.vstack([-phi, phi])
 

@@ -20,8 +20,9 @@ gives it a default; a missing one is reported as ``path.key: required``.
 Records check their own values on construction, so one built in Python
 gets the same checks as one read from a deck; ``_record`` reports each
 finding construction raises under the record's path.  A deck whose
-dimension is 1 or 2 also has each per-axis list's length checked, so a
-bad extent is reported alongside every other problem.
+dimension is one of ``device.DIMENSIONS`` also has each per-axis list's
+length checked, so a bad extent is reported alongside every other
+problem.
 
 parse_config and dump_config are inverses up to canonicalization:
 dumping a parsed deck and parsing the dump reproduces the same
@@ -40,13 +41,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .device import (BoxDoping, Contact, DeviceSpec, DopingProfile,
-                     InterfaceSpec, MaterialRegion, RobinSegment,
-                     SheetDoping, SurfaceSegment)
+from .device import (DIMENSIONS, BoxDoping, Contact, DeviceSpec,
+                     DopingProfile, InterfaceSpec, MaterialRegion,
+                     RobinSegment, SheetDoping, SurfaceSegment)
 from .errors import ConfigError, DomainError
 from .operators import FluxScheme
-from .recombination import (Auger, Avalanche, MassAction, ShockleyReadHall,
-                            SurfaceSRH)
+from .recombination import (Auger, Avalanche, MassAction, ReactionInputs,
+                            ShockleyReadHall, SurfaceSRH, cannot_read)
 from .statistics import StatisticsModel
 from .transient import SimulationModels, TimeStepperConfig
 
@@ -105,7 +106,8 @@ class OutputSink:
 class SimulationConfig:
     """A whole deck.  Construction raises ConfigError, naming the field,
     on a statistics name outside ``StatisticsModel.kinds``, a flux scheme
-    outside ``FluxScheme.variants``, a seed that is not an integer, or a
+    outside ``FluxScheme.variants``, a recombination entry that is not a
+    reaction model of the cells, a seed that is not an integer, or a
     probe whose position does not give one coordinate per device axis."""
     device: DeviceSpec
     statistics: tuple[str, str] = ("boltzmann", "boltzmann")
@@ -130,6 +132,10 @@ class SimulationConfig:
         if self.flux_scheme not in variants:
             problems.append(f"flux_scheme: {self.flux_scheme!r} is not one "
                             f"of {variants}")
+        problems += [f"recombination[{i}]: {problem}"
+                     for i, model in enumerate(self.recombination)
+                     if (problem := cannot_read(
+                         model, ReactionInputs._fields, "a cell"))]
         if isinstance(self.seed, bool) \
                 or not isinstance(self.seed, (int, np.integer)):
             problems.append(f"seed: expected an integer, got {self.seed!r}")
@@ -447,10 +453,11 @@ def _record_tree(record) -> dict:
 
 
 def _dimension(device) -> int | None:
-    """The deck's device dimension when it is 1 or 2, else None and no
-    per-axis length checks; ``DeviceSpec`` judges the value itself."""
+    """The deck's device dimension when it is one of ``DIMENSIONS``, else
+    None and no per-axis length checks; ``DeviceSpec`` judges the value
+    itself."""
     dim = device.get("dimension") if isinstance(device, dict) else None
-    return dim if type(dim) is int and dim in (1, 2) else None
+    return dim if type(dim) is int and dim in DIMENSIONS else None
 
 
 def load_yaml(text: str):

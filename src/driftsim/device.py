@@ -37,9 +37,11 @@ __all__ = [
 Span = tuple[float, float]
 TimeSeries = Union[float, tuple[tuple[float, float], ...]]
 
-_SIDES_1D = ("left", "right")
-_SIDES_2D = ("left", "right", "bottom", "top")
-# side -> (axis, is_high_end)
+# axis names: a device of dimension d has the first d of them, so they
+# also fix the admitted dimensions
+AXES = ("x", "y")
+DIMENSIONS = tuple(range(1, len(AXES) + 1))
+# side -> (axis, is_high_end); a device has the sides of its axes
 _SIDE_AXIS = {"left": (0, False), "right": (0, True),
               "bottom": (1, False), "top": (1, True)}
 
@@ -62,6 +64,18 @@ def _series_ok(series) -> bool:
     return (knots.ndim == 2 and knots.shape[1] == 2 and knots.shape[0] >= 1
             and bool(np.all(np.isfinite(knots)))
             and bool(np.all(np.diff(knots[:, 0]) > 0)))
+
+
+def _is_count(value) -> bool:
+    """True for an integer (not a bool) of at least 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) \
+        and value >= 1
+
+
+def _is_length(value) -> bool:
+    """True for a finite positive real number (not a bool)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value) and value > 0
 
 
 def _axis_tuple(value, dim) -> tuple[float, ...]:
@@ -268,13 +282,17 @@ def _admissibility_problems(device: DeviceSpec) -> list[str]:
     admissible; raises nothing."""
     out: list[str] = []
     dim = device.dimension
-    if not isinstance(dim, numbers.Integral) or dim not in (1, 2):
-        return [f"dimension must be 1 or 2, got {dim}"]
-    sides = _SIDES_1D if dim == 1 else _SIDES_2D
-    if len(device.extent) != dim or any(e <= 0 for e in device.extent):
-        out.append(f"extent must be {dim} positive lengths, got {device.extent}")
-    if len(device.resolution) != dim or any(n < 1 for n in device.resolution):
-        out.append(f"resolution must be {dim} positive cell counts, got {device.resolution}")
+    if not isinstance(dim, numbers.Integral) or dim not in DIMENSIONS:
+        admitted = " or ".join(map(str, DIMENSIONS))
+        return [f"dimension must be {admitted}, got {dim}"]
+    sides = [side for side, (axis, _) in _SIDE_AXIS.items() if axis < dim]
+    if len(device.extent) != dim or not all(map(_is_length, device.extent)):
+        out.append(f"extent must be {dim} finite positive lengths, "
+                   f"got {device.extent}")
+    if len(device.resolution) != dim \
+            or not all(map(_is_count, device.resolution)):
+        out.append(f"resolution must be {dim} positive integer cell counts, "
+                   f"got {device.resolution}")
     if out:
         return out
     volume = float(np.prod(device.extent))
@@ -488,18 +506,20 @@ def build_mesh(device: DeviceSpec) -> Mesh:
     )
 
 
-def cell_tensor(device: DeviceSpec, mesh: Mesh, name: str) -> np.ndarray:
-    """Per-cell diagonal coefficient tensor (n_cells, dim) for eps/mu1/mu2."""
-    dim = device.dimension
+def cell_tensor(mesh: Mesh, name: str) -> np.ndarray:
+    """Per-cell diagonal coefficient tensor (n_cells, dim) for eps/mu1/mu2,
+    from the regions of the device ``mesh`` was built from."""
+    dim = mesh.dimension
     out = np.empty((mesh.n_cells, dim))
-    for r, reg in enumerate(device.regions):
+    for r, reg in enumerate(mesh.device.regions):
         out[mesh.cell_region == r] = _axis_tuple(getattr(reg, name), dim)
     return out
 
 
-def bulk_doping(device: DeviceSpec, mesh: Mesh) -> np.ndarray:
-    """Cellwise volume doping d evaluated at cell centers (boxes add up)."""
+def bulk_doping(mesh: Mesh) -> np.ndarray:
+    """Cellwise volume doping d evaluated at cell centers (boxes add up),
+    from the doping of the device ``mesh`` was built from."""
     d = np.zeros(mesh.n_cells)
-    for box in device.doping.boxes:
+    for box in mesh.device.doping.boxes:
         d[_inside(mesh.cell_centers, box.bounds)] += box.value
     return d

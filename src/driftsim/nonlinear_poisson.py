@@ -360,6 +360,6 @@ def equilibrium_state(poisson: SparseOperator, stats):
     problem = NonlinearPoissonProblem(
         poisson=poisson, load=poisson_data_load(poisson, 0.0),
         stats=tuple(stats), omega=np.zeros((2, mesh.n_cells)))
-    start = neutral_potential(stats, bulk_doping(device, mesh))
+    start = neutral_potential(stats, bulk_doping(mesh))
     phi, report = newton_solve(problem, tol=_EQUILIBRIUM_TOL, x0=start)
     return phi, report.densities[0]

@@ -152,9 +152,11 @@ def eta_face(stats: StatisticsModel, s_lo, s_hi, u_lo, u_hi):
 
 
 class Discretization:
-    """Flux stencil, transmissibilities and sparsity pattern of ``mesh``,
-    and the ``device`` it was built from, whose boundary and reaction data
-    every call that holds the discretization reads from here.
+    """Flux stencil, transmissibilities and sparsity pattern of ``mesh``.
+    Its ``device`` is the one the mesh was built from, ``mesh.device``,
+    whose boundary and reaction data every call that holds the
+    discretization reads from here; a mesh cannot be paired with another
+    device's data.
 
     Stencil face j (mesh face ``faces[j]``) joins ``lo[j]`` to ``hi[j]`` at
     distance ``span[j]``: first the ``n_interior`` interior faces, then the
@@ -172,8 +174,7 @@ class Discretization:
     pattern shares one set of read-only index arrays.
     """
 
-    def __init__(self, device: DeviceSpec, mesh: Mesh):
-        self.device = device
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
         n = self.n_cells = mesh.n_cells
         inner = np.flatnonzero(mesh.face_tag == TAG_INTERIOR)
@@ -192,14 +193,14 @@ class Discretization:
         self.robin_segment = segment_of[robin]
         self.robin_cell = mesh.face_cells[robin].max(axis=1)
         self.robin_coeff = mesh.face_area[robin] * np.array(
-            [device.robin[s].eps_gamma for s in self.robin_segment])
+            [mesh.device.robin[s].eps_gamma for s in self.robin_segment])
         dl, dr, axis, area = (a[faces] for a in (
             mesh.face_dl, mesh.face_dr, mesh.face_axis, mesh.face_area))
         self.span = dl + dr
         lo, hi, cell = self.lo[:m], self.hi[:m], cells[m:].max(axis=1)
         self.transmissibility = np.empty((3, faces.size))
         for t, name in zip(self.transmissibility, ("eps", "mu1", "mu2")):
-            k = cell_tensor(device, mesh, name)
+            k = cell_tensor(mesh, name)
             with np.errstate(divide="ignore"):
                 t[:m] = area[:m] / (dl[:m] / k[lo, axis[:m]]
                                     + dr[:m] / k[hi, axis[:m]])
@@ -217,6 +218,10 @@ class Discretization:
 
         self.bands = n >= 3 and np.array_equal(lo, np.arange(n - 1)) \
             and np.array_equal(hi, lo + 1)
+
+    @property
+    def device(self) -> DeviceSpec:
+        return self.mesh.device
 
     def check_matches(self, device: DeviceSpec, mesh: Mesh | None = None):
         """Raise DomainError unless ``device`` equals this discretization's
@@ -363,9 +368,10 @@ class SparseOperator:
                               self.upper, self.lower)
 
 
-def assemble_poisson(device: DeviceSpec, mesh: Mesh) -> SparseOperator:
-    """Robin-Poisson operator: diffusion in eps + Robin masses + Dirichlet closure."""
-    disc = Discretization(device, mesh)
+def assemble_poisson(mesh: Mesh) -> SparseOperator:
+    """Robin-Poisson operator: diffusion in eps + Robin masses + Dirichlet
+    closure, on ``mesh`` and the device it was built from."""
+    disc = Discretization(mesh)
     t = disc.transmissibility[0]
     diagonal = disc.diagonal(t, t, disc.robin_cell, disc.robin_coeff)
     off = -t[:disc.n_interior]
@@ -377,7 +383,7 @@ def poisson_data_load(op: SparseOperator, t: float) -> np.ndarray:
     time t, on the device and mesh of ``op``."""
     disc = op.disc
     device, mesh = disc.device, disc.mesh
-    load = mesh.cell_volumes * bulk_doping(device, mesh)
+    load = mesh.cell_volumes * bulk_doping(mesh)
     for sheet, faces in zip(device.doping.sheets, mesh.sheet_faces):
         load += apply_surface_load(mesh, faces, sheet.density)
     eps = disc.transmissibility[0]
@@ -485,7 +491,7 @@ def evaluate_face_coefficients(disc: Discretization, stats,
                                      eval_carriers(stats, chi)[0])
 
 
-def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
+def assemble_continuity(mesh: Mesh, stats: StatisticsModel,
                         scheme: FluxScheme, k: int, phi: np.ndarray,
                         chi: np.ndarray, contacts: np.ndarray,
                         ) -> tuple[SparseOperator, np.ndarray]:
@@ -496,21 +502,20 @@ def assemble_continuity(device: DeviceSpec, mesh: Mesh, stats: StatisticsModel,
     if k not in (1, 2):
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
     return evaluate_face_coefficients(
-        Discretization(device, mesh), (stats, stats), scheme, phi,
+        Discretization(mesh), (stats, stats), scheme, phi,
         np.vstack([chi, chi]), contacts).system(k, np.zeros(mesh.n_cells))
 
 
-def continuity_face_flux(device: DeviceSpec, mesh: Mesh,
-                         stats: StatisticsModel, scheme: FluxScheme, k: int,
-                         phi: np.ndarray, chi: np.ndarray,
-                         contacts: np.ndarray) -> np.ndarray:
+def continuity_face_flux(mesh: Mesh, stats: StatisticsModel,
+                         scheme: FluxScheme, k: int, phi: np.ndarray,
+                         chi: np.ndarray, contacts: np.ndarray) -> np.ndarray:
     """Facewise mass flow of carrier k, positive from the low to high side,
     from the same coefficients as ``assemble_continuity``; faces without a
     flux stencil (insulated, Robin, surface) report zero."""
     if k not in (1, 2):
         raise DomainError(f"carrier index must be 1 or 2, got {k}")
     return evaluate_face_coefficients(
-        Discretization(device, mesh), (stats, stats), scheme, phi,
+        Discretization(mesh), (stats, stats), scheme, phi,
         np.vstack([chi, chi]), contacts).flux()[k - 1]
 
 

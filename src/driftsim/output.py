@@ -14,12 +14,11 @@ import os
 import numpy as np
 
 from .config import SimulationConfig
-from .device import DeviceSpec, Mesh, contact_labels
+from .device import AXES, DeviceSpec, Mesh, contact_labels
 from .transient import SimulationModels, SimulationResult, terminal_currents
 
 __all__ = ["format_float", "write_csv", "write_outputs"]
 
-_AXES = ("x", "y")
 _FLOAT = "%.17e"  # full precision: every float round-trips bit for bit
 
 
@@ -39,7 +38,7 @@ def write_csv(path: str, header: list[str], table) -> None:
 
 
 def _field_header(dim: int) -> list[str]:
-    return list(_AXES[:dim]) + ["phi", "Phi1", "Phi2", "u1", "u2"]
+    return list(AXES[:dim]) + ["phi", "Phi1", "Phi2", "u1", "u2"]
 
 
 def _field_table(mesh: Mesh, state, cells) -> np.ndarray:

@@ -4,8 +4,10 @@ Every model names the inputs it reads in ``reads``, out of the fields of
 one record, ``ReactionInputs``, and its ``production`` returns its signed
 pair production there: mass action and impact ionization their rate as
 written below, the trap-assisted and Auger channels minus theirs.  A
-sweep builds the record on the cells, with every input, and on each
-surface's and interface's faces, with the densities only (``FACE_INPUTS``).
+sweep builds the record on the cells, where every input is available
+and the field and currents are built only when a model reads them, and
+on each surface's and interface's faces, with the densities only
+(``FACE_INPUTS``).
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Backward Euler in time.  Each step freezes the time level and decouples
 the equations: the potential is solved for the current quasi-Fermi
 iterate (the nonlinear Poisson problem with the step's data load),
-fields and currents are reconstructed, the reaction loads are evaluated
+fields and currents are reconstructed when a bulk model reads them
+(impact ionization does), the reaction loads are evaluated
 at the iterate (frozen coefficients), and the two continuity equations
 are solved as linear systems in the densities.  The quasi-Fermi levels are
 read back through the inverse statistics and the sweep repeats until
@@ -215,7 +216,7 @@ def initial_state(device: DeviceSpec, models: SimulationModels,
         elif mesh.device != device:
             raise DomainError("mesh does not fit the device: it was built "
                               "from another one")
-        poisson = assemble_poisson(device, mesh)
+        poisson = assemble_poisson(mesh)
     else:
         poisson.disc.check_matches(device, mesh)
     phi, u = equilibrium_state(poisson, models.stats)
@@ -313,6 +314,8 @@ def gummel_step(poisson: SparseOperator, models: SimulationModels,
     # caller's slot (for the step when there is none)
     jacobians = FactorSlot() if jacobians is None else jacobians
     continuity = FactorSlot(), FactorSlot()
+    # the cell field and currents are rebuilt only for a model that reads them
+    currents = any({"e", "j"} & set(model.reads) for model in models.bulk)
 
     def advance(Phi):
         """One sweep image of the quasi-Fermi iterate.
@@ -335,7 +338,8 @@ def gummel_step(poisson: SparseOperator, models: SimulationModels,
         faces = carrier_face_coefficients(
             disc, models.stats, models.scheme,
             *with_ghosts((phi, chi, u_eval), ghosts))
-        e, j = _cell_currents(disc, phi, contacts, faces.flux())
+        e, j = _cell_currents(disc, phi, contacts, faces.flux()) \
+            if currents else (None, None)
         shared = V * bulk_production(models.bulk, ReactionInputs(
             u_eval, Phi, e, j)) + _surface_loads(disc, u_eval)
 
@@ -445,7 +449,7 @@ def run(device: DeviceSpec, models: SimulationModels,
         config: TimeStepperConfig, observer: Callable | None = None,
         initial: CarrierState | None = None) -> SimulationResult:
     """Integrate from equilibrium (or ``initial``) to t_end with adaptive steps."""
-    poisson = assemble_poisson(device, build_mesh(device))
+    poisson = assemble_poisson(build_mesh(device))
     state = initial_state(device, models, poisson=poisson) \
         if initial is None else initial.copy()
     states = [state]

@@ -168,7 +168,7 @@ def _grounded_1d() -> tuple:
         regions=(MaterialRegion(name="bulk", bounds=((0.0, 1.0),)),),
         contacts=(Contact(side="left"), Contact(side="right")))
     mesh = build_mesh(device)
-    return mesh, assemble_poisson(device, mesh)
+    return mesh, assemble_poisson(mesh)
 
 
 def _grounded_2d() -> tuple:
@@ -180,7 +180,7 @@ def _grounded_2d() -> tuple:
                            eps=2.0)),
         contacts=(Contact(side="left"), Contact(side="right")))
     mesh = build_mesh(device)
-    return mesh, assemble_poisson(device, mesh)
+    return mesh, assemble_poisson(mesh)
 
 
 def _omega_problems(seed: int):
@@ -310,7 +310,7 @@ def _mms_poisson_error(cells: int, piecewise: bool) -> float:
         contacts=(Contact(side="left", phi=0.0),
                   Contact(side="right", phi=phi_right)))
     mesh = build_mesh(device)
-    op = assemble_poisson(device, mesh)
+    op = assemble_poisson(mesh)
     x = mesh.cell_centers[:, 0]
     # Boltzmann pair with omega = 0 contributes -2 sinh(phi) of space
     # charge, so the manufactured volumetric load carries +2 sinh(phi*)
@@ -527,7 +527,7 @@ def suite_gummel_monolithic(seed: int) -> list[PropertyResult]:
     del seed
     config = decks.srh_two_cell()
     models = build_models(config)
-    poisson = assemble_poisson(config.device, build_mesh(config.device))
+    poisson = assemble_poisson(build_mesh(config.device))
     state = initial_state(config.device, models, poisson=poisson)
     dt = config.stepper.dt_init
     new_state, _ = gummel_step(poisson, models, state, dt, config.stepper)

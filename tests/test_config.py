@@ -387,7 +387,9 @@ def test_probe_position_checked_at_construction(position):
      "flux_scheme: 'central' is not one of ('scharfetter_gummel', "
      "'scharfetter_gummel_enhanced')"),
     ("seed", "7", "seed: expected an integer, got '7'"),
-], ids=["statistics", "flux_scheme", "seed"])
+    ("recombination", (object(),),
+     "recombination[0]: object is not a reaction model"),
+], ids=["statistics", "flux_scheme", "seed", "recombination"])
 def test_simulation_config_checks_its_own_fields(field, value, problem):
     # a deck built in Python fails at construction, naming the field, not
     # in build_models or mid-run after the equilibrium solve
@@ -414,6 +416,12 @@ def test_per_axis_coefficient_of_wrong_length_is_a_problem():
     found = problems_of(text)
     assert any("'bulk'" in p and "eps" in p and "expected 1" in p
                for p in found), found
+
+
+def test_infinite_extent_is_refused_at_parse_time():
+    # it would otherwise parse and fail in the run as a singular factor
+    assert problems_of(MINIMAL.replace("extent: [2.0]", "extent: [.inf]")) \
+        == ["device: extent must be 1 finite positive lengths, got (inf,)"]
 
 
 def test_device_violations_are_prefixed():

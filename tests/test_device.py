@@ -94,6 +94,20 @@ def test_dimension_must_be_low():
             f"dimension must be 1 or 2, got {dimension}"]
 
 
+@pytest.mark.parametrize("field, value, finding", [
+    ("resolution", (2.5,),
+     "resolution must be 1 positive integer cell counts, got (2.5,)"),
+    ("resolution", (True,),
+     "resolution must be 1 positive integer cell counts, got (True,)"),
+    ("extent", "a", "extent must be 1 finite positive lengths, got ('a',)"),
+], ids=["fractional-resolution", "bool-resolution", "text-extent"])
+def test_extent_and_resolution_are_checked(field, value, finding):
+    # a finding, not a mesh of truncated cell counts or an untyped error
+    with pytest.raises(ConfigError) as err:
+        slab_1d(**{field: value})
+    assert err.value.problems == [finding]
+
+
 @pytest.mark.parametrize("scalar", [np.float32(2), np.int64(2)],
                          ids=["float32", "int64"])
 def test_device_records_take_numpy_scalars(scalar):
@@ -102,7 +116,7 @@ def test_device_records_take_numpy_scalars(scalar):
     dev = slab_1d(regions=(MaterialRegion("bulk", ((0.0, 2.0),), eps=scalar),),
                   contacts=(Contact(side="left", phi=scalar),
                             Contact(side="right")))
-    assert np.all(cell_tensor(dev, build_mesh(dev), "eps") == 2.0)
+    assert np.all(cell_tensor(build_mesh(dev), "eps") == 2.0)
     assert dev.contacts[0].values(0.0) == (2.0, 0.0, 0.0)
     with pytest.raises(ConfigError, match="non-elliptic eps"):
         slab_1d(regions=(MaterialRegion("bulk", ((0.0, 2.0),),
@@ -341,7 +355,7 @@ def test_two_region_assignment():
         regions=(MaterialRegion("low", ((0.0, 1.0), (0.0, 0.5)), eps=1.0),
                  MaterialRegion("high", ((0.0, 1.0), (0.5, 1.0)), eps=2.0)))
     mesh = build_mesh(dev)
-    eps = cell_tensor(dev, mesh, "eps")
+    eps = cell_tensor(mesh, "eps")
     low = mesh.cell_centers[:, 1] < 0.5
     assert np.all(eps[low] == 1.0)
     assert np.all(eps[~low] == 2.0)
@@ -505,7 +519,7 @@ def test_box_doping_sums():
                                               BoxDoping(((1.0, 2.0),), 1.0),
                                               BoxDoping(((0.0, 2.0),), 0.5))))
     mesh = build_mesh(dev)
-    d = bulk_doping(dev, mesh)
+    d = bulk_doping(mesh)
     assert d.tolist() == [-0.5, -0.5, 1.5, 1.5]
 
 
@@ -514,4 +528,4 @@ def test_doping_box_respects_cell_centers():
     dev = slab_1d(cells=4, extent=2.0,
                   doping=DopingProfile(boxes=(BoxDoping(((0.4, 0.6),), 3.0),)))
     mesh = build_mesh(dev)
-    assert np.all(bulk_doping(dev, mesh) == 0.0)
+    assert np.all(bulk_doping(mesh) == 0.0)

@@ -43,7 +43,7 @@ def grounded_problem(stats=BB, omega=None, cells=24, load=None):
         regions=(MaterialRegion("bulk", ((0.0, 1.0),)),),
         contacts=(Contact(side="left"), Contact(side="right")))
     mesh = build_mesh(dev)
-    op = assemble_poisson(dev, mesh)
+    op = assemble_poisson(mesh)
     if omega is None:
         omega = np.zeros((2, mesh.n_cells))
     if load is None:
@@ -276,7 +276,7 @@ def test_problem_shape_validation():
         regions=(MaterialRegion("bulk", ((0.0, 1.0),)),),
         contacts=(Contact(side="left"), Contact(side="right")))
     mesh = build_mesh(dev)
-    op = assemble_poisson(dev, mesh)
+    op = assemble_poisson(mesh)
     with pytest.raises(DomainError):
         NonlinearPoissonProblem(poisson=op, load=np.zeros(3), stats=BB,
                                 omega=np.zeros((2, 4)))
@@ -288,7 +288,7 @@ def test_problem_shape_validation():
 # -- equilibrium ----------------------------------------------------------
 
 def equilibrium(dev):
-    return equilibrium_state(assemble_poisson(dev, build_mesh(dev)), BB)
+    return equilibrium_state(assemble_poisson(build_mesh(dev)), BB)
 
 
 def test_equilibrium_pn_antisymmetry():

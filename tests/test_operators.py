@@ -150,7 +150,7 @@ def face_flux(scheme, u_lo, u_hi, s_lo, s_hi, dphi, t, stats=None):
                       regions=(MaterialRegion("bulk", ((0.0, 2.0),),
                                               mu1=t),),
                       contacts=(Contact(side="left"),))
-    disc = Discretization(pair, build_mesh(pair))
+    disc = Discretization(build_mesh(pair))
     # cells, then the ghost; carrier 1's drop is phi_lo - phi_hi
     phi = np.array([0.0, -dphi, 0.0])
     chi = np.array([[s_lo, s_hi, s_lo]] * 2)
@@ -256,7 +256,7 @@ def test_eta_face_midpoint_only_where_the_sides_coincide():
 
 def test_poisson_operator_is_symmetric():
     dev = dirichlet_slab(cells=16)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     A = op.csc()
     assert abs(A - A.T).max() <= 1e-14
 
@@ -265,7 +265,7 @@ def test_linear_profile_reproduced_exactly():
     # two-point flux is exact for affine potentials with uniform eps
     dev = dirichlet_slab(cells=8, extent=2.0, phi_left=1.0, phi_right=3.0)
     mesh = build_mesh(dev)
-    op = assemble_poisson(dev, mesh)
+    op = assemble_poisson(mesh)
     load = poisson_data_load(op, t=0.0)
     phi, _ = solve_linear(op, load)
     exact = 1.0 + mesh.cell_centers[:, 0]
@@ -278,7 +278,7 @@ def test_constant_lift_2d():
         regions=(MaterialRegion("bulk", ((0.0, 1.0), (0.0, 1.0)), eps=2.0),),
         contacts=(Contact(side="left", phi=4.0), Contact(side="right", phi=4.0)))
     mesh = build_mesh(dev)
-    op = assemble_poisson(dev, mesh)
+    op = assemble_poisson(mesh)
     phi, _ = solve_linear(op, poisson_data_load(op, t=0.0))
     assert np.max(np.abs(phi - 4.0)) <= 1e-12
 
@@ -291,7 +291,7 @@ def test_robin_wall_follows_gate_value():
         robin=(RobinSegment("left", eps_gamma=2.5, phi_gamma=1.5),
                RobinSegment("right", eps_gamma=0.5, phi_gamma=1.5)))
     mesh = build_mesh(dev)
-    op = assemble_poisson(dev, mesh)
+    op = assemble_poisson(mesh)
     load = poisson_data_load(op, t=0.0)
     phi, _ = solve_linear(op, load)
     assert np.max(np.abs(phi - 1.5)) <= 1e-12
@@ -369,9 +369,9 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
     phi = rng.uniform(0.0, 2.0, mesh.n_cells)
     chi = rng.uniform(0.0, 3.0, mesh.n_cells)
     contacts = _one_carrier_contacts(rng, dev)
-    flux = continuity_face_flux(dev, mesh, stats, scheme, k, phi, chi,
+    flux = continuity_face_flux(mesh, stats, scheme, k, phi, chi,
                                 contacts)
-    M, load = assemble_continuity(dev, mesh, stats, scheme, k, phi, chi,
+    M, load = assemble_continuity(mesh, stats, scheme, k, phi, chi,
                                   contacts)
     M = M.csc()
     u = stats.eval(chi)
@@ -384,7 +384,7 @@ def test_flux_divergence_matches_continuity_matrix(dimension, k, scheme,
     assert np.max(np.abs(outflow - (M @ u - load))) <= 1e-13 * scale
     # the cell densities the coefficients carry are F(chi) bit for bit:
     # F of chi extended by its ghosts equals F of chi alone, elementwise
-    f = evaluate_face_coefficients(Discretization(dev, mesh), (stats, stats),
+    f = evaluate_face_coefficients(Discretization(mesh), (stats, stats),
                                    scheme, phi, np.vstack([chi, chi]),
                                    contacts)
     assert np.array_equal(f.u[k - 1, :mesh.n_cells], u)
@@ -402,20 +402,20 @@ def test_continuity_shims_equal_the_kernel(dimension, k):
     chi = rng.uniform(-1.0, 3.0, (2, mesh.n_cells))
     contacts = rng.uniform(0.0, 1.0, (3, len(dev.contacts)))
     stats = (fermi_dirac_half(), boltzmann())
-    f = evaluate_face_coefficients(Discretization(dev, mesh), stats, ENHANCED,
+    f = evaluate_face_coefficients(Discretization(mesh), stats, ENHANCED,
                                    phi, chi, contacts)
     # carrier k's contact level, in both rows the shims read it from
     own = contacts[[0, k, k]]
-    M, load = assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, k, phi,
+    M, load = assemble_continuity(mesh, stats[k - 1], ENHANCED, k, phi,
                                   chi[k - 1], own)
     M_ref, load_ref = f.system(k, np.zeros(mesh.n_cells))
     assert np.array_equal(M.csc().data, M_ref.csc().data)
     assert np.array_equal(load, load_ref)
-    flux = continuity_face_flux(dev, mesh, stats[k - 1], ENHANCED, k, phi,
+    flux = continuity_face_flux(mesh, stats[k - 1], ENHANCED, k, phi,
                                 chi[k - 1], own)
     assert np.array_equal(flux, f.flux()[k - 1])
     with pytest.raises(DomainError, match="carrier index"):
-        assemble_continuity(dev, mesh, stats[k - 1], ENHANCED, 0, phi,
+        assemble_continuity(mesh, stats[k - 1], ENHANCED, 0, phi,
                             chi[k - 1], own)
 
 
@@ -432,7 +432,7 @@ def test_carrier_face_coefficients_match_each_carrier(dimension, stats):
     # carrier k's statistics, whatever the other row holds
     dev = _device(dimension)
     mesh = build_mesh(dev)
-    disc = Discretization(dev, mesh)
+    disc = Discretization(mesh)
     n = mesh.n_cells
     rng = np.random.default_rng(3)
     phi = rng.uniform(0.0, 2.0, n)
@@ -458,7 +458,7 @@ def test_one_kernel_call_is_one_bernoulli_pass(monkeypatch, scheme, stats):
     # call on the stacked (2, 2, n_faces) arguments
     dev = _device(2)
     mesh = build_mesh(dev)
-    disc = Discretization(dev, mesh)
+    disc = Discretization(mesh)
     rng = np.random.default_rng(8)
     phi = rng.uniform(0.0, 2.0, mesh.n_cells)
     chi = rng.uniform(-1.0, 3.0, (2, mesh.n_cells))
@@ -509,7 +509,7 @@ def test_system_fill_matches_coordinate_build(dimension, k, scheme, stats):
     chi = rng.uniform(-1.0, 3.0, n)
     contacts = _one_carrier_contacts(rng, dev)
     mass = mesh.cell_volumes / 0.0137
-    f = evaluate_face_coefficients(Discretization(dev, mesh), (stats, stats),
+    f = evaluate_face_coefficients(Discretization(mesh), (stats, stats),
                                    scheme, phi, np.vstack([chi, chi]),
                                    contacts)
     M, load = f.system(k, mass)
@@ -536,7 +536,7 @@ def test_newton_jacobian_fill_matches_sparse_sum(dimension):
     dev = _device(dimension)
     mesh = build_mesh(dev)
     n = mesh.n_cells
-    op = assemble_poisson(dev, mesh)
+    op = assemble_poisson(mesh)
 
     lo, hi, cell, _ = _reference_faces(mesh)
     t, tb = np.split(op.disc.transmissibility[0], [lo.size])
@@ -561,7 +561,7 @@ def test_matrices_cannot_change_the_shared_pattern():
     # every matrix on a mesh shares the Discretization's index arrays, so
     # an in-place structural change must fail instead of corrupting them
     dev = _device(2)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     with pytest.raises(ValueError):
         op.csc().eliminate_zeros()
     with pytest.raises(ValueError):
@@ -581,7 +581,7 @@ def test_poisson_factor_fill_on_the_2d_junction():
     # of A^T + A keeps the LU fill of the 64x64 junction near 6.3 nnz(A);
     # the default column ordering gives 10.9
     dev = _junction_2d()
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     lu = op.factor()
     assert (lu.L.nnz + lu.U.nnz) / op.csc().nnz <= 7.0
 
@@ -592,7 +592,7 @@ def test_superlu_factor_matches_splu(system):
     # rounding, splu's solution
     dev = _junction_2d()
     mesh = build_mesh(dev)
-    op = assemble_poisson(dev, mesh)
+    op = assemble_poisson(mesh)
     n = op.dimension
     rng = np.random.default_rng(11)
     if system == "sg":
@@ -617,7 +617,7 @@ def test_solve_linear_refines_from_the_held_factor(monkeypatch):
     calls = _count_superlu(monkeypatch)
     dev = _junction_2d(cells=24)
     mesh = build_mesh(dev)
-    poisson = assemble_poisson(dev, mesh)
+    poisson = assemble_poisson(mesh)
     b = np.random.default_rng(2).normal(size=poisson.dimension)
     slot = FactorSlot()
 
@@ -652,7 +652,7 @@ def _stale_jacobian(height):
     counted factor of the Jacobian at phi = 0."""
     dev = _junction_2d(cells=24)
     mesh = build_mesh(dev)
-    poisson = assemble_poisson(dev, mesh)
+    poisson = assemble_poisson(mesh)
     held = poisson.shifted(2.0 * mesh.cell_volumes)
     held._lu = _CountingFactor(held.factor())
     slot = FactorSlot()
@@ -734,7 +734,7 @@ def test_singular_system_in_solve_linear_is_a_solver_error(dimension):
     # that meets it is rejected instead of ending the run, and the stale
     # factor is not kept
     dev = dirichlet_slab(cells=6) if dimension == 1 else _device(2)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     dense = op.csc().toarray()
     dense[:, 0] = 0.0
     singular = _on_pattern(op.disc, dense)
@@ -755,7 +755,7 @@ def test_tridiagonal_solve_meeting_the_contract_solves_once(monkeypatch):
     # the residual check is the only cost solve_linear adds to a 1D
     # solve: a first solve that meets the contract is not refined
     dev = dirichlet_slab(cells=16, phi_left=1.0, phi_right=3.0)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     lu = op.factor()
     calls = []
     original = lu.solve
@@ -777,7 +777,7 @@ def test_overflowing_right_hand_side_norm_is_not_a_warning():
     # the plain ||b|| overflows for entries near 1e160; the rescaled norm
     # is finite, and the first solve meets the contract as it is
     dev = dirichlet_slab(cells=6)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     b = np.full(6, 1e160)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -790,7 +790,7 @@ def test_huge_right_hand_side_still_meets_the_contract():
     # with b near 1e200 both norms overflow when taken plainly, and an
     # infinite target would accept that x
     dev = dirichlet_slab(cells=6)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     op._lu = _on_pattern(op.disc, 2.0 * op.csc().toarray()).factor()
     with pytest.raises(SolverError, match="exceeds"):
         solve_linear(op, np.full(6, 1e200))
@@ -800,7 +800,7 @@ def test_non_finite_residual_in_solve_linear_is_a_solver_error():
     # an infinite diagonal entry makes the residual NaN (inf * 0), which
     # the contract must reject: no comparison with a bound is true for NaN
     dev = dirichlet_slab(cells=6)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     dense = op.csc().toarray()
     dense[2, 2] = np.inf
     poisoned = _on_pattern(op.disc, dense)
@@ -833,7 +833,7 @@ def test_non_finite_right_hand_side_is_a_solver_error(dimension, bad):
     # target, so it meets no contract: SolverError on both factor paths,
     # from a held factor too, and no RuntimeWarning on the way
     dev = dirichlet_slab(cells=6) if dimension == 1 else _device(2)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     b = np.ones(op.dimension)
     slot = FactorSlot()
     solve_linear(op, b, slot)
@@ -874,7 +874,7 @@ def test_factor_path_follows_the_pattern_in_1d(monkeypatch, cells,
     calls = _count_superlu(monkeypatch)
     dev = dirichlet_slab(cells=cells, phi_left=1.0, phi_right=3.0)
     mesh = build_mesh(dev)
-    op = assemble_poisson(dev, mesh)
+    op = assemble_poisson(mesh)
     assert op.disc.bands == (cells >= 3)
     phi, _ = solve_linear(op, poisson_data_load(op, t=0.0))
     assert len(calls) == splu_calls
@@ -885,7 +885,7 @@ def test_factor_path_follows_the_pattern_in_1d(monkeypatch, cells,
 def test_factor_path_is_splu_in_2d(monkeypatch):
     calls = _count_superlu(monkeypatch)
     dev = _two_contact_device_2d()
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     assert not op.disc.bands
     op.factor()
     assert calls == [op.csc().shape]
@@ -916,7 +916,7 @@ def test_tridiagonal_solves_agree_with_splu(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 60))
     dev = dirichlet_slab(cells=n)
-    disc = Discretization(dev, build_mesh(dev))
+    disc = Discretization(build_mesh(dev))
     lower, upper = rng.normal(size=(2, n - 1))
     diagonal = rng.normal(size=n)
     if seed % 2 == 0:
@@ -969,7 +969,7 @@ def test_bands_agree_with_the_csc_matrix_bit_for_bit(data):
         dev = _box_2d(*(data.draw(st.integers(2, 6)) for _ in range(2)))
     else:
         dev = dirichlet_slab(cells=data.draw(st.integers(3, 40)))
-    disc = Discretization(dev, build_mesh(dev))
+    disc = Discretization(build_mesh(dev))
     n, m = disc.n_cells, disc.n_interior
     assert disc.bands == (dev.dimension == 1)
 
@@ -1049,7 +1049,7 @@ def test_1d_run_makes_no_sparse_product_and_no_csc_matrix(monkeypatch):
     assert result.completed and result.steps_accepted >= 2
     assert counts == {"product": 0, "csc": 0}
     dev = _device(2)
-    op = assemble_poisson(dev, build_mesh(dev))
+    op = assemble_poisson(build_mesh(dev))
     op @ np.ones(op.dimension)
     assert counts["product"] == 1 and counts["csc"] >= 2
 
@@ -1069,7 +1069,7 @@ def test_singular_tridiagonal_factor_raises():
     # SolverError; splu agrees that this one is singular
     dev = dirichlet_slab(cells=6)
     mesh = build_mesh(dev)
-    disc = Discretization(dev, mesh)
+    disc = Discretization(mesh)
     diagonal, upper, lower = _singular_first_column(6, mesh.cell_volumes)
     diagonal[0] = 0.0
     op = SparseOperator(disc, diagonal, upper, lower)
@@ -1086,7 +1086,7 @@ def test_singular_newton_jacobian_is_a_solver_error():
     n = 6
     dev = dirichlet_slab(cells=n)
     mesh = build_mesh(dev)
-    disc = Discretization(dev, mesh)
+    disc = Discretization(mesh)
     volumes = mesh.cell_volumes
     poisson = SparseOperator(disc, *_singular_first_column(n, volumes))
     problem = NonlinearPoissonProblem(
@@ -1133,7 +1133,7 @@ def test_face_gradient_of_affine_field(dimension):
     contacts = [0.5 + _face_center(mesh, face) @ slope
                 for face in (np.flatnonzero(mesh.face_contact == c).item()
                              for c in range(len(dev.contacts)))]
-    grad = face_gradient(Discretization(dev, mesh), values, contacts)
+    grad = face_gradient(Discretization(mesh), values, contacts)
     stencil = np.isin(mesh.face_tag, (TAG_INTERIOR, TAG_DIRICHLET))
     assert np.max(np.abs(grad[stencil] - slope[mesh.face_axis[stencil]])) \
         <= 1e-12
@@ -1147,7 +1147,7 @@ def test_face_readers_keep_a_leading_axis(dimension):
     dev = dirichlet_slab(cells=10, extent=2.0) if dimension == 1 \
         else _every_side_device_2d()
     mesh = build_mesh(dev)
-    disc = Discretization(dev, mesh)
+    disc = Discretization(mesh)
     rng = np.random.default_rng(12)
     values = rng.normal(size=(2, mesh.n_cells))
     contacts = rng.normal(size=(2, len(dev.contacts)))

@@ -195,7 +195,7 @@ def test_initial_state_rejects_another_device_or_mesh_beside_poisson():
     # apart is
     dev = biased_diode(cells=16)
     models = SimulationModels(stats=BB)
-    poisson = assemble_poisson(dev, build_mesh(dev))
+    poisson = assemble_poisson(build_mesh(dev))
     start = initial_state(dev, models, build_mesh(dev), poisson)
     assert start.phi.shape == (16,)
     with pytest.raises(DomainError, match="device differs"):
@@ -236,7 +236,7 @@ def test_run_runs_its_own_equilibrium():
 
 def test_terminal_currents_vanish_at_equilibrium():
     dev = biased_diode(bias=0.0)
-    poisson = assemble_poisson(dev, build_mesh(dev))
+    poisson = assemble_poisson(build_mesh(dev))
     models = SimulationModels(stats=BB)
     state = initial_state(dev, models, poisson=poisson)
     currents = terminal_currents(poisson.disc, models, state)
@@ -254,7 +254,7 @@ def test_contacts_sharing_a_side_each_report_their_current():
         contacts=(Contact(side="top", span=(0.0, 1.0)),
                   Contact(side="bottom"),
                   Contact(side="top", span=(3.0, 4.0), bias=0.5)))
-    disc = Discretization(dev, build_mesh(dev))
+    disc = Discretization(build_mesh(dev))
     models = SimulationModels(stats=BB)
     rng = np.random.default_rng(4)
     n = disc.n_cells
@@ -288,7 +288,7 @@ def test_gummel_step_advances_time(monkeypatch):
 
     monkeypatch.setattr(transient, "solve_linear", counting)
     dev = biased_diode()
-    poisson = assemble_poisson(dev, build_mesh(dev))
+    poisson = assemble_poisson(build_mesh(dev))
     models = SimulationModels(stats=BB)
     cfg = TimeStepperConfig(dt_init=0.05, t_end=1.0)
     state = initial_state(dev, models, poisson=poisson)
@@ -312,7 +312,7 @@ def test_sweeps_reuse_the_potential_solves_statistics(monkeypatch):
         stats=FF, scheme=FluxScheme(variant="scharfetter_gummel_enhanced"))
     config = TimeStepperConfig(dt_init=0.05, t_end=0.15)
     mesh = build_mesh(device)
-    n_cells, n_ghosts = mesh.n_cells, len(Discretization(device, mesh).contact)
+    n_cells, n_ghosts = mesh.n_cells, len(Discretization(mesh).contact)
     asked = []  # (innermost traced caller, points) of every eval_pair call
     caller = ["equilibrium"]
     kernel_calls, step_calls = [], []
@@ -376,7 +376,7 @@ def diode_first_step():
     arguments (dt = dt_init); unpatched, that step takes 3 sweeps."""
     config = decks.diode()
     models = build_models(config)
-    poisson = assemble_poisson(config.device, build_mesh(config.device))
+    poisson = assemble_poisson(build_mesh(config.device))
     state = initial_state(config.device, models, poisson=poisson)
     return poisson, models, state, config.stepper.dt_init, config.stepper
 
@@ -481,7 +481,7 @@ def test_2d_step_factors_each_system_once(monkeypatch):
         return original(*args, **kwargs)
 
     dev = junction_2d(0.1)
-    poisson = assemble_poisson(dev, build_mesh(dev))
+    poisson = assemble_poisson(build_mesh(dev))
     assert not poisson.disc.bands
     models = SimulationModels(stats=BB)
     cfg = TimeStepperConfig(dt_init=0.01, t_end=1.0)
@@ -503,7 +503,7 @@ def newton_directions_of_2d_run(monkeypatch):
     solves its ``solve_linear`` call took."""
     dev = junction_2d(1.0)
     models = SimulationModels(stats=BB)
-    poisson = assemble_poisson(dev, build_mesh(dev))
+    poisson = assemble_poisson(build_mesh(dev))
     state = initial_state(dev, models, poisson=poisson)
     factors, solves = [], []
     original_spilu = spla.spilu
@@ -554,6 +554,25 @@ def test_2d_newton_direction_costs_one_triangular_solve(monkeypatch):
     assert [solves for _, solves in directions] == [1] * len(directions)
 
 
+@pytest.mark.parametrize("deck, builds", [
+    (decks.srh_two_cell, False), (decks.avalanche_runaway, True)],
+    ids=["srh", "avalanche"])
+def test_sweeps_build_cell_currents_only_when_read(monkeypatch, deck, builds):
+    # only impact ionization reads the cell field and currents
+    calls = []
+    original = transient._cell_currents
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(transient, "_cell_currents", counting)
+    cfg = deck()
+    run(cfg.device, build_models(cfg),
+        dataclasses.replace(cfg.stepper, t_end=5 * cfg.stepper.dt_init))
+    assert bool(calls) == builds
+
+
 def test_run_builds_one_discretization(monkeypatch):
     # the per-mesh data are built once per run and reused by every step
     built = []
@@ -573,7 +592,7 @@ def test_run_builds_one_discretization(monkeypatch):
     assert isinstance(result.disc, Discretization)
     assert result.disc.device is dev
 
-    poisson = assemble_poisson(dev, build_mesh(dev))
+    poisson = assemble_poisson(build_mesh(dev))
     state = initial_state(dev, models, poisson=poisson)
     built.clear()
     gummel_step(poisson, models, state, 0.05, cfg)
@@ -669,7 +688,7 @@ def test_surface_load_lands_in_the_adjacent_cell(device):
     # a boundary face deposits production * area into its one cell, with
     # no halving, bit for bit
     mesh = build_mesh(device)
-    disc = Discretization(device, mesh)
+    disc = Discretization(mesh)
     u = np.random.default_rng(6).uniform(1.5, 3.0, (2, mesh.n_cells))
     faces = mesh.surface_faces[0]
     lo, hi = mesh.face_cells[faces].T
