@@ -106,9 +106,10 @@ class OutputSink:
 class SimulationConfig:
     """A whole deck.  Construction raises ConfigError, naming the field,
     on a statistics name outside ``StatisticsModel.kinds``, a flux scheme
-    outside ``FluxScheme.variants``, a recombination entry that is not a
-    reaction model of the cells, a seed that is not an integer, or a
-    probe whose position does not give one coordinate per device axis."""
+    outside ``FluxScheme.variants``, a recombination or output field that
+    is not a tuple or list, a recombination entry that is not a reaction
+    model of the cells, a seed that is not an integer, or a probe whose
+    position does not give one coordinate per device axis."""
     device: DeviceSpec
     statistics: tuple[str, str] = ("boltzmann", "boltzmann")
     flux_scheme: str = "scharfetter_gummel"
@@ -133,18 +134,28 @@ class SimulationConfig:
             problems.append(f"flux_scheme: {self.flux_scheme!r} is not one "
                             f"of {variants}")
         problems += [f"recombination[{i}]: {problem}"
-                     for i, model in enumerate(self.recombination)
+                     for i, model in enumerate(self._entries("recombination",
+                                                             problems))
                      if (problem := cannot_read(
                          model, ReactionInputs._fields, "a cell"))]
         if isinstance(self.seed, bool) \
                 or not isinstance(self.seed, (int, np.integer)):
             problems.append(f"seed: expected an integer, got {self.seed!r}")
         problems += [f"output[{i}].position: expected {dim} coordinates"
-                     for i, sink in enumerate(self.output)
+                     for i, sink in enumerate(self._entries("output", problems))
                      if sink.position is not None
                      and len(sink.position) != dim]
         if problems:
             raise ConfigError(problems)
+
+    def _entries(self, name: str, problems: list) -> tuple | list:
+        """Field ``name``, or () after a finding when it is not a tuple or
+        list of entries."""
+        value = getattr(self, name)
+        if isinstance(value, (tuple, list)):
+            return value
+        problems.append(f"{name}: expected a tuple or list, got {value!r}")
+        return ()
 
 
 def build_models(config: SimulationConfig) -> SimulationModels:

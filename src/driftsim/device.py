@@ -78,6 +78,14 @@ def _is_length(value) -> bool:
         and math.isfinite(value) and value > 0
 
 
+def _per_axis(values, dim: int, test) -> bool:
+    """True for ``dim`` values that each pass ``test``; a scalar is not."""
+    try:
+        return len(values) == dim and all(map(test, values))
+    except TypeError:
+        return False
+
+
 def _axis_tuple(value, dim) -> tuple[float, ...]:
     if isinstance(value, numbers.Real):
         return (float(value),) * dim
@@ -286,11 +294,10 @@ def _admissibility_problems(device: DeviceSpec) -> list[str]:
         admitted = " or ".join(map(str, DIMENSIONS))
         return [f"dimension must be {admitted}, got {dim}"]
     sides = [side for side, (axis, _) in _SIDE_AXIS.items() if axis < dim]
-    if len(device.extent) != dim or not all(map(_is_length, device.extent)):
+    if not _per_axis(device.extent, dim, _is_length):
         out.append(f"extent must be {dim} finite positive lengths, "
                    f"got {device.extent}")
-    if len(device.resolution) != dim \
-            or not all(map(_is_count, device.resolution)):
+    if not _per_axis(device.resolution, dim, _is_count):
         out.append(f"resolution must be {dim} positive integer cell counts, "
                    f"got {device.resolution}")
     if out:

@@ -7,7 +7,8 @@ written below, the trap-assisted and Auger channels minus theirs.  A
 sweep builds the record on the cells, where every input is available
 and the field and currents are built only when a model reads them, and
 on each surface's and interface's faces, with the densities only
-(``FACE_INPUTS``).
+(``FACE_INPUTS``).  Impact ionization evaluates ``kappa`` once for both
+carriers' currents, with a column of per-carrier thresholds.
 """
 
 from __future__ import annotations
@@ -52,15 +53,15 @@ def cannot_read(model, available, where: str) -> str | None:
         if lacking else None
 
 
-def kappa(e, j, a: float):
+def kappa(e, j, a):
     """Impact ionization kernel |j| exp(-a / |e . j/|j||).
 
     Zero whenever the current vanishes or is orthogonal to the field.
     ``e`` and ``j`` are arrays of vectors with the component axis last;
     the return drops that axis.  The threshold field ``a`` must be
-    positive.
+    positive; an array of thresholds broadcasts against the return.
     """
-    if a <= 0.0:
+    if np.any(np.asarray(a) <= 0.0):
         raise DomainError("ionization threshold a must be positive")
     e = np.asarray(e, dtype=float)
     j = np.asarray(j, dtype=float)
@@ -75,9 +76,9 @@ def kappa(e, j, a: float):
     return out
 
 
-def kappa_lipschitz_bound(a: float, norm_e1: float, norm_j2: float,
-                          norm_dj: float, norm_de: float) -> float:
-    """Bound on |kappa(e1,j1,a) - kappa(e2,j2,a)|, valid for all vectors.
+def kappa_lipschitz_bound(a: float, norm_e1, norm_j2, norm_dj, norm_de):
+    """Bound on |kappa(e1,j1,a) - kappa(e2,j2,a)|, valid for all vectors
+    (each norm a number or an array).
 
     The scalar map f(x) = exp(-a/x) on x >= 0 (extended by 0) is bounded
     by 1 and Lipschitz with constant L_a = 4/(e^2 a), the maximum of
@@ -173,8 +174,9 @@ class Avalanche:
             raise DomainError("avalanche thresholds must be positive")
 
     def production(self, x: ReactionInputs):
-        return (self.c1 * kappa(x.e, x.j[0], self.a1)
-                + self.c2 * kappa(x.e, x.j[1], self.a2))
+        k1, k2 = kappa(x.e, x.j, np.reshape(
+            (self.a1, self.a2), (2,) + (1,) * (np.ndim(x.j) - 2)))
+        return self.c1 * k1 + self.c2 * k2
 
 
 @dataclass(frozen=True)

@@ -236,8 +236,10 @@ def _cell_currents(disc: Discretization, phi: np.ndarray,
     carrier k points along u_k mu_k grad Phi_k).
     """
     mesh = disc.mesh
-    cell_e = cell_average_faces(mesh, face_gradient(disc, phi, contacts[0]))
-    return cell_e, cell_average_faces(mesh, -face_flux / mesh.face_area)
+    cells = cell_average_faces(mesh, np.concatenate(
+        [face_gradient(disc, phi, contacts[0])[None],
+         -face_flux / mesh.face_area]))
+    return cells[0], cells[1:]
 
 
 def face_inputs(mesh: Mesh, faces: np.ndarray,

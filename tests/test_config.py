@@ -389,7 +389,10 @@ def test_probe_position_checked_at_construction(position):
     ("seed", "7", "seed: expected an integer, got '7'"),
     ("recombination", (object(),),
      "recombination[0]: object is not a reaction model"),
-], ids=["statistics", "flux_scheme", "seed", "recombination"])
+    ("recombination", 5, "recombination: expected a tuple or list, got 5"),
+    ("output", 5, "output: expected a tuple or list, got 5"),
+], ids=["statistics", "flux_scheme", "seed", "recombination",
+        "recombination-scalar", "output-scalar"])
 def test_simulation_config_checks_its_own_fields(field, value, problem):
     # a deck built in Python fails at construction, naming the field, not
     # in build_models or mid-run after the equilibrium solve

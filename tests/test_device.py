@@ -92,6 +92,15 @@ def test_dimension_must_be_low():
             slab_1d(dimension=dimension)
         assert err.value.problems == [
             f"dimension must be 1 or 2, got {dimension}"]
+    # so is a scalar where one extent and one cell count per axis belong
+    for field, value, finding in (
+            ("extent", 2.0, "extent must be 1 finite positive lengths, "
+             "got 2.0"),
+            ("resolution", 8, "resolution must be 1 positive integer cell "
+             "counts, got 8")):
+        with pytest.raises(ConfigError) as err:
+            replace(slab_1d(), **{field: value})
+        assert err.value.problems == [finding]
 
 
 @pytest.mark.parametrize("field, value, finding", [

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from driftsim.device import (
     DopingProfile,
     MaterialRegion,
     RobinSegment,
+    SheetDoping,
     build_mesh,
 )
 from driftsim.errors import DomainError, SolverError
@@ -295,6 +297,27 @@ def test_robin_wall_follows_gate_value():
     load = poisson_data_load(op, t=0.0)
     phi, _ = solve_linear(op, load)
     assert np.max(np.abs(phi - 1.5)) <= 1e-12
+
+
+def test_sheet_doping_loads_its_plane_half_and_half():
+    # a sheet of density sigma on the plane x = 1 of a 4x4 mesh adds
+    # sigma * area of each of its four faces, half to the cell on either
+    # side, and nothing elsewhere
+    sigma = 0.75
+    bare = DeviceSpec(
+        dimension=2, extent=(2.0, 1.0), resolution=(4, 4),
+        regions=(MaterialRegion("bulk", ((0.0, 2.0), (0.0, 1.0))),),
+        contacts=(Contact(side="left", phi=0.5), Contact(side="right")))
+    sheet = replace(bare, doping=DopingProfile(
+        sheets=(SheetDoping(axis=0, position=1.0, density=sigma),)))
+    loads = [poisson_data_load(assemble_poisson(build_mesh(dev)), t=0.0)
+             for dev in (bare, sheet)]
+    added = loads[1] - loads[0]
+    x = build_mesh(sheet).cell_centers[:, 0]
+    beside = (x == 0.75) | (x == 1.25)
+    assert np.array_equal(added[beside], np.full(8, 0.5 * sigma * 0.25))
+    assert np.array_equal(added[~beside], np.zeros(8))
+    assert added.sum() == sigma * 1.0
 
 
 # -- continuity assembly --------------------------------------------------

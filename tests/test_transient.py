@@ -455,6 +455,41 @@ def test_mixing_keeps_a_reacting_insulated_box_unrejected():
     assert result.steps_rejected == 0
 
 
+def draining_box():
+    """The insulated box at equilibrium (u = 1) under pure loss at rate
+    1.5: a step of dt drives the first sweep's densities to 1 - 1.5 dt,
+    nonpositive for dt >= 2/3, and backward Euler stays positive below."""
+    models = SimulationModels(stats=BB, bulk=(MassAction(rate=1.5,
+                                                         generation=0.0),))
+    return insulated_box(), models
+
+
+def test_nonpositive_density_rejects_the_step_and_a_smaller_one_passes():
+    device, models = draining_box()
+    config = TimeStepperConfig(dt_init=2.0, t_end=2.0)
+    poisson = assemble_poisson(build_mesh(device))
+    start = initial_state(device, models, poisson=poisson)
+    with pytest.raises(StepRejected, match="nonpositive density for carrier 1"):
+        gummel_step(poisson, models, start, 2.0, config)
+    # dt = 2 and dt = 1 are rejected, dt = 0.5 is accepted
+    result = run(device, models, config)
+    assert result.completed
+    assert result.steps_rejected == 2
+    assert result.reports[0].dt == 0.5
+    assert all((state.u > 0.0).all() for state in result.states)
+
+
+def test_step_size_underflow_ends_the_run():
+    # the retry after the first rejection would be below dt_min
+    device, models = draining_box()
+    config = TimeStepperConfig(dt_init=2.0, t_end=2.0, dt_min=1.5)
+    result = run(device, models, config)
+    assert not result.completed
+    assert result.blowup.reason.startswith("step size underflow")
+    assert result.steps_rejected == 1
+    assert result.steps_accepted == 0
+
+
 def junction_2d(ramp_end):
     """A 12x6 pn junction whose right contact ramps to 0.25 by ``ramp_end``."""
     phi_n = float(np.arcsinh(0.5))
