@@ -108,8 +108,9 @@ class SimulationConfig:
     on a statistics name outside ``StatisticsModel.kinds``, a flux scheme
     outside ``FluxScheme.variants``, a recombination or output field that
     is not a tuple or list, a recombination entry that is not a reaction
-    model of the cells, a seed that is not an integer, or a probe whose
-    position does not give one coordinate per device axis."""
+    model of the cells, a seed that is not an integer, an output entry
+    that is not an ``OutputSink``, or a probe whose position does not
+    give one coordinate per device axis."""
     device: DeviceSpec
     statistics: tuple[str, str] = ("boltzmann", "boltzmann")
     flux_scheme: str = "scharfetter_gummel"
@@ -141,10 +142,13 @@ class SimulationConfig:
         if isinstance(self.seed, bool) \
                 or not isinstance(self.seed, (int, np.integer)):
             problems.append(f"seed: expected an integer, got {self.seed!r}")
-        problems += [f"output[{i}].position: expected {dim} coordinates"
-                     for i, sink in enumerate(self._entries("output", problems))
-                     if sink.position is not None
-                     and len(sink.position) != dim]
+        for i, sink in enumerate(self._entries("output", problems)):
+            if not isinstance(sink, OutputSink):
+                problems.append(f"output[{i}]: expected an OutputSink, got "
+                                f"{sink!r}")
+            elif sink.position is not None and len(sink.position) != dim:
+                problems.append(f"output[{i}].position: expected {dim} "
+                                f"coordinates")
         if problems:
             raise ConfigError(problems)
 

@@ -285,6 +285,22 @@ def _span_problems(what: str, span: Span | None, device: DeviceSpec,
     return []
 
 
+def _entry_problems(device: DeviceSpec) -> list[str]:
+    """A finding for each segment or region field that is not a tuple or
+    list, and for each of its entries that is not of the field's type."""
+    out = []
+    for name, kind in (("regions", MaterialRegion), ("contacts", Contact),
+                       ("robin", RobinSegment), ("surfaces", SurfaceSegment),
+                       ("interfaces", InterfaceSpec)):
+        value = getattr(device, name)
+        if not isinstance(value, (tuple, list)):
+            out.append(f"{name}: expected a tuple or list, got {value!r}")
+            continue
+        out += [f"{name}[{i}]: expected a {kind.__name__}, got {entry!r}"
+                for i, entry in enumerate(value) if not isinstance(entry, kind)]
+    return out
+
+
 def _admissibility_problems(device: DeviceSpec) -> list[str]:
     """Every reason the device is inadmissible, empty when it is
     admissible; raises nothing."""
@@ -300,6 +316,7 @@ def _admissibility_problems(device: DeviceSpec) -> list[str]:
     if not _per_axis(device.resolution, dim, _is_count):
         out.append(f"resolution must be {dim} positive integer cell counts, "
                    f"got {device.resolution}")
+    out += _entry_problems(device)
     if out:
         return out
     volume = float(np.prod(device.extent))

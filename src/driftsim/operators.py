@@ -39,8 +39,17 @@ Jacobians) then takes one factor per family instead of one per solve.
 The target belongs to the caller, and one rule stops the refinement: a
 target looser than the 1e-12 contract (a Newton direction's forcing
 term) ends it as soon as it is met, while a final answer at the contract
-is refined to the rounding floor.  Every solve returns its residual
-with the answer, so a caller that reports it forms it once.
+is refined to the rounding floor.  Such a final answer, off the bands,
+on an operator whose every row has off-diagonal magnitudes summing to
+at most half its nonzero diagonal, needs no factor at all: refinement
+from the diagonal alone is the Jacobi iteration, which then contracts
+the error by 2 or more per step (Varga, 1962, ch. 3).  A backward-Euler
+continuity matrix is such an operator when its mass V/dt outweighs its
+face coefficients, so a 2D time step solves both carriers by Jacobi
+sweeps and factors only its Newton Jacobian; when the sweeps miss the
+contract, the solve goes on to the factors as before.  Every solve
+returns its residual with the answer, so a caller that reports it forms
+it once.
 
 One kernel, ``carrier_face_coefficients``, computes both carriers'
 coefficients on every stencil face from densities its caller evaluated:
@@ -571,7 +580,10 @@ def cell_average_faces(mesh: Mesh, face_values: np.ndarray) -> np.ndarray:
 
 
 _SOLVE_RTOL = 1e-12  # residual contract of solve_linear, relative to ||b||
-_REFINE_MAX = 8  # refinement steps of one _refine call
+_REFINE_MAX = 8  # refinement steps of one _refine call from a factor
+# Jacobi steps of one contract solve: each halves the residual, and 2^-53
+# is the unit roundoff
+_JACOBI_MAX = 53
 
 
 class FactorSlot:
@@ -600,12 +612,36 @@ def _norm(v: np.ndarray) -> float:
     return norm
 
 
+class _Jacobi:
+    """The diagonal of an operator as its "factor": refinement from it is
+    the Jacobi iteration."""
+
+    def __init__(self, diagonal: np.ndarray):
+        self._diagonal = diagonal
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return b / self._diagonal
+
+
+def _dominant(op: SparseOperator) -> bool:
+    """True when every row's off-diagonal magnitudes sum to at most half
+    of its diagonal's, and no diagonal entry is zero (or NaN).  Jacobi
+    then contracts the error by at least 2 per step in the max-norm
+    (Varga, Matrix Iterative Analysis, 1962, ch. 3)."""
+    d, m = op.disc, op.disc.n_interior
+    # upper[j] sits in row lo[j], lower[j] in row hi[j]
+    off = np.bincount(np.concatenate([d.lo[:m], d.hi[:m]]), np.abs(
+        np.concatenate([op.upper, op.lower])), minlength=d.n_cells)
+    magnitude = np.abs(op.diagonal)
+    return bool((magnitude > 0.0).all() and (off <= 0.5 * magnitude).all())
+
+
 def _refine(op: SparseOperator, lu, b: np.ndarray, target: float,
-            to_floor: bool):
+            to_floor: bool, steps: int = _REFINE_MAX):
     """Solve ``op x = b`` from the factor ``lu`` of ``op`` or of a nearby
     operator.  Returns the first solve x = LU^{-1} b when its residual
     meets ``target``; otherwise refines, x <- x + LU^{-1} (b - op x), while
-    each step at least halves the residual, at most _REFINE_MAX steps.  A
+    each step at least halves the residual, at most ``steps`` steps.  A
     residual that meets ``target`` ends the refinement, unless
     ``to_floor`` (a final answer at the contract), which runs it down to
     the rounding floor while the factor is close.  Returns x, its residual
@@ -615,7 +651,7 @@ def _refine(op: SparseOperator, lu, b: np.ndarray, target: float,
     res = _norm(r)
     if res <= target:
         return x, r, res
-    for _ in range(_REFINE_MAX):
+    for _ in range(steps):
         x_next = x + lu.solve(r)
         r_next = b - op @ x_next
         res_next = _norm(r_next)
@@ -645,11 +681,15 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
     one.  Every solve goes through ``_refine``: it returns the first solve
     when ||Ax-b|| <= rtol * ||b||, and refines otherwise; a target looser
     than _SOLVE_RTOL ends the refinement as soon as it is met, while a
-    solve at the contract refines to the rounding floor.  On the
-    SuperLU path the factor held in ``slot``, if any, is tried first and
-    accepted if it meets the contract.  Otherwise the slot is emptied, so
-    the stale factor is freed before the new one is allocated, and ``op``
-    is factored (cached on the operator) and kept in the slot.  The
+    solve at the contract refines to the rounding floor.  Off the bands,
+    a solve at the contract on an operator that ``_dominant`` admits
+    first runs Jacobi sweeps, ``_refine`` from the diagonal for at most
+    _JACOBI_MAX steps, and returns without a factor when they meet the
+    contract; the slot is left as it is.  On the SuperLU path the factor
+    held in ``slot``, if any, is tried next and accepted if it meets the
+    contract.  Otherwise the slot is emptied, so the stale factor is
+    freed before the new one is allocated, and ``op`` is factored
+    (cached on the operator) and kept in the slot.  The
     tridiagonal path ignores the slot, as its factor costs a few
     microseconds.  Returns x and its residual b - Ax, which the refinement
     formed anyway.  Raises SolverError when the fresh factor misses the
@@ -661,6 +701,11 @@ def solve_linear(op: SparseOperator, b: np.ndarray,
     to_floor = rtol <= _SOLVE_RTOL
     if op.disc.bands:
         slot = None
+    elif to_floor and _dominant(op):
+        x, r, res = _refine(op, _Jacobi(op.diagonal), b, target, to_floor,
+                            _JACOBI_MAX)
+        if res <= target < math.inf:
+            return x, r
     if slot is not None:
         if slot.op is not None:
             x, r, res = _refine(op, slot.op.factor(), b, target, to_floor)

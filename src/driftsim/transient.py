@@ -30,10 +30,13 @@ reaction loads were taken at an iterate within the step tolerance of it,
 so the step is implicit in the recombination terms to that tolerance.
 
 The sweeps of one step solve nearby linear systems.  On the SuperLU path
-(2D, and n <= 2) the last factor of each family is held, and a later
-system is solved by iterative refinement from it; a system that
-refinement cannot bring within its residual target is factored afresh
-and replaces the held factor.  The potential Newton Jacobian
+(2D, and n <= 2) a continuity matrix whose mass V/dt makes every row
+diagonally dominant by 2 or more (the early, short steps of a 2D run)
+is solved by Jacobi sweeps with no factor at all.  Otherwise the last
+factor of each family is held, and a later system is solved by
+iterative refinement from it; a system that refinement cannot bring
+within its residual target is factored afresh and replaces the held
+factor.  The potential Newton Jacobian
 P + V diag(F1' + F2') moves only through the densities, so ``run`` holds
 its factor for the whole run, and a Newton direction, which needs only
 the forcing term, mostly takes one triangular solve from it and stops

@@ -391,8 +391,9 @@ def test_probe_position_checked_at_construction(position):
      "recombination[0]: object is not a reaction model"),
     ("recombination", 5, "recombination: expected a tuple or list, got 5"),
     ("output", 5, "output: expected a tuple or list, got 5"),
+    ("output", (5,), "output[0]: expected an OutputSink, got 5"),
 ], ids=["statistics", "flux_scheme", "seed", "recombination",
-        "recombination-scalar", "output-scalar"])
+        "recombination-scalar", "output-scalar", "output-entry"])
 def test_simulation_config_checks_its_own_fields(field, value, problem):
     # a deck built in Python fails at construction, naming the field, not
     # in build_models or mid-run after the equilibrium solve

@@ -117,6 +117,21 @@ def test_extent_and_resolution_are_checked(field, value, finding):
     assert err.value.problems == [finding]
 
 
+@pytest.mark.parametrize("field, value, finding", [
+    ("regions", 5, "regions: expected a tuple or list, got 5"),
+    ("contacts", 5, "contacts: expected a tuple or list, got 5"),
+    ("regions", (5,), "regions[0]: expected a MaterialRegion, got 5"),
+    ("contacts", (5,), "contacts[0]: expected a Contact, got 5"),
+], ids=["regions-scalar", "contacts-scalar", "regions-entry",
+        "contacts-entry"])
+def test_region_and_segment_fields_are_checked(field, value, finding):
+    # a device built in Python gets the finding a deck gets, not an
+    # untyped error from the checks that read the entries
+    with pytest.raises(ConfigError) as err:
+        replace(slab_1d(), **{field: value})
+    assert err.value.problems == [finding]
+
+
 @pytest.mark.parametrize("scalar", [np.float32(2), np.int64(2)],
                          ids=["float32", "int64"])
 def test_device_records_take_numpy_scalars(scalar):

@@ -634,9 +634,10 @@ def test_superlu_factor_matches_splu(system):
 
 def test_solve_linear_refines_from_the_held_factor(monkeypatch):
     # P + c V with c = 1 is factored; c = 1.01 is solved from that factor
-    # down to rounding, with no new factor; c = 100 is too far for
+    # down to rounding, with no new factor; c = 3 is too far for
     # refinement to halve the residual, so it takes exactly one factor,
-    # which replaces the held one
+    # which replaces the held one.  No c here makes the operator dominant
+    # enough for Jacobi, which would take the solve without a factor
     calls = _count_superlu(monkeypatch)
     dev = _junction_2d(cells=24)
     mesh = build_mesh(dev)
@@ -654,8 +655,111 @@ def test_solve_linear_refines_from_the_held_factor(monkeypatch):
     assert len(calls) == 1 and slot.op is first
     near = solve(1.01)
     assert len(calls) == 1 and slot.op is first and near._lu is None
-    far = solve(100.0)
+    far = solve(3.0)
+    assert not operators._dominant(far)
     assert len(calls) == 2 and slot.op is far
+
+
+def _continuity_system(cells, dt, seed=11):
+    """Carrier 1's backward-Euler continuity matrix on the ``cells``-square
+    junction, SG coefficients at a random potential and level, with the
+    mass V/dt on its diagonal, and a random right-hand side."""
+    dev = _junction_2d(cells)
+    mesh = build_mesh(dev)
+    disc = Discretization(mesh)
+    rng = np.random.default_rng(seed)
+    n = mesh.n_cells
+    chi = rng.uniform(-1.0, 3.0, n)
+    f = evaluate_face_coefficients(
+        disc, (boltzmann(), boltzmann()), SG, rng.uniform(0.0, 2.0, n),
+        np.vstack([chi, chi]), _one_carrier_contacts(rng, dev))
+    return f.system(1, mesh.cell_volumes / dt)[0], rng.normal(size=n)
+
+
+def _count_jacobi(monkeypatch):
+    """Record the diagonal of every Jacobi "factor" solve_linear makes."""
+    made = []
+    original = operators._Jacobi
+
+    def recording(diagonal):
+        made.append(diagonal)
+        return original(diagonal)
+
+    monkeypatch.setattr(operators, "_Jacobi", recording)
+    return made
+
+
+def test_dominant_continuity_system_needs_no_factor(monkeypatch):
+    # V/dt at the junction deck's first step, dt = 0.001, makes the 64x64
+    # continuity matrix row dominant by 2 or more, so Jacobi sweeps reach
+    # the contract with no factor, and the answer is splu's up to rounding
+    calls = _count_superlu(monkeypatch, drivers=("splu", "spilu"))
+    op, b = _continuity_system(64, dt=0.001)
+    assert operators._dominant(op)
+    slot = FactorSlot()
+    x, r = solve_linear(op, b, slot)
+    assert calls == [] and slot.op is None and op._lu is None
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+    ref = spla.splu(op.csc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_newton_directions_and_weak_diagonals_take_no_jacobi_step(
+        monkeypatch):
+    # a loose target (a Newton direction) goes to the factor even on a
+    # dominant operator, and a contract solve on the Poisson operator,
+    # whose interior rows are not dominant, goes there too
+    made = _count_jacobi(monkeypatch)
+    calls = _count_superlu(monkeypatch)
+    op, b = _continuity_system(16, dt=0.01)
+    assert operators._dominant(op)
+    solve_linear(op, b, rtol=1e-3)
+    poisson = assemble_poisson(build_mesh(_junction_2d(16)))
+    assert not operators._dominant(poisson)
+    solve_linear(poisson, b)
+    assert made == [] and len(calls) == 2
+    solve_linear(op, b)
+    assert len(made) == 1 and len(calls) == 2
+
+
+def test_zero_diagonal_is_a_solver_error_without_a_warning():
+    # an empty row of an otherwise dominant operator: the zero diagonal
+    # keeps Jacobi from dividing by it, and the factor path reports the
+    # singular matrix
+    op, b = _continuity_system(16, dt=0.01)
+    disc, m = op.disc, op.disc.n_interior
+    diagonal, upper, lower = op.diagonal.copy(), op.upper.copy(), \
+        op.lower.copy()
+    diagonal[5] = 0.0
+    upper[disc.lo[:m] == 5] = 0.0
+    lower[disc.hi[:m] == 5] = 0.0
+    singular = SparseOperator(disc, diagonal, upper, lower)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not operators._dominant(singular)
+        with pytest.raises(SolverError, match="factorization failed"):
+            solve_linear(singular, b, FactorSlot())
+
+
+def test_jacobi_that_misses_the_contract_falls_back_to_a_factor(monkeypatch):
+    # every row is dominant by exactly 2, but diagonals that alternate
+    # between 1 and 1e4 make a Jacobi step grow the residual, so the
+    # solve takes the factor path, which meets the contract
+    made = _count_jacobi(monkeypatch)
+    calls = _count_superlu(monkeypatch)
+    disc = Discretization(build_mesh(_box_2d(6, 6)))
+    m = disc.n_interior
+    lo, hi = disc.lo[:m], disc.hi[:m]
+    degree = np.bincount(np.concatenate([lo, hi]), minlength=disc.n_cells)
+    diagonal = np.where(np.arange(disc.n_cells) % 2 == 0, 1.0, 1e4)
+    op = SparseOperator(disc, diagonal, -0.5 * (diagonal / degree)[lo],
+                        -0.5 * (diagonal / degree)[hi])
+    assert operators._dominant(op)
+    b = np.random.default_rng(6).normal(size=disc.n_cells)
+    slot = FactorSlot()
+    x, r = solve_linear(op, b, slot)
+    assert len(made) == 1 and len(calls) == 1 and slot.op is op
+    assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class _CountingFactor:
@@ -899,7 +1003,7 @@ def test_factor_path_follows_the_pattern_in_1d(monkeypatch, cells,
     mesh = build_mesh(dev)
     op = assemble_poisson(mesh)
     assert op.disc.bands == (cells >= 3)
-    phi, _ = solve_linear(op, poisson_data_load(op, t=0.0))
+    phi = op.factor().solve(poisson_data_load(op, t=0.0))
     assert len(calls) == splu_calls
     exact = 1.0 + 2.0 * mesh.cell_centers[:, 0]
     assert np.max(np.abs(phi - exact)) <= 1e-13

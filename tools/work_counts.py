@@ -13,6 +13,10 @@ count the work of two checkouts:
   (the CLI runs them in forked workers, whose counts would be lost),
   counted into ``OUTDIR/sweep/diode.json``.
 
+Beside the SuperLU and LAPACK counts, ``linalg.diagonal_solves`` counts
+the solves that try Jacobi sweeps on a diagonally dominant operator
+instead of a factor, and ``linalg.jacobi_steps`` their sweeps.
+
 Counters are wrappers installed from outside the package: each function
 is rebound in every loaded ``driftsim`` module that holds it, methods on
 their class, and the LAPACK and SuperLU entry points on the scipy
@@ -46,7 +50,8 @@ from driftsim import recombination, statistics, transient
 ROOT = deck_outputs.ROOT
 KEYS = (
     "device.build_mesh_calls",
-    "linalg.gttrf_factors", "linalg.gttrs_solves",
+    "linalg.diagonal_solves", "linalg.gttrf_factors", "linalg.gttrs_solves",
+    "linalg.jacobi_steps",
     "linalg.superlu_factors", "linalg.superlu_solves",
     "nonlinear_poisson.newton_failures", "nonlinear_poisson.newton_iterations",
     "nonlinear_poisson.newton_solves",
@@ -163,7 +168,12 @@ class Counters:
                  dict(on_return=self._run_returned))):
             self._count_function(module, name, key, **hooks)
         discretization = getattr(operators, "Discretization", None)
+        # a solve_linear call that tries Jacobi makes one diagonal "factor"
+        # and applies it once per step
+        jacobi = getattr(operators, "_Jacobi", None)
         for owner, name, key, hooks in (
+                (jacobi, "__init__", "linalg.diagonal_solves", {}),
+                (jacobi, "solve", "linalg.jacobi_steps", {}),
                 (discretization, "__init__",
                  "operators.discretization_builds", {}),
                 (discretization, "csc", "operators.csc_copies", {}),
